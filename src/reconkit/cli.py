@@ -3,7 +3,8 @@
 Subcommands: gen-scenes, eval-pointmap, eval-pose, solve-pnp,
 compose-points, check-grads.  Precedence of settings: config file
 (--config, JSON) overrides flags; flags override built-in defaults.
-Exit code is 0 iff no scene failed.
+Exit code is 0 iff no scene failed; for check-grads, iff every loss's
+gradient error is below GRADIENT_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -16,19 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import GRADIENT_CHECKS, LossWeights, check_gradient
+from .losses import GRADIENT_CHECKS, LossWeights, NonDifferentiableError, check_gradient
 from .masks import compose_masked_points
 from .oracle.bundle import load_bundle
 from .oracle.mock import NoiseModel, mock_predict
 from .oracle.raster import read_raster, write_raster
-from .pipeline import (
-    RunConfig,
-    default_workers,
-    run_eval_pointmap,
-    run_eval_pose,
-    run_gen_scenes,
-    write_report,
-)
+from .pipeline import RunConfig, default_workers, run_eval, run_gen_scenes, write_report
 from .pnp import DEFAULT_TEMPERATURE, soft_argmax, solve_pnp
 from .transforms import rotation_angle
 
@@ -41,6 +35,9 @@ NOISE_FLAGS = {
     "noise_heatmap_blur": "heatmap_blur",
     "noise_mask_flip": "mask_flip_rate",
 }
+GEN_KEYS = ("seed", "scenes", "views", "width", "height")
+# check-grads fails a loss whose max relative gradient error reaches this
+GRADIENT_TOLERANCE = 1e-4
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -71,10 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-scenes", help="generate ground-truth scene bundles")
     _add_common(g)
-    g.add_argument("--scenes", type=int, default=None, help="number of scenes (default 1)")
-    g.add_argument("--views", type=int, default=None, help="cameras per scene, 1 or 2 (default 2)")
-    g.add_argument("--width", type=int, default=None, help="image width (default 630)")
-    g.add_argument("--height", type=int, default=None, help="image height (default 476)")
+    g.add_argument("--scenes", type=int, default=None, help=f"number of scenes (default {RunConfig.scenes})")
+    g.add_argument("--views", type=int, default=None, help=f"cameras per scene, 1 or 2 (default {RunConfig.views})")
+    g.add_argument("--width", type=int, default=None, help=f"image width (default {RunConfig.width})")
+    g.add_argument("--height", type=int, default=None, help=f"image height (default {RunConfig.height})")
 
     for name in ("eval-pointmap", "eval-pose"):
         e = sub.add_parser(name, help=f"run {name.split('-')[1]} evaluation over a bundle tree")
@@ -141,15 +138,15 @@ def _eval_config(merged: dict) -> RunConfig:
         t_threshold_abs=merged["threshold_abs"],
         r_threshold_abs=merged["threshold_abs"],
         weights=_weights_from(merged),
-        workers=merged["workers"],
+        workers=merged["workers"] or default_workers(),
     )
 
 
 _EVAL_DEFAULTS = {
-    "seed": 0,
+    "seed": RunConfig.seed,
     "workers": 0,
-    "threshold_rel": 0.03,
-    "threshold_abs": 0.01,
+    "threshold_rel": RunConfig.t_threshold_rel,
+    "threshold_abs": RunConfig.t_threshold_abs,
     "weights_file": None,
     **{flag: 0.0 for flag in NOISE_FLAGS},
 }
@@ -163,23 +160,16 @@ def _finish(report: dict, out, lines) -> int:
         print(f"report written to {out}")
     failures = report.get("failures", [])
     for f in failures:
-        print(f"FAILED {f['scene']}: {f['error']}", file=sys.stderr)
+        print(f"FAILED {f.get('scene', f.get('loss'))}: {f['error']}", file=sys.stderr)
     return 1 if failures else 0
 
 
 def cmd_gen_scenes(args) -> int:
-    merged = _merge(
-        args,
-        {"seed": 0, "scenes": 1, "views": 2, "width": 630, "height": 476, "workers": 0},
-    )
+    merged = _merge(args, {**{key: getattr(RunConfig, key) for key in GEN_KEYS}, "workers": 0})
     if not args.out:
         raise SystemExit("gen-scenes requires --out DIRECTORY")
     config = RunConfig(
-        seed=merged["seed"],
-        scenes=merged["scenes"],
-        views=merged["views"],
-        width=merged["width"],
-        height=merged["height"],
+        **{key: merged[key] for key in GEN_KEYS},
         workers=merged["workers"] or default_workers(),
     )
     manifest = run_gen_scenes(config, args.out)
@@ -187,37 +177,31 @@ def cmd_gen_scenes(args) -> int:
     return 0
 
 
-def cmd_eval_pointmap(args) -> int:
-    merged = _merge(args, _EVAL_DEFAULTS)
-    config = _eval_config(merged)
-    config = RunConfig(**{**config.__dict__, "workers": config.workers or default_workers()})
-    report = run_eval_pointmap(config, args.bundles)
-    lines = []
-    if "summary" in report:
-        s = report["summary"]
-        lines.append(
-            f"point_err {s['point_err']:.6g}  normal_err {s['normal_err']:.6g}  "
-            f"scale_err {s['scale_err']:.6g}  ({len(report['scenes'])} scenes)"
-        )
-    return _finish(report, args.out, lines)
+# eval subcommand -> summary lines, formatted from the report's summary
+EVAL_SUMMARY_LINES = {
+    "eval-pointmap": (
+        "point_err {point_err:.6g}  normal_err {normal_err:.6g}  "
+        "scale_err {scale_err:.6g}  ({scenes} scenes)",
+    ),
+    "eval-pose": (
+        "RTE {relative[rte]:.6g}  RRE {relative[rre]:.6g}  "
+        "RTA@{relative[t_threshold]:g} {relative[rta]:.3f}  "
+        "RRA@{relative[r_threshold]:g} {relative[rra]:.3f}",
+        "ATE {absolute[ate]:.6g}  ARE {absolute[are]:.6g}  "
+        "ATA@{absolute[t_threshold]:g} {absolute[ata]:.3f}  "
+        "ARA@{absolute[r_threshold]:g} {absolute[ara]:.3f}",
+    ),
+}
 
 
-def cmd_eval_pose(args) -> int:
-    merged = _merge(args, _EVAL_DEFAULTS)
-    config = _eval_config(merged)
-    config = RunConfig(**{**config.__dict__, "workers": config.workers or default_workers()})
-    report = run_eval_pose(config, args.bundles)
+def cmd_eval(args) -> int:
+    report = run_eval(args.command, _eval_config(_merge(args, _EVAL_DEFAULTS)), args.bundles)
     lines = []
     if "summary" in report:
-        r, a = report["summary"]["relative"], report["summary"]["absolute"]
-        lines.append(
-            f"RTE {r['rte']:.6g}  RRE {r['rre']:.6g}  RTA@{r['t_threshold']:g} {r['rta']:.3f}  "
-            f"RRA@{r['r_threshold']:g} {r['rra']:.3f}"
-        )
-        lines.append(
-            f"ATE {a['ate']:.6g}  ARE {a['are']:.6g}  ATA@{a['t_threshold']:g} {a['ata']:.3f}  "
-            f"ARA@{a['r_threshold']:g} {a['ara']:.3f}"
-        )
+        lines = [
+            line.format(scenes=len(report["scenes"]), **report["summary"])
+            for line in EVAL_SUMMARY_LINES[args.command]
+        ]
     return _finish(report, args.out, lines)
 
 
@@ -304,32 +288,35 @@ def cmd_compose_points(args) -> int:
 
 def cmd_check_grads(args) -> int:
     merged = _merge(args, {"seed": 0, "workers": 0, "eps": 1e-6})
-    rows = {}
-    worst = 0.0
+    rows, failures = {}, []
     for name in sorted(GRADIENT_CHECKS):
-        err = check_gradient(name, seed=merged["seed"], eps=merged["eps"])
+        try:
+            err = check_gradient(name, seed=merged["seed"], eps=merged["eps"])
+        except NonDifferentiableError as exc:
+            failures.append({"loss": name, "error": f"NonDifferentiableError: {exc}"})
+            continue
         rows[name] = err
-        worst = max(worst, err)
         print(f"{name:<16} max relative gradient error {err:.3e}")
+        if err >= GRADIENT_TOLERANCE:
+            failures.append(
+                {"loss": name, "error": f"relative gradient error {err:.3e} >= {GRADIENT_TOLERANCE:g}"}
+            )
     report = {
         "command": "check-grads",
         "config": {"seed": merged["seed"], "eps": merged["eps"]},
         "max_relative_error": rows,
-        "worst": worst,
-        "failures": [],
+        "worst": max(rows.values(), default=0.0),
+        "failures": failures,
     }
-    if args.out:
-        write_report(report, args.out)
-        print(f"report written to {args.out}")
-    return 0
+    return _finish(report, args.out, [])
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "gen-scenes": cmd_gen_scenes,
-        "eval-pointmap": cmd_eval_pointmap,
-        "eval-pose": cmd_eval_pose,
+        "eval-pointmap": cmd_eval,
+        "eval-pose": cmd_eval,
         "solve-pnp": cmd_solve_pnp,
         "compose-points": cmd_compose_points,
         "check-grads": cmd_check_grads,

@@ -26,6 +26,7 @@ from .transforms import (
 
 BCE_EPS = 1e-7
 HUBER_DELTA = 1.0
+LOSS_TERMS = ("point", "normal", "mask", "relative_pose", "similarity", "keypoint")
 
 
 class NonDifferentiableError(ValueError):
@@ -248,16 +249,14 @@ def total_loss(
         "similarity": st_loss(pred_sim, gt_sim, weights.beta1, weights.beta2),
         "keypoint": keypoint_loss(pred_hm, gt_hm, pred_kp, gt_kp, weights.gamma),
     }
-    lam = (
-        weights.lambda1,
-        weights.lambda2,
-        weights.lambda3,
-        weights.lambda4,
-        weights.lambda5,
-        weights.lambda6,
+    return weighted_total(terms, weights), terms
+
+
+def weighted_total(terms: dict, weights: LossWeights) -> float:
+    """Sum of lambda_i * term_i, with lambda1..lambda6 weighting LOSS_TERMS in order."""
+    return float(
+        sum(getattr(weights, f"lambda{i}") * terms[name] for i, name in enumerate(LOSS_TERMS, 1))
     )
-    total = float(sum(l * t for l, t in zip(lam, terms.values())))
-    return total, terms
 
 
 # ---------------------------------------------------------------------------

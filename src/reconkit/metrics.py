@@ -8,11 +8,10 @@ indicators that aggregate to dataset fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .camera import PointMap
 from .losses import normal_angles, normals_from_pointmap, point_loss_flat
 from .transforms import RigidTransform, rotation_angle
 
@@ -31,8 +30,16 @@ class PointMapReport:
             raise ValueError("point map errors must be non-negative")
 
 
+class _PoseReportBase:
+    """Field layout: t_err, r_err, t_acc, r_acc, t_threshold, r_threshold."""
+
+    def __post_init__(self):
+        if not all(0 <= getattr(self, f.name) <= 1 for f in fields(self)[2:4]):
+            raise ValueError("accuracies must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
-class PoseReport:
+class PoseReport(_PoseReportBase):
     rte: float
     rre: float
     rta: float
@@ -40,13 +47,9 @@ class PoseReport:
     t_threshold: float
     r_threshold: float
 
-    def __post_init__(self):
-        if not (0 <= self.rta <= 1 and 0 <= self.rra <= 1):
-            raise ValueError("accuracies must lie in [0, 1]")
-
 
 @dataclass(frozen=True)
-class AbsolutePoseReport:
+class AbsolutePoseReport(_PoseReportBase):
     ate: float
     are: float
     ata: float
@@ -54,22 +57,14 @@ class AbsolutePoseReport:
     t_threshold: float
     r_threshold: float
 
-    def __post_init__(self):
-        if not (0 <= self.ata <= 1 and 0 <= self.ara <= 1):
-            raise ValueError("accuracies must lie in [0, 1]")
-
-
-def point_map_metrics(
-    pred: PointMap, gt: PointMap, pred_scale: float, gt_scale: float
-) -> PointMapReport:
-    """Scale-aligned point error, normal angle error, and relative scale error."""
-    return point_map_metrics_views([pred], [gt], pred_scale, gt_scale)
-
 
 def point_map_metrics_views(
     pred_views, gt_views, pred_scale: float, gt_scale: float
 ) -> PointMapReport:
-    """Multi-view variant: one alignment scale jointly over all views."""
+    """Scale-aligned point error, normal angle error and relative scale error.
+
+    One alignment scale is fit jointly over the valid pixels of all views.
+    """
     if len(pred_views) != len(gt_views) or not pred_views:
         raise ValueError("need equal, non-empty lists of predicted and gt maps")
     if not (gt_scale > 0):
@@ -94,6 +89,14 @@ def point_map_metrics_views(
     )
 
 
+def _pose_metrics(report, pred: RigidTransform, gt: RigidTransform, t_threshold, r_threshold):
+    t_err = float(np.linalg.norm(pred.translation - gt.translation))
+    r_err = rotation_angle(pred.rotation, gt.rotation)
+    return report(
+        t_err, r_err, float(t_err < t_threshold), float(r_err < r_threshold), t_threshold, r_threshold
+    )
+
+
 def relative_pose_metrics(
     pred: RigidTransform,
     gt: RigidTransform,
@@ -101,16 +104,7 @@ def relative_pose_metrics(
     r_threshold: float = DEFAULT_RELATIVE_THRESHOLD,
 ) -> PoseReport:
     """Per-pair RTE/RRE with 0/1 threshold accuracies."""
-    rte = float(np.linalg.norm(pred.translation - gt.translation))
-    rre = rotation_angle(pred.rotation, gt.rotation)
-    return PoseReport(
-        rte=rte,
-        rre=rre,
-        rta=1.0 if rte < t_threshold else 0.0,
-        rra=1.0 if rre < r_threshold else 0.0,
-        t_threshold=t_threshold,
-        r_threshold=r_threshold,
-    )
+    return _pose_metrics(PoseReport, pred, gt, t_threshold, r_threshold)
 
 
 def absolute_pose_metrics(
@@ -120,23 +114,15 @@ def absolute_pose_metrics(
     r_threshold: float = DEFAULT_ABSOLUTE_THRESHOLD,
 ) -> AbsolutePoseReport:
     """ATE/ARE of the camera pose expressed in the robot base frame."""
-    ate = float(np.linalg.norm(pred.translation - gt.translation))
-    are = rotation_angle(pred.rotation, gt.rotation)
-    return AbsolutePoseReport(
-        ate=ate,
-        are=are,
-        ata=1.0 if ate < t_threshold else 0.0,
-        ara=1.0 if are < r_threshold else 0.0,
-        t_threshold=t_threshold,
-        r_threshold=r_threshold,
-    )
+    return _pose_metrics(AbsolutePoseReport, pred, gt, t_threshold, r_threshold)
 
 
 def aggregate(reports):
     """Arithmetic mean of every error field; accuracies become fractions.
 
     Accepts a non-empty list of PointMapReport, PoseReport or
-    AbsolutePoseReport and returns a summary of the same type.
+    AbsolutePoseReport and returns a summary of the same type whose
+    thresholds are copied from the first report.
     """
     reports = list(reports)
     if not reports:
@@ -145,28 +131,13 @@ def aggregate(reports):
     kind = type(first)
     if any(type(r) is not kind for r in reports):
         raise ValueError("cannot aggregate mixed report types")
-    if kind is PointMapReport:
-        return PointMapReport(
-            point_err=float(np.mean([r.point_err for r in reports])),
-            normal_err=float(np.mean([r.normal_err for r in reports])),
-            scale_err=float(np.mean([r.scale_err for r in reports])),
-        )
-    if kind is PoseReport:
-        return PoseReport(
-            rte=float(np.mean([r.rte for r in reports])),
-            rre=float(np.mean([r.rre for r in reports])),
-            rta=float(np.mean([r.rta for r in reports])),
-            rra=float(np.mean([r.rra for r in reports])),
-            t_threshold=first.t_threshold,
-            r_threshold=first.r_threshold,
-        )
-    if kind is AbsolutePoseReport:
-        return AbsolutePoseReport(
-            ate=float(np.mean([r.ate for r in reports])),
-            are=float(np.mean([r.are for r in reports])),
-            ata=float(np.mean([r.ata for r in reports])),
-            ara=float(np.mean([r.ara for r in reports])),
-            t_threshold=first.t_threshold,
-            r_threshold=first.r_threshold,
-        )
-    raise TypeError(f"cannot aggregate reports of type {kind.__name__}")
+    if kind not in (PointMapReport, PoseReport, AbsolutePoseReport):
+        raise TypeError(f"cannot aggregate reports of type {kind.__name__}")
+    return kind(
+        **{
+            f.name: getattr(first, f.name)
+            if f.name.endswith("_threshold")
+            else float(np.mean([getattr(r, f.name) for r in reports]))
+            for f in fields(kind)
+        }
+    )

@@ -19,7 +19,7 @@ world surfaces.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -397,12 +397,23 @@ def save_bundle(path, bundle: SceneBundle):
     (path / META_NAME).write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
+class _Metadata(dict):
+    """A meta.json object whose missing keys raise MissingMetadataError."""
+
+    def __init__(self, path, items):
+        super().__init__(items)
+        self.path = path
+
+    def __missing__(self, key):
+        raise MissingMetadataError(f"{self.path}: missing key {key!r}")
+
+
 def load_bundle(path) -> SceneBundle:
     path = Path(path)
     meta_path = path / META_NAME
     if not meta_path.exists():
         raise MissingMetadataError(f"bundle metadata file missing: {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    meta = json.loads(meta_path.read_text(), object_hook=lambda d: _Metadata(meta_path, d))
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(
@@ -426,7 +437,7 @@ def load_bundle(path) -> SceneBundle:
                 depth=DepthMap(depth_vals, valid),
                 coords=CoordMap(coords),
                 masks=MaskSet.from_stacked(masks),
-                intrinsics=Intrinsics(**ki),
+                intrinsics=Intrinsics(**{f.name: ki[f.name] for f in fields(Intrinsics)}),
                 pose_world=RigidTransform.from_matrix(np.array(entry["pose_world"])),
                 pose_robot=RigidTransform.from_matrix(np.array(entry["pose_robot"])),
             )

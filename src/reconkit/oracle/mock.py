@@ -9,8 +9,8 @@ perturbation entirely and are bit-exact ground truth.
 Heatmaps are synthesized as Gaussian bumps at the true 2D keypoints (the
 predicted bumps widen by the blur sigma).  Predicted and ground-truth
 keypoint coordinates are both decoded from their heatmaps with the same
-soft-argmax, so at zero noise the coordinate loss is exactly zero while the
-decoding path stays exercised under noise.
+soft-argmax at its default temperature, so at zero noise the coordinate loss
+is exactly zero while the decoding path stays exercised under noise.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from ..pnp import soft_argmax
 from ..transforms import RigidTransform, Similarity, relative_pose, rotation_about_axis
 from .bundle import SceneBundle
 
-DECODE_TEMPERATURE = 0.05
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -40,8 +38,8 @@ class NoiseModel:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if value < 0:
-                raise ValueError(f"noise parameter {name} must be >= 0, got {value}")
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"noise parameter {name} must be finite and >= 0, got {value}")
         if self.mask_flip_rate > 1:
             raise ValueError("mask flip rate is a probability")
 
@@ -134,7 +132,7 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
     for i in range(len(bundle.views)):
         hm = synthesize_heatmaps(bundle.keypoints_2d[i], spec.width, spec.height, sigma_pred)
         heatmaps.append(hm)
-        kp2d.append(soft_argmax(hm, DECODE_TEMPERATURE))
+        kp2d.append(soft_argmax(hm))
 
     return Prediction(
         depths=tuple(depths),
@@ -157,4 +155,4 @@ def ground_truth_heatmaps(bundle: SceneBundle) -> list[np.ndarray]:
 
 def ground_truth_keypoints(bundle: SceneBundle) -> list[np.ndarray]:
     """Soft-argmax decodes of the ground-truth heatmaps (loss supervision)."""
-    return [soft_argmax(hm, DECODE_TEMPERATURE) for hm in ground_truth_heatmaps(bundle)]
+    return [soft_argmax(hm) for hm in ground_truth_heatmaps(bundle)]

@@ -23,11 +23,9 @@ from .losses import (
     LossWeights,
     keypoint_loss,
     mask_loss,
-    normal_angles,
-    normals_from_pointmap,
-    point_loss_flat,
     relative_pose_loss,
     st_loss,
+    weighted_total,
 )
 from .metrics import (
     AbsolutePoseReport,
@@ -39,12 +37,8 @@ from .metrics import (
     relative_pose_metrics,
 )
 from .oracle.bundle import SceneBundle, generate_scene, load_bundle, random_scene_spec, save_bundle
-from .oracle.mock import (
-    NoiseModel,
-    ground_truth_heatmaps,
-    ground_truth_keypoints,
-    mock_predict,
-)
+from .oracle.mock import NoiseModel, ground_truth_heatmaps, mock_predict
+from .pnp import soft_argmax
 from .transforms import relative_pose
 
 
@@ -53,8 +47,8 @@ class RunConfig:
     seed: int = 0
     scenes: int = 1
     views: int = 2
-    width: int = 160
-    height: int = 120
+    width: int = 630
+    height: int = 476
     noise: NoiseModel = field(default_factory=NoiseModel)
     t_threshold_rel: float = 0.03
     r_threshold_rel: float = 0.03
@@ -62,6 +56,12 @@ class RunConfig:
     r_threshold_abs: float = 0.01
     weights: LossWeights = field(default_factory=LossWeights)
     workers: int = 1
+
+    def __post_init__(self):
+        for name in ("t_threshold_rel", "r_threshold_rel", "t_threshold_abs", "r_threshold_abs"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def echo(self, generation: bool = True) -> dict:
         d = asdict(self)
@@ -138,22 +138,18 @@ def list_bundles(bundle_root) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def predicted_point_maps(bundle: SceneBundle, pred):
-    return [unproject(c, d) for c, d in zip(pred.coords, pred.depths)]
-
-
-def ground_truth_point_maps(bundle: SceneBundle):
-    return [unproject(v.coords, v.depth) for v in bundle.views]
-
-
-def evaluate_pointmap_scene(bundle: SceneBundle, noise: NoiseModel, seed: int) -> PointMapReport:
-    pred = mock_predict(bundle, noise, seed)
+def _pointmap_report(bundle: SceneBundle, pred) -> PointMapReport:
+    """Point-map metrics of a prediction against the bundle's own point maps."""
     return point_map_metrics_views(
-        predicted_point_maps(bundle, pred),
-        ground_truth_point_maps(bundle),
+        [unproject(c, d) for c, d in zip(pred.coords, pred.depths)],
+        [unproject(v.coords, v.depth) for v in bundle.views],
         pred.similarity.scale,
         bundle.similarity.scale,
     )
+
+
+def evaluate_pointmap_scene(bundle: SceneBundle, noise: NoiseModel, seed: int) -> PointMapReport:
+    return _pointmap_report(bundle, mock_predict(bundle, noise, seed))
 
 
 def evaluate_pose_scene(
@@ -180,21 +176,7 @@ def evaluate_losses_scene(
 ) -> dict:
     """All six objectives for one scene (views combined per loss definition)."""
     pred = mock_predict(bundle, noise, seed)
-    pred_maps = predicted_point_maps(bundle, pred)
-    gt_maps = ground_truth_point_maps(bundle)
-
-    pred_flat, gt_flat = [], []
-    angle_sum, angle_count = 0.0, 0
-    for pm, gm in zip(pred_maps, gt_maps):
-        both = pm.valid & gm.valid
-        pred_flat.append(pm.values[both])
-        gt_flat.append(gm.values[both])
-        angles = normal_angles(normals_from_pointmap(pm), normals_from_pointmap(gm))
-        angle_sum += float(angles.sum())
-        angle_count += angles.size
-    point = point_loss_flat(np.concatenate(pred_flat), np.concatenate(gt_flat))
-    normal = angle_sum / angle_count if angle_count else 0.0
-
+    geometry = _pointmap_report(bundle, pred)
     mask = float(
         np.mean([mask_loss(p, v.masks) for p, v in zip(pred.masks, bundle.views)])
     )
@@ -207,34 +189,25 @@ def evaluate_losses_scene(
 
     st = st_loss(pred.similarity, bundle.similarity, weights.beta1, weights.beta2)
 
-    gt_hm = ground_truth_heatmaps(bundle)
-    gt_kp = ground_truth_keypoints(bundle)
+    gt_heatmaps = ground_truth_heatmaps(bundle)
     kp = float(
         np.mean(
             [
-                keypoint_loss(pred.heatmaps[i], gt_hm[i], pred.keypoints_2d[i], gt_kp[i], weights.gamma)
-                for i in range(len(bundle.views))
+                keypoint_loss(hm, gt_hm, kp2d, soft_argmax(gt_hm), weights.gamma)
+                for hm, kp2d, gt_hm in zip(pred.heatmaps, pred.keypoints_2d, gt_heatmaps)
             ]
         )
     )
 
     terms = {
-        "point": point,
-        "normal": normal,
+        "point": geometry.point_err,
+        "normal": geometry.normal_err,
         "mask": mask,
         "relative_pose": rel,
         "similarity": st,
         "keypoint": kp,
     }
-    lam = (
-        weights.lambda1,
-        weights.lambda2,
-        weights.lambda3,
-        weights.lambda4,
-        weights.lambda5,
-        weights.lambda6,
-    )
-    terms["total"] = float(sum(l * t for l, t in zip(lam, terms.values())))
+    terms["total"] = weighted_total(terms, weights)
     return terms
 
 
@@ -243,81 +216,57 @@ def evaluate_losses_scene(
 # ---------------------------------------------------------------------------
 
 
-def _eval_pointmap_one(payload):
-    bundle_dir, index, config = payload
+def _pointmap_scene(bundle, seed, config):
+    report = evaluate_pointmap_scene(bundle, config.noise, seed)
+    return asdict(report), report
+
+
+def _pose_scene(bundle, seed, config):
+    rel, absolute = evaluate_pose_scene(bundle, config.noise, seed, config)
+    return {"relative": asdict(rel), "absolute": asdict(absolute)}, (rel, absolute)
+
+
+def _pose_summary(results) -> dict:
+    return {
+        "relative": asdict(aggregate([r for r, _ in results])),
+        "absolute": asdict(aggregate([a for _, a in results])),
+    }
+
+
+# command -> (scene evaluation giving (report row, result), summary over the results)
+EVALUATIONS = {
+    "eval-pointmap": (_pointmap_scene, lambda results: asdict(aggregate(results))),
+    "eval-pose": (_pose_scene, _pose_summary),
+}
+
+
+def _eval_one(payload) -> dict:
+    command, bundle_dir, index, config = payload
+    scene = Path(bundle_dir).name
     try:
         bundle = load_bundle(bundle_dir)
-        report = evaluate_pointmap_scene(bundle, config.noise, scene_seed(config.seed, index))
-        return {"scene": Path(bundle_dir).name, "report": report}
+        row, result = EVALUATIONS[command][0](bundle, scene_seed(config.seed, index), config)
+        return {"scene": scene, "row": row, "result": result}
     except Exception as exc:  # per-scene failures surface in the run report
-        return {"scene": Path(bundle_dir).name, "error": f"{type(exc).__name__}: {exc}"}
+        return {"scene": scene, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _eval_pose_one(payload):
-    bundle_dir, index, config = payload
-    try:
-        bundle = load_bundle(bundle_dir)
-        rel, absolute = evaluate_pose_scene(
-            bundle, config.noise, scene_seed(config.seed, index), config
-        )
-        return {"scene": Path(bundle_dir).name, "relative": rel, "absolute": absolute}
-    except Exception as exc:
-        return {"scene": Path(bundle_dir).name, "error": f"{type(exc).__name__}: {exc}"}
-
-
-def run_eval_pointmap(config: RunConfig, bundle_root) -> dict:
+def run_eval(command: str, config: RunConfig, bundle_root) -> dict:
+    """Report of `command` ("eval-pointmap" or "eval-pose") over a bundle tree."""
+    summarize = EVALUATIONS[command][1]
     dirs = list_bundles(bundle_root)
-    payloads = [(str(d), i, config) for i, d in enumerate(dirs)]
-    rows = _run_parallel(_eval_pointmap_one, payloads, config.workers)
-    scenes, failures, reports = [], [], []
-    for row in rows:
-        if "error" in row:
-            failures.append({"scene": row["scene"], "error": row["error"]})
-        else:
-            r = row["report"]
-            reports.append(r)
-            scenes.append({"scene": row["scene"], **asdict(r)})
-    out = {
-        "command": "eval-pointmap",
+    payloads = [(command, str(d), i, config) for i, d in enumerate(dirs)]
+    outcomes = _run_parallel(_eval_one, payloads, config.workers)
+    done = [o for o in outcomes if "error" not in o]
+    report = {
+        "command": command,
         "config": config.echo(generation=False),
-        "scenes": scenes,
-        "failures": failures,
+        "scenes": [{"scene": o["scene"], **o["row"]} for o in done],
+        "failures": [o for o in outcomes if "error" in o],
     }
-    if reports:
-        out["summary"] = asdict(aggregate(reports))
-    return out
-
-
-def run_eval_pose(config: RunConfig, bundle_root) -> dict:
-    dirs = list_bundles(bundle_root)
-    payloads = [(str(d), i, config) for i, d in enumerate(dirs)]
-    rows = _run_parallel(_eval_pose_one, payloads, config.workers)
-    scenes, failures, rels, abss = [], [], [], []
-    for row in rows:
-        if "error" in row:
-            failures.append({"scene": row["scene"], "error": row["error"]})
-        else:
-            rels.append(row["relative"])
-            abss.append(row["absolute"])
-            scenes.append(
-                {
-                    "scene": row["scene"],
-                    "relative": asdict(row["relative"]),
-                    "absolute": asdict(row["absolute"]),
-                }
-            )
-    out = {
-        "command": "eval-pose",
-        "config": config.echo(generation=False),
-        "scenes": scenes,
-        "failures": failures,
-    }
-    if rels:
-        out["summary"] = {
-            "relative": asdict(aggregate(rels)),
-            "absolute": asdict(aggregate(abss)),
-        }
-    return out
+    if done:
+        report["summary"] = summarize([o["result"] for o in done])
+    return report
 
 
 def write_report(report: dict, path) -> None:

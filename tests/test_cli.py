@@ -1,13 +1,18 @@
 """CLI subcommands: determinism, provenance, error propagation."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reconkit import cli
 from reconkit.cli import main
+from reconkit.losses import NonDifferentiableError
+from reconkit.oracle.bundle import random_scene_spec
 from reconkit.oracle.raster import read_raster
+from reconkit.pipeline import RunConfig
 
 
 def tree_bytes(root: Path) -> dict:
@@ -148,6 +153,48 @@ class TestEvalPose:
         assert report["failures"] and "binocular" in report["failures"][0]["error"]
 
 
+class TestEvalConfig:
+    @pytest.mark.parametrize("value", [0.0, -0.03, float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name", ["t_threshold_rel", "r_threshold_rel", "t_threshold_abs", "r_threshold_abs"]
+    )
+    def test_bad_threshold_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
+
+    def test_negative_threshold_flag_rejected(self, bundle_tree):
+        with pytest.raises(ValueError, match="t_threshold_rel"):
+            main(["eval-pose", "--bundles", str(bundle_tree), "--threshold-rel", "-0.03"])
+
+    def test_defaults_match_gen_scenes(self):
+        assert (RunConfig.width, RunConfig.height) == (630, 476)
+        spec = random_scene_spec(0)
+        assert (spec.width, spec.height) == (RunConfig.width, RunConfig.height)
+
+
+class TestReportBytes:
+    """Pinned sha256 of noisy eval reports over the 96x72 `bundle_tree`."""
+
+    NOISE = [
+        "--noise-depth", "0.002", "--noise-coord", "0.0005", "--noise-mask-flip", "0.05",
+        "--noise-heatmap-blur", "0.5", "--noise-trans", "0.01", "--noise-rot", "0.005",
+        "--noise-scale", "0.01",
+    ]
+    SHA256 = {
+        "eval-pointmap": "c7614efcb6850e0b8e79152229bccb1ed9153c938e84083a6ed27370da7c6964",
+        "eval-pose": "d416d8ec601f0c176c49c1379aff00f0f3649f96863f5435c3882f76ed38e344",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["eval-pointmap", "eval-pose"])
+    def test_report_sha256_pinned(self, bundle_tree, tmp_path, command, workers):
+        out = tmp_path / "report.json"
+        rc = main([command, "--bundles", str(bundle_tree), "--seed", "4", *self.NOISE,
+                   "--workers", workers, "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[command]
+
+
 class TestSolvePnP:
     def test_oracle_bundle_round_trip(self, bundle_tree, tmp_path):
         out = tmp_path / "pnp.json"
@@ -197,6 +244,25 @@ class TestSolvePnP:
         assert report["error_vs_bundle"]["translation_m"] < 1e-3
 
 
+    def test_heatmap_default_temperature(self, tmp_path):
+        from reconkit.oracle.bundle import load_bundle
+        from reconkit.oracle.mock import ground_truth_heatmaps
+        from reconkit.oracle.raster import write_raster
+
+        tree = tmp_path / "tree"
+        main(["gen-scenes", "--scenes", "1", "--seed", "3", "--width", "160",
+              "--height", "120", "--workers", "1", "--out", str(tree)])
+        scene = tree / "scene_00000"
+        write_raster(tmp_path / "hm.r3rb", ground_truth_heatmaps(load_bundle(scene))[0])
+        out = tmp_path / "pnp.json"
+        rc = main(["solve-pnp", "--bundle", str(scene), "--view", "0",
+                   "--heatmap", str(tmp_path / "hm.r3rb"), "--out", str(out)])
+        assert rc == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["temperature"] == 0.05
+        assert report["error_vs_bundle"]["translation_m"] < 5e-3
+
+
 class TestComposePoints:
     def test_zero_noise_matches_oracle_restriction(self, bundle_tree, tmp_path):
         from reconkit.camera import CoordMap, DepthMap, unproject
@@ -232,6 +298,33 @@ class TestCheckGrads:
         assert set(report["max_relative_error"]) >= {
             "mask", "point", "relative_pose", "similarity", "keypoint",
         }
+
+
+    def test_error_at_tolerance_fails(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "check_gradient", lambda name, seed, eps: 1.0)
+        out = tmp_path / "grads.json"
+        assert main(["check-grads", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["worst"] == 1.0
+        assert {f["loss"] for f in report["failures"]} == set(report["max_relative_error"])
+        assert "FAILED mask" in capsys.readouterr().err
+
+    def test_nondifferentiable_recorded_as_failure(self, tmp_path, monkeypatch):
+        real = cli.check_gradient
+
+        def check(name, seed, eps):
+            if name == "point":
+                raise NonDifferentiableError("point is not differentiable at coordinate 0")
+            return real(name, seed=seed, eps=eps)
+
+        monkeypatch.setattr(cli, "check_gradient", check)
+        out = tmp_path / "grads.json"
+        assert main(["check-grads", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert [f["loss"] for f in report["failures"]] == ["point"]
+        assert "NonDifferentiableError" in report["failures"][0]["error"]
+        assert "point" not in report["max_relative_error"]
+        assert report["worst"] < cli.GRADIENT_TOLERANCE
 
 
 class TestConfigPrecedence:

@@ -12,7 +12,7 @@ from reconkit.metrics import (
     PoseReport,
     absolute_pose_metrics,
     aggregate,
-    point_map_metrics,
+    point_map_metrics_views,
     relative_pose_metrics,
 )
 from reconkit.pnp import solve_pnp
@@ -27,7 +27,7 @@ def full_map(values):
 class TestPointMapMetrics:
     def test_perfect(self, rng):
         pm = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
-        report = point_map_metrics(pm, pm, pred_scale=1.3, gt_scale=1.3)
+        report = point_map_metrics_views([pm], [pm], pred_scale=1.3, gt_scale=1.3)
         assert report.point_err == 0.0
         assert report.normal_err == 0.0
         assert report.scale_err == 0.0
@@ -35,19 +35,25 @@ class TestPointMapMetrics:
     def test_spatial_scaling_absorbed(self, rng):
         gt = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
         pred = full_map(2.0 * gt.values)
-        report = point_map_metrics(pred, gt, pred_scale=1.0, gt_scale=1.0)
+        report = point_map_metrics_views([pred], [gt], pred_scale=1.0, gt_scale=1.0)
         assert report.point_err < 1e-12  # alignment absorbs the doubling
         assert report.normal_err < 1e-9  # directions preserved
         assert report.scale_err == 0.0
 
     def test_scale_error_definition(self, rng):
         pm = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
-        report = point_map_metrics(pm, pm, pred_scale=1.1, gt_scale=1.0)
+        report = point_map_metrics_views([pm], [pm], pred_scale=1.1, gt_scale=1.0)
         assert abs(report.scale_err - 0.1) < 1e-12
 
     def test_negative_fields_rejected(self):
         with pytest.raises(ValueError):
             PointMapReport(point_err=-1.0, normal_err=0.0, scale_err=0.0)
+
+    @pytest.mark.parametrize("kind", [PoseReport, AbsolutePoseReport])
+    @pytest.mark.parametrize("accuracies", [(1.5, 1.0), (1.0, -0.5)])
+    def test_pose_accuracies_outside_unit_interval_rejected(self, kind, accuracies):
+        with pytest.raises(ValueError, match="accuracies"):
+            kind(0.1, 0.1, *accuracies, 0.03, 0.03)
 
 
 class TestRelativePoseMetrics:

@@ -194,6 +194,12 @@ class TestCanonicalChain:
 
 
 class TestMockPredict:
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["depth_sigma", "rotation_sigma", "mask_flip_rate"])
+    def test_noise_rejects_negative_and_nonfinite(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            NoiseModel(**{name: value})
+
     def test_zero_noise_bit_exact(self, small_bundle):
         pred = mock_predict(small_bundle, NoiseModel(), seed=3)
         for p, v in zip(pred.depths, small_bundle.views):
@@ -328,6 +334,22 @@ class TestBundleIO:
         save_bundle(tmp_path / "s", small_bundle)
         (tmp_path / "s" / "meta.json").unlink()
         with pytest.raises(MissingMetadataError, match="meta.json"):
+            load_bundle(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "keys", [("seed",), ("similarity", "scale"), ("views", 0, "intrinsics", "fx")]
+    )
+    def test_missing_metadata_key_named(self, small_bundle, tmp_path, keys):
+        import json
+
+        save_bundle(tmp_path / "s", small_bundle)
+        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+        parent = meta
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(MissingMetadataError, match=rf"meta\.json: missing key '{keys[-1]}'"):
             load_bundle(tmp_path / "s")
 
     def test_version_mismatch(self, small_bundle, tmp_path):
