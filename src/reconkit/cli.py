@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -38,6 +39,25 @@ NOISE_FLAGS = {
 GEN_KEYS = ("seed", "scenes", "views", "width", "height")
 # check-grads fails a loss whose max relative gradient error reaches this
 GRADIENT_TOLERANCE = 1e-4
+# config field -> the flag (and config-file key) that sets it
+FIELD_FLAGS = {
+    **{field: flag for flag, field in NOISE_FLAGS.items()},
+    **{f"{axis}_threshold_{kind}": f"threshold_{kind}" for axis in "tr" for kind in ("rel", "abs")},
+    **{key: key for key in GEN_KEYS},
+}
+
+
+class FlagError(Exception):
+    """A flag or config-file value that a config object rejected."""
+
+
+def _build(cls, **kwargs):
+    """cls(**kwargs), turning its ValueError into a FlagError that names the flag."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        flag = next((FIELD_FLAGS[w] for w in re.findall(r"\w+", str(exc)) if w in FIELD_FLAGS), None)
+        raise FlagError(f"--{flag.replace('_', '-')}: {exc}" if flag else str(exc)) from None
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -120,7 +140,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _noise_from(merged: dict) -> NoiseModel:
-    return NoiseModel(**{field: merged[flag] for flag, field in NOISE_FLAGS.items()})
+    return _build(NoiseModel, **{field: merged[flag] for flag, field in NOISE_FLAGS.items()})
 
 
 def _weights_from(merged: dict) -> LossWeights:
@@ -130,7 +150,8 @@ def _weights_from(merged: dict) -> LossWeights:
 
 
 def _eval_config(merged: dict) -> RunConfig:
-    return RunConfig(
+    return _build(
+        RunConfig,
         seed=merged["seed"],
         noise=_noise_from(merged),
         t_threshold_rel=merged["threshold_rel"],
@@ -168,7 +189,8 @@ def cmd_gen_scenes(args) -> int:
     merged = _merge(args, {**{key: getattr(RunConfig, key) for key in GEN_KEYS}, "workers": 0})
     if not args.out:
         raise SystemExit("gen-scenes requires --out DIRECTORY")
-    config = RunConfig(
+    config = _build(
+        RunConfig,
         **{key: merged[key] for key in GEN_KEYS},
         workers=merged["workers"] or default_workers(),
     )
@@ -247,8 +269,9 @@ def cmd_solve_pnp(args) -> int:
 
 def cmd_compose_points(args) -> int:
     merged = _merge(args, {"seed": 0, "workers": 0, "threshold": 0.5, **{f: 0.0 for f in NOISE_FLAGS}})
+    noise = _noise_from(merged)
     bundle = load_bundle(args.bundle)
-    pred = mock_predict(bundle, _noise_from(merged), merged["seed"])
+    pred = mock_predict(bundle, noise, merged["seed"])
     i = args.view
     labeled = compose_masked_points(
         pred.depths[i], pred.coords[i], pred.masks[i], merged["threshold"]
@@ -265,7 +288,7 @@ def cmd_compose_points(args) -> int:
             "view": i,
             "seed": merged["seed"],
             "threshold": merged["threshold"],
-            "noise": asdict(_noise_from(merged)),
+            "noise": asdict(noise),
         },
         "points": int(labeled.points.valid.sum()),
         "per_part": counts,
@@ -321,7 +344,11 @@ def main(argv=None) -> int:
         "compose-points": cmd_compose_points,
         "check-grads": cmd_check_grads,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except FlagError as exc:
+        print(f"reconkit {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ class NoiseModel:
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"noise parameter {name} must be finite and >= 0, got {value}")
         if self.mask_flip_rate > 1:
-            raise ValueError("mask flip rate is a probability")
+            raise ValueError(f"noise parameter mask_flip_rate is a probability, got {self.mask_flip_rate}")
 
 
 @dataclass(frozen=True, eq=False)

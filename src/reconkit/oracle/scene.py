@@ -278,11 +278,50 @@ def chain_capsules(spec: SceneSpec) -> list[Capsule]:
     return capsules
 
 
+def _bounding_sphere(prim) -> tuple[np.ndarray, float]:
+    if isinstance(prim, Sphere):
+        return prim.center, prim.radius
+    if isinstance(prim, Box):
+        return prim.pose.translation, float(np.linalg.norm(prim.half_extents))
+    return 0.5 * (prim.p0 + prim.p1), 0.5 * float(np.linalg.norm(prim.p1 - prim.p0)) + prim.radius
+
+
+def _screen_window(center, radius, intrinsics: Intrinsics, pose: RigidTransform):
+    """Conservative (rows, cols) slices of the pixels whose rays can meet a world sphere.
+
+    None when the sphere is wholly off-screen; the whole frame when it reaches
+    the camera plane.  The rectangle keeps a margin of at least one pixel and
+    is widened to two columns where the frame allows, because numpy takes
+    another matmul path for single-column operands and would change low bits.
+    """
+    c = pose.rotation.T @ (center - pose.translation)
+    k = intrinsics
+    if c[2] - radius <= RAY_EPS:
+        return slice(0, k.height), slice(0, k.width)
+    bounds = []
+    for axis, f, p, n in ((1, k.fy, k.cy, k.height), (0, k.fx, k.cx, k.width)):
+        # exact tangent directions of the sphere's disk in the (axis, z) plane
+        theta = math.atan2(c[axis], c[2])
+        alpha = math.asin(radius / math.hypot(c[axis], c[2]))
+        lo = max(math.floor(f * math.tan(theta - alpha) + p) - 1, 0)
+        hi = min(math.ceil(f * math.tan(theta + alpha) + p) + 1, n - 1)
+        if lo > hi:
+            return None
+        bounds.append([lo, hi])
+    cols = bounds[1]
+    if cols[0] == cols[1]:
+        cols[0], cols[1] = max(cols[0] - 1, 0), min(cols[1] + 1, k.width - 1)
+    return tuple(slice(lo, hi + 1) for lo, hi in bounds)
+
+
 def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     """Ray-cast one view.
 
     Returns (depth: DepthMap, coords: CoordMap, labels: HxW uint8) where the
-    label of a miss pixel is 0 and the depth there is invalid.
+    label of a miss pixel is 0 and the depth there is invalid.  The table is
+    cast over the whole frame; every other primitive only inside the screen
+    window of its bounding sphere, which gives the same bits as casting it
+    over the whole frame.
     """
     coords = coords_from_intrinsics(intrinsics)
     dirs_cam = np.concatenate(
@@ -294,22 +333,22 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     best_t = _intersect_table(spec.table, origin, dirs_world)
     labels = np.where(np.isfinite(best_t), LABEL_BACKGROUND, 0).astype(np.uint8)
 
+    casts = []
     for prim in spec.primitives:
-        if isinstance(prim, Sphere):
-            t = _intersect_sphere(prim, origin, dirs_world)
-        elif isinstance(prim, Box):
-            t = _intersect_box(prim, origin, dirs_world)
-        else:
+        if not isinstance(prim, (Sphere, Box)):
             raise TypeError(f"unknown primitive {type(prim).__name__}")
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        labels[closer] = LABEL_OBJECT
+        casts.append((prim, _intersect_sphere if isinstance(prim, Sphere) else _intersect_box, LABEL_OBJECT))
+    casts += [(cap, _intersect_capsule, LABEL_ROBOT) for cap in chain_capsules(spec)]
 
-    for cap in chain_capsules(spec):
-        t = _intersect_capsule(cap, origin, dirs_world)
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        labels[closer] = LABEL_ROBOT
+    for prim, intersect, label in casts:
+        window = _screen_window(*_bounding_sphere(prim), intrinsics, pose)
+        if window is None:
+            continue
+        t = intersect(prim, origin, dirs_world[window])
+        near = best_t[window]
+        closer = t < near
+        near[closer] = t[closer]
+        labels[window][closer] = label
 
     valid = np.isfinite(best_t)
     depth = DepthMap(np.where(valid, best_t, 0.0), valid)

@@ -58,6 +58,11 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.views not in (1, 2):
+            raise ValueError(f"views must be 1 or 2, got {self.views}")
+        for name in ("scenes", "width", "height"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("t_threshold_rel", "r_threshold_rel", "t_threshold_abs", "r_threshold_abs"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):

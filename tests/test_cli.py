@@ -64,6 +64,34 @@ class TestGenScenes:
             main(["gen-scenes", "--scenes", "1", "--out", "/proc/nope/x"])
 
 
+def tree_sha256(root: Path) -> str:
+    """One sha256 over every file of a tree: relative path, then bytes, in sorted path order."""
+    h = hashlib.sha256()
+    for p in sorted(root.rglob("*")):
+        if p.is_file():
+            h.update(p.relative_to(root).as_posix().encode() + b"\0")
+            h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+class TestGenScenesBytes:
+    """Pinned sha256 of whole `gen-scenes` trees, at 1 and 2 workers."""
+
+    SHA256 = {
+        ("3", "160", "120"): "1924daa7b96af86c3de0d747ac2e88725fdc3148c0cf662cf3c8ed0e078780c5",
+        ("1", "630", "476"): "ce15cb7b7a201fc2f0d0922c69264a35ee99cca617939717d5135f44bd09ba44",
+    }
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("scenes,width,height", [("3", "160", "120"), ("1", "630", "476")])
+    def test_tree_sha256_pinned(self, tmp_path, scenes, width, height, workers):
+        out = tmp_path / "tree"
+        rc = main(["gen-scenes", "--scenes", scenes, "--seed", "13", "--width", width,
+                   "--height", height, "--workers", workers, "--out", str(out)])
+        assert rc == 0
+        assert tree_sha256(out) == self.SHA256[scenes, width, height]
+
+
 class TestEvalPointmap:
     def test_zero_noise_zero_summary(self, bundle_tree, tmp_path):
         out = tmp_path / "report.json"
@@ -162,9 +190,66 @@ class TestEvalConfig:
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: value})
 
-    def test_negative_threshold_flag_rejected(self, bundle_tree):
-        with pytest.raises(ValueError, match="t_threshold_rel"):
-            main(["eval-pose", "--bundles", str(bundle_tree), "--threshold-rel", "-0.03"])
+    def test_negative_threshold_flag_rejected(self, bundle_tree, capsys):
+        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--threshold-rel", "-0.03"])
+        assert rc == 2
+        assert "t_threshold_rel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("eval-pose", "--threshold-rel", "-1"),
+            ("eval-pointmap", "--threshold-abs", "0"),
+            ("eval-pointmap", "--noise-depth", "nan"),
+            ("eval-pose", "--noise-mask-flip", "2"),
+        ],
+    )
+    def test_rejected_flag_is_one_stderr_line(self, bundle_tree, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "report.json"
+        rc = main([command, "--bundles", str(bundle_tree), flag, value, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"reconkit {command}: error: {flag}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_rejected_config_file_value_names_its_key(self, bundle_tree, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"noise_rot": -0.5}))
+        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--config", str(cfg)])
+        assert rc == 2
+        assert "--noise-rot: " in capsys.readouterr().err
+
+    def test_scene_errors_stay_failure_rows(self, bundle_tree, tmp_path):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for scene in ("scene_00000", "scene_00001"):
+            (broken / scene).symlink_to(bundle_tree / scene)
+        (broken / "scene_00002").mkdir()
+        out = tmp_path / "report.json"
+        rc = main(["eval-pointmap", "--bundles", str(broken), "--workers", "1", "--out", str(out)])
+        assert rc == 1
+        failures = json.loads(out.read_text())["failures"]
+        assert [f["scene"] for f in failures] == ["scene_00002"]
+
+    @pytest.mark.parametrize(
+        "flag,value,field",
+        [("--views", "3", "views"), ("--views", "0", "views"), ("--width", "0", "width"),
+         ("--height", "-4", "height"), ("--scenes", "-2", "scenes"), ("--scenes", "0", "scenes")],
+    )
+    def test_gen_scenes_rejects_bad_geometry(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "tree"
+        rc = main(["gen-scenes", flag, value, "--workers", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"reconkit gen-scenes: error: {flag}: {field} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,value", [("views", 3), ("width", 0), ("height", 0), ("scenes", -2)])
+    def test_bad_geometry_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: value})
 
     def test_defaults_match_gen_scenes(self):
         assert (RunConfig.width, RunConfig.height) == (630, 476)

@@ -1,9 +1,13 @@
 """Scene oracle: camera sampling, ray casting, bundles, mock predictor."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from reconkit.camera import Intrinsics, project, unproject
+from reconkit.camera import Intrinsics, coords_from_intrinsics, project, unproject
 from reconkit.losses import point_loss
 from reconkit.masks import binarize
 from reconkit.oracle.bundle import (
@@ -31,11 +35,19 @@ from reconkit.oracle.raster import (
     read_raster,
     write_raster,
 )
+from reconkit.masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from reconkit.oracle.scene import (
     CameraRanges,
     SceneSpec,
     Sphere,
     Table,
+    _bounding_sphere,
+    _intersect_box,
+    _intersect_capsule,
+    _intersect_sphere,
+    _intersect_table,
+    _screen_window,
+    chain_capsules,
     render,
     sample_camera,
 )
@@ -167,6 +179,127 @@ class TestRender:
     def test_bundle_self_consistency(self, small_bundles):
         for bundle in small_bundles:
             assert validate_bundle(bundle, tol=1e-9) < 1e-9
+
+
+def full_frame_render(spec, k, pose):
+    """Reference ray caster: every primitive against every ray of the frame."""
+    coords = coords_from_intrinsics(k)
+    dirs = np.concatenate([coords.values, np.ones((k.height, k.width, 1))], axis=-1)
+    dirs = dirs @ pose.rotation.T
+    origin = pose.translation
+    best = _intersect_table(spec.table, origin, dirs)
+    labels = np.where(np.isfinite(best), LABEL_BACKGROUND, 0).astype(np.uint8)
+    casts = [
+        (p, _intersect_sphere if isinstance(p, Sphere) else _intersect_box, LABEL_OBJECT)
+        for p in spec.primitives
+    ] + [(c, _intersect_capsule, LABEL_ROBOT) for c in chain_capsules(spec)]
+    for prim, intersect, label in casts:
+        t = intersect(prim, origin, dirs)
+        closer = t < best
+        best = np.where(closer, t, best)
+        labels[closer] = label
+    return np.where(np.isfinite(best), best, 0.0), labels
+
+
+def assert_matches_full_frame(spec, k, pose):
+    depth, _, labels = render(spec, k, pose)
+    ref_depth, ref_labels = full_frame_render(spec, k, pose)
+    assert depth.values.tobytes() == ref_depth.tobytes()
+    np.testing.assert_array_equal(labels, ref_labels)
+    return labels
+
+
+def look_at(eye, target) -> RigidTransform:
+    eye = np.asarray(eye, dtype=float)
+    forward = np.asarray(target, dtype=float) - eye
+    forward /= np.linalg.norm(forward)
+    right = np.cross(forward, [0.0, 0.0, 1.0])
+    if np.linalg.norm(right) < 1e-9:
+        right = np.cross(forward, [0.0, 1.0, 0.0])
+    right /= np.linalg.norm(right)
+    return RigidTransform(np.stack([right, np.cross(forward, right), forward], axis=1), eye)
+
+
+# optical axis along world +x, 1 m above the table; camera y is world -z
+HORIZONTAL = RigidTransform(
+    np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]), np.array([-3.0, 0.0, 1.0])
+)
+WIDE = Intrinsics(fx=40.0, fy=40.0, cx=32.0, cy=24.0, width=64, height=48)
+FULL_FRAME = (slice(0, 48), slice(0, 64))
+
+
+class TestCulledRender:
+    """`render` casts each primitive inside its screen window only; the bits must not change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        width=st.integers(1, 80),
+        height=st.integers(1, 60),
+        near=st.booleans(),
+    )
+    @example(seed=0, width=1, height=1, near=False)
+    @example(seed=1, width=2, height=2, near=True)
+    @example(seed=2, width=5, height=3, near=False)
+    @example(seed=3, width=5, height=3, near=True)
+    def test_matches_full_frame(self, seed, width, height, near):
+        spec = random_scene_spec(seed, views=1, width=width, height=height)
+        # near cameras sit among the primitives, so bounds often reach the camera plane
+        ranges = CameraRanges(radius=(0.05, 0.5)) if near else spec.camera
+        k, pose = sample_camera(spec.workspace_center, np.random.default_rng(seed), ranges, width, height)
+        assert_matches_full_frame(spec, k, pose)
+
+    def test_camera_inside_capsule_bound_uses_whole_frame(self):
+        spec = minimal_spec([], fixed_camera_ranges(), width=64, height=48)
+        cap = max(chain_capsules(spec), key=lambda c: np.linalg.norm(c.p1 - c.p0))
+        center, radius = _bounding_sphere(cap)
+        axis = (cap.p1 - cap.p0) / np.linalg.norm(cap.p1 - cap.p0)
+        side = np.cross(axis, [1.0, 0.0, 0.0])
+        eye = center + 2.0 * cap.radius * side / np.linalg.norm(side)
+        assert cap.radius < np.linalg.norm(eye - center) < radius
+        pose = look_at(eye, cap.p1)
+        assert _screen_window(center, radius, WIDE, pose) == FULL_FRAME
+        labels = assert_matches_full_frame(spec, WIDE, pose)
+        assert np.any(labels == LABEL_ROBOT)
+
+    def test_sphere_straddling_camera_plane(self):
+        sphere = Sphere(HORIZONTAL.apply(np.array([0.4, 0.0, 0.1])), 0.35)
+        spec = minimal_spec([sphere], fixed_camera_ranges())
+        assert _screen_window(sphere.center, sphere.radius, WIDE, HORIZONTAL) == FULL_FRAME
+        labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
+        assert np.any(labels == LABEL_OBJECT)
+
+    def test_offscreen_primitive_skipped(self):
+        sphere = Sphere(HORIZONTAL.apply(np.array([3.0, 0.0, 1.0])), 0.1)
+        spec = minimal_spec([sphere], fixed_camera_ranges())
+        assert _screen_window(sphere.center, sphere.radius, WIDE, HORIZONTAL) is None
+        labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
+        assert not np.any(labels == LABEL_OBJECT)
+
+    @pytest.mark.parametrize(
+        "u,side,cols",
+        [
+            (-1.5, -1, slice(0, 2)),  # right tangent just left of the frame: widened
+            (64.5, 1, slice(62, 64)),  # left tangent just right of the frame: widened
+            (0.0, 0, None),  # centered on the first column
+            (63.0, 0, None),  # centered on the last column
+        ],
+    )
+    def test_window_clipped_to_edge_column(self, u, side, cols):
+        # put the sphere's tangent (side = -1: right, 1: left) or center (0) on pixel column u
+        dist, radius = 2.0, 0.2
+        theta = math.atan((u - WIDE.cx) / WIDE.fx) + side * math.asin(radius / dist)
+        sphere = Sphere(HORIZONTAL.apply(dist * np.array([math.sin(theta), 0.0, math.cos(theta)])), radius)
+        spec = minimal_spec([sphere], fixed_camera_ranges())
+        rows, window_cols = _screen_window(sphere.center, sphere.radius, WIDE, HORIZONTAL)
+        labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
+        if cols is not None:
+            assert window_cols == cols
+            assert not np.any(labels == LABEL_OBJECT)
+        else:
+            assert int(u) in range(window_cols.start, window_cols.stop)
+            assert window_cols.start == 0 or window_cols.stop == WIDE.width
+            assert np.any(labels[:, int(u)] == LABEL_OBJECT)
 
 
 class TestCanonicalChain:
