@@ -23,7 +23,7 @@ from .masks import compose_masked_points
 from .oracle.bundle import load_bundle
 from .oracle.mock import NoiseModel, mock_predict
 from .oracle.raster import read_raster, write_raster
-from .pipeline import RunConfig, default_workers, run_eval, run_gen_scenes, write_report
+from .pipeline import BundleTreeError, RunConfig, default_workers, run_eval, run_gen_scenes, write_report
 from .pnp import DEFAULT_TEMPERATURE, soft_argmax, solve_pnp
 from .transforms import rotation_angle
 
@@ -217,7 +217,11 @@ EVAL_SUMMARY_LINES = {
 
 
 def cmd_eval(args) -> int:
-    report = run_eval(args.command, _eval_config(_merge(args, _EVAL_DEFAULTS)), args.bundles)
+    config = _eval_config(_merge(args, _EVAL_DEFAULTS))
+    try:
+        report = run_eval(args.command, config, args.bundles)
+    except BundleTreeError as exc:
+        raise FlagError(f"--bundles: {exc}") from None
     lines = []
     if "summary" in report:
         lines = [
@@ -227,10 +231,18 @@ def cmd_eval(args) -> int:
     return _finish(report, args.out, lines)
 
 
+def _check_view(args, bundle) -> int:
+    """The --view index, if the bundle has that view."""
+    if not 0 <= args.view < len(bundle.views):
+        raise FlagError(f"--view: the bundle has {len(bundle.views)} view(s), got {args.view}")
+    return args.view
+
+
 def cmd_solve_pnp(args) -> int:
     merged = _merge(args, {"seed": 0, "workers": 0, "temperature": DEFAULT_TEMPERATURE})
     bundle = load_bundle(args.bundle)
-    view = bundle.views[args.view]
+    i = _check_view(args, bundle)
+    view = bundle.views[i]
     if args.keypoints:
         pixels = np.asarray(json.loads(Path(args.keypoints).read_text()), dtype=float)
         source = "explicit keypoints"
@@ -238,7 +250,7 @@ def cmd_solve_pnp(args) -> int:
         pixels = soft_argmax(read_raster(args.heatmap), merged["temperature"])
         source = "heatmap soft-argmax"
     else:
-        pixels = bundle.keypoints_2d[args.view]
+        pixels = bundle.keypoints_2d[i]
         source = "bundle ground-truth keypoints"
     result = solve_pnp(bundle.keypoints_3d, pixels, view.intrinsics)
     gt_extrinsic = view.pose_robot.inverse()
@@ -248,7 +260,7 @@ def cmd_solve_pnp(args) -> int:
         "command": "solve-pnp",
         "config": {
             "bundle": str(args.bundle),
-            "view": args.view,
+            "view": i,
             "seed": merged["seed"],
             "temperature": merged["temperature"],
             "source": source,
@@ -270,9 +282,11 @@ def cmd_solve_pnp(args) -> int:
 def cmd_compose_points(args) -> int:
     merged = _merge(args, {"seed": 0, "workers": 0, "threshold": 0.5, **{f: 0.0 for f in NOISE_FLAGS}})
     noise = _noise_from(merged)
+    if not 0.0 < merged["threshold"] < 1.0:
+        raise FlagError(f"--threshold: must lie in (0, 1), got {merged['threshold']}")
     bundle = load_bundle(args.bundle)
+    i = _check_view(args, bundle)
     pred = mock_predict(bundle, noise, merged["seed"])
-    i = args.view
     labeled = compose_masked_points(
         pred.depths[i], pred.coords[i], pred.masks[i], merged["threshold"]
     )

@@ -10,12 +10,15 @@ Heatmaps are synthesized as Gaussian bumps at the true 2D keypoints (the
 predicted bumps widen by the blur sigma).  Predicted and ground-truth
 keypoint coordinates are both decoded from their heatmaps with the same
 soft-argmax at its default temperature, so at zero noise the coordinate loss
-is exactly zero while the decoding path stays exercised under noise.
+is exactly zero while the decoding path stays exercised under noise.  The
+predicted heatmap/keypoint head draws no random numbers, so a Prediction
+builds it on first access and callers that never read it never pay for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,8 +56,23 @@ class Prediction:
     masks: tuple
     rel_poses: tuple  # per view, view j -> view 0 (first entry identity)
     similarity: Similarity
-    heatmaps: tuple  # per view, H x W x N_kp
-    keypoints_2d: tuple  # per view, (N_kp, 2) soft-argmax decodes
+    true_keypoints_2d: np.ndarray  # per view, (N_kp, 2) heatmap bump centers
+    width: int
+    height: int
+    heatmap_sigma: float  # predicted bump width in px
+
+    @cached_property
+    def heatmaps(self) -> tuple:
+        """Per view, H x W x N_kp Gaussian bumps, built on first access."""
+        return tuple(
+            synthesize_heatmaps(kp, self.width, self.height, self.heatmap_sigma)
+            for kp in self.true_keypoints_2d
+        )
+
+    @cached_property
+    def keypoints_2d(self) -> tuple:
+        """Per view, (N_kp, 2) soft-argmax decodes of the heatmaps."""
+        return tuple(soft_argmax(hm) for hm in self.heatmaps)
 
 
 def synthesize_heatmaps(keypoints_2d, width, height, sigma) -> np.ndarray:
@@ -127,21 +145,16 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
         scale = scale * float(np.exp(noise.scale_sigma * scale_eps))
     similarity = Similarity(scale, sim_rigid)
 
-    heatmaps, kp2d = [], []
-    sigma_pred = spec.heatmap_sigma + noise.heatmap_blur
-    for i in range(len(bundle.views)):
-        hm = synthesize_heatmaps(bundle.keypoints_2d[i], spec.width, spec.height, sigma_pred)
-        heatmaps.append(hm)
-        kp2d.append(soft_argmax(hm))
-
     return Prediction(
         depths=tuple(depths),
         coords=tuple(coords),
         masks=tuple(masks),
         rel_poses=tuple(rel_poses),
         similarity=similarity,
-        heatmaps=tuple(heatmaps),
-        keypoints_2d=tuple(kp2d),
+        true_keypoints_2d=bundle.keypoints_2d,
+        width=spec.width,
+        height=spec.height,
+        heatmap_sigma=spec.heatmap_sigma + noise.heatmap_blur,
     )
 
 

@@ -126,15 +126,21 @@ def run_gen_scenes(config: RunConfig, out_dir) -> dict:
     return manifest
 
 
+class BundleTreeError(FileNotFoundError):
+    """A bundle tree root that is missing, not a directory, or holds no bundles."""
+
+
 def list_bundles(bundle_root) -> list[Path]:
     root = Path(bundle_root)
+    if not root.is_dir():
+        raise BundleTreeError(f"{root} is not a directory" if root.exists() else f"{root} does not exist")
     manifest = root / "manifest.json"
     if manifest.exists():
-        rows = json.loads(manifest.read_text())["bundles"]
-        return [root / r["path"] for r in rows]
-    dirs = sorted(p for p in root.iterdir() if p.is_dir())
+        dirs = [root / r["path"] for r in json.loads(manifest.read_text())["bundles"]]
+    else:
+        dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not dirs:
-        raise FileNotFoundError(f"no scene bundles under {root}")
+        raise BundleTreeError(f"no scene bundles under {root}")
     return dirs
 
 
@@ -257,7 +263,11 @@ def _eval_one(payload) -> dict:
 
 
 def run_eval(command: str, config: RunConfig, bundle_root) -> dict:
-    """Report of `command` ("eval-pointmap" or "eval-pose") over a bundle tree."""
+    """Report of `command` ("eval-pointmap" or "eval-pose") over a bundle tree.
+
+    Raises BundleTreeError, before any scene runs, if `bundle_root` is not a
+    directory holding bundles.
+    """
     summarize = EVALUATIONS[command][1]
     dirs = list_bundles(bundle_root)
     payloads = [(command, str(d), i, config) for i, d in enumerate(dirs)]

@@ -257,6 +257,59 @@ class TestEvalConfig:
         assert (spec.width, spec.height) == (RunConfig.width, RunConfig.height)
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("called before the flags were checked")
+
+
+class TestInputChecks:
+    """Bad --view, --bundles and --threshold values: one stderr line, exit 2."""
+
+    @staticmethod
+    def assert_flag_error(capsys, command, flag):
+        err = capsys.readouterr().err
+        assert err.startswith(f"reconkit {command}: error: {flag}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("view", ["2", "-1"])
+    @pytest.mark.parametrize("command", ["solve-pnp", "compose-points"])
+    def test_view_out_of_range(self, bundle_tree, tmp_path, capsys, monkeypatch, command, view):
+        monkeypatch.setattr(cli, "mock_predict", _must_not_run)
+        out = tmp_path / "out"
+        rc = main([command, "--bundle", str(bundle_tree / "scene_00000"), "--view", view,
+                   "--out", str(out)])
+        assert rc == 2
+        err = self.assert_flag_error(capsys, command, "--view")
+        assert "2 view(s)" in err and view in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "file", "empty"])
+    @pytest.mark.parametrize("command", ["eval-pointmap", "eval-pose"])
+    def test_bad_bundles_root(self, bundle_tree, tmp_path, capsys, monkeypatch, command, kind):
+        root = {"missing": tmp_path / "nope", "file": bundle_tree / "manifest.json", "empty": tmp_path}[kind]
+        monkeypatch.setattr("reconkit.pipeline._run_parallel", _must_not_run)
+        out = tmp_path / "report.json"
+        rc = main([command, "--bundles", str(root), "--out", str(out)])
+        assert rc == 2
+        self.assert_flag_error(capsys, command, "--bundles")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["7", "0", "1", "-0.5", "nan"])
+    def test_threshold_checked_before_bundle_load(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setattr(cli, "load_bundle", _must_not_run)
+        rc = main(["compose-points", "--bundle", str(tmp_path / "absent"), "--threshold", value])
+        assert rc == 2
+        self.assert_flag_error(capsys, "compose-points", "--threshold")
+
+    def test_threshold_from_config_checked(self, bundle_tree, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold": 1.5}))
+        rc = main(["compose-points", "--bundle", str(bundle_tree / "scene_00000"),
+                   "--config", str(cfg)])
+        assert rc == 2
+        assert "1.5" in self.assert_flag_error(capsys, "compose-points", "--threshold")
+
+
 class TestReportBytes:
     """Pinned sha256 of noisy eval reports over the 96x72 `bundle_tree`."""
 

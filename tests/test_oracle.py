@@ -27,6 +27,7 @@ from reconkit.oracle.mock import (
     ground_truth_heatmaps,
     ground_truth_keypoints,
     mock_predict,
+    synthesize_heatmaps,
 )
 from reconkit.oracle.raster import (
     BadMagicError,
@@ -51,6 +52,7 @@ from reconkit.oracle.scene import (
     render,
     sample_camera,
 )
+from reconkit.pnp import soft_argmax
 from reconkit.transforms import (
     RigidTransform,
     register_views,
@@ -357,6 +359,29 @@ class TestMockPredict:
         report = evaluate_pointmap_scene(small_bundle, NoiseModel(), seed=0)
         assert (report.point_err, report.normal_err, report.scale_err) == (0.0, 0.0, 0.0)
 
+    # every sigma nonzero, heatmap_blur included, so each head is perturbed
+    ALL_NOISE = NoiseModel(
+        depth_sigma=0.002, coord_sigma=0.0005, translation_sigma=0.01, rotation_sigma=0.005,
+        scale_sigma=0.01, heatmap_blur=0.5, mask_flip_rate=0.05,
+    )
+    LOSS_TERMS_REPR = {
+        "point": "0.0009575199341852526",
+        "normal": "0.15078680521912177",
+        "mask": "0.8004482306388033",
+        "relative_pose": "0.003913395789166756",
+        "similarity": "0.004684750746173448",
+        "keypoint": "0.00294151798595147",
+        "total": "0.969615256285305",
+    }
+
+    def test_noisy_loss_terms_pinned(self, small_bundle):
+        from reconkit.losses import LossWeights
+        from reconkit.pipeline import evaluate_losses_scene
+
+        weights = LossWeights(alpha=0.5, gamma=2.0, lambda6=3.0)
+        terms = evaluate_losses_scene(small_bundle, self.ALL_NOISE, seed=7, weights=weights)
+        assert {name: repr(value) for name, value in terms.items()} == self.LOSS_TERMS_REPR
+
     def test_identical_seeds_identical_predictions(self, small_bundle):
         noise = NoiseModel(depth_sigma=0.002, translation_sigma=0.01, mask_flip_rate=0.05)
         p1 = mock_predict(small_bundle, noise, seed=9)
@@ -409,6 +434,59 @@ class TestMockPredict:
                 & (stored[:, 1] < small_bundle.spec.height - 8)
             )
             assert np.abs(kp[in_image] - stored[in_image]).max() < 0.05
+
+
+class TestLazyKeypointHeads:
+    """The predicted heatmap/keypoint head is built on first access only."""
+
+    NOISE = NoiseModel(depth_sigma=0.002, translation_sigma=0.01, heatmap_blur=0.5)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from reconkit.oracle import mock
+
+        counts = {"synthesize_heatmaps": 0, "soft_argmax": 0}
+
+        def counted(name):
+            original = getattr(mock, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(mock, name, counted(name))
+        return counts
+
+    def test_eval_steps_never_build_heads(self, small_bundle, tmp_path, calls):
+        from reconkit.cli import main
+        from reconkit.pipeline import RunConfig, evaluate_pointmap_scene, evaluate_pose_scene
+
+        evaluate_pointmap_scene(small_bundle, self.NOISE, seed=1)
+        evaluate_pose_scene(small_bundle, self.NOISE, 1, RunConfig(noise=self.NOISE))
+        save_bundle(tmp_path / "scene", small_bundle)
+        assert main(["compose-points", "--bundle", str(tmp_path / "scene"), "--noise-heatmap-blur",
+                     "0.5", "--out", str(tmp_path / "composed")]) == 0
+        assert calls == {"synthesize_heatmaps": 0, "soft_argmax": 0}
+
+    def test_first_access_builds_cached_heads(self, small_bundle, calls):
+        spec = small_bundle.spec
+        pred = mock_predict(small_bundle, self.NOISE, seed=1)
+        assert calls == {"synthesize_heatmaps": 0, "soft_argmax": 0}
+        heatmaps = pred.heatmaps
+        assert len(heatmaps) == len(small_bundle.views)
+        for hm, kp in zip(heatmaps, small_bundle.keypoints_2d):
+            expected = synthesize_heatmaps(kp, spec.width, spec.height, spec.heatmap_sigma + 0.5)
+            np.testing.assert_array_equal(hm, expected)
+        keypoints = pred.keypoints_2d
+        for kp, hm in zip(keypoints, heatmaps):
+            np.testing.assert_array_equal(kp, soft_argmax(hm))
+        assert calls == {"synthesize_heatmaps": 2, "soft_argmax": 2}
+        assert pred.heatmaps is heatmaps and pred.keypoints_2d is keypoints
+        assert all(a is b for a, b in zip(pred.heatmaps, heatmaps))
+        assert calls == {"synthesize_heatmaps": 2, "soft_argmax": 2}
 
 
 class TestBundleIO:
