@@ -138,18 +138,25 @@ def coords_from_intrinsics(k: Intrinsics) -> CoordMap:
 
 
 def unproject(coords: CoordMap, depth: DepthMap) -> PointMap:
-    """Lift (x, y) coords with depth d to camera-frame points (x d, y d, d)."""
+    """Lift (x, y) coords with depth d to camera-frame points (x d, y d, d).
+
+    Invalid pixels are (0, 0, 0).  The products are formed only at valid
+    pixels and written into a zeroed buffer; each is the same single
+    multiplication as over the full frame, so the values are bit-identical.
+    """
     if coords.shape != depth.shape:
         raise ValueError(
             f"coord map shape {coords.shape} != depth map shape {depth.shape}"
         )
-    d = depth.values
-    pts = np.empty(coords.values.shape[:2] + (3,))
-    pts[:, :, 0] = coords.values[:, :, 0] * d
-    pts[:, :, 1] = coords.values[:, :, 1] * d
-    pts[:, :, 2] = d
-    pts[~depth.valid] = 0.0
-    return PointMap(pts, depth.valid.copy())
+    h, w = depth.shape
+    idx = np.flatnonzero(depth.valid)
+    d = np.take(depth.values, idx)
+    x, y = np.take(coords.values.reshape(-1, 2), idx, axis=0).T
+    pts = np.zeros((h * w, 3))
+    pts[idx, 0] = x * d
+    pts[idx, 1] = y * d
+    pts[idx, 2] = d
+    return PointMap(pts.reshape(h, w, 3), depth.valid.copy())
 
 
 def project(point, k: Intrinsics) -> np.ndarray:

@@ -120,7 +120,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(k)
     k.add_argument("--eps", type=float, default=None, help="finite-difference step (default 1e-6)")
 
+    for p in sub.choices.values():
+        # each flag's argparse type, which --config values are checked against
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
     return parser
+
+
+# flag type -> (JSON value types a --config key accepts, their name); bool is
+# an int subclass but never a valid value
+CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _config_value(key: str, value, flag_type):
+    """value, if its flag's type accepts it; else a FlagError naming the key."""
+    accepted, name = CONFIG_TYPES[flag_type]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise FlagError(f"--config: {key}: expected {name}, got {json.dumps(value)}")
+    return value
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
@@ -132,10 +148,12 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
             merged[key] = flag
     if getattr(args, "config", None):
         file_cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(file_cfg, dict):
+            raise FlagError(f"--config: {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
         for key, value in file_cfg.items():
             if key not in merged:
                 raise SystemExit(f"unknown config key {key!r}")
-            merged[key] = value
+            merged[key] = _config_value(key, value, args.flag_types[key])
     return merged
 
 

@@ -70,7 +70,7 @@ class NormalMap:
         m = np.asarray(self.valid, dtype=bool)
         if v.ndim != 3 or v.shape[2] != 3 or m.shape != v.shape[:2]:
             raise ValueError("normal map must be HxWx3 with an HxW valid grid")
-        norms = np.linalg.norm(v[m], axis=-1)
+        norms = _lengths(*np.take(v.reshape(-1, 3), np.flatnonzero(m), axis=0).T)
         if norms.size and np.abs(norms - 1.0).max() > 1e-9:
             raise ValueError("valid normals must have unit norm")
         object.__setattr__(self, "values", v)
@@ -126,17 +126,31 @@ def point_loss_flat(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
     return float(np.abs(s * pred_pts - gt_pts).mean())
 
 
+def _cross(a0, a1, a2, b0, b1, b2):
+    """Components of a x b, each formed as np.cross forms it."""
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
+def _lengths(x0, x1, x2) -> np.ndarray:
+    """Euclidean lengths summed in np.linalg.norm's order over a length-3 axis."""
+    return np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+
+
 def normals_from_pointmap(points: PointMap) -> NormalMap:
     """Central-difference normals: normalize((right-left) x (down-up)).
 
-    Boundary pixels and pixels with any invalid 4-neighbor are invalid.
+    Boundary pixels, pixels with any invalid 4-neighbor and pixels whose
+    cross product has zero (or NaN) length are invalid.  The stencil is
+    evaluated only at pixels whose five points are all valid; the cross
+    product, its length and the division are formed per component in the
+    order np.cross and np.linalg.norm use, so every value is bit-identical
+    to the full-frame evaluation.
     """
     h, w = points.shape
     if h < 3 or w < 3:
         raise ValueError(f"need at least 3x3 points for normals, got {h}x{w}")
-    v = points.values
+    v = points.values.reshape(-1, 3)
     m = points.valid
-    normals = np.zeros((h, w, 3))
     ok = np.zeros((h, w), dtype=bool)
     ok[1:-1, 1:-1] = (
         m[1:-1, 1:-1]
@@ -145,25 +159,36 @@ def normals_from_pointmap(points: PointMap) -> NormalMap:
         & m[2:, 1:-1]
         & m[:-2, 1:-1]
     )
-    dx = v[1:-1, 2:] - v[1:-1, :-2]
-    dy = v[2:, 1:-1] - v[:-2, 1:-1]
-    n = np.cross(dx, dy)
-    lengths = np.linalg.norm(n, axis=-1)
-    interior_ok = ok[1:-1, 1:-1] & (lengths > 0)
-    n = np.where(interior_ok[:, :, None], n / np.where(lengths == 0, 1.0, lengths)[:, :, None], 0.0)
-    normals[1:-1, 1:-1] = n
-    ok[1:-1, 1:-1] = interior_ok
-    return NormalMap(normals, ok)
+    idx = np.flatnonzero(ok)
+    dx = np.take(v, idx + 1, axis=0) - np.take(v, idx - 1, axis=0)
+    dy = np.take(v, idx + w, axis=0) - np.take(v, idx - w, axis=0)
+    n = _cross(*dx.T, *dy.T)
+    lengths = _lengths(*n)
+    nonzero = lengths > 0
+    idx, lengths = idx[nonzero], lengths[nonzero]
+    normals = np.zeros((h * w, 3))
+    for k in range(3):
+        normals[idx, k] = n[k][nonzero] / lengths
+    valid = np.zeros(h * w, dtype=bool)
+    valid[idx] = True
+    return NormalMap(normals.reshape(h, w, 3), valid.reshape(h, w))
 
 
 def normal_angles(pred: NormalMap, gt: NormalMap) -> np.ndarray:
-    """Angles arctan2(||n_p x n_g||, n_p . n_g) over jointly valid pixels."""
+    """Angles arctan2(||n_p x n_g||, n_p . n_g) over jointly valid pixels.
+
+    Only jointly valid pixels are gathered; the cross product, its length
+    and the dot product are formed per component in the order np.cross,
+    np.linalg.norm and np.sum over a length-3 axis use, so the angles are
+    bit-identical to the vectorized full-array form.
+    """
     if pred.values.shape != gt.values.shape:
         raise ValueError("normal map shapes differ")
-    both = pred.valid & gt.valid
-    np_, ng = pred.values[both], gt.values[both]
-    cross = np.linalg.norm(np.cross(np_, ng), axis=-1)
-    dot = np.sum(np_ * ng, axis=-1)
+    idx = np.flatnonzero(pred.valid & gt.valid)
+    p0, p1, p2 = np.take(pred.values.reshape(-1, 3), idx, axis=0).T
+    g0, g1, g2 = np.take(gt.values.reshape(-1, 3), idx, axis=0).T
+    cross = _lengths(*_cross(p0, p1, p2, g0, g1, g2))
+    dot = (p0 * g0 + p1 * g1) + p2 * g2
     return np.arctan2(cross, dot)
 
 

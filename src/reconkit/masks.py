@@ -73,14 +73,20 @@ class LabeledPointMap:
 
 
 def binarize(masks: MaskSet, threshold: float = 0.5) -> np.ndarray:
-    """Per-pixel part labels; pixels where no part clears threshold are invalid."""
+    """Per-pixel part labels; pixels where no part clears threshold are invalid.
+
+    The maximum and the winning part are taken over the three part planes
+    directly; a part wins where it equals the maximum, and among equal
+    parts robot beats object beats background, the first-index rule of
+    argmax over the stacked (robot, object, background) axis.
+    """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    probs = masks.stacked()
-    # argmax over parts, with the part order breaking exact ties
-    best = np.argmax(probs, axis=-1)
-    labels = (best + 1).astype(np.uint8)
-    labels[np.max(probs, axis=-1) <= threshold] = LABEL_INVALID
+    top = np.maximum(np.maximum(masks.robot, masks.object), masks.background)
+    labels = np.full(masks.shape, LABEL_BACKGROUND, dtype=np.uint8)
+    labels[masks.object == top] = LABEL_OBJECT
+    labels[masks.robot == top] = LABEL_ROBOT
+    labels[top <= threshold] = LABEL_INVALID
     return labels
 
 
@@ -93,13 +99,15 @@ def compose_masked_points(
     """Unproject and keep only pixels with a valid part label.
 
     Masking never alters geometry: the surviving points equal plain
-    unprojection restricted to the labeled pixels.
+    unprojection restricted to the labeled pixels.  Dropped pixels hold
+    (0, 0, 0) and label LABEL_INVALID.
     """
     if masks.shape != depth.shape:
         raise ValueError(f"mask shape {masks.shape} != depth shape {depth.shape}")
     points = unproject(coords, depth)
     labels = binarize(masks, threshold)
-    keep = points.valid & (labels != LABEL_INVALID)
-    labels = np.where(keep, labels, LABEL_INVALID).astype(np.uint8)
-    values = np.where(keep[:, :, None], points.values, 0.0)
+    labels[~points.valid] = LABEL_INVALID
+    keep = labels != LABEL_INVALID
+    values = points.values  # a fresh buffer, zero wherever points are invalid
+    values[points.valid & ~keep] = 0.0
     return LabeledPointMap(PointMap(values, keep), labels)

@@ -63,7 +63,8 @@ def point_map_metrics_views(
 ) -> PointMapReport:
     """Scale-aligned point error, normal angle error and relative scale error.
 
-    One alignment scale is fit jointly over the valid pixels of all views.
+    One alignment scale is fit jointly over the valid pixels of all views;
+    only the jointly valid pixels of each view are gathered.
     """
     if len(pred_views) != len(gt_views) or not pred_views:
         raise ValueError("need equal, non-empty lists of predicted and gt maps")
@@ -73,9 +74,9 @@ def point_map_metrics_views(
     for p, g in zip(pred_views, gt_views):
         if p.shape != g.shape:
             raise ValueError(f"view shapes differ: {p.shape} vs {g.shape}")
-        both = p.valid & g.valid
-        pred_pts.append(p.values[both])
-        gt_pts.append(g.values[both])
+        joint = np.flatnonzero(p.valid & g.valid)
+        pred_pts.append(np.take(p.values.reshape(-1, 3), joint, axis=0))
+        gt_pts.append(np.take(g.values.reshape(-1, 3), joint, axis=0))
         angles.append(normal_angles(normals_from_pointmap(p), normals_from_pointmap(g)))
     pred_flat = np.concatenate(pred_pts)
     gt_flat = np.concatenate(gt_pts)

@@ -64,6 +64,10 @@ class VersionMismatchError(BundleError):
     pass
 
 
+class ShapeMismatchError(BundleError):
+    """A raster or keypoint array whose shape disagrees with the metadata."""
+
+
 @dataclass(frozen=True, eq=False)
 class ViewRecord:
     depth: DepthMap
@@ -408,7 +412,20 @@ class _Metadata(dict):
         raise MissingMetadataError(f"{self.path}: missing key {key!r}")
 
 
+def _check_shape(name, shape, expected):
+    if shape != expected:
+        raise ShapeMismatchError(f"{name}: shape {shape}, expected {expected}")
+
+
+def _read_shaped(path, expected) -> np.ndarray:
+    """A raster whose shape must be `expected` (HxW, or HxWxC for C > 1)."""
+    arr = read_raster(path)
+    _check_shape(path, arr.shape, expected)
+    return arr
+
+
 def load_bundle(path) -> SceneBundle:
+    """Read a bundle, checking its metadata keys and every raster and keypoint shape."""
     path = Path(path)
     meta_path = path / META_NAME
     if not meta_path.exists():
@@ -427,30 +444,37 @@ def load_bundle(path) -> SceneBundle:
     views = []
     for entry in meta["views"]:
         files = entry["files"]
-        depth_vals = read_raster(path / files["depth"])
-        valid = read_raster(path / files["valid"]).astype(bool)
-        coords = read_raster(path / files["coords"])
-        masks = read_raster(path / files["masks"])
         ki = entry["intrinsics"]
+        intrinsics = Intrinsics(**{f.name: ki[f.name] for f in fields(Intrinsics)})
+        grid = (intrinsics.height, intrinsics.width)
+        rasters = {
+            key: _read_shaped(path / files[key], grid + channels)
+            for key, channels in (("depth", ()), ("valid", ()), ("coords", (2,)), ("masks", (3,)))
+        }
         views.append(
             ViewRecord(
-                depth=DepthMap(depth_vals, valid),
-                coords=CoordMap(coords),
-                masks=MaskSet.from_stacked(masks),
-                intrinsics=Intrinsics(**{f.name: ki[f.name] for f in fields(Intrinsics)}),
+                depth=DepthMap(rasters["depth"], rasters["valid"].astype(bool)),
+                coords=CoordMap(rasters["coords"]),
+                masks=MaskSet.from_stacked(rasters["masks"]),
+                intrinsics=intrinsics,
                 pose_world=RigidTransform.from_matrix(np.array(entry["pose_world"])),
                 pose_robot=RigidTransform.from_matrix(np.array(entry["pose_robot"])),
             )
         )
 
+    n_kp = len(kp_spec)
+    kp3d = np.array(meta["keypoints_3d"], dtype=float)
+    _check_shape(f"{meta_path}: keypoints_3d", kp3d.shape, (n_kp, 3))
+    kp2d = np.array(meta["keypoints_2d"], dtype=float)
+    _check_shape(f"{meta_path}: keypoints_2d", kp2d.shape, (len(views), n_kp, 2))
     return SceneBundle(
         views=tuple(views),
         similarity=Similarity(
             meta["similarity"]["scale"],
             RigidTransform.from_matrix(np.array(meta["similarity"]["matrix"])),
         ),
-        keypoints_3d=np.array(meta["keypoints_3d"], dtype=float),
-        keypoints_2d=np.array(meta["keypoints_2d"], dtype=float),
+        keypoints_3d=kp3d,
+        keypoints_2d=kp2d,
         spec=spec,
         seed=int(meta["seed"]),
     )

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ..camera import CoordMap, DepthMap
-from ..masks import MaskSet
+from ..masks import PART_NAMES, MaskSet
 from ..pnp import soft_argmax
 from ..transforms import RigidTransform, Similarity, relative_pose, rotation_about_axis
 from .bundle import SceneBundle
@@ -111,7 +111,7 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
     for view in bundle.views:
         eps_d = rng.standard_normal(view.depth.values.shape)
         eps_c = rng.standard_normal(view.coords.values.shape)
-        flips = rng.random(view.masks.stacked().shape)
+        flips = rng.random(view.masks.shape + (3,))
 
         if noise.depth_sigma > 0:
             dv = view.depth.values + noise.depth_sigma * eps_d
@@ -123,9 +123,11 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
         else:
             coords.append(view.coords)
         if noise.mask_flip_rate > 0:
-            stacked = view.masks.stacked()
-            flipped = np.where(flips < noise.mask_flip_rate, 1.0 - stacked, stacked)
-            masks.append(MaskSet.from_stacked(flipped))
+            flip = flips < noise.mask_flip_rate
+            planes = (getattr(view.masks, part) for part in PART_NAMES)
+            masks.append(
+                MaskSet(*(np.where(flip[:, :, k], 1.0 - m, m) for k, m in enumerate(planes)))
+            )
         else:
             masks.append(view.masks)
 

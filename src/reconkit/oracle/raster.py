@@ -9,8 +9,8 @@ produced data.
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +38,11 @@ class UnknownDtypeError(RasterError):
 
 
 def write_raster(path, array: np.ndarray):
-    """Write an HxW or HxWxC array; dtype must be float32, float64 or uint8."""
+    """Write an HxW or HxWxC array; dtype must be float32, float64 or uint8.
+
+    The header is written, then the array's own buffer (copied only when it
+    is not C-contiguous in the tag's little-endian dtype).
+    """
     arr = np.asarray(array)
     if arr.ndim == 2:
         arr = arr[:, :, None]
@@ -49,29 +53,40 @@ def write_raster(path, array: np.ndarray):
         raise UnknownDtypeError(f"unsupported raster dtype {arr.dtype}")
     tag = TAG_FOR_KIND[key]
     h, w, c = arr.shape
-    payload = np.ascontiguousarray(arr, dtype=DTYPE_TAGS[tag]).tobytes()
-    Path(path).write_bytes(HEADER.pack(MAGIC, h, w, c, tag) + payload)
+    payload = np.ascontiguousarray(arr, dtype=DTYPE_TAGS[tag])
+    with open(path, "wb") as f:
+        f.write(HEADER.pack(MAGIC, h, w, c, tag))
+        f.write(payload.data)
 
 
 def read_raster(path) -> np.ndarray:
-    """Read a raster; returns HxW for single-channel files, else HxWxC."""
-    data = Path(path).read_bytes()
-    if len(data) < HEADER.size:
+    """Read a raster; returns HxW for single-channel files, else HxWxC.
+
+    The header and the file size are checked first, then the payload is
+    read straight into the returned (owning, C-contiguous) array.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        header = f.read(HEADER.size)
+        if len(header) < HEADER.size:
+            raise TruncatedRasterError(
+                f"{path}: truncated header, got {len(header)} of {HEADER.size} bytes"
+            )
+        magic, h, w, c, tag = HEADER.unpack(header)
+        if magic != MAGIC:
+            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if tag not in DTYPE_TAGS:
+            raise UnknownDtypeError(f"{path}: unknown dtype tag {tag}")
+        dtype = DTYPE_TAGS[tag]
+        expected = HEADER.size + h * w * c * dtype.itemsize
+        if size != expected:
+            raise TruncatedRasterError(
+                f"{path}: truncated raster at byte {size}, expected {expected} bytes"
+            )
+        arr = np.empty((h, w) if c == 1 else (h, w, c), dtype=dtype)
+        got = f.readinto(arr)
+    if got != arr.nbytes:
         raise TruncatedRasterError(
-            f"{path}: truncated header, got {len(data)} of {HEADER.size} bytes"
+            f"{path}: truncated raster at byte {HEADER.size + got}, expected {expected} bytes"
         )
-    magic, h, w, c, tag = HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if tag not in DTYPE_TAGS:
-        raise UnknownDtypeError(f"{path}: unknown dtype tag {tag}")
-    dtype = DTYPE_TAGS[tag]
-    expected = HEADER.size + h * w * c * dtype.itemsize
-    if len(data) != expected:
-        raise TruncatedRasterError(
-            f"{path}: truncated raster at byte {len(data)}, expected {expected} bytes"
-        )
-    arr = np.frombuffer(data, dtype=dtype, offset=HEADER.size).reshape(h, w, c)
-    if c == 1:
-        arr = arr[:, :, 0]
-    return arr.copy()
+    return arr

@@ -426,6 +426,23 @@ class TestComposePoints:
         np.testing.assert_array_equal(got_labels[keep], labels[keep])
 
 
+class TestComposePointsBytes:
+    """Pinned sha256 of noisy `compose-points` outputs for both views of one scene."""
+
+    SHA256 = "073c559fd7f0e39f75398012c67ae72f621a865749d32847f0ac37e12a2ba428"
+
+    def test_outputs_sha256_pinned(self, bundle_tree, tmp_path, monkeypatch):
+        monkeypatch.chdir(bundle_tree)  # the report echoes the --bundle path
+        out = tmp_path / "composed"
+        for view in ("0", "1"):
+            rc = main(["compose-points", "--bundle", "scene_00002",
+                       "--view", view, "--seed", "6", *TestReportBytes.NOISE,
+                       "--out", str(out / f"view_{view}")])
+            assert rc == 0
+        assert len([p for p in out.rglob("*") if p.is_file()]) == 8
+        assert tree_sha256(out) == self.SHA256
+
+
 class TestCheckGrads:
     def test_all_losses_under_tolerance(self, tmp_path):
         out = tmp_path / "grads.json"
@@ -489,6 +506,44 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"bogus": 1}))
         with pytest.raises(SystemExit, match="bogus"):
             main(["eval-pose", "--bundles", str(bundle_tree), "--config", str(cfg)])
+
+    @pytest.mark.parametrize(
+        "command,cfg,message",
+        [
+            ("eval-pose", [0.5], "must hold a JSON object, got list"),
+            ("eval-pose", "x", "must hold a JSON object, got str"),
+            ("compose-points", {"threshold": "0.5"}, 'threshold: expected a number, got "0.5"'),
+            ("eval-pose", {"threshold_rel": "x"}, 'threshold_rel: expected a number, got "x"'),
+            ("eval-pointmap", {"seed": 1.5}, "seed: expected an integer, got 1.5"),
+            ("eval-pointmap", {"workers": True}, "workers: expected an integer, got true"),
+            ("eval-pose", {"noise_depth": False}, "noise_depth: expected a number, got false"),
+            ("eval-pose", {"weights_file": 3}, "weights_file: expected a string, got 3"),
+            ("compose-points", {"seed": None}, "seed: expected an integer, got null"),
+        ],
+    )
+    def test_config_value_types_checked(self, bundle_tree, tmp_path, capsys, monkeypatch,
+                                        command, cfg, message):
+        monkeypatch.setattr(cli, "load_bundle", _must_not_run)
+        monkeypatch.setattr(cli, "run_eval", _must_not_run)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        target = ["--bundle", str(bundle_tree / "scene_00000")] if command == "compose-points" \
+            else ["--bundles", str(bundle_tree)]
+        rc = main([command, *target, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"reconkit {command}: error: --config: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_config_ints_accepted_for_floats(self, bundle_tree, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"threshold_rel": 1, "seed": 3}))
+        out = tmp_path / "r.json"
+        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--config", str(cfg),
+                   "--workers", "1", "--out", str(out)])
+        assert rc == 0
+        config = json.loads(out.read_text())["config"]
+        assert (config["t_threshold_rel"], config["seed"]) == (1, 3)
 
     def test_weights_file_loaded(self, bundle_tree, tmp_path):
         weights = tmp_path / "w.json"

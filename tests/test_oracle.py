@@ -13,6 +13,7 @@ from reconkit.masks import binarize
 from reconkit.oracle.bundle import (
     MissingMetadataError,
     SceneBundle,
+    ShapeMismatchError,
     VersionMismatchError,
     default_chain,
     generate_scene,
@@ -346,6 +347,17 @@ class TestMockPredict:
         )
         assert pred.similarity.scale == small_bundle.similarity.scale
 
+    @pytest.mark.parametrize("flip_rate", [0.0, 0.3])
+    def test_no_mask_stack_built(self, small_bundle, monkeypatch, flip_rate):
+        from reconkit.masks import MaskSet
+
+        def stacked(self):
+            raise AssertionError("mock_predict stacked a mask set")
+
+        monkeypatch.setattr(MaskSet, "stacked", stacked)
+        pred = mock_predict(small_bundle, NoiseModel(mask_flip_rate=flip_rate), seed=3)
+        assert len(pred.masks) == len(small_bundle.views)
+
     def test_zero_noise_losses_and_metrics(self, small_bundle):
         from reconkit.pipeline import evaluate_losses_scene, evaluate_pointmap_scene
 
@@ -571,6 +583,37 @@ class TestBundleIO:
         meta["format_version"] = 99
         (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(VersionMismatchError, match="99"):
+            load_bundle(tmp_path / "s")
+
+    @pytest.mark.parametrize(
+        "case,named,got,want",
+        [
+            ("width", "view_0_depth.r3rb", (120, 160), (120, 168)),
+            ("height", "view_0_depth.r3rb", (120, 160), (100, 160)),
+            ("coords_channels", "view_1_coords.r3rb", (120, 160, 3), (120, 160, 2)),
+            ("masks_channels", "view_0_masks.r3rb", (120, 160), (120, 160, 3)),
+            ("valid_shape", "view_1_valid.r3rb", (120, 159), (120, 160)),
+            ("keypoints_2d_views", "keypoints_2d", (1, 8, 2), (2, 8, 2)),
+            ("keypoints_2d_count", "keypoints_2d", (2, 7, 2), (2, 8, 2)),
+            ("keypoints_3d_count", "keypoints_3d", (9, 3), (8, 3)),
+        ],
+    )
+    def test_shape_mismatch_named(self, small_bundle, tmp_path, case, named, got, want):
+        import json
+        import re
+
+        save_bundle(tmp_path / "s", small_bundle)
+        meta_path = tmp_path / "s" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if case in ("width", "height"):
+            meta["views"][0]["intrinsics"][case] = want[case == "width"]
+        elif case.startswith("keypoints"):
+            key = case[: len("keypoints_2d")]
+            meta[key] = np.resize(np.array(meta[key]), got).tolist()
+        else:
+            write_raster(tmp_path / "s" / named, np.zeros(got))
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ShapeMismatchError, match=re.escape(f"{named}: shape {got}, expected {want}")):
             load_bundle(tmp_path / "s")
 
     def test_float32_raster_support(self, tmp_path, rng):
