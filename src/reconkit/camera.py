@@ -120,10 +120,6 @@ class PointMap:
     def shape(self):
         return self.values.shape[:2]
 
-    def valid_points(self) -> np.ndarray:
-        """Flat (N, 3) array of the valid points."""
-        return self.values[self.valid]
-
 
 def coords_from_intrinsics(k: Intrinsics) -> CoordMap:
     """Normalized coordinate map of every pixel center of a pinhole camera."""

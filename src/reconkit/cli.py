@@ -10,6 +10,7 @@ gradient error is below GRADIENT_TOLERANCE.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -20,9 +21,9 @@ import numpy as np
 
 from .losses import GRADIENT_CHECKS, LossWeights, NonDifferentiableError, check_gradient
 from .masks import compose_masked_points
-from .oracle.bundle import load_bundle
+from .oracle.bundle import BundleError, load_bundle
 from .oracle.mock import NoiseModel, mock_predict
-from .oracle.raster import read_raster, write_raster
+from .oracle.raster import RasterError, read_raster, write_raster
 from .pipeline import BundleTreeError, RunConfig, default_workers, run_eval, run_gen_scenes, write_report
 from .pnp import DEFAULT_TEMPERATURE, soft_argmax, solve_pnp
 from .transforms import rotation_angle
@@ -147,7 +148,10 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         if flag is not None:
             merged[key] = flag
     if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text())
+        try:
+            file_cfg = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # a missing or unreadable file, invalid JSON
+            raise FlagError(f"--config: {args.config}: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise FlagError(f"--config: {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
         for key, value in file_cfg.items():
@@ -249,6 +253,15 @@ def cmd_eval(args) -> int:
     return _finish(report, args.out, lines)
 
 
+@contextlib.contextmanager
+def _bundle_errors():
+    """A bad --bundle, found at load or on a deferred payload read, as a FlagError."""
+    try:
+        yield
+    except (BundleError, RasterError) as exc:
+        raise FlagError(f"--bundle: {exc}") from None
+
+
 def _check_view(args, bundle) -> int:
     """The --view index, if the bundle has that view."""
     if not 0 <= args.view < len(bundle.views):
@@ -258,7 +271,8 @@ def _check_view(args, bundle) -> int:
 
 def cmd_solve_pnp(args) -> int:
     merged = _merge(args, {"seed": 0, "workers": 0, "temperature": DEFAULT_TEMPERATURE})
-    bundle = load_bundle(args.bundle)
+    with _bundle_errors():
+        bundle = load_bundle(args.bundle)
     i = _check_view(args, bundle)
     view = bundle.views[i]
     if args.keypoints:
@@ -302,12 +316,13 @@ def cmd_compose_points(args) -> int:
     noise = _noise_from(merged)
     if not 0.0 < merged["threshold"] < 1.0:
         raise FlagError(f"--threshold: must lie in (0, 1), got {merged['threshold']}")
-    bundle = load_bundle(args.bundle)
-    i = _check_view(args, bundle)
-    pred = mock_predict(bundle, noise, merged["seed"])
-    labeled = compose_masked_points(
-        pred.depths[i], pred.coords[i], pred.masks[i], merged["threshold"]
-    )
+    with _bundle_errors():
+        bundle = load_bundle(args.bundle)
+        i = _check_view(args, bundle)
+        pred = mock_predict(bundle, noise, merged["seed"])
+        labeled = compose_masked_points(
+            pred.depths[i], pred.coords[i], pred.masks[i], merged["threshold"]
+        )
     counts = {
         "robot": int(np.sum(labeled.labels == 1)),
         "object": int(np.sum(labeled.labels == 2)),

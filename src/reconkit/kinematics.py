@@ -143,7 +143,15 @@ def keypoints_3d(chain: KinematicChain, state, spec: KeypointSpec) -> np.ndarray
 
 def load_chain(path) -> tuple[KinematicChain, KeypointSpec]:
     path = Path(path)
-    data = json.loads(path.read_text())
+    return chain_from_dict(json.loads(path.read_text()), path.stem)
+
+
+def chain_from_dict(data: dict, default_name: str) -> tuple[KinematicChain, KeypointSpec]:
+    """Chain and keypoint spec of a parsed chain file.
+
+    `joints` and `keypoints` are required; the chain's `name` (default
+    `default_name`) and a joint's `limits` (default none) are optional.
+    """
     joints = []
     for j in data["joints"]:
         joints.append(
@@ -154,8 +162,8 @@ def load_chain(path) -> tuple[KinematicChain, KeypointSpec]:
                 limits=tuple(j["limits"]) if j.get("limits") is not None else None,
             )
         )
-    chain = KinematicChain(joints=tuple(joints), name=data.get("name", path.stem))
-    kps = data.get("keypoints", [])
+    chain = KinematicChain(joints=tuple(joints), name=data.get("name", default_name))
+    kps = data["keypoints"]
     spec = KeypointSpec(
         links=[kp["link"] for kp in kps],
         offsets=[kp["offset"] for kp in kps],

@@ -10,7 +10,13 @@ A bundle is one directory:
     view_{i}_coords.r3rb  float64 2-channel coord raster
     view_{i}_masks.r3rb   float64 3-channel mask raster (robot, object, bg)
 
-save/load is a lossless bit-exact round trip.  The robot base frame equals
+save/load is a lossless bit-exact round trip.  load_bundle parses both JSON
+files and checks every raster's header, file size and shape up front, so a
+malformed file, a missing key or a wrong shape fails at load as a named
+BundleError or RasterError.  A view's depth, coords and masks are read, and
+their values checked, on first access only; a value their map type rejects
+(a non-finite coord, a mask outside [0, 1]) then fails as a
+PayloadValueError that names the raster file.  The robot base frame equals
 the world frame, so the bundle's similarity (camera 1 -> robot base, unit
 scale) canonicalizes registered camera-frame geometry onto the rendered
 world surfaces.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +36,13 @@ from ..kinematics import (
     Joint,
     KeypointSpec,
     KinematicChain,
+    chain_from_dict,
     keypoints_3d,
-    load_chain,
     save_chain,
 )
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT, MaskSet
 from ..transforms import RigidTransform, Similarity
-from .raster import read_raster, write_raster
+from .raster import raster_shape, read_raster, write_raster
 from .scene import (
     Box,
     CameraRanges,
@@ -68,14 +75,39 @@ class ShapeMismatchError(BundleError):
     """A raster or keypoint array whose shape disagrees with the metadata."""
 
 
+class MalformedMetadataError(BundleError):
+    """A meta.json or chain.json that is not valid JSON."""
+
+
+class PayloadValueError(BundleError):
+    """A raster payload holding a value its map type rejects."""
+
+
 @dataclass(frozen=True, eq=False)
 class ViewRecord:
-    depth: DepthMap
-    coords: CoordMap
-    masks: MaskSet
+    """One camera of a bundle.
+
+    `depth`, `coords` and `masks` are each built on first access by looking
+    its name up in `rasters`: a dict of built maps for a generated scene, the
+    view's raster files for a loaded one.
+    """
+
     intrinsics: Intrinsics
     pose_world: RigidTransform
     pose_robot: RigidTransform
+    rasters: object  # rasters[name] gives the map of that name
+
+    @cached_property
+    def depth(self) -> DepthMap:
+        return self.rasters["depth"]
+
+    @cached_property
+    def coords(self) -> CoordMap:
+        return self.rasters["coords"]
+
+    @cached_property
+    def masks(self) -> MaskSet:
+        return self.rasters["masks"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,12 +274,10 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
         # base frame == world frame, so both pose entries coincide by design
         views.append(
             ViewRecord(
-                depth=depth,
-                coords=coords,
-                masks=masks,
                 intrinsics=intr,
                 pose_world=pose,
                 pose_robot=pose,
+                rasters={"depth": depth, "coords": coords, "masks": masks},
             )
         )
         kp2d.append(project(kp_cam, intr))
@@ -402,7 +432,7 @@ def save_bundle(path, bundle: SceneBundle):
 
 
 class _Metadata(dict):
-    """A meta.json object whose missing keys raise MissingMetadataError."""
+    """A bundle JSON object whose missing keys raise MissingMetadataError."""
 
     def __init__(self, path, items):
         super().__init__(items)
@@ -412,32 +442,64 @@ class _Metadata(dict):
         raise MissingMetadataError(f"{self.path}: missing key {key!r}")
 
 
+def _read_json(path):
+    """A bundle JSON file; any object in it names the file and key it lacks."""
+    try:
+        return json.loads(path.read_text(), object_hook=lambda d: _Metadata(path, d))
+    except FileNotFoundError:
+        raise MissingMetadataError(f"bundle metadata file missing: {path}") from None
+    except ValueError as exc:  # invalid JSON or text
+        raise MalformedMetadataError(f"{path}: not valid JSON: {exc}") from None
+
+
 def _check_shape(name, shape, expected):
     if shape != expected:
         raise ShapeMismatchError(f"{name}: shape {shape}, expected {expected}")
 
 
-def _read_shaped(path, expected) -> np.ndarray:
-    """A raster whose shape must be `expected` (HxW, or HxWxC for C > 1)."""
-    arr = read_raster(path)
-    _check_shape(path, arr.shape, expected)
-    return arr
+# raster file key -> channel axis of its shape (none for one channel)
+RASTER_CHANNELS = {"depth": (), "valid": (), "coords": (2,), "masks": (3,)}
+
+
+class _RasterFiles:
+    """A loaded view's depth, coords and masks, each read when looked up."""
+
+    def __init__(self, root: Path, files, grid: tuple):
+        self.root, self.files, self.grid = root, files, grid
+
+    def _read(self, key) -> np.ndarray:
+        path = self.root / self.files[key]
+        arr = read_raster(path)
+        _check_shape(path, arr.shape, self.grid + RASTER_CHANNELS[key])
+        return arr
+
+    def __getitem__(self, name):
+        if name == "depth":  # NaN or non-positive depths are holes, not errors
+            return DepthMap(self._read("depth"), self._read("valid").astype(bool))
+        arr = self._read(name)
+        try:
+            return CoordMap(arr) if name == "coords" else MaskSet.from_stacked(arr)
+        except ValueError as exc:
+            raise PayloadValueError(f"{self.root / self.files[name]}: {exc}") from None
 
 
 def load_bundle(path) -> SceneBundle:
-    """Read a bundle, checking its metadata keys and every raster and keypoint shape."""
+    """Read a bundle's metadata, checking its keys and every raster and keypoint shape.
+
+    Raster payloads are read on first access of a view's depth, coords or
+    masks (see the module docstring).
+    """
     path = Path(path)
     meta_path = path / META_NAME
-    if not meta_path.exists():
-        raise MissingMetadataError(f"bundle metadata file missing: {meta_path}")
-    meta = json.loads(meta_path.read_text(), object_hook=lambda d: _Metadata(meta_path, d))
+    meta = _read_json(meta_path)
     version = meta.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(
             f"{meta_path}: format version {version}, supported {FORMAT_VERSION}"
         )
 
-    chain, kp_spec = load_chain(path / meta["chain_file"])
+    chain_path = path / meta["chain_file"]
+    chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
     joint_state = np.array(meta["joint_state"], dtype=float)
     spec = _spec_from_dict(meta["scene"], chain, kp_spec, joint_state)
 
@@ -447,18 +509,15 @@ def load_bundle(path) -> SceneBundle:
         ki = entry["intrinsics"]
         intrinsics = Intrinsics(**{f.name: ki[f.name] for f in fields(Intrinsics)})
         grid = (intrinsics.height, intrinsics.width)
-        rasters = {
-            key: _read_shaped(path / files[key], grid + channels)
-            for key, channels in (("depth", ()), ("valid", ()), ("coords", (2,)), ("masks", (3,)))
-        }
+        for key, channels in RASTER_CHANNELS.items():
+            raster = path / files[key]
+            _check_shape(raster, raster_shape(raster), grid + channels)
         views.append(
             ViewRecord(
-                depth=DepthMap(rasters["depth"], rasters["valid"].astype(bool)),
-                coords=CoordMap(rasters["coords"]),
-                masks=MaskSet.from_stacked(rasters["masks"]),
                 intrinsics=intrinsics,
                 pose_world=RigidTransform.from_matrix(np.array(entry["pose_world"])),
                 pose_robot=RigidTransform.from_matrix(np.array(entry["pose_robot"])),
+                rasters=_RasterFiles(path, files, grid),
             )
         )
 

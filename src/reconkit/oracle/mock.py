@@ -6,6 +6,14 @@ independent of the sigma values and then scaled, so for a fixed seed the
 injected error is monotone in each sigma; components with sigma = 0 skip
 perturbation entirely and are bit-exact ground truth.
 
+A Prediction pays only for what its caller reads.  The normal draws are
+made up front, since later draws depend on how many outputs they consumed;
+their shapes come from each view's intrinsics, so no raster is read.  Each
+view's mask-flip uniforms (one generator output per double) are skipped by
+advancing the generator and replayed from a saved state when that view's
+masks are first read.  A view's depth, coords and masks are perturbed and
+validated on first access, each reading only its own bundle rasters.
+
 Heatmaps are synthesized as Gaussian bumps at the true 2D keypoints (the
 predicted bumps widen by the blur sigma).  Predicted and ground-truth
 keypoint coordinates are both decoded from their heatmaps with the same
@@ -17,8 +25,10 @@ builds it on first access and callers that never read it never pay for it.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,13 +57,35 @@ class NoiseModel:
             raise ValueError(f"noise parameter mask_flip_rate is a probability, got {self.mask_flip_rate}")
 
 
+_UNBUILT = object()
+
+
+class LazyViews(Sequence):
+    """Per-view entries, each built by its zero-argument builder on first access."""
+
+    def __init__(self, builders):
+        self._builders = list(builders)
+        self._entries = [_UNBUILT] * len(self._builders)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, i):
+        i = operator.index(i)  # an integer, not a slice
+        entry = self._entries[i]
+        if entry is _UNBUILT:
+            entry = self._entries[i] = self._builders[i]()
+            self._builders[i] = None  # frees the draws the builder held
+        return entry
+
+
 @dataclass(frozen=True, eq=False)
 class Prediction:
     """Everything the network head stack would emit for one scene."""
 
-    depths: tuple
-    coords: tuple
-    masks: tuple
+    depths: LazyViews
+    coords: LazyViews
+    masks: LazyViews
     rel_poses: tuple  # per view, view j -> view 0 (first entry identity)
     similarity: Similarity
     true_keypoints_2d: np.ndarray  # per view, (N_kp, 2) heatmap bump centers
@@ -102,34 +134,50 @@ def _perturb_pose(pose: RigidTransform, t_sigma, r_sigma, rng) -> RigidTransform
     return RigidTransform(rot, t)
 
 
+def _noisy_depth(view, sigma, eps) -> DepthMap:
+    if sigma == 0:
+        return view.depth
+    dv = view.depth.values + sigma * eps
+    return DepthMap(np.where(view.depth.valid, dv, 0.0), view.depth.valid)
+
+
+def _noisy_coords(view, sigma, eps) -> CoordMap:
+    if sigma == 0:
+        return view.coords
+    return CoordMap(view.coords.values + sigma * eps)
+
+
+def _flipped_masks(view, rate, state) -> MaskSet:
+    """view.masks with each part plane flipped where a replayed uniform is < rate."""
+    if rate == 0:
+        return view.masks
+    replay = np.random.Generator(np.random.PCG64())
+    replay.bit_generator.state = state
+    flip = replay.random(view.masks.shape + (3,)) < rate
+    planes = (getattr(view.masks, part) for part in PART_NAMES)
+    return MaskSet(*(np.where(flip[:, :, i], 1.0 - m, m) for i, m in enumerate(planes)))
+
+
 def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Prediction:
     """Deterministic prediction set for a bundle: pure in (bundle, noise, seed)."""
     rng = np.random.default_rng(np.random.SeedSequence([0x30C4, int(seed), bundle.seed]))
     spec = bundle.spec
 
-    depths, coords, masks = [], [], []
+    depths, coords, masks = [], [], []  # per view, the builders of its entries
     for view in bundle.views:
-        eps_d = rng.standard_normal(view.depth.values.shape)
-        eps_c = rng.standard_normal(view.coords.values.shape)
-        flips = rng.random(view.masks.shape + (3,))
-
-        if noise.depth_sigma > 0:
-            dv = view.depth.values + noise.depth_sigma * eps_d
-            depths.append(DepthMap(np.where(view.depth.valid, dv, 0.0), view.depth.valid))
-        else:
-            depths.append(view.depth)
-        if noise.coord_sigma > 0:
-            coords.append(CoordMap(view.coords.values + noise.coord_sigma * eps_c))
-        else:
-            coords.append(view.coords)
-        if noise.mask_flip_rate > 0:
-            flip = flips < noise.mask_flip_rate
-            planes = (getattr(view.masks, part) for part in PART_NAMES)
-            masks.append(
-                MaskSet(*(np.where(flip[:, :, k], 1.0 - m, m) for k, m in enumerate(planes)))
-            )
-        else:
-            masks.append(view.masks)
+        grid = (view.intrinsics.height, view.intrinsics.width)
+        eps_d = rng.standard_normal(grid)
+        eps_c = rng.standard_normal(grid + (2,))
+        flip_state = rng.bit_generator.state
+        rng.bit_generator.advance(grid[0] * grid[1] * 3)  # the flip uniforms
+        # a draw whose sigma is 0 is made for the stream's sake only; drop it
+        if noise.depth_sigma == 0:
+            eps_d = None
+        if noise.coord_sigma == 0:
+            eps_c = None
+        depths.append(partial(_noisy_depth, view, noise.depth_sigma, eps_d))
+        coords.append(partial(_noisy_coords, view, noise.coord_sigma, eps_c))
+        masks.append(partial(_flipped_masks, view, noise.mask_flip_rate, flip_state))
 
     rel_poses = [RigidTransform.identity()]
     for view in bundle.views[1:]:
@@ -148,9 +196,9 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
     similarity = Similarity(scale, sim_rigid)
 
     return Prediction(
-        depths=tuple(depths),
-        coords=tuple(coords),
-        masks=tuple(masks),
+        depths=LazyViews(depths),
+        coords=LazyViews(coords),
+        masks=LazyViews(masks),
         rel_poses=tuple(rel_poses),
         similarity=similarity,
         true_keypoints_2d=bundle.keypoints_2d,
@@ -166,8 +214,3 @@ def ground_truth_heatmaps(bundle: SceneBundle) -> list[np.ndarray]:
         synthesize_heatmaps(bundle.keypoints_2d[i], spec.width, spec.height, spec.heatmap_sigma)
         for i in range(len(bundle.views))
     ]
-
-
-def ground_truth_keypoints(bundle: SceneBundle) -> list[np.ndarray]:
-    """Soft-argmax decodes of the ground-truth heatmaps (loss supervision)."""
-    return [soft_argmax(hm) for hm in ground_truth_heatmaps(bundle)]

@@ -59,6 +59,37 @@ def write_raster(path, array: np.ndarray):
         f.write(payload.data)
 
 
+def _check_header(f, path) -> tuple[tuple, np.dtype]:
+    """(shape, dtype) of an open raster after checking its header and file size."""
+    size = os.fstat(f.fileno()).st_size
+    header = f.read(HEADER.size)
+    if len(header) < HEADER.size:
+        raise TruncatedRasterError(
+            f"{path}: truncated header, got {len(header)} of {HEADER.size} bytes"
+        )
+    magic, h, w, c, tag = HEADER.unpack(header)
+    if magic != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    if tag not in DTYPE_TAGS:
+        raise UnknownDtypeError(f"{path}: unknown dtype tag {tag}")
+    dtype = DTYPE_TAGS[tag]
+    expected = HEADER.size + h * w * c * dtype.itemsize
+    if size != expected:
+        raise TruncatedRasterError(
+            f"{path}: truncated raster at byte {size}, expected {expected} bytes"
+        )
+    return ((h, w) if c == 1 else (h, w, c)), dtype
+
+
+def raster_shape(path) -> tuple:
+    """Shape read_raster would return, after the same header and size checks.
+
+    The payload is not read.
+    """
+    with open(path, "rb") as f:
+        return _check_header(f, path)[0]
+
+
 def read_raster(path) -> np.ndarray:
     """Read a raster; returns HxW for single-channel files, else HxWxC.
 
@@ -66,27 +97,12 @@ def read_raster(path) -> np.ndarray:
     read straight into the returned (owning, C-contiguous) array.
     """
     with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        header = f.read(HEADER.size)
-        if len(header) < HEADER.size:
-            raise TruncatedRasterError(
-                f"{path}: truncated header, got {len(header)} of {HEADER.size} bytes"
-            )
-        magic, h, w, c, tag = HEADER.unpack(header)
-        if magic != MAGIC:
-            raise BadMagicError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if tag not in DTYPE_TAGS:
-            raise UnknownDtypeError(f"{path}: unknown dtype tag {tag}")
-        dtype = DTYPE_TAGS[tag]
-        expected = HEADER.size + h * w * c * dtype.itemsize
-        if size != expected:
-            raise TruncatedRasterError(
-                f"{path}: truncated raster at byte {size}, expected {expected} bytes"
-            )
-        arr = np.empty((h, w) if c == 1 else (h, w, c), dtype=dtype)
+        shape, dtype = _check_header(f, path)
+        arr = np.empty(shape, dtype=dtype)
         got = f.readinto(arr)
     if got != arr.nbytes:
         raise TruncatedRasterError(
-            f"{path}: truncated raster at byte {HEADER.size + got}, expected {expected} bytes"
+            f"{path}: truncated raster at byte {HEADER.size + got}, "
+            f"expected {HEADER.size + arr.nbytes} bytes"
         )
     return arr

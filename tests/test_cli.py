@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from reconkit import cli
 from reconkit.cli import main
 from reconkit.losses import NonDifferentiableError
 from reconkit.oracle.bundle import random_scene_spec
-from reconkit.oracle.raster import read_raster
+from reconkit.oracle.raster import read_raster, write_raster
 from reconkit.pipeline import RunConfig
 
 
@@ -308,6 +309,69 @@ class TestInputChecks:
                    "--config", str(cfg)])
         assert rc == 2
         assert "1.5" in self.assert_flag_error(capsys, "compose-points", "--threshold")
+
+    # damage -> what the error names; the last two are found only when the
+    # payload is read, after load_bundle has returned
+    BUNDLE_DAMAGE = {
+        "missing": "meta.json",
+        "width": "view_0_depth.r3rb: shape (72, 96), expected (72, 100)",
+        "nan_coords": "view_0_coords.r3rb: coord map contains non-finite entries",
+        "mask_range": "view_0_masks.r3rb: background mask has entries outside [0, 1]",
+    }
+
+    @staticmethod
+    def damaged_bundle(bundle_tree, tmp_path, damage) -> Path:
+        scene = tmp_path / "scene"
+        if damage == "missing":
+            return scene
+        shutil.copytree(bundle_tree / "scene_00000", scene)
+        if damage == "width":
+            meta = json.loads((scene / "meta.json").read_text())
+            meta["views"][0]["intrinsics"]["width"] = 100
+            (scene / "meta.json").write_text(json.dumps(meta))
+        else:
+            name, index, value = {
+                "nan_coords": ("view_0_coords.r3rb", (3, 4, 1), float("nan")),
+                "mask_range": ("view_0_masks.r3rb", (5, 6, 2), 1.5),
+            }[damage]
+            arr = read_raster(scene / name)
+            arr[index] = value
+            write_raster(scene / name, arr)
+        return scene
+
+    @pytest.mark.parametrize(
+        "command,damage",
+        [("solve-pnp", "missing"), ("solve-pnp", "width"), ("compose-points", "missing"),
+         ("compose-points", "width"), ("compose-points", "nan_coords"),
+         ("compose-points", "mask_range")],
+    )
+    def test_bad_bundle(self, bundle_tree, tmp_path, capsys, command, damage):
+        scene = self.damaged_bundle(bundle_tree, tmp_path, damage)
+        out = tmp_path / "out"
+        rc = main([command, "--bundle", str(scene), "--out", str(out)])
+        assert rc == 2
+        assert self.BUNDLE_DAMAGE[damage] in self.assert_flag_error(capsys, command, "--bundle")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "No such file"), (b'{"seed": 1', "Expecting ',' delimiter"),
+         (b"", "Expecting value"), (b"\xff{}", "can't decode byte 0xff")],
+    )
+    @pytest.mark.parametrize("command", ["eval-pose", "compose-points"])
+    def test_unreadable_config(self, bundle_tree, tmp_path, capsys, monkeypatch, command,
+                               content, message):
+        monkeypatch.setattr(cli, "load_bundle", _must_not_run)
+        monkeypatch.setattr(cli, "run_eval", _must_not_run)
+        cfg = tmp_path / "cfg.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        target = ["--bundle", str(bundle_tree / "scene_00000")] if command == "compose-points" \
+            else ["--bundles", str(bundle_tree)]
+        rc = main([command, *target, "--config", str(cfg)])
+        assert rc == 2
+        err = self.assert_flag_error(capsys, command, "--config")
+        assert str(cfg) in err and message in err
 
 
 class TestReportBytes:

@@ -1,17 +1,24 @@
 """Scene oracle: camera sampling, ray casting, bundles, mock predictor."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reconkit.camera import Intrinsics, coords_from_intrinsics, project, unproject
+from reconkit.camera import CoordMap, DepthMap, Intrinsics, coords_from_intrinsics, project, unproject
 from reconkit.losses import point_loss
-from reconkit.masks import binarize
+from reconkit.masks import PART_NAMES, MaskSet, binarize
+from reconkit.oracle import bundle as bundle_module
+from reconkit.oracle import mock as mock_module
 from reconkit.oracle.bundle import (
+    MalformedMetadataError,
     MissingMetadataError,
+    PayloadValueError,
     SceneBundle,
     ShapeMismatchError,
     VersionMismatchError,
@@ -25,8 +32,8 @@ from reconkit.oracle.bundle import (
 )
 from reconkit.oracle.mock import (
     NoiseModel,
+    _perturb_pose,
     ground_truth_heatmaps,
-    ground_truth_keypoints,
     mock_predict,
     synthesize_heatmaps,
 )
@@ -56,6 +63,7 @@ from reconkit.oracle.scene import (
 from reconkit.pnp import soft_argmax
 from reconkit.transforms import (
     RigidTransform,
+    Similarity,
     register_views,
     relative_pose,
     to_canonical,
@@ -437,7 +445,7 @@ class TestMockPredict:
 
     def test_heatmaps_peak_at_keypoints(self, small_bundle):
         gt_hm = ground_truth_heatmaps(small_bundle)
-        gt_kp = ground_truth_keypoints(small_bundle)
+        gt_kp = [soft_argmax(hm) for hm in gt_hm]
         for hm, kp, stored in zip(gt_hm, gt_kp, small_bundle.keypoints_2d):
             in_image = (
                 (stored[:, 0] > 8)
@@ -626,3 +634,280 @@ class TestBundleIO:
     def test_unknown_dtype_rejected(self, tmp_path):
         with pytest.raises(UnknownDtypeError):
             write_raster(tmp_path / "x.r3rb", np.ones((2, 2), dtype=np.int64))
+
+
+@pytest.fixture(scope="module")
+def tiny_saved(tmp_path_factory):
+    """A saved binocular 32x24 bundle."""
+    path = tmp_path_factory.mktemp("tiny") / "scene"
+    save_bundle(path, generate_scene(random_scene_spec(seed=7, views=2, width=32, height=24), 7))
+    return path
+
+
+def key_paths(obj, prefix=()):
+    """Every key of a parsed JSON document, as a path of keys and list indices."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from key_paths(value, prefix + (i,))
+
+
+def load_edited(saved: Path, name: str, text: str):
+    """load_bundle of a copy of `saved` whose file `name` holds `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scene = Path(tmp)
+        for f in saved.iterdir():
+            (scene / f.name).symlink_to(f)
+        (scene / name).unlink()
+        (scene / name).write_text(text)
+        return load_bundle(scene)
+
+
+class TestBundleJSONErrors:
+    """Every malformed meta.json or chain.json fails at load, naming the file."""
+
+    OPTIONAL_CHAIN_KEYS = {"name", "limits"}
+
+    @staticmethod
+    def chain(saved):
+        return json.loads((saved / "chain.json").read_text())
+
+    @pytest.mark.parametrize("key", ["joints", "keypoints"])
+    def test_chain_top_level_key_named(self, tiny_saved, key):
+        chain = self.chain(tiny_saved)
+        del chain[key]
+        with pytest.raises(MissingMetadataError, match=rf"chain\.json: missing key '{key}'"):
+            load_edited(tiny_saved, "chain.json", json.dumps(chain))
+
+    @pytest.mark.parametrize("name", ["meta.json", "chain.json"])
+    def test_invalid_json_named(self, tiny_saved, name):
+        with pytest.raises(MalformedMetadataError, match=rf"{name}: not valid JSON"):
+            load_edited(tiny_saved, name, "{")
+
+    def test_missing_chain_file(self, small_bundle, tmp_path):
+        save_bundle(tmp_path / "s", small_bundle)
+        (tmp_path / "s" / "chain.json").unlink()
+        with pytest.raises(MissingMetadataError, match=r"missing: .*chain\.json"):
+            load_bundle(tmp_path / "s")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_chain_key_dropped(self, tiny_saved, data):
+        chain = self.chain(tiny_saved)
+        path = data.draw(st.sampled_from(sorted(key_paths(chain), key=str)))
+        parent = chain
+        for key in path[:-1]:
+            parent = parent[key]
+        del parent[path[-1]]
+        if path[-1] in self.OPTIONAL_CHAIN_KEYS:
+            load_edited(tiny_saved, "chain.json", json.dumps(chain))
+            return
+        with pytest.raises(MissingMetadataError, match=rf"chain\.json: missing key '{path[-1]}'"):
+            load_edited(tiny_saved, "chain.json", json.dumps(chain))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["meta.json", "chain.json"]))
+    def test_json_truncated_at_any_byte(self, tiny_saved, data, name):
+        text = (tiny_saved / name).read_text()
+        cut = data.draw(st.integers(0, len(text) - 1))
+        with pytest.raises(MalformedMetadataError, match=rf"{name}: not valid JSON"):
+            load_edited(tiny_saved, name, text[:cut])
+
+
+class TestLazyPayloads:
+    """Raster payloads are read, and maps built, only when a caller reads them."""
+
+    NOISE = NoiseModel(depth_sigma=0.002, coord_sigma=0.0005, translation_sigma=0.01,
+                       rotation_sigma=0.005, scale_sigma=0.01, mask_flip_rate=0.05)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Raster files read, maps built and flip replays made, counted at their bindings."""
+        counts = {"reads": [], "DepthMap": 0, "CoordMap": 0, "MaskSet": 0, "flips": 0}
+        read_raster_ = bundle_module.read_raster
+
+        def read(path):
+            counts["reads"].append(Path(path).name)
+            return read_raster_(path)
+
+        monkeypatch.setattr(bundle_module, "read_raster", read)
+        for cls in (DepthMap, CoordMap, MaskSet):
+            def post_init(self, _original=cls.__post_init__, _name=cls.__name__):
+                counts[_name] += 1
+                _original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+        flipped = mock_module._flipped_masks
+
+        def flips(view, rate, state):
+            counts["flips"] += 1
+            return flipped(view, rate, state)
+
+        monkeypatch.setattr(mock_module, "_flipped_masks", flips)
+        return counts
+
+    @pytest.fixture
+    def saved(self, small_bundle, tmp_path):
+        save_bundle(tmp_path / "scene", small_bundle)
+        return tmp_path / "scene"
+
+    def test_pose_scene_reads_no_payload(self, saved, counts):
+        from reconkit.pipeline import RunConfig, evaluate_pose_scene
+
+        evaluate_pose_scene(load_bundle(saved), self.NOISE, 1, RunConfig(noise=self.NOISE))
+        assert counts == {"reads": [], "DepthMap": 0, "CoordMap": 0, "MaskSet": 0, "flips": 0}
+
+    def test_pointmap_scene_reads_no_masks(self, saved, counts):
+        from reconkit.pipeline import evaluate_pointmap_scene
+
+        evaluate_pointmap_scene(load_bundle(saved), self.NOISE, 1)
+        assert sorted(counts["reads"]) == sorted(
+            f"view_{i}_{key}.r3rb" for i in range(2) for key in ("depth", "valid", "coords")
+        )
+        assert (counts["MaskSet"], counts["flips"]) == (0, 0)
+
+    @pytest.mark.parametrize("view", [0, 1])
+    def test_compose_points_reads_its_view_only(self, saved, tmp_path, counts, view):
+        from reconkit.cli import main
+
+        assert main(["compose-points", "--bundle", str(saved), "--view", str(view),
+                     "--noise-mask-flip", "0.05", "--out", str(tmp_path / "out")]) == 0
+        assert sorted(counts["reads"]) == sorted(
+            f"view_{view}_{key}.r3rb" for key in ("depth", "valid", "coords", "masks")
+        )
+        assert counts["flips"] == 1
+
+    def test_first_access_cached(self, saved, counts):
+        b = load_bundle(saved)
+        pred = mock_predict(b, self.NOISE, seed=2)
+        assert pred.masks[1] is pred.masks[1] and b.views[1].masks is b.views[1].masks
+        assert counts["reads"] == ["view_1_masks.r3rb"]
+        assert (counts["MaskSet"], counts["flips"]) == (2, 1)  # the stored set, then the flipped one
+
+    @pytest.mark.parametrize(
+        "corrupt,error",
+        [
+            (lambda data: b"XXXX" + data[4:], BadMagicError),
+            (lambda data: data[:16] + (9).to_bytes(4, "little") + data[20:], UnknownDtypeError),
+            (lambda data: data[:-1], TruncatedRasterError),
+            (lambda data: data + b"\0", TruncatedRasterError),
+            (lambda data: data[:10], TruncatedRasterError),
+        ],
+    )
+    def test_header_errors_fire_at_load(self, saved, counts, corrupt, error):
+        target = saved / "view_1_masks.r3rb"
+        target.write_bytes(corrupt(target.read_bytes()))
+        with pytest.raises(error, match="view_1_masks.r3rb"):
+            load_bundle(saved)
+        assert counts["reads"] == []
+
+    def test_nan_coords_fail_only_readers(self, small_bundle, tmp_path):
+        from reconkit.cli import main
+
+        tree = tmp_path / "tree"
+        save_bundle(tree / "scene_00000", small_bundle)
+        coords = tree / "scene_00000" / "view_1_coords.r3rb"
+        arr = read_raster(coords)
+        arr[10, 20, 0] = np.nan
+        write_raster(coords, arr)
+        with pytest.raises(PayloadValueError, match="view_1_coords.r3rb: coord map contains non-finite"):
+            load_bundle(tree / "scene_00000").views[1].coords
+
+        out = tmp_path / "pointmap.json"
+        assert main(["eval-pointmap", "--bundles", str(tree), "--workers", "1", "--out", str(out)]) == 1
+        [failure] = json.loads(out.read_text())["failures"]
+        assert failure["error"].startswith("PayloadValueError: ")
+        assert "view_1_coords.r3rb" in failure["error"]
+
+        out = tmp_path / "pose.json"
+        assert main(["eval-pose", "--bundles", str(tree), "--workers", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["failures"] == [] and len(report["scenes"]) == 1
+
+
+def eager_mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int):
+    """mock_predict's depths, coords, masks, relative poses and similarity,
+    drawn and perturbed eagerly, view by view, as the predictor once did."""
+    rng = np.random.default_rng(np.random.SeedSequence([0x30C4, int(seed), bundle.seed]))
+    depths, coords, masks = [], [], []
+    for view in bundle.views:
+        eps_d = rng.standard_normal(view.depth.values.shape)
+        eps_c = rng.standard_normal(view.coords.values.shape)
+        flips = rng.random(view.masks.shape + (3,))
+        if noise.depth_sigma > 0:
+            dv = view.depth.values + noise.depth_sigma * eps_d
+            depths.append(DepthMap(np.where(view.depth.valid, dv, 0.0), view.depth.valid))
+        else:
+            depths.append(view.depth)
+        if noise.coord_sigma > 0:
+            coords.append(CoordMap(view.coords.values + noise.coord_sigma * eps_c))
+        else:
+            coords.append(view.coords)
+        if noise.mask_flip_rate > 0:
+            flip = flips < noise.mask_flip_rate
+            planes = (getattr(view.masks, part) for part in PART_NAMES)
+            masks.append(
+                MaskSet(*(np.where(flip[:, :, k], 1.0 - m, m) for k, m in enumerate(planes)))
+            )
+        else:
+            masks.append(view.masks)
+    rel_poses = [RigidTransform.identity()]
+    for view in bundle.views[1:]:
+        rel = relative_pose(bundle.views[0].pose_world, view.pose_world)
+        rel_poses.append(_perturb_pose(rel, noise.translation_sigma, noise.rotation_sigma, rng))
+    sim_rigid = _perturb_pose(
+        bundle.similarity.rigid, noise.translation_sigma, noise.rotation_sigma, rng
+    )
+    scale_eps = rng.standard_normal()
+    scale = bundle.similarity.scale
+    if noise.scale_sigma > 0:
+        scale = scale * float(np.exp(noise.scale_sigma * scale_eps))
+    return depths, coords, masks, rel_poses, Similarity(scale, sim_rigid)
+
+
+@pytest.fixture(scope="module")
+def replay_bundles():
+    """A monocular and a binocular 40x30 scene."""
+    return {
+        views: generate_scene(random_scene_spec(seed=views, views=views, width=40, height=30), views)
+        for views in (1, 2)
+    }
+
+
+def zero_or_up_to(high):
+    return st.one_of(st.just(0.0), st.floats(1e-4, high))
+
+
+class TestLazyMatchesEager:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        views=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.builds(
+            NoiseModel, depth_sigma=zero_or_up_to(0.05), coord_sigma=zero_or_up_to(0.01),
+            translation_sigma=zero_or_up_to(0.05), rotation_sigma=zero_or_up_to(0.05),
+            scale_sigma=zero_or_up_to(0.1), mask_flip_rate=zero_or_up_to(1.0),
+        ),
+        data=st.data(),
+    )
+    def test_bit_identical(self, replay_bundles, views, seed, noise, data):
+        bundle = replay_bundles[views]
+        pred = mock_predict(bundle, noise, seed)
+        depths, coords, masks, rel_poses, similarity = eager_mock_predict(bundle, noise, seed)
+        # masks first, in any view order, so no replay can lean on an earlier read
+        for i in data.draw(st.permutations(range(views))):
+            assert pred.masks[i].stacked().tobytes() == masks[i].stacked().tobytes()
+        assert len(pred.depths) == len(pred.coords) == len(pred.masks) == views
+        for got, want in zip(pred.depths, depths):
+            assert got.values.tobytes() == want.values.tobytes()
+            assert got.valid.tobytes() == want.valid.tobytes()
+        for got, want in zip(pred.coords, coords):
+            assert got.values.tobytes() == want.values.tobytes()
+        for got, want in zip(pred.rel_poses, rel_poses):
+            assert got.matrix().tobytes() == want.matrix().tobytes()
+        assert pred.similarity.scale == similarity.scale
+        assert pred.similarity.rigid.matrix().tobytes() == similarity.rigid.matrix().tobytes()
+
