@@ -23,10 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateCoordMapError(ValueError):
-    """Raised when intrinsics cannot be recovered from a coord map."""
-
-
 @dataclass(frozen=True, eq=False)
 class Intrinsics:
     fx: float
@@ -44,11 +40,6 @@ class Intrinsics:
                 f"principal point ({self.cx}, {self.cy}) outside image "
                 f"{self.width}x{self.height}"
             )
-
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,35 +156,3 @@ def project(point, k: Intrinsics) -> np.ndarray:
     uv[..., 0] = k.fx * p[..., 0] / z + k.cx
     uv[..., 1] = k.fy * p[..., 1] / z + k.cy
     return uv
-
-
-def intrinsics_from_coords(coords: CoordMap) -> Intrinsics:
-    """Least-squares recovery of fx, fy, cx, cy from a coord map.
-
-    The model x = (u - cx)/fx is linear in (a, b) = (1/fx, cx/fx), so the
-    exact minimizer of the squared coord discrepancy is a 1D regression of
-    the map's x channel on the pixel column index (and y on the row index).
-    """
-    h, w = coords.shape
-    if h < 2 or w < 2:
-        raise ValueError(f"need at least a 2x2 image, got {h}x{w}")
-    u = np.broadcast_to(np.arange(w, dtype=float)[None, :], (h, w)).ravel()
-    v = np.broadcast_to(np.arange(h, dtype=float)[:, None], (h, w)).ravel()
-    x = coords.values[:, :, 0].ravel()
-    y = coords.values[:, :, 1].ravel()
-
-    def fit(pix, val):
-        pm, vm = pix.mean(), val.mean()
-        var = np.mean((pix - pm) ** 2)
-        slope = np.mean((pix - pm) * (val - vm)) / var
-        if not np.isfinite(slope) or slope <= 0:
-            raise DegenerateCoordMapError(
-                "coord map is degenerate (no recoverable focal length)"
-            )
-        focal = 1.0 / slope
-        center = pm - vm * focal
-        return focal, center
-
-    fx, cx = fit(u, x)
-    fy, cy = fit(v, y)
-    return Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=w, height=h)

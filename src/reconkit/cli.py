@@ -140,6 +140,17 @@ def _config_value(key: str, value, flag_type):
     return value
 
 
+def _json_object(flag: str, path: str) -> dict:
+    """The JSON object in the file a flag names, or a FlagError naming the flag and file."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # a missing or unreadable file, invalid JSON
+        raise FlagError(f"--{flag}: {path}: {exc}") from None
+    if not isinstance(value, dict):
+        raise FlagError(f"--{flag}: {path}: must hold a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """config file > flags > defaults."""
     merged = dict(defaults)
@@ -148,13 +159,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         if flag is not None:
             merged[key] = flag
     if getattr(args, "config", None):
-        try:
-            file_cfg = json.loads(Path(args.config).read_text())
-        except (OSError, ValueError) as exc:  # a missing or unreadable file, invalid JSON
-            raise FlagError(f"--config: {args.config}: {exc}") from None
-        if not isinstance(file_cfg, dict):
-            raise FlagError(f"--config: {args.config} must hold a JSON object, got {type(file_cfg).__name__}")
-        for key, value in file_cfg.items():
+        for key, value in _json_object("config", args.config).items():
             if key not in merged:
                 raise SystemExit(f"unknown config key {key!r}")
             merged[key] = _config_value(key, value, args.flag_types[key])
@@ -166,9 +171,13 @@ def _noise_from(merged: dict) -> NoiseModel:
 
 
 def _weights_from(merged: dict) -> LossWeights:
-    if merged.get("weights_file"):
-        return LossWeights.from_dict(json.loads(Path(merged["weights_file"]).read_text()))
-    return LossWeights()
+    path = merged["weights_file"]
+    if not path:
+        return LossWeights()
+    try:
+        return LossWeights(**_json_object("weights-file", path))
+    except (TypeError, ValueError) as exc:  # an unknown key, a non-number or non-positive value
+        raise FlagError(f"--weights-file: {path}: {exc}") from None
 
 
 def _eval_config(merged: dict) -> RunConfig:

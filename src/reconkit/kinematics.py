@@ -141,11 +141,6 @@ def keypoints_3d(chain: KinematicChain, state, spec: KeypointSpec) -> np.ndarray
     return out
 
 
-def load_chain(path) -> tuple[KinematicChain, KeypointSpec]:
-    path = Path(path)
-    return chain_from_dict(json.loads(path.read_text()), path.stem)
-
-
 def chain_from_dict(data: dict, default_name: str) -> tuple[KinematicChain, KeypointSpec]:
     """Chain and keypoint spec of a parsed chain file.
 

@@ -53,10 +53,6 @@ class LossWeights:
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"loss weight {name} must be positive, got {value}")
 
-    @staticmethod
-    def from_dict(d: dict) -> "LossWeights":
-        return LossWeights(**d)
-
 
 @dataclass(frozen=True, eq=False)
 class NormalMap:
@@ -248,33 +244,6 @@ def keypoint_loss(pred_hm, gt_hm, pred_kp, gt_kp, gamma: float = 1.0) -> float:
     if pk.shape != gk.shape:
         raise ValueError(f"keypoint shapes differ: {pk.shape} vs {gk.shape}")
     return float(gamma * np.abs(ph - gh).mean() + np.abs(pk - gk).mean())
-
-
-def total_loss(
-    pred_points: PointMap,
-    gt_points: PointMap,
-    pred_masks: MaskSet,
-    gt_masks: MaskSet,
-    pred_rel: RigidTransform,
-    gt_rel: RigidTransform,
-    pred_sim: Similarity,
-    gt_sim: Similarity,
-    pred_hm,
-    gt_hm,
-    pred_kp,
-    gt_kp,
-    weights: LossWeights = LossWeights(),
-) -> tuple[float, dict]:
-    """Weighted sum of all six objectives plus the per-term breakdown."""
-    terms = {
-        "point": point_loss(pred_points, gt_points),
-        "normal": normal_loss(pred_points, gt_points),
-        "mask": mask_loss(pred_masks, gt_masks),
-        "relative_pose": relative_pose_loss(pred_rel, gt_rel, weights.alpha),
-        "similarity": st_loss(pred_sim, gt_sim, weights.beta1, weights.beta2),
-        "keypoint": keypoint_loss(pred_hm, gt_hm, pred_kp, gt_kp, weights.gamma),
-    }
-    return weighted_total(terms, weights), terms
 
 
 def weighted_total(terms: dict, weights: LossWeights) -> float:

@@ -1,73 +1,1 @@
 """Procedural ground-truth scene oracle: rendering, bundles, mock predictor."""
-
-from .bundle import (
-    BundleError,
-    MissingMetadataError,
-    SceneBundle,
-    VersionMismatchError,
-    ViewRecord,
-    default_chain,
-    generate_scene,
-    load_bundle,
-    random_scene_spec,
-    save_bundle,
-    validate_bundle,
-)
-from .mock import (
-    NoiseModel,
-    Prediction,
-    ground_truth_heatmaps,
-    mock_predict,
-    synthesize_heatmaps,
-)
-from .raster import (
-    BadMagicError,
-    RasterError,
-    TruncatedRasterError,
-    UnknownDtypeError,
-    read_raster,
-    write_raster,
-)
-from .scene import (
-    Box,
-    CameraRanges,
-    Capsule,
-    SceneSpec,
-    Sphere,
-    Table,
-    render,
-    sample_camera,
-)
-
-__all__ = [
-    "BadMagicError",
-    "Box",
-    "BundleError",
-    "CameraRanges",
-    "Capsule",
-    "MissingMetadataError",
-    "NoiseModel",
-    "Prediction",
-    "RasterError",
-    "SceneBundle",
-    "SceneSpec",
-    "Sphere",
-    "Table",
-    "TruncatedRasterError",
-    "UnknownDtypeError",
-    "VersionMismatchError",
-    "ViewRecord",
-    "default_chain",
-    "generate_scene",
-    "ground_truth_heatmaps",
-    "load_bundle",
-    "mock_predict",
-    "random_scene_spec",
-    "read_raster",
-    "render",
-    "sample_camera",
-    "save_bundle",
-    "synthesize_heatmaps",
-    "validate_bundle",
-    "write_raster",
-]

@@ -12,18 +12,19 @@ A bundle is one directory:
 
 save/load is a lossless bit-exact round trip.  load_bundle parses both JSON
 files and checks every raster's header, file size and shape up front, so a
-malformed file, a missing key or a wrong shape fails at load as a named
-BundleError or RasterError.  A view's depth, coords and masks are read, and
-their values checked, on first access only; a value their map type rejects
-(a non-finite coord, a mask outside [0, 1]) then fails as a
-PayloadValueError that names the raster file.  The robot base frame equals
-the world frame, so the bundle's similarity (camera 1 -> robot base, unit
-scale) canonicalizes registered camera-frame geometry onto the rendered
-world surfaces.
+missing or malformed file, a missing key, a value of the wrong type or form
+or a wrong shape fails at load as a named BundleError or RasterError.  A
+view's depth, coords and masks are read, and their values checked, on first
+access only; a value their map type rejects (a non-finite coord, a mask
+outside [0, 1]) then fails as a PayloadValueError that names the raster
+file.  The robot base frame equals the world frame, so the bundle's
+similarity (camera 1 -> robot base, unit scale) canonicalizes registered
+camera-frame geometry onto the rendered world surfaces.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -42,7 +43,7 @@ from ..kinematics import (
 )
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT, MaskSet
 from ..transforms import RigidTransform, Similarity
-from .raster import raster_shape, read_raster, write_raster
+from .raster import RasterError, raster_shape, read_raster, write_raster
 from .scene import (
     Box,
     CameraRanges,
@@ -76,7 +77,7 @@ class ShapeMismatchError(BundleError):
 
 
 class MalformedMetadataError(BundleError):
-    """A meta.json or chain.json that is not valid JSON."""
+    """A meta.json or chain.json that is not valid JSON or holds a value of the wrong form."""
 
 
 class PayloadValueError(BundleError):
@@ -452,6 +453,19 @@ def _read_json(path):
         raise MalformedMetadataError(f"{path}: not valid JSON: {exc}") from None
 
 
+@contextlib.contextmanager
+def _parsing(path):
+    """Errors while building a bundle from the JSON file at path, as BundleErrors."""
+    try:
+        yield
+    except (BundleError, RasterError):
+        raise
+    except OSError as exc:  # a file the JSON names is missing, a directory or unreadable
+        raise MissingMetadataError(f"{exc.filename}: {exc.strerror}") from None
+    except (TypeError, ValueError, OverflowError) as exc:  # a string for a number, a NaN pose
+        raise MalformedMetadataError(f"{path}: {exc}") from None
+
+
 def _check_shape(name, shape, expected):
     if shape != expected:
         raise ShapeMismatchError(f"{name}: shape {shape}, expected {expected}")
@@ -491,52 +505,56 @@ def load_bundle(path) -> SceneBundle:
     """
     path = Path(path)
     meta_path = path / META_NAME
-    meta = _read_json(meta_path)
-    version = meta.get("format_version")
-    if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"{meta_path}: format version {version}, supported {FORMAT_VERSION}"
-        )
-
-    chain_path = path / meta["chain_file"]
-    chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
-    joint_state = np.array(meta["joint_state"], dtype=float)
-    spec = _spec_from_dict(meta["scene"], chain, kp_spec, joint_state)
-
-    views = []
-    for entry in meta["views"]:
-        files = entry["files"]
-        ki = entry["intrinsics"]
-        intrinsics = Intrinsics(**{f.name: ki[f.name] for f in fields(Intrinsics)})
-        grid = (intrinsics.height, intrinsics.width)
-        for key, channels in RASTER_CHANNELS.items():
-            raster = path / files[key]
-            _check_shape(raster, raster_shape(raster), grid + channels)
-        views.append(
-            ViewRecord(
-                intrinsics=intrinsics,
-                pose_world=RigidTransform.from_matrix(np.array(entry["pose_world"])),
-                pose_robot=RigidTransform.from_matrix(np.array(entry["pose_robot"])),
-                rasters=_RasterFiles(path, files, grid),
+    with _parsing(meta_path):
+        meta = _read_json(meta_path)
+        version = meta.get("format_version")
+        if version != FORMAT_VERSION:
+            raise VersionMismatchError(
+                f"{meta_path}: format version {version}, supported {FORMAT_VERSION}"
             )
-        )
 
-    n_kp = len(kp_spec)
-    kp3d = np.array(meta["keypoints_3d"], dtype=float)
-    _check_shape(f"{meta_path}: keypoints_3d", kp3d.shape, (n_kp, 3))
-    kp2d = np.array(meta["keypoints_2d"], dtype=float)
-    _check_shape(f"{meta_path}: keypoints_2d", kp2d.shape, (len(views), n_kp, 2))
-    return SceneBundle(
-        views=tuple(views),
-        similarity=Similarity(
-            meta["similarity"]["scale"],
-            RigidTransform.from_matrix(np.array(meta["similarity"]["matrix"])),
-        ),
-        keypoints_3d=kp3d,
-        keypoints_2d=kp2d,
-        spec=spec,
-        seed=int(meta["seed"]),
-    )
+        chain_path = path / meta["chain_file"]
+        with _parsing(chain_path):
+            chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
+        joint_state = np.array(meta["joint_state"], dtype=float)
+        spec = _spec_from_dict(meta["scene"], chain, kp_spec, joint_state)
+
+        if not meta["views"]:
+            raise ValueError("no views")
+        views = []
+        for entry in meta["views"]:
+            files = entry["files"]
+            ki = entry["intrinsics"]
+            intrinsics = Intrinsics(**{f.name: ki[f.name] for f in fields(Intrinsics)})
+            grid = (intrinsics.height, intrinsics.width)
+            for key, channels in RASTER_CHANNELS.items():
+                raster = path / files[key]
+                _check_shape(raster, raster_shape(raster), grid + channels)
+            views.append(
+                ViewRecord(
+                    intrinsics=intrinsics,
+                    pose_world=RigidTransform.from_matrix(np.array(entry["pose_world"])),
+                    pose_robot=RigidTransform.from_matrix(np.array(entry["pose_robot"])),
+                    rasters=_RasterFiles(path, files, grid),
+                )
+            )
+
+        n_kp = len(kp_spec)
+        kp3d = np.array(meta["keypoints_3d"], dtype=float)
+        _check_shape(f"{meta_path}: keypoints_3d", kp3d.shape, (n_kp, 3))
+        kp2d = np.array(meta["keypoints_2d"], dtype=float)
+        _check_shape(f"{meta_path}: keypoints_2d", kp2d.shape, (len(views), n_kp, 2))
+        return SceneBundle(
+            views=tuple(views),
+            similarity=Similarity(
+                meta["similarity"]["scale"],
+                RigidTransform.from_matrix(np.array(meta["similarity"]["matrix"])),
+            ),
+            keypoints_3d=kp3d,
+            keypoints_2d=kp2d,
+            spec=spec,
+            seed=int(meta["seed"]),
+        )
 
 
 # ---------------------------------------------------------------------------

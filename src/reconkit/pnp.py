@@ -17,7 +17,6 @@ import numpy as np
 from .camera import Intrinsics, project
 from .transforms import (
     RigidTransform,
-    Similarity,
     orthogonalize_9d,
     rotation_about_axis,
     skew,
@@ -67,19 +66,6 @@ def soft_argmax(heatmap, temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray
         out[c, 0] = (weights.sum(axis=0) @ us) / total
         out[c, 1] = (weights.sum(axis=1) @ vs) / total
     return out
-
-
-def reprojection_error(points3d, pixels, k: Intrinsics, extrinsic: RigidTransform) -> float:
-    """Mean Euclidean pixel distance between projected points and observations."""
-    pts = np.asarray(points3d, dtype=float).reshape(-1, 3)
-    px = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    if pts.shape[0] != px.shape[0]:
-        raise ValueError(f"{pts.shape[0]} points vs {px.shape[0]} pixels")
-    cam = extrinsic.apply(pts)
-    if np.any(cam[:, 2] <= 0):
-        raise ValueError("point behind camera")
-    proj = project(cam, k)
-    return float(np.mean(np.linalg.norm(proj - px, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -297,12 +283,3 @@ def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:
     if best is None:
         raise NonConvergenceError("no initialization led to a converged solution")
     return best
-
-
-def refine_similarity(sim: Similarity, pnp_extrinsic: RigidTransform) -> Similarity:
-    """Replace the rigid part with the inverted PnP extrinsic; scale is kept.
-
-    The extrinsic maps robot base -> camera, so its inverse matches the
-    canonicalization direction (camera frame -> robot base).
-    """
-    return Similarity(sim.scale, pnp_extrinsic.inverse())

@@ -1,4 +1,4 @@
-"""Pinhole camera model: unprojection, projection, coord maps, recovery.
+"""Pinhole camera model: unprojection, projection, coord maps.
 
 Expected values are hand-computed from the conventions:
     coord(u, v) = ((u - cx)/fx, (v - cy)/fy)
@@ -11,11 +11,9 @@ import pytest
 
 from reconkit.camera import (
     CoordMap,
-    DegenerateCoordMapError,
     DepthMap,
     Intrinsics,
     coords_from_intrinsics,
-    intrinsics_from_coords,
     project,
     unproject,
 )
@@ -124,29 +122,6 @@ def test_unprojection_depth_homogeneity(vga_intrinsics, rng):
     pm1 = unproject(coords, DepthMap.from_values(base))
     pm2 = unproject(coords, DepthMap.from_values(lam * base))
     np.testing.assert_allclose(pm2.values, lam * pm1.values, rtol=1e-12)
-
-
-def test_intrinsics_recovery_exact(vga_intrinsics):
-    coords = coords_from_intrinsics(vga_intrinsics)
-    k = intrinsics_from_coords(coords)
-    assert abs(k.fx - 500.0) < 1e-9
-    assert abs(k.fy - 500.0) < 1e-9
-    assert abs(k.cx - 320.0) < 1e-9
-    assert abs(k.cy - 240.0) < 1e-9
-    assert (k.width, k.height) == (640, 480)
-
-
-def test_intrinsics_recovery_under_noise(vga_intrinsics, rng):
-    coords = coords_from_intrinsics(vga_intrinsics)
-    noisy = CoordMap(coords.values + rng.uniform(-1e-3, 1e-3, coords.values.shape))
-    k = intrinsics_from_coords(noisy)
-    assert abs(k.fx - 500.0) / 500.0 < 0.01
-    assert abs(k.fy - 500.0) / 500.0 < 0.01
-
-
-def test_intrinsics_recovery_degenerate():
-    with pytest.raises(DegenerateCoordMapError):
-        intrinsics_from_coords(CoordMap(np.full((10, 10, 2), 0.3)))
 
 
 def test_intrinsics_invariants():

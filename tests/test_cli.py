@@ -314,6 +314,7 @@ class TestInputChecks:
     # payload is read, after load_bundle has returned
     BUNDLE_DAMAGE = {
         "missing": "meta.json",
+        "missing_raster": "view_1_masks.r3rb: No such file or directory",
         "width": "view_0_depth.r3rb: shape (72, 96), expected (72, 100)",
         "nan_coords": "view_0_coords.r3rb: coord map contains non-finite entries",
         "mask_range": "view_0_masks.r3rb: background mask has entries outside [0, 1]",
@@ -325,7 +326,9 @@ class TestInputChecks:
         if damage == "missing":
             return scene
         shutil.copytree(bundle_tree / "scene_00000", scene)
-        if damage == "width":
+        if damage == "missing_raster":
+            (scene / "view_1_masks.r3rb").unlink()
+        elif damage == "width":
             meta = json.loads((scene / "meta.json").read_text())
             meta["views"][0]["intrinsics"]["width"] = 100
             (scene / "meta.json").write_text(json.dumps(meta))
@@ -341,7 +344,8 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "command,damage",
-        [("solve-pnp", "missing"), ("solve-pnp", "width"), ("compose-points", "missing"),
+        [("solve-pnp", "missing"), ("solve-pnp", "missing_raster"), ("solve-pnp", "width"),
+         ("compose-points", "missing"), ("compose-points", "missing_raster"),
          ("compose-points", "width"), ("compose-points", "nan_coords"),
          ("compose-points", "mask_range")],
     )
@@ -352,6 +356,41 @@ class TestInputChecks:
         assert rc == 2
         assert self.BUNDLE_DAMAGE[damage] in self.assert_flag_error(capsys, command, "--bundle")
         assert not out.exists()
+
+    def test_missing_raster_is_failure_row(self, bundle_tree, tmp_path):
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        for scene in ("scene_00000", "scene_00002"):
+            (tree / scene).symlink_to(bundle_tree / scene)
+        self.damaged_bundle(bundle_tree, tree, "missing_raster").rename(tree / "scene_00001")
+        out = tmp_path / "report.json"
+        rc = main(["eval-pose", "--bundles", str(tree), "--workers", "1", "--out", str(out)])
+        assert rc == 1
+        [failure] = json.loads(out.read_text())["failures"]
+        assert failure["scene"] == "scene_00001"
+        assert failure["error"].startswith("MissingMetadataError: ")
+        assert self.BUNDLE_DAMAGE["missing_raster"] in failure["error"]
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (None, "No such file"),
+            (b'{"alpha": 1', "Expecting ',' delimiter"),
+            (b"[1.0]", "must hold a JSON object, got list"),
+            (b'{"alpha": -1}', "loss weight alpha must be positive, got -1"),
+            (b'{"foo": 1}', "unexpected keyword argument 'foo'"),
+        ],
+    )
+    def test_bad_weights_file(self, bundle_tree, tmp_path, capsys, monkeypatch, content, message):
+        monkeypatch.setattr(cli, "run_eval", _must_not_run)
+        weights = tmp_path / "w.json"
+        if content is not None:
+            weights.write_bytes(content)
+        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--weights-file", str(weights)])
+        assert rc == 2
+        err = self.assert_flag_error(capsys, "eval-pose", "--weights-file")
+        assert err.startswith(f"reconkit eval-pose: error: --weights-file: {weights}: ")
+        assert message in err
 
     @pytest.mark.parametrize(
         "content,message",

@@ -5,6 +5,8 @@ pose(link k) = pose(link k-1) @ motion(q_k) @ origin_k, so a 2-link arm
 with unit links has its end-link frame at the arm tip.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from reconkit.kinematics import (
     JointLimitError,
     KeypointSpec,
     KinematicChain,
+    chain_from_dict,
     forward_kinematics,
     keypoints_3d,
-    load_chain,
     save_chain,
 )
 from reconkit.oracle.bundle import default_chain
@@ -121,7 +123,7 @@ class TestChainFile:
         chain, spec = default_chain()
         path = tmp_path / "chain.json"
         save_chain(path, chain, spec)
-        loaded_chain, loaded_spec = load_chain(path)
+        loaded_chain, loaded_spec = chain_from_dict(json.loads(path.read_text()), path.stem)
         assert loaded_chain.dof == chain.dof
         assert loaded_chain.name == chain.name
         for a, b in zip(loaded_chain.joints, chain.joints):

@@ -9,6 +9,7 @@ from reconkit.camera import PointMap
 from reconkit.losses import (
     BCE_EPS,
     GRADIENT_CHECKS,
+    LOSS_TERMS,
     LossWeights,
     NonDifferentiableError,
     align_scale,
@@ -22,7 +23,7 @@ from reconkit.losses import (
     point_loss,
     relative_pose_loss,
     st_loss,
-    total_loss,
+    weighted_total,
 )
 from reconkit.masks import MaskSet
 from reconkit.transforms import RigidTransform, Similarity, rotation_about_axis
@@ -303,39 +304,41 @@ class TestKeypointLoss:
 
 
 class TestTotalLoss:
-    def _perfect_inputs(self, rng):
-        pm = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
-        masks = MaskSet.from_stacked((rng.random((6, 6, 3)) < 0.5).astype(float))
-        pose = RigidTransform(random_rotation(rng), rng.standard_normal(3))
-        sim = Similarity(1.2, RigidTransform(random_rotation(rng), rng.standard_normal(3)))
+    """The six-term total as evaluate_losses_scene forms it, through weighted_total."""
+
+    def _terms(self, rng):
+        """All six terms, each nonzero, of a random prediction against a random target."""
+        gt = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
+        pred = full_map(gt.values + rng.uniform(-0.05, 0.05, (6, 6, 3)))
+
+        def masks():
+            return MaskSet.from_stacked(rng.uniform(0.1, 0.9, (6, 6, 3)))
+
+        def pose():
+            return RigidTransform(random_rotation(rng), rng.standard_normal(3))
+
         hm = rng.random((6, 6, 2))
         kp = rng.uniform(0, 5, (2, 2))
-        return dict(
-            pred_points=pm, gt_points=pm, pred_masks=masks, gt_masks=masks,
-            pred_rel=pose, gt_rel=pose, pred_sim=sim, gt_sim=sim,
-            pred_hm=hm, gt_hm=hm, pred_kp=kp, gt_kp=kp,
-        )
-
-    def test_perfect_predictions_at_clamp_floor(self, rng):
-        total, terms = total_loss(**self._perfect_inputs(rng))
-        assert total <= 1e-6
-        assert terms["mask"] > 0.0  # BCE clamp floor
-        for name in ("point", "normal", "relative_pose", "similarity", "keypoint"):
-            assert terms[name] == 0.0
+        return {
+            "point": point_loss(pred, gt),
+            "normal": normal_loss(pred, gt),
+            "mask": mask_loss(masks(), masks()),
+            "relative_pose": relative_pose_loss(pose(), pose()),
+            "similarity": st_loss(Similarity(1.2, pose()), Similarity(0.9, pose())),
+            "keypoint": keypoint_loss(hm, rng.random((6, 6, 2)), kp + 0.3, kp),
+        }
 
     def test_breakdown_additivity(self, rng):
-        inputs = self._perfect_inputs(rng)
-        inputs["pred_points"] = full_map(inputs["gt_points"].values + 0.01)
-        inputs["pred_kp"] = inputs["gt_kp"] + 0.3
-        total, terms = total_loss(**inputs)
-        assert abs(total - sum(terms.values())) < 1e-12
+        terms = self._terms(rng)
+        assert abs(weighted_total(terms, LossWeights()) - sum(terms.values())) < 1e-12
 
     def test_lambda_linearity(self, rng):
-        inputs = self._perfect_inputs(rng)
-        inputs["pred_points"] = full_map(inputs["gt_points"].values + 0.01)
-        base, terms = total_loss(**inputs)
-        doubled, _ = total_loss(**inputs, weights=LossWeights(lambda1=2.0))
-        assert abs((doubled - base) - terms["point"]) < 1e-12
+        terms = self._terms(rng)
+        assert all(value > 0 for value in terms.values())
+        base = weighted_total(terms, LossWeights())
+        for i, name in enumerate(LOSS_TERMS, 1):
+            doubled = weighted_total(terms, LossWeights(**{f"lambda{i}": 2.0}))
+            assert abs((doubled - base) - terms[name]) < 1e-12
 
 
 class TestGradientChecker:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from reconkit.masks import PART_NAMES, MaskSet, binarize
 from reconkit.oracle import bundle as bundle_module
 from reconkit.oracle import mock as mock_module
 from reconkit.oracle.bundle import (
+    BundleError,
     MalformedMetadataError,
     MissingMetadataError,
     PayloadValueError,
@@ -39,6 +41,7 @@ from reconkit.oracle.mock import (
 )
 from reconkit.oracle.raster import (
     BadMagicError,
+    RasterError,
     TruncatedRasterError,
     UnknownDtypeError,
     read_raster,
@@ -655,15 +658,44 @@ def key_paths(obj, prefix=()):
             yield from key_paths(value, prefix + (i,))
 
 
-def load_edited(saved: Path, name: str, text: str):
-    """load_bundle of a copy of `saved` whose file `name` holds `text`."""
+def leaf_paths(obj, prefix=()):
+    """Every leaf (a value that is not an object or a list) of a parsed JSON document."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from leaf_paths(value, prefix + (key,))
+    else:
+        yield prefix
+
+
+def replaced(doc, path, value):
+    """doc with the entry at a key path set to value (in place)."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def load_edited(saved: Path, name: str, content: str | bytes):
+    """load_bundle of a copy of `saved` whose file `name` holds `content`."""
     with tempfile.TemporaryDirectory() as tmp:
         scene = Path(tmp)
         for f in saved.iterdir():
             (scene / f.name).symlink_to(f)
         (scene / name).unlink()
-        (scene / name).write_text(text)
+        (scene / name).write_bytes(content.encode() if isinstance(content, str) else content)
         return load_bundle(scene)
+
+
+def loads_or_fails_named(saved: Path, name: str, content: str | bytes):
+    """load_edited returns, or raises a BundleError or RasterError; a
+    MalformedMetadataError names the edited file."""
+    try:
+        load_edited(saved, name, content)
+    except MalformedMetadataError as exc:
+        assert name in str(exc)
+    except (BundleError, RasterError):
+        pass
 
 
 class TestBundleJSONErrors:
@@ -715,6 +747,43 @@ class TestBundleJSONErrors:
         cut = data.draw(st.integers(0, len(text) - 1))
         with pytest.raises(MalformedMetadataError, match=rf"{name}: not valid JSON"):
             load_edited(tiny_saved, name, text[:cut])
+
+    # edit -> (file, key path, value, the text the error keeps from the check that failed)
+    WRONG_VALUES = {
+        "ragged_keypoints_2d": ("meta.json", ("keypoints_2d", 0, 0), [1.0], "inhomogeneous"),
+        "joint_state": ("meta.json", ("joint_state",), "x", "could not convert string to float"),
+        "seed": ("meta.json", ("seed",), "abc", "invalid literal for int()"),
+        "width": ("meta.json", ("views", 0, "intrinsics", "width"), "32", "not supported between"),
+        "nan_pose": ("meta.json", ("views", 1, "pose_world", 0, 3), float("nan"),
+                     "translation contains non-finite"),
+        "no_views": ("meta.json", ("views",), [], "no views"),
+        "huge_link": ("chain.json", ("keypoints", 0, "link"), "9" * 30, "too large to convert"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
+    def test_wrong_value_named(self, tiny_saved, case):
+        name, path, value, message = self.WRONG_VALUES[case]
+        doc = replaced(json.loads((tiny_saved / name).read_text()), path, value)
+        with pytest.raises(MalformedMetadataError, match=re.escape(f"{name}: ") + f".*{re.escape(message)}"):
+            load_edited(tiny_saved, name, json.dumps(doc))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(["meta.json", "chain.json"]),
+        value=st.text() | st.from_regex(r"-?[0-9]{1,30}(\.[0-9]*)?", fullmatch=True),
+    )
+    def test_any_leaf_made_a_string(self, tiny_saved, data, name, value):
+        doc = json.loads((tiny_saved / name).read_text())
+        path = data.draw(st.sampled_from(sorted(leaf_paths(doc), key=str)))
+        loads_or_fails_named(tiny_saved, name, json.dumps(replaced(doc, path, value)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["meta.json", "chain.json"]), bit=st.integers(0, 7))
+    def test_any_bit_flipped(self, tiny_saved, data, name, bit):
+        content = bytearray((tiny_saved / name).read_bytes())
+        content[data.draw(st.integers(0, len(content) - 1))] ^= 1 << bit
+        loads_or_fails_named(tiny_saved, name, bytes(content))
 
 
 class TestLazyPayloads:

@@ -9,12 +9,10 @@ from conftest import random_rotation
 from reconkit.camera import Intrinsics, project
 from reconkit.pnp import (
     DegenerateConfigurationError,
-    refine_similarity,
-    reprojection_error,
     soft_argmax,
     solve_pnp,
 )
-from reconkit.transforms import RigidTransform, Similarity, rotation_angle
+from reconkit.transforms import RigidTransform, rotation_angle
 
 
 def gaussian_bump(h, w, cx, cy, sigma):
@@ -151,37 +149,6 @@ class TestSolvePnP:
             solve_pnp(pts, px, k)
 
 
-class TestReprojectionError:
-    def test_exact_pose_zero(self, rng):
-        k, pts, pose, px = synth_problem(rng)
-        assert reprojection_error(pts, px, k, pose) < 1e-9
-
-    def test_axial_shift_analytic(self):
-        # shifting the camera 1 cm along the optical axis at 1 m with fx = 500
-        # moves the projection of a lateral point by |fx * x| * |1/z - 1/z'|
-        k = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
-        pts = np.array([[0.1, 0.0, 0.0]])
-        exact = RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.0]))
-        shifted = RigidTransform(np.eye(3), np.array([0.0, 0.0, 1.01]))
-        px = project(exact.apply(pts), k)
-        expected = 500.0 * 0.1 * abs(1 / 1.0 - 1 / 1.01)
-        assert abs(reprojection_error(pts, px, k, shifted) - expected) < 1e-12
-
-    def test_matched_permutation_invariance(self, rng):
-        k, pts, pose, px = synth_problem(rng)
-        perm = rng.permutation(len(pts))
-        assert abs(
-            reprojection_error(pts, px, k, pose)
-            - reprojection_error(pts[perm], px[perm], k, pose)
-        ) < 1e-12
-
-    def test_behind_camera_error(self, rng):
-        k, pts, pose, px = synth_problem(rng)
-        behind = RigidTransform(pose.rotation, pose.translation - np.array([0, 0, 10.0]))
-        with pytest.raises(ValueError, match="behind"):
-            reprojection_error(pts, px, k, behind)
-
-
 class TestGaussNewtonContract:
     def test_objective_never_increases(self, rng):
         from reconkit.pnp import _fallback_inits, _gauss_newton
@@ -197,45 +164,3 @@ class TestGaussNewtonContract:
                 continue
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
-
-class TestRefineSimilarity:
-    def test_fixed_point(self, rng):
-        k, pts, pose, px = synth_problem(rng)
-        sim = Similarity(1.3, pose.inverse())
-        out = refine_similarity(sim, pose)
-        np.testing.assert_allclose(out.rigid.matrix(), sim.rigid.matrix(), atol=1e-12)
-        assert out.scale == sim.scale
-
-    def test_oracle_end_to_end(self, small_bundle, rng):
-        # a similarity with a wrong rigid part, refined with the exact PnP
-        # extrinsic, canonicalizes oracle points onto the robot-frame ground
-        # truth up to the retained scale factor only
-        from reconkit.camera import unproject
-        from reconkit.transforms import register_views, relative_pose, to_canonical
-
-        view = small_bundle.views[0]
-        res = solve_pnp(small_bundle.keypoints_3d, small_bundle.keypoints_2d[0], view.intrinsics)
-        wrong = Similarity(
-            1.7, RigidTransform(random_rotation(rng), rng.standard_normal(3))
-        )
-        refined = refine_similarity(wrong, res.extrinsic)
-        assert refined.scale == 1.7
-
-        local = unproject(view.coords, view.depth)
-        rel = relative_pose(view.pose_world, view.pose_world)
-        cano = to_canonical(register_views([local], [rel]), refined)[0]
-        world = view.pose_world.apply(local.values[local.valid])
-        np.testing.assert_allclose(cano.values[cano.valid], 1.7 * world, atol=2e-5)
-
-    def test_scale_preserved(self, rng):
-        for _ in range(20):
-            scale = rng.uniform(0.2, 4.0)
-            sim = Similarity(scale, RigidTransform(random_rotation(rng), rng.standard_normal(3)))
-            ext = RigidTransform(random_rotation(rng), rng.standard_normal(3))
-            assert refine_similarity(sim, ext).scale == scale
-
-    def test_replaces_rigid_with_inverse_extrinsic(self, rng):
-        sim = Similarity(2.0, RigidTransform(random_rotation(rng), rng.standard_normal(3)))
-        ext = RigidTransform(random_rotation(rng), rng.standard_normal(3))
-        out = refine_similarity(sim, ext)
-        np.testing.assert_allclose(out.rigid.matrix(), ext.inverse().matrix(), atol=1e-15)
