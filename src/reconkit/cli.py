@@ -2,7 +2,7 @@
 
 Subcommands: gen-scenes, eval-pointmap, eval-pose, solve-pnp,
 compose-points, check-grads.  Precedence of settings: config file
-(--config, JSON) overrides flags; flags override built-in defaults.
+(--config, JSON) overrides flags; flags override their argparse defaults.
 Exit code is 0 iff no scene failed; for check-grads, iff every loss's
 gradient error is below GRADIENT_TOLERANCE.
 """
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import GRADIENT_CHECKS, LossWeights, NonDifferentiableError, check_gradient
+from .losses import GRADIENT_CHECKS, NonDifferentiableError, check_gradient
 from .masks import compose_masked_points
 from .oracle.bundle import BundleError, load_bundle
 from .oracle.mock import NoiseModel, mock_predict
@@ -38,6 +38,8 @@ NOISE_FLAGS = {
     "noise_mask_flip": "mask_flip_rate",
 }
 GEN_KEYS = ("seed", "scenes", "views", "width", "height")
+# flags that say what to read, write or select; --config sets every other typed flag
+LOCATION_FLAGS = ("config", "out", "bundle", "bundles", "view", "heatmap", "keypoints")
 # check-grads fails a loss whose max relative gradient error reaches this
 GRADIENT_TOLERANCE = 1e-4
 # config field -> the flag (and config-file key) that sets it
@@ -62,25 +64,27 @@ def _build(cls, **kwargs):
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    p.add_argument("--workers", type=int, default=None, help="parallel workers (default: all cores)")
+    p.add_argument("--seed", type=int, default=RunConfig.seed, help="master seed (default %(default)s)")
+    p.add_argument("--workers", type=int, default=0, help="parallel workers (default %(default)s: all cores)")
     p.add_argument("--config", type=str, default=None, help="JSON config file; overrides flags")
     p.add_argument("--out", type=str, default=None, help="output path")
 
 
 def _add_noise(p: argparse.ArgumentParser):
-    p.add_argument("--noise-depth", type=float, default=None, help="depth noise sigma (m)")
-    p.add_argument("--noise-coord", type=float, default=None, help="coord noise sigma")
-    p.add_argument("--noise-trans", type=float, default=None, help="pose translation sigma (m)")
-    p.add_argument("--noise-rot", type=float, default=None, help="pose rotation sigma (rad)")
-    p.add_argument("--noise-scale", type=float, default=None, help="log-scale sigma")
-    p.add_argument("--noise-heatmap-blur", type=float, default=None, help="extra heatmap bump width (px)")
-    p.add_argument("--noise-mask-flip", type=float, default=None, help="mask flip probability")
+    p.add_argument("--noise-depth", type=float, default=0.0, help="depth noise sigma (m)")
+    p.add_argument("--noise-coord", type=float, default=0.0, help="coord noise sigma")
+    p.add_argument("--noise-trans", type=float, default=0.0, help="pose translation sigma (m)")
+    p.add_argument("--noise-rot", type=float, default=0.0, help="pose rotation sigma (rad)")
+    p.add_argument("--noise-scale", type=float, default=0.0, help="log-scale sigma")
+    p.add_argument("--noise-heatmap-blur", type=float, default=0.0, help="extra heatmap bump width (px)")
+    p.add_argument("--noise-mask-flip", type=float, default=0.0, help="mask flip probability")
 
 
 def _add_thresholds(p: argparse.ArgumentParser):
-    p.add_argument("--threshold-rel", type=float, default=None, help="relative pose threshold (m and rad, default 0.03)")
-    p.add_argument("--threshold-abs", type=float, default=None, help="absolute pose threshold (m and rad, default 0.01)")
+    p.add_argument("--threshold-rel", type=float, default=RunConfig.t_threshold_rel,
+                   help="relative pose threshold (m and rad, default %(default)s)")
+    p.add_argument("--threshold-abs", type=float, default=RunConfig.t_threshold_abs,
+                   help="absolute pose threshold (m and rad, default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-scenes", help="generate ground-truth scene bundles")
     _add_common(g)
-    g.add_argument("--scenes", type=int, default=None, help=f"number of scenes (default {RunConfig.scenes})")
-    g.add_argument("--views", type=int, default=None, help=f"cameras per scene, 1 or 2 (default {RunConfig.views})")
-    g.add_argument("--width", type=int, default=None, help=f"image width (default {RunConfig.width})")
-    g.add_argument("--height", type=int, default=None, help=f"image height (default {RunConfig.height})")
+    g.add_argument("--scenes", type=int, default=RunConfig.scenes, help="number of scenes (default %(default)s)")
+    g.add_argument("--views", type=int, default=RunConfig.views, help="cameras per scene, 1 or 2 (default %(default)s)")
+    g.add_argument("--width", type=int, default=RunConfig.width, help="image width (default %(default)s)")
+    g.add_argument("--height", type=int, default=RunConfig.height, help="image height (default %(default)s)")
 
     for name in ("eval-pointmap", "eval-pose"):
         e = sub.add_parser(name, help=f"run {name.split('-')[1]} evaluation over a bundle tree")
@@ -100,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_noise(e)
         _add_thresholds(e)
         e.add_argument("--bundles", type=str, required=True, help="bundle tree root")
-        e.add_argument("--weights-file", type=str, default=None, help="JSON loss weights")
 
     s = sub.add_parser("solve-pnp", help="solve PnP for one bundle view")
     _add_common(s)
@@ -108,28 +111,31 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--view", type=int, default=0)
     s.add_argument("--heatmap", type=str, default=None, help="heatmap raster to decode (HxWxN_kp)")
     s.add_argument("--keypoints", type=str, default=None, help="JSON file with [[x, y], ...] pixels")
-    s.add_argument("--temperature", type=float, default=None, help=f"soft-argmax temperature (default {DEFAULT_TEMPERATURE})")
+    s.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE,
+                   help="soft-argmax temperature (default %(default)s)")
 
     c = sub.add_parser("compose-points", help="compose a labeled point map from mock predictions")
     _add_common(c)
     _add_noise(c)
     c.add_argument("--bundle", type=str, required=True, help="bundle directory")
     c.add_argument("--view", type=int, default=0)
-    c.add_argument("--threshold", type=float, default=None, help="mask binarization threshold (default 0.5)")
+    c.add_argument("--threshold", type=float, default=0.5, help="mask binarization threshold (default %(default)s)")
 
     k = sub.add_parser("check-grads", help="finite-difference checks of every loss gradient")
     _add_common(k)
-    k.add_argument("--eps", type=float, default=None, help="finite-difference step (default 1e-6)")
+    k.add_argument("--eps", type=float, default=1e-6, help="finite-difference step (default %(default)s)")
 
     for p in sub.choices.values():
-        # each flag's argparse type, which --config values are checked against
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
+        # each --config key and its flag's argparse type, which its value is checked against
+        p.set_defaults(config_types={
+            a.dest: a.type for a in p._actions if a.type is not None and a.dest not in LOCATION_FLAGS
+        })
     return parser
 
 
 # flag type -> (JSON value types a --config key accepts, their name); bool is
 # an int subclass but never a valid value
-CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
 def _config_value(key: str, value, flag_type):
@@ -140,68 +146,35 @@ def _config_value(key: str, value, flag_type):
     return value
 
 
-def _json_object(flag: str, path: str) -> dict:
-    """The JSON object in the file a flag names, or a FlagError naming the flag and file."""
+def _apply_config(args: argparse.Namespace) -> None:
+    """Overlay the --config file's JSON object onto the parsed flags: config file > flags > defaults."""
     try:
-        value = json.loads(Path(path).read_text())
+        config = json.loads(Path(args.config).read_text())
     except (OSError, ValueError) as exc:  # a missing or unreadable file, invalid JSON
-        raise FlagError(f"--{flag}: {path}: {exc}") from None
-    if not isinstance(value, dict):
-        raise FlagError(f"--{flag}: {path}: must hold a JSON object, got {type(value).__name__}")
-    return value
+        raise FlagError(f"--config: {args.config}: {exc}") from None
+    if not isinstance(config, dict):
+        raise FlagError(f"--config: {args.config}: must hold a JSON object, got {type(config).__name__}")
+    for key, value in config.items():
+        if key not in args.config_types:
+            raise FlagError(f"--config: {args.config}: unknown key {key!r}")
+        setattr(args, key, _config_value(key, value, args.config_types[key]))
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """config file > flags > defaults."""
-    merged = dict(defaults)
-    for key in defaults:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if getattr(args, "config", None):
-        for key, value in _json_object("config", args.config).items():
-            if key not in merged:
-                raise SystemExit(f"unknown config key {key!r}")
-            merged[key] = _config_value(key, value, args.flag_types[key])
-    return merged
+def _noise_from(args) -> NoiseModel:
+    return _build(NoiseModel, **{field: getattr(args, flag) for flag, field in NOISE_FLAGS.items()})
 
 
-def _noise_from(merged: dict) -> NoiseModel:
-    return _build(NoiseModel, **{field: merged[flag] for flag, field in NOISE_FLAGS.items()})
-
-
-def _weights_from(merged: dict) -> LossWeights:
-    path = merged["weights_file"]
-    if not path:
-        return LossWeights()
-    try:
-        return LossWeights(**_json_object("weights-file", path))
-    except (TypeError, ValueError) as exc:  # an unknown key, a non-number or non-positive value
-        raise FlagError(f"--weights-file: {path}: {exc}") from None
-
-
-def _eval_config(merged: dict) -> RunConfig:
+def _eval_config(args) -> RunConfig:
     return _build(
         RunConfig,
-        seed=merged["seed"],
-        noise=_noise_from(merged),
-        t_threshold_rel=merged["threshold_rel"],
-        r_threshold_rel=merged["threshold_rel"],
-        t_threshold_abs=merged["threshold_abs"],
-        r_threshold_abs=merged["threshold_abs"],
-        weights=_weights_from(merged),
-        workers=merged["workers"] or default_workers(),
+        seed=args.seed,
+        noise=_noise_from(args),
+        t_threshold_rel=args.threshold_rel,
+        r_threshold_rel=args.threshold_rel,
+        t_threshold_abs=args.threshold_abs,
+        r_threshold_abs=args.threshold_abs,
+        workers=args.workers or default_workers(),
     )
-
-
-_EVAL_DEFAULTS = {
-    "seed": RunConfig.seed,
-    "workers": 0,
-    "threshold_rel": RunConfig.t_threshold_rel,
-    "threshold_abs": RunConfig.t_threshold_abs,
-    "weights_file": None,
-    **{flag: 0.0 for flag in NOISE_FLAGS},
-}
 
 
 def _finish(report: dict, out, lines) -> int:
@@ -217,13 +190,10 @@ def _finish(report: dict, out, lines) -> int:
 
 
 def cmd_gen_scenes(args) -> int:
-    merged = _merge(args, {**{key: getattr(RunConfig, key) for key in GEN_KEYS}, "workers": 0})
     if not args.out:
-        raise SystemExit("gen-scenes requires --out DIRECTORY")
+        raise FlagError("--out: required, the directory to write the bundles to")
     config = _build(
-        RunConfig,
-        **{key: merged[key] for key in GEN_KEYS},
-        workers=merged["workers"] or default_workers(),
+        RunConfig, **{key: getattr(args, key) for key in GEN_KEYS}, workers=args.workers or default_workers()
     )
     manifest = run_gen_scenes(config, args.out)
     print(f"generated {len(manifest['bundles'])} bundles under {args.out}")
@@ -248,7 +218,7 @@ EVAL_SUMMARY_LINES = {
 
 
 def cmd_eval(args) -> int:
-    config = _eval_config(_merge(args, _EVAL_DEFAULTS))
+    config = _eval_config(args)
     try:
         report = run_eval(args.command, config, args.bundles)
     except BundleTreeError as exc:
@@ -279,7 +249,6 @@ def _check_view(args, bundle) -> int:
 
 
 def cmd_solve_pnp(args) -> int:
-    merged = _merge(args, {"seed": 0, "workers": 0, "temperature": DEFAULT_TEMPERATURE})
     with _bundle_errors():
         bundle = load_bundle(args.bundle)
     i = _check_view(args, bundle)
@@ -288,7 +257,7 @@ def cmd_solve_pnp(args) -> int:
         pixels = np.asarray(json.loads(Path(args.keypoints).read_text()), dtype=float)
         source = "explicit keypoints"
     elif args.heatmap:
-        pixels = soft_argmax(read_raster(args.heatmap), merged["temperature"])
+        pixels = soft_argmax(read_raster(args.heatmap), args.temperature)
         source = "heatmap soft-argmax"
     else:
         pixels = bundle.keypoints_2d[i]
@@ -302,8 +271,8 @@ def cmd_solve_pnp(args) -> int:
         "config": {
             "bundle": str(args.bundle),
             "view": i,
-            "seed": merged["seed"],
-            "temperature": merged["temperature"],
+            "seed": args.seed,
+            "temperature": args.temperature,
             "source": source,
         },
         "extrinsic": result.extrinsic.matrix().tolist(),
@@ -321,17 +290,14 @@ def cmd_solve_pnp(args) -> int:
 
 
 def cmd_compose_points(args) -> int:
-    merged = _merge(args, {"seed": 0, "workers": 0, "threshold": 0.5, **{f: 0.0 for f in NOISE_FLAGS}})
-    noise = _noise_from(merged)
-    if not 0.0 < merged["threshold"] < 1.0:
-        raise FlagError(f"--threshold: must lie in (0, 1), got {merged['threshold']}")
+    noise = _noise_from(args)
+    if not 0.0 < args.threshold < 1.0:
+        raise FlagError(f"--threshold: must lie in (0, 1), got {args.threshold}")
     with _bundle_errors():
         bundle = load_bundle(args.bundle)
         i = _check_view(args, bundle)
-        pred = mock_predict(bundle, noise, merged["seed"])
-        labeled = compose_masked_points(
-            pred.depths[i], pred.coords[i], pred.masks[i], merged["threshold"]
-        )
+        pred = mock_predict(bundle, noise, args.seed)
+        labeled = compose_masked_points(pred.depths[i], pred.coords[i], pred.masks[i], args.threshold)
     counts = {
         "robot": int(np.sum(labeled.labels == 1)),
         "object": int(np.sum(labeled.labels == 2)),
@@ -342,8 +308,8 @@ def cmd_compose_points(args) -> int:
         "config": {
             "bundle": str(args.bundle),
             "view": i,
-            "seed": merged["seed"],
-            "threshold": merged["threshold"],
+            "seed": args.seed,
+            "threshold": args.threshold,
             "noise": asdict(noise),
         },
         "points": int(labeled.points.valid.sum()),
@@ -366,11 +332,10 @@ def cmd_compose_points(args) -> int:
 
 
 def cmd_check_grads(args) -> int:
-    merged = _merge(args, {"seed": 0, "workers": 0, "eps": 1e-6})
     rows, failures = {}, []
     for name in sorted(GRADIENT_CHECKS):
         try:
-            err = check_gradient(name, seed=merged["seed"], eps=merged["eps"])
+            err = check_gradient(name, seed=args.seed, eps=args.eps)
         except NonDifferentiableError as exc:
             failures.append({"loss": name, "error": f"NonDifferentiableError: {exc}"})
             continue
@@ -382,7 +347,7 @@ def cmd_check_grads(args) -> int:
             )
     report = {
         "command": "check-grads",
-        "config": {"seed": merged["seed"], "eps": merged["eps"]},
+        "config": {"seed": args.seed, "eps": args.eps},
         "max_relative_error": rows,
         "worst": max(rows.values(), default=0.0),
         "failures": failures,
@@ -401,6 +366,8 @@ def main(argv=None) -> int:
         "check-grads": cmd_check_grads,
     }
     try:
+        if args.config:
+            _apply_config(args)
         return handlers[args.command](args)
     except FlagError as exc:
         print(f"reconkit {args.command}: error: {exc}", file=sys.stderr)

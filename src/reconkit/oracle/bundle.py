@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -300,17 +300,6 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
 # ---------------------------------------------------------------------------
 
 
-def _intrinsics_to_dict(k: Intrinsics) -> dict:
-    return {
-        "fx": k.fx,
-        "fy": k.fy,
-        "cx": k.cx,
-        "cy": k.cy,
-        "width": k.width,
-        "height": k.height,
-    }
-
-
 def _spec_to_dict(spec: SceneSpec) -> dict:
     prims = []
     for p in spec.primitives:
@@ -324,7 +313,6 @@ def _spec_to_dict(spec: SceneSpec) -> dict:
                     "half_extents": p.half_extents.tolist(),
                 }
             )
-    cam = spec.camera
     return {
         "table": {
             "pose": spec.table.pose.matrix().tolist(),
@@ -337,16 +325,14 @@ def _spec_to_dict(spec: SceneSpec) -> dict:
         "capsule_radius": spec.capsule_radius,
         "heatmap_sigma": spec.heatmap_sigma,
         "workspace_center": spec.workspace_center.tolist(),
-        "camera": {
-            "radius": list(cam.radius),
-            "elevation_deg": list(cam.elevation_deg),
-            "azimuth_deg": list(cam.azimuth_deg),
-            "roll_deg": list(cam.roll_deg),
-            "target_jitter": cam.target_jitter,
-            "focal_jitter": cam.focal_jitter,
-            "center_jitter": cam.center_jitter,
-        },
+        "camera": asdict(spec.camera),
     }
+
+
+def _from_fields(cls, d: dict):
+    """cls built from the bundle JSON object d, one key per dataclass field, lists as tuples."""
+    values = {f.name: d[f.name] for f in fields(cls)}  # a missing key raises MissingMetadataError
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_state) -> SceneSpec:
@@ -361,7 +347,6 @@ def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_stat
                     half_extents=p["half_extents"],
                 )
             )
-    cam = d["camera"]
     return SceneSpec(
         table=Table(
             pose=RigidTransform.from_matrix(np.array(d["table"]["pose"])),
@@ -376,15 +361,7 @@ def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_stat
         height=d["height"],
         capsule_radius=d["capsule_radius"],
         heatmap_sigma=d["heatmap_sigma"],
-        camera=CameraRanges(
-            radius=tuple(cam["radius"]),
-            elevation_deg=tuple(cam["elevation_deg"]),
-            azimuth_deg=tuple(cam["azimuth_deg"]),
-            roll_deg=tuple(cam["roll_deg"]),
-            target_jitter=cam["target_jitter"],
-            focal_jitter=cam["focal_jitter"],
-            center_jitter=cam["center_jitter"],
-        ),
+        camera=_from_fields(CameraRanges, d["camera"]),
         workspace_center=np.array(d["workspace_center"]),
     )
 
@@ -408,7 +385,7 @@ def save_bundle(path, bundle: SceneBundle):
         write_raster(path / files["masks"], view.masks.stacked())
         view_entries.append(
             {
-                "intrinsics": _intrinsics_to_dict(view.intrinsics),
+                "intrinsics": asdict(view.intrinsics),
                 "pose_world": view.pose_world.matrix().tolist(),
                 "pose_robot": view.pose_robot.matrix().tolist(),
                 "files": files,
@@ -524,8 +501,7 @@ def load_bundle(path) -> SceneBundle:
         views = []
         for entry in meta["views"]:
             files = entry["files"]
-            ki = entry["intrinsics"]
-            intrinsics = Intrinsics(**{f.name: ki[f.name] for f in fields(Intrinsics)})
+            intrinsics = _from_fields(Intrinsics, entry["intrinsics"])
             grid = (intrinsics.height, intrinsics.width)
             for key, channels in RASTER_CHANNELS.items():
                 raster = path / files[key]

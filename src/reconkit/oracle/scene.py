@@ -15,7 +15,8 @@ camera-frame direction (x, y, 1), so the hit parameter equals the z-depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +26,12 @@ from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
 
 RAY_EPS = 1e-9
+
+
+def _check_number(name: str, value, integer: bool = False):
+    """A TypeError naming `name` unless value is a real number (an integer if asked) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +96,14 @@ class CameraRanges:
     focal_jitter: float = 0.05
     center_jitter: float = 0.02
 
+    def __post_init__(self):
+        for f in fields(self):
+            value, pair = getattr(self, f.name), isinstance(f.default, tuple)
+            if pair and not (isinstance(value, tuple) and len(value) == 2):
+                raise TypeError(f"camera {f.name} must be a (low, high) pair, got {value!r}")
+            for v in value if pair else (value,):
+                _check_number(f"camera {f.name}", v)
+
 
 @dataclass(frozen=True, eq=False)
 class SceneSpec:
@@ -106,6 +121,8 @@ class SceneSpec:
     workspace_center: np.ndarray = field(default_factory=lambda: np.array([0.25, 0.0, 0.15]))
 
     def __post_init__(self):
+        for name in ("views", "width", "height", "capsule_radius", "heatmap_sigma"):
+            _check_number(name, getattr(self, name), integer=name in ("views", "width", "height"))
         object.__setattr__(self, "primitives", tuple(self.primitives))
         object.__setattr__(
             self, "joint_state", np.asarray(self.joint_state, dtype=float).reshape(-1)

@@ -54,7 +54,6 @@ class RunConfig:
     r_threshold_rel: float = 0.03
     t_threshold_abs: float = 0.01
     r_threshold_abs: float = 0.01
-    weights: LossWeights = field(default_factory=LossWeights)
     workers: int = 1
 
     def __post_init__(self):

@@ -60,6 +60,14 @@ class TestGenScenes:
             assert isinstance(row["seed"], int)
         assert "workers" not in manifest["config"]
 
+    def test_missing_out_is_flag_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["gen-scenes", "--scenes", "1", "--width", "32", "--height", "24", "--workers", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("reconkit gen-scenes: error: --out: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_path_errors(self):
         with pytest.raises(OSError):
             main(["gen-scenes", "--scenes", "1", "--out", "/proc/nope/x"])
@@ -79,8 +87,8 @@ class TestGenScenesBytes:
     """Pinned sha256 of whole `gen-scenes` trees, at 1 and 2 workers."""
 
     SHA256 = {
-        ("3", "160", "120"): "1924daa7b96af86c3de0d747ac2e88725fdc3148c0cf662cf3c8ed0e078780c5",
-        ("1", "630", "476"): "ce15cb7b7a201fc2f0d0922c69264a35ee99cca617939717d5135f44bd09ba44",
+        ("3", "160", "120"): "db84cdc6fecddf14c168f820d9f25612d8b3fc55d47ea17fc278ca3a180c180f",
+        ("1", "630", "476"): "b46e04075c7d9c7154e34504539a565e9752715ecf75aa2572300006be42b589",
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -373,27 +381,6 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "content,message",
-        [
-            (None, "No such file"),
-            (b'{"alpha": 1', "Expecting ',' delimiter"),
-            (b"[1.0]", "must hold a JSON object, got list"),
-            (b'{"alpha": -1}', "loss weight alpha must be positive, got -1"),
-            (b'{"foo": 1}', "unexpected keyword argument 'foo'"),
-        ],
-    )
-    def test_bad_weights_file(self, bundle_tree, tmp_path, capsys, monkeypatch, content, message):
-        monkeypatch.setattr(cli, "run_eval", _must_not_run)
-        weights = tmp_path / "w.json"
-        if content is not None:
-            weights.write_bytes(content)
-        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--weights-file", str(weights)])
-        assert rc == 2
-        err = self.assert_flag_error(capsys, "eval-pose", "--weights-file")
-        assert err.startswith(f"reconkit eval-pose: error: --weights-file: {weights}: ")
-        assert message in err
-
-    @pytest.mark.parametrize(
-        "content,message",
         [(None, "No such file"), (b'{"seed": 1', "Expecting ',' delimiter"),
          (b"", "Expecting value"), (b"\xff{}", "can't decode byte 0xff")],
     )
@@ -422,8 +409,8 @@ class TestReportBytes:
         "--noise-scale", "0.01",
     ]
     SHA256 = {
-        "eval-pointmap": "c7614efcb6850e0b8e79152229bccb1ed9153c938e84083a6ed27370da7c6964",
-        "eval-pose": "d416d8ec601f0c176c49c1379aff00f0f3649f96863f5435c3882f76ed38e344",
+        "eval-pointmap": "87b3b841ba9a92501a17d59c5047daa750bb14dbd4e68a51ece2e29ea8bf960c",
+        "eval-pose": "1bd44d1462706c2e84cf63cbef88ede2da07ed441ebe60f930b9472edd0e9b1f",
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -604,11 +591,42 @@ class TestConfigPrecedence:
         ])
         assert json.loads(out.read_text())["config"]["t_threshold_rel"] == 0.11
 
-    def test_unknown_config_key_rejected(self, bundle_tree, tmp_path):
+    def test_unknown_config_key_rejected(self, bundle_tree, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_eval", _must_not_run)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
-        with pytest.raises(SystemExit, match="bogus"):
-            main(["eval-pose", "--bundles", str(bundle_tree), "--config", str(cfg)])
+        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"reconkit eval-pose: error: --config: {cfg}: unknown key 'bogus'\n"
+
+    # command -> the keys its --config accepts
+    CONFIG_KEYS = {
+        "gen-scenes": {"seed", "workers", "scenes", "views", "width", "height"},
+        **{command: {"seed", "workers", "threshold_rel", "threshold_abs", *cli.NOISE_FLAGS}
+           for command in ("eval-pointmap", "eval-pose")},
+        "solve-pnp": {"seed", "workers", "temperature"},
+        "compose-points": {"seed", "workers", "threshold", *cli.NOISE_FLAGS},
+        "check-grads": {"seed", "workers", "eps"},
+    }
+    TARGETS = {"eval-pointmap": ["--bundles", "x"], "eval-pose": ["--bundles", "x"],
+               "solve-pnp": ["--bundle", "x"], "compose-points": ["--bundle", "x"]}
+
+    @pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+    def test_config_key_set(self, tmp_path, capsys, monkeypatch, command):
+        seen = {}
+        for handler in ("cmd_gen_scenes", "cmd_eval", "cmd_solve_pnp", "cmd_compose_points", "cmd_check_grads"):
+            monkeypatch.setattr(cli, handler, lambda args: seen.update(vars(args)) or 0)
+        keys = self.CONFIG_KEYS[command]
+        cfg = tmp_path / "cfg.json"
+        argv = [command, *self.TARGETS.get(command, []), "--config", str(cfg)]
+        cfg.write_text(json.dumps({key: 7 for key in keys}))  # an integer suits int and float flags
+        assert main(argv) == 0
+        assert {key: seen[key] for key in keys} == {key: 7 for key in keys}
+        others = set().union(*self.CONFIG_KEYS.values()) - keys
+        for key in sorted(others | {"out", "bundle", "bundles", "view", "heatmap", "keypoints", "weights_file"}):
+            cfg.write_text(json.dumps({key: 7}))
+            assert main(argv) == 2
+            assert capsys.readouterr().err.endswith(f"--config: {cfg}: unknown key '{key}'\n")
 
     @pytest.mark.parametrize(
         "command,cfg,message",
@@ -620,7 +638,7 @@ class TestConfigPrecedence:
             ("eval-pointmap", {"seed": 1.5}, "seed: expected an integer, got 1.5"),
             ("eval-pointmap", {"workers": True}, "workers: expected an integer, got true"),
             ("eval-pose", {"noise_depth": False}, "noise_depth: expected a number, got false"),
-            ("eval-pose", {"weights_file": 3}, "weights_file: expected a string, got 3"),
+            ("eval-pointmap", {"threshold_abs": [0.01]}, "threshold_abs: expected a number, got [0.01]"),
             ("compose-points", {"seed": None}, "seed: expected an integer, got null"),
         ],
     )
@@ -647,16 +665,3 @@ class TestConfigPrecedence:
         assert rc == 0
         config = json.loads(out.read_text())["config"]
         assert (config["t_threshold_rel"], config["seed"]) == (1, 3)
-
-    def test_weights_file_loaded(self, bundle_tree, tmp_path):
-        weights = tmp_path / "w.json"
-        weights.write_text(json.dumps({"alpha": 2.0, "lambda1": 3.0}))
-        out = tmp_path / "r.json"
-        rc = main([
-            "eval-pointmap", "--bundles", str(bundle_tree), "--weights-file",
-            str(weights), "--workers", "1", "--out", str(out),
-        ])
-        assert rc == 0
-        cfg = json.loads(out.read_text())["config"]
-        assert cfg["weights"]["alpha"] == 2.0
-        assert cfg["weights"]["lambda1"] == 3.0

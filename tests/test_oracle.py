@@ -571,7 +571,8 @@ class TestBundleIO:
             load_bundle(tmp_path / "s")
 
     @pytest.mark.parametrize(
-        "keys", [("seed",), ("similarity", "scale"), ("views", 0, "intrinsics", "fx")]
+        "keys",
+        [("seed",), ("similarity", "scale"), ("views", 0, "intrinsics", "fx"), ("scene", "camera", "roll_deg")],
     )
     def test_missing_metadata_key_named(self, small_bundle, tmp_path, keys):
         import json
@@ -758,6 +759,10 @@ class TestBundleJSONErrors:
                      "translation contains non-finite"),
         "no_views": ("meta.json", ("views",), [], "no views"),
         "huge_link": ("chain.json", ("keypoints", 0, "link"), "9" * 30, "too large to convert"),
+        "heatmap_sigma": ("meta.json", ("scene", "heatmap_sigma"), "x", "heatmap_sigma must be a number, got 'x'"),
+        "scene_width": ("meta.json", ("scene", "width"), True, "width must be an integer, got True"),
+        "camera_radius": ("meta.json", ("scene", "camera", "radius"), ["a", "b"],
+                          "camera radius must be a number, got 'a'"),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
