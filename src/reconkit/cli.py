@@ -177,11 +177,21 @@ def _eval_config(args) -> RunConfig:
     )
 
 
+@contextlib.contextmanager
+def _out_errors(out):
+    """An --out path that cannot be made or written, as a FlagError."""
+    try:
+        yield
+    except OSError as exc:
+        raise FlagError(f"--out: {out}: {exc.strerror}") from None
+
+
 def _finish(report: dict, out, lines) -> int:
     for line in lines:
         print(line)
     if out:
-        write_report(report, out)
+        with _out_errors(out):
+            write_report(report, out)
         print(f"report written to {out}")
     failures = report.get("failures", [])
     for f in failures:
@@ -195,6 +205,8 @@ def cmd_gen_scenes(args) -> int:
     config = _build(
         RunConfig, **{key: getattr(args, key) for key in GEN_KEYS}, workers=args.workers or default_workers()
     )
+    with _out_errors(args.out):  # before any scene runs
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     manifest = run_gen_scenes(config, args.out)
     print(f"generated {len(manifest['bundles'])} bundles under {args.out}")
     return 0
@@ -319,11 +331,12 @@ def cmd_compose_points(args) -> int:
     lines = [f"composed {report['points']} labeled points {counts}"]
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_raster(out / "points.r3rb", labeled.points.values)
-        write_raster(out / "points_valid.r3rb", labeled.points.valid.astype(np.uint8))
-        write_raster(out / "labels.r3rb", labeled.labels)
-        write_report(report, out / "report.json")
+        with _out_errors(out):  # made only now, so a bad bundle or --view leaves no --out behind
+            out.mkdir(parents=True, exist_ok=True)
+            write_raster(out / "points.r3rb", labeled.points.values)
+            write_raster(out / "points_valid.r3rb", labeled.points.valid.astype(np.uint8))
+            write_raster(out / "labels.r3rb", labeled.labels)
+            write_report(report, out / "report.json")
         print(f"rasters written to {out}")
         for line in lines:
             print(line)

@@ -45,6 +45,7 @@ from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT, MaskSet
 from ..transforms import RigidTransform, Similarity
 from .raster import RasterError, raster_shape, read_raster, write_raster
 from .scene import (
+    PRIMITIVE_TYPES,
     Box,
     CameraRanges,
     SceneSpec,
@@ -58,6 +59,8 @@ from .scene import (
 FORMAT_VERSION = 1
 META_NAME = "meta.json"
 CHAIN_NAME = "chain.json"
+# raster file key (view_{i}_{key}.r3rb) -> channel axis of its shape (none for one channel)
+RASTER_CHANNELS = {"depth": (), "valid": (), "coords": (2,), "masks": (3,)}
 
 
 class BundleError(ValueError):
@@ -301,24 +304,9 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
 
 
 def _spec_to_dict(spec: SceneSpec) -> dict:
-    prims = []
-    for p in spec.primitives:
-        if isinstance(p, Sphere):
-            prims.append({"type": "sphere", "center": p.center.tolist(), "radius": p.radius})
-        else:
-            prims.append(
-                {
-                    "type": "box",
-                    "pose": p.pose.matrix().tolist(),
-                    "half_extents": p.half_extents.tolist(),
-                }
-            )
     return {
-        "table": {
-            "pose": spec.table.pose.matrix().tolist(),
-            "half_extents": spec.table.half_extents.tolist(),
-        },
-        "primitives": prims,
+        "table": spec.table.to_dict(),
+        "primitives": [p.to_dict() for p in spec.primitives],
         "views": spec.views,
         "width": spec.width,
         "height": spec.height,
@@ -336,23 +324,15 @@ def _from_fields(cls, d: dict):
 
 
 def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_state) -> SceneSpec:
-    prims = []
     for p in d["primitives"]:
-        if p["type"] == "sphere":
-            prims.append(Sphere(center=p["center"], radius=p["radius"]))
-        else:
-            prims.append(
-                Box(
-                    pose=RigidTransform.from_matrix(np.array(p["pose"])),
-                    half_extents=p["half_extents"],
-                )
-            )
+        if p["type"] not in PRIMITIVE_TYPES:
+            raise ValueError(f"unknown primitive type {p['type']!r}")
     return SceneSpec(
         table=Table(
             pose=RigidTransform.from_matrix(np.array(d["table"]["pose"])),
             half_extents=d["table"]["half_extents"],
         ),
-        primitives=tuple(prims),
+        primitives=[PRIMITIVE_TYPES[p["type"]](p) for p in d["primitives"]],
         chain=chain,
         keypoints=kp,
         joint_state=joint_state,
@@ -373,12 +353,7 @@ def save_bundle(path, bundle: SceneBundle):
 
     view_entries = []
     for i, view in enumerate(bundle.views):
-        files = {
-            "depth": f"view_{i}_depth.r3rb",
-            "valid": f"view_{i}_valid.r3rb",
-            "coords": f"view_{i}_coords.r3rb",
-            "masks": f"view_{i}_masks.r3rb",
-        }
+        files = {key: f"view_{i}_{key}.r3rb" for key in RASTER_CHANNELS}
         write_raster(path / files["depth"], view.depth.values)
         write_raster(path / files["valid"], view.depth.valid.astype(np.uint8))
         write_raster(path / files["coords"], view.coords.values)
@@ -446,10 +421,6 @@ def _parsing(path):
 def _check_shape(name, shape, expected):
     if shape != expected:
         raise ShapeMismatchError(f"{name}: shape {shape}, expected {expected}")
-
-
-# raster file key -> channel axis of its shape (none for one channel)
-RASTER_CHANNELS = {"depth": (), "valid": (), "coords": (2,), "masks": (3,)}
 
 
 class _RasterFiles:
@@ -538,54 +509,17 @@ def load_bundle(path) -> SceneBundle:
 # ---------------------------------------------------------------------------
 
 
-def _table_distance(table: Table, pts: np.ndarray) -> np.ndarray:
-    local = table.pose.inverse().apply(pts)
-    return np.abs(local[:, 2])
-
-
-def _sphere_distance(s: Sphere, pts: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.norm(pts - s.center, axis=1) - s.radius)
-
-
-def _box_distance(b: Box, pts: np.ndarray) -> np.ndarray:
-    local = np.abs(b.pose.inverse().apply(pts)) - b.half_extents
-    # surface points satisfy max_i(|p_i| - h_i) == 0
-    return np.abs(np.max(local, axis=1))
-
-
-def _segment_distance(p0, p1, pts) -> np.ndarray:
-    axis = p1 - p0
-    denom = axis @ axis
-    if denom < 1e-18:
-        return np.linalg.norm(pts - p0, axis=1)
-    s = np.clip(((pts - p0) @ axis) / denom, 0.0, 1.0)
-    closest = p0 + s[:, None] * axis
-    return np.linalg.norm(pts - closest, axis=1)
-
-
 def surface_distances(spec: SceneSpec, pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Distance of each labeled point to its part's nearest analytic surface."""
     out = np.full(pts.shape[0], np.inf)
-    bg = labels == LABEL_BACKGROUND
-    if np.any(bg):
-        out[bg] = _table_distance(spec.table, pts[bg])
-    obj = labels == LABEL_OBJECT
-    if np.any(obj):
-        d = np.full(obj.sum(), np.inf)
-        for p in spec.primitives:
-            if isinstance(p, Sphere):
-                d = np.minimum(d, _sphere_distance(p, pts[obj]))
-            else:
-                d = np.minimum(d, _box_distance(p, pts[obj]))
-        out[obj] = d
-    rob = labels == LABEL_ROBOT
-    if np.any(rob):
-        d = np.full(rob.sum(), np.inf)
-        for cap in chain_capsules(spec):
-            d = np.minimum(
-                d, np.abs(_segment_distance(cap.p0, cap.p1, pts[rob]) - cap.radius)
-            )
-        out[rob] = d
+    parts = {LABEL_BACKGROUND: [spec.table], LABEL_OBJECT: spec.primitives, LABEL_ROBOT: chain_capsules(spec)}
+    for label, prims in parts.items():
+        sel = labels == label
+        if np.any(sel):
+            d = np.full(sel.sum(), np.inf)
+            for prim in prims:
+                d = np.minimum(d, prim.distance(pts[sel]))
+            out[sel] = d
     return out
 
 

@@ -34,6 +34,9 @@ def _check_number(name: str, value, integer: bool = False):
         raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
 
 
+# A primitive's intersect(origin, dirs) gives the hit parameter t of each ray
+# origin + t * dir (dir unnormalized, inf on a miss), distance(pts) each point's
+# distance to its surface and bound() a (center, radius) sphere around it.
 @dataclass(frozen=True, eq=False)
 class Sphere:
     center: np.ndarray
@@ -43,6 +46,30 @@ class Sphere:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
         if self.radius <= 0:
             raise ValueError("sphere radius must be positive")
+
+    def to_dict(self) -> dict:
+        return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius}
+
+    def bound(self) -> tuple[np.ndarray, float]:
+        return self.center, self.radius
+
+    def intersect(self, origin, dirs) -> np.ndarray:
+        oc = origin - self.center
+        a = np.sum(dirs * dirs, axis=-1)
+        b = 2.0 * (dirs @ oc)
+        c = oc @ oc - self.radius**2
+        disc = b * b - 4.0 * a * c
+        t = np.full(dirs.shape[:-1], np.inf)
+        hit = disc >= 0
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        t1 = (-b - sq) / (2.0 * a)
+        t2 = (-b + sq) / (2.0 * a)
+        near = np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf))
+        t[hit] = near[hit]
+        return t
+
+    def distance(self, pts: np.ndarray) -> np.ndarray:
+        return np.abs(np.linalg.norm(pts - self.center, axis=1) - self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +82,43 @@ class Box:
         if np.any(he <= 0):
             raise ValueError("box half extents must be positive")
         object.__setattr__(self, "half_extents", he)
+
+    def to_dict(self) -> dict:
+        return {"type": "box", "pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
+
+    def bound(self) -> tuple[np.ndarray, float]:
+        return self.pose.translation, float(np.linalg.norm(self.half_extents))
+
+    def intersect(self, origin, dirs) -> np.ndarray:
+        inv = self.pose.inverse()
+        o = inv.apply(origin)
+        d = dirs @ inv.rotation.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_d = 1.0 / d
+            t_lo = (-self.half_extents - o) * inv_d
+            t_hi = (self.half_extents - o) * inv_d
+        near = np.nanmax(np.minimum(t_lo, t_hi), axis=-1)
+        far = np.nanmin(np.maximum(t_lo, t_hi), axis=-1)
+        # axis-parallel rays miss unless the origin lies inside the slab
+        parallel_miss = np.any(
+            (np.abs(d) < 1e-15) & ((o < -self.half_extents) | (o > self.half_extents)),
+            axis=-1,
+        )
+        t = np.where(near > RAY_EPS, near, np.where(far > RAY_EPS, far, np.inf))
+        t[(far < near) | (far <= RAY_EPS) | parallel_miss] = np.inf
+        return t
+
+    def distance(self, pts: np.ndarray) -> np.ndarray:
+        local = np.abs(self.pose.inverse().apply(pts)) - self.half_extents
+        # surface points satisfy max_i(|p_i| - h_i) == 0
+        return np.abs(np.max(local, axis=1))
+
+
+# meta.json primitive "type" -> the primitive built from its JSON object
+PRIMITIVE_TYPES = {
+    "sphere": lambda d: Sphere(center=d["center"], radius=d["radius"]),
+    "box": lambda d: Box(pose=RigidTransform.from_matrix(np.array(d["pose"])), half_extents=d["half_extents"]),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +133,44 @@ class Capsule:
         if self.radius <= 0:
             raise ValueError("capsule radius must be positive")
 
+    def bound(self) -> tuple[np.ndarray, float]:
+        return 0.5 * (self.p0 + self.p1), 0.5 * float(np.linalg.norm(self.p1 - self.p0)) + self.radius
+
+    def intersect(self, origin, dirs) -> np.ndarray:
+        axis = self.p1 - self.p0
+        length = np.linalg.norm(axis)
+        if length < 1e-12:
+            return Sphere(self.p0, self.radius).intersect(origin, dirs)
+        u = axis / length
+        oc = origin - self.p0
+        d_par = dirs @ u
+        oc_par = oc @ u
+        d_perp = dirs - d_par[..., None] * u
+        oc_perp = oc - oc_par * u
+        a = np.sum(d_perp * d_perp, axis=-1)
+        b = 2.0 * (d_perp @ oc_perp)
+        c = oc_perp @ oc_perp - self.radius**2
+        t = np.full(dirs.shape[:-1], np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            disc = b * b - 4.0 * a * c
+            ok = (disc >= 0) & (a > 1e-30)
+            sq = np.sqrt(np.where(ok, disc, 0.0))
+            for t_cand in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
+                s = oc_par + t_cand * d_par
+                good = ok & (t_cand > RAY_EPS) & (s >= 0) & (s <= length)
+                t = np.where(good & (t_cand < t), t_cand, t)
+        for cap_center in (self.p0, self.p1):
+            t = np.minimum(t, Sphere(cap_center, self.radius).intersect(origin, dirs))
+        return t
+
+    def distance(self, pts: np.ndarray) -> np.ndarray:
+        axis = self.p1 - self.p0
+        denom = axis @ axis
+        if denom < 1e-18:
+            return Sphere(self.p0, self.radius).distance(pts)
+        s = np.clip(((pts - self.p0) @ axis) / denom, 0.0, 1.0)
+        return np.abs(np.linalg.norm(pts - (self.p0 + s[:, None] * axis), axis=1) - self.radius)
+
 
 @dataclass(frozen=True, eq=False)
 class Table:
@@ -82,6 +184,31 @@ class Table:
         if np.any(he <= 0):
             raise ValueError("table half extents must be positive")
         object.__setattr__(self, "half_extents", he)
+
+    def to_dict(self) -> dict:
+        return {"pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
+
+    def intersect(self, origin, dirs) -> np.ndarray:
+        inv = self.pose.inverse()
+        o = inv.apply(origin)
+        d = dirs @ inv.rotation.T
+        dz = d[..., 2]
+        t = np.full(dirs.shape[:-1], np.inf)
+        hit = np.abs(dz) > 1e-15
+        t_hit = np.where(hit, -o[2] / np.where(hit, dz, 1.0), 0.0)
+        px = o[0] + t_hit * d[..., 0]
+        py = o[1] + t_hit * d[..., 1]
+        ok = (
+            hit
+            & (t_hit > RAY_EPS)
+            & (np.abs(px) <= self.half_extents[0])
+            & (np.abs(py) <= self.half_extents[1])
+        )
+        t[ok] = t_hit[ok]
+        return t
+
+    def distance(self, pts: np.ndarray) -> np.ndarray:
+        return np.abs(self.pose.inverse().apply(pts)[:, 2])
 
 
 @dataclass(frozen=True)
@@ -124,6 +251,9 @@ class SceneSpec:
         for name in ("views", "width", "height", "capsule_radius", "heatmap_sigma"):
             _check_number(name, getattr(self, name), integer=name in ("views", "width", "height"))
         object.__setattr__(self, "primitives", tuple(self.primitives))
+        for p in self.primitives:
+            if not isinstance(p, (Sphere, Box)):
+                raise TypeError(f"unknown primitive {type(p).__name__}")
         object.__setattr__(
             self, "joint_state", np.asarray(self.joint_state, dtype=float).reshape(-1)
         )
@@ -193,97 +323,6 @@ def sample_camera(
     return intr, pose
 
 
-# ---------------------------------------------------------------------------
-# Ray-primitive intersections.  Rays are origin + t * dir with unnormalized
-# dir; each routine returns per-pixel hit parameters (inf on miss).
-# ---------------------------------------------------------------------------
-
-
-def _intersect_table(table: Table, origin, dirs) -> np.ndarray:
-    inv = table.pose.inverse()
-    o = inv.apply(origin)
-    d = dirs @ inv.rotation.T
-    dz = d[..., 2]
-    t = np.full(dirs.shape[:-1], np.inf)
-    hit = np.abs(dz) > 1e-15
-    t_hit = np.where(hit, -o[2] / np.where(hit, dz, 1.0), 0.0)
-    px = o[0] + t_hit * d[..., 0]
-    py = o[1] + t_hit * d[..., 1]
-    ok = (
-        hit
-        & (t_hit > RAY_EPS)
-        & (np.abs(px) <= table.half_extents[0])
-        & (np.abs(py) <= table.half_extents[1])
-    )
-    t[ok] = t_hit[ok]
-    return t
-
-
-def _intersect_sphere(sphere: Sphere, origin, dirs) -> np.ndarray:
-    oc = origin - sphere.center
-    a = np.sum(dirs * dirs, axis=-1)
-    b = 2.0 * (dirs @ oc)
-    c = oc @ oc - sphere.radius**2
-    disc = b * b - 4.0 * a * c
-    t = np.full(dirs.shape[:-1], np.inf)
-    hit = disc >= 0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    t1 = (-b - sq) / (2.0 * a)
-    t2 = (-b + sq) / (2.0 * a)
-    near = np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf))
-    t[hit] = near[hit]
-    return t
-
-
-def _intersect_box(box: Box, origin, dirs) -> np.ndarray:
-    inv = box.pose.inverse()
-    o = inv.apply(origin)
-    d = dirs @ inv.rotation.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_d = 1.0 / d
-        t_lo = (-box.half_extents - o) * inv_d
-        t_hi = (box.half_extents - o) * inv_d
-    near = np.nanmax(np.minimum(t_lo, t_hi), axis=-1)
-    far = np.nanmin(np.maximum(t_lo, t_hi), axis=-1)
-    # axis-parallel rays miss unless the origin lies inside the slab
-    parallel_miss = np.any(
-        (np.abs(d) < 1e-15) & ((o < -box.half_extents) | (o > box.half_extents)),
-        axis=-1,
-    )
-    t = np.where(near > RAY_EPS, near, np.where(far > RAY_EPS, far, np.inf))
-    t[(far < near) | (far <= RAY_EPS) | parallel_miss] = np.inf
-    return t
-
-
-def _intersect_capsule(cap: Capsule, origin, dirs) -> np.ndarray:
-    axis = cap.p1 - cap.p0
-    length = np.linalg.norm(axis)
-    if length < 1e-12:
-        return _intersect_sphere(Sphere(cap.p0, cap.radius), origin, dirs)
-    u = axis / length
-    oc = origin - cap.p0
-    d_par = dirs @ u
-    oc_par = oc @ u
-    d_perp = dirs - d_par[..., None] * u
-    oc_perp = oc - oc_par * u
-    a = np.sum(d_perp * d_perp, axis=-1)
-    b = 2.0 * (d_perp @ oc_perp)
-    c = oc_perp @ oc_perp - cap.radius**2
-    t = np.full(dirs.shape[:-1], np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - 4.0 * a * c
-        ok = (disc >= 0) & (a > 1e-30)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        for t_cand in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-            s = oc_par + t_cand * d_par
-            good = ok & (t_cand > RAY_EPS) & (s >= 0) & (s <= length)
-            t = np.where(good & (t_cand < t), t_cand, t)
-    for cap_center in (cap.p0, cap.p1):
-        t_sph = _intersect_sphere(Sphere(cap_center, cap.radius), origin, dirs)
-        t = np.minimum(t, t_sph)
-    return t
-
-
 def chain_capsules(spec: SceneSpec) -> list[Capsule]:
     poses = forward_kinematics(spec.chain, spec.joint_state)
     capsules = []
@@ -293,14 +332,6 @@ def chain_capsules(spec: SceneSpec) -> list[Capsule]:
         else:
             capsules.append(Capsule(prev.translation, cur.translation + np.array([0, 0, 1e-9]), spec.capsule_radius))
     return capsules
-
-
-def _bounding_sphere(prim) -> tuple[np.ndarray, float]:
-    if isinstance(prim, Sphere):
-        return prim.center, prim.radius
-    if isinstance(prim, Box):
-        return prim.pose.translation, float(np.linalg.norm(prim.half_extents))
-    return 0.5 * (prim.p0 + prim.p1), 0.5 * float(np.linalg.norm(prim.p1 - prim.p0)) + prim.radius
 
 
 def _screen_window(center, radius, intrinsics: Intrinsics, pose: RigidTransform):
@@ -347,21 +378,15 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     dirs_world = dirs_cam @ pose.rotation.T
     origin = pose.translation
 
-    best_t = _intersect_table(spec.table, origin, dirs_world)
+    best_t = spec.table.intersect(origin, dirs_world)
     labels = np.where(np.isfinite(best_t), LABEL_BACKGROUND, 0).astype(np.uint8)
 
-    casts = []
-    for prim in spec.primitives:
-        if not isinstance(prim, (Sphere, Box)):
-            raise TypeError(f"unknown primitive {type(prim).__name__}")
-        casts.append((prim, _intersect_sphere if isinstance(prim, Sphere) else _intersect_box, LABEL_OBJECT))
-    casts += [(cap, _intersect_capsule, LABEL_ROBOT) for cap in chain_capsules(spec)]
-
-    for prim, intersect, label in casts:
-        window = _screen_window(*_bounding_sphere(prim), intrinsics, pose)
+    casts = [(p, LABEL_OBJECT) for p in spec.primitives] + [(c, LABEL_ROBOT) for c in chain_capsules(spec)]
+    for prim, label in casts:
+        window = _screen_window(*prim.bound(), intrinsics, pose)
         if window is None:
             continue
-        t = intersect(prim, origin, dirs_world[window])
+        t = prim.intersect(origin, dirs_world[window])
         near = best_t[window]
         closer = t < near
         near[closer] = t[closer]

@@ -68,10 +68,6 @@ class TestGenScenes:
         assert err.startswith("reconkit gen-scenes: error: --out: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_unwritable_path_errors(self):
-        with pytest.raises(OSError):
-            main(["gen-scenes", "--scenes", "1", "--out", "/proc/nope/x"])
-
 
 def tree_sha256(root: Path) -> str:
     """One sha256 over every file of a tree: relative path, then bytes, in sorted path order."""
@@ -302,6 +298,22 @@ class TestInputChecks:
         assert rc == 2
         self.assert_flag_error(capsys, command, "--bundles")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["gen-scenes", "eval-pointmap", "eval-pose", "solve-pnp", "compose-points", "check-grads"],
+    )
+    def test_unwritable_out(self, bundle_tree, tmp_path, capsys, monkeypatch, command):
+        (tmp_path / "file").touch()
+        out = tmp_path / "file" / "x"
+        monkeypatch.setattr(cli, "run_gen_scenes", _must_not_run)  # gen-scenes fails before any scene runs
+        scene = ["--bundle", str(bundle_tree / "scene_00000")]
+        target = {"gen-scenes": ["--scenes", "1"], "eval-pointmap": ["--bundles", str(bundle_tree)],
+                  "eval-pose": ["--bundles", str(bundle_tree)], "solve-pnp": scene,
+                  "compose-points": scene, "check-grads": []}[command]
+        rc = main([command, *target, "--workers", "1", "--out", str(out)])
+        assert rc == 2
+        assert f"{out}: Not a directory" in self.assert_flag_error(capsys, command, "--out")
 
     @pytest.mark.parametrize("value", ["7", "0", "1", "-0.5", "nan"])
     def test_threshold_checked_before_bundle_load(self, tmp_path, capsys, monkeypatch, value):

@@ -49,15 +49,12 @@ from reconkit.oracle.raster import (
 )
 from reconkit.masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from reconkit.oracle.scene import (
+    Box,
     CameraRanges,
+    Capsule,
     SceneSpec,
     Sphere,
     Table,
-    _bounding_sphere,
-    _intersect_box,
-    _intersect_capsule,
-    _intersect_sphere,
-    _intersect_table,
     _screen_window,
     chain_capsules,
     render,
@@ -69,6 +66,7 @@ from reconkit.transforms import (
     Similarity,
     register_views,
     relative_pose,
+    rotation_about_axis,
     to_canonical,
 )
 
@@ -130,7 +128,34 @@ def minimal_spec(primitives, camera, width=64, height=48, views=1):
     )
 
 
+TILT = rotation_about_axis([1.0, 2.0, 3.0], 0.7)
+# primitive, and the center and half-width of the cube its test rays aim into
+SURFACE_CASES = {
+    "sphere": (Sphere([0.4, 0.1, 0.08], 0.08), [0.4, 0.1, 0.08], 0.1),
+    "rotated_box": (Box(RigidTransform(TILT, [0.3, -0.1, 0.2]), [0.05, 0.08, 0.03]), [0.3, -0.1, 0.2], 0.1),
+    "capsule": (Capsule([0.0, 0.0, 0.2], [0.2, 0.1, 0.4], 0.05), [0.1, 0.05, 0.3], 0.15),
+    "degenerate_capsule": (Capsule([0.1, 0.2, 0.3], [0.1, 0.2, 0.3], 0.05), [0.1, 0.2, 0.3], 0.06),
+    "rotated_table": (Table(RigidTransform(TILT, [0.2, 0.0, -0.1]), [0.6, 0.4]), [0.2, 0.0, -0.1], 0.7),
+}
+
+
 class TestRender:
+    @pytest.mark.parametrize("name", sorted(SURFACE_CASES))
+    def test_hits_lie_on_surface(self, name):
+        prim, center, half_width = SURFACE_CASES[name]
+        rng = np.random.default_rng(3)
+        direction = rng.normal(size=3)
+        origin = center + 4.0 * half_width * direction / np.linalg.norm(direction)
+        dirs = center + rng.uniform(-half_width, half_width, (2000, 3)) - origin
+        t = prim.intersect(origin, dirs)
+        hit = np.isfinite(t)
+        assert hit.sum() > 200
+        assert prim.distance(origin + t[hit, None] * dirs[hit]).max() <= 1e-12
+
+    def test_spec_rejects_non_object_primitive(self):
+        with pytest.raises(TypeError, match="unknown primitive Capsule"):
+            minimal_spec([SURFACE_CASES["capsule"][0]], fixed_camera_ranges())
+
     def test_fronto_parallel_plane_constant_depth(self):
         # camera 1 m straight above a huge table, looking straight down
         chain, kp = default_chain()
@@ -201,14 +226,11 @@ def full_frame_render(spec, k, pose):
     dirs = np.concatenate([coords.values, np.ones((k.height, k.width, 1))], axis=-1)
     dirs = dirs @ pose.rotation.T
     origin = pose.translation
-    best = _intersect_table(spec.table, origin, dirs)
+    best = spec.table.intersect(origin, dirs)
     labels = np.where(np.isfinite(best), LABEL_BACKGROUND, 0).astype(np.uint8)
-    casts = [
-        (p, _intersect_sphere if isinstance(p, Sphere) else _intersect_box, LABEL_OBJECT)
-        for p in spec.primitives
-    ] + [(c, _intersect_capsule, LABEL_ROBOT) for c in chain_capsules(spec)]
-    for prim, intersect, label in casts:
-        t = intersect(prim, origin, dirs)
+    casts = [(p, LABEL_OBJECT) for p in spec.primitives] + [(c, LABEL_ROBOT) for c in chain_capsules(spec)]
+    for prim, label in casts:
+        t = prim.intersect(origin, dirs)
         closer = t < best
         best = np.where(closer, t, best)
         labels[closer] = label
@@ -266,7 +288,7 @@ class TestCulledRender:
     def test_camera_inside_capsule_bound_uses_whole_frame(self):
         spec = minimal_spec([], fixed_camera_ranges(), width=64, height=48)
         cap = max(chain_capsules(spec), key=lambda c: np.linalg.norm(c.p1 - c.p0))
-        center, radius = _bounding_sphere(cap)
+        center, radius = cap.bound()
         axis = (cap.p1 - cap.p0) / np.linalg.norm(cap.p1 - cap.p0)
         side = np.cross(axis, [1.0, 0.0, 0.0])
         eye = center + 2.0 * cap.radius * side / np.linalg.norm(side)
@@ -763,6 +785,8 @@ class TestBundleJSONErrors:
         "scene_width": ("meta.json", ("scene", "width"), True, "width must be an integer, got True"),
         "camera_radius": ("meta.json", ("scene", "camera", "radius"), ["a", "b"],
                           "camera radius must be a number, got 'a'"),
+        "primitive_type": ("meta.json", ("scene", "primitives", 0, "type"), "cylinder",
+                           "unknown primitive type 'cylinder'"),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
