@@ -97,6 +97,25 @@ class TestGenScenesBytes:
         assert tree_sha256(out) == self.SHA256[scenes, width, height]
 
 
+class TestLoadedRasterBytes:
+    """Pinned sha256 of what a loaded view serves, independent of how a bundle stores it."""
+
+    SHA256 = "894ce055e994bd7c02f3258733d540192b84b53e131c7bc15dd4b40b98a7cf48"
+
+    def test_loaded_view_sha256_pinned(self, tmp_path):
+        from reconkit.oracle.bundle import load_bundle
+
+        out = tmp_path / "tree"
+        assert main(["gen-scenes", "--scenes", "3", "--seed", "13", "--width", "160",
+                     "--height", "120", "--workers", "1", "--out", str(out)]) == 0
+        h = hashlib.sha256()
+        for scene in sorted(out.glob("scene_*")):
+            for view in load_bundle(scene).views:
+                for arr in (view.depth.values, view.depth.valid, view.coords.values, view.masks.stacked()):
+                    h.update(arr.tobytes())
+        assert h.hexdigest() == self.SHA256
+
+
 class TestEvalPointmap:
     def test_zero_noise_zero_summary(self, bundle_tree, tmp_path):
         out = tmp_path / "report.json"
