@@ -42,6 +42,13 @@ GEN_KEYS = ("seed", "scenes", "views", "width", "height")
 LOCATION_FLAGS = ("config", "out", "bundle", "bundles", "view", "heatmap", "keypoints")
 # check-grads fails a loss whose max relative gradient error reaches this
 GRADIENT_TOLERANCE = 1e-4
+# numeric flag -> (its check, what it must be), applied before any command runs
+FLAG_RANGES = {
+    "workers": (lambda v: v >= 0, ">= 0 (0: all cores)"),
+    "threshold": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "temperature": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
+    "eps": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
+}
 # config field -> the flag (and config-file key) that sets it
 FIELD_FLAGS = {
     **{field: flag for flag, field in NOISE_FLAGS.items()},
@@ -260,22 +267,44 @@ def _check_view(args, bundle) -> int:
     return args.view
 
 
+@contextlib.contextmanager
+def _input_errors(flag, path):
+    """An input file that is missing, unreadable or malformed, as a FlagError naming it."""
+    try:
+        yield
+    except OSError as exc:  # missing, a directory or unreadable
+        raise FlagError(f"{flag}: {path}: {exc.strerror}") from None
+    except (ValueError, TypeError) as exc:  # invalid JSON, ragged or non-numeric rows, a bad raster
+        raise FlagError(f"{flag}: {path}: {str(exc).removeprefix(f'{path}: ')}") from None
+
+
+def _check_input(arr, shape):
+    """A ValueError unless arr is finite and has the given shape."""
+    if arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected finite values of shape {shape}, got shape {arr.shape}")
+
+
 def cmd_solve_pnp(args) -> int:
     with _bundle_errors():
         bundle = load_bundle(args.bundle)
     i = _check_view(args, bundle)
     view = bundle.views[i]
     if args.keypoints:
-        pixels = np.asarray(json.loads(Path(args.keypoints).read_text()), dtype=float)
+        with _input_errors("--keypoints", args.keypoints):
+            pixels = np.asarray(json.loads(Path(args.keypoints).read_text()), dtype=float)
+            _check_input(pixels, bundle.keypoints_2d[i].shape)  # (keypoints, 2)
         source = "explicit keypoints"
     elif args.heatmap:
-        pixels = soft_argmax(read_raster(args.heatmap), args.temperature)
+        with _input_errors("--heatmap", args.heatmap):
+            heatmap = read_raster(args.heatmap)
+            _check_input(heatmap, (view.intrinsics.height, view.intrinsics.width, len(bundle.keypoints_3d)))
+            pixels = soft_argmax(heatmap, args.temperature)
         source = "heatmap soft-argmax"
     else:
         pixels = bundle.keypoints_2d[i]
         source = "bundle ground-truth keypoints"
     result = solve_pnp(bundle.keypoints_3d, pixels, view.intrinsics)
-    gt_extrinsic = view.pose_robot.inverse()
+    gt_extrinsic = view.pose_world.inverse()
     t_err = float(np.linalg.norm(result.extrinsic.translation - gt_extrinsic.translation))
     r_err = rotation_angle(result.extrinsic.rotation, gt_extrinsic.rotation)
     report = {
@@ -303,8 +332,6 @@ def cmd_solve_pnp(args) -> int:
 
 def cmd_compose_points(args) -> int:
     noise = _noise_from(args)
-    if not 0.0 < args.threshold < 1.0:
-        raise FlagError(f"--threshold: must lie in (0, 1), got {args.threshold}")
     with _bundle_errors():
         bundle = load_bundle(args.bundle)
         i = _check_view(args, bundle)
@@ -381,6 +408,9 @@ def main(argv=None) -> int:
     try:
         if args.config:
             _apply_config(args)
+        for flag, (ok, must) in FLAG_RANGES.items():
+            if hasattr(args, flag) and not ok(getattr(args, flag)):
+                raise FlagError(f"--{flag}: must be {must}, got {getattr(args, flag)}")
         return handlers[args.command](args)
     except FlagError as exc:
         print(f"reconkit {args.command}: error: {exc}", file=sys.stderr)

@@ -55,6 +55,12 @@ class MaskSet:
         arr = np.asarray(arr, dtype=float)
         return MaskSet(arr[:, :, 0], arr[:, :, 1], arr[:, :, 2])
 
+    @staticmethod
+    def from_labels(labels) -> "MaskSet":
+        """One-hot planes of a part-label grid; a LABEL_INVALID pixel is 0 in all three."""
+        parts = (LABEL_ROBOT, LABEL_OBJECT, LABEL_BACKGROUND)
+        return MaskSet(*((labels == label).astype(float) for label in parts))
+
 
 @dataclass(frozen=True, eq=False)
 class LabeledPointMap:

@@ -1,25 +1,24 @@
 """Ground-truth scene bundles: generation, on-disk layout, validation.
 
-A bundle is one directory:
+A bundle (format 2) is one directory:
 
     meta.json             all poses (4x4 row-major), intrinsics, keypoints,
                           similarity {scale, matrix}, joint state, scene echo
     chain.json            kinematic chain + keypoint spec
-    view_{i}_depth.r3rb   float64 depth raster
-    view_{i}_valid.r3rb   uint8 validity raster
-    view_{i}_coords.r3rb  float64 2-channel coord raster
-    view_{i}_masks.r3rb   float64 3-channel mask raster (robot, object, bg)
+    view_{i}_depth.r3rb   float64 depth raster, 0 at holes
+    view_{i}_labels.r3rb  uint8 part labels (masks.LABEL_*, 0 at holes)
 
-save/load is a lossless bit-exact round trip.  load_bundle parses both JSON
-files and checks every raster's header, file size and shape up front, so a
-missing or malformed file, a missing key, a value of the wrong type or form
-or a wrong shape fails at load as a named BundleError or RasterError.  A
-view's depth, coords and masks are read, and their values checked, on first
-access only; a value their map type rejects (a non-finite coord, a mask
-outside [0, 1]) then fails as a PayloadValueError that names the raster
-file.  The robot base frame equals the world frame, so the bundle's
-similarity (camera 1 -> robot base, unit scale) canonicalizes registered
-camera-frame geometry onto the rendered world surfaces.
+Validity (depth > 0), coords (from the intrinsics) and mask planes (one-hot
+labels) are not stored; ViewRecord derives them on one path for generated
+and loaded views.  save/load is a lossless bit-exact round trip.
+load_bundle checks both JSON files and every raster's header, size, shape
+and (labels: uint8) dtype up front, so a missing or malformed file or key,
+a value of the wrong type or form, or a wrong shape or dtype fails at load
+as a named BundleError or RasterError.  A view's depth and labels are read
+on first access only; a label above LABEL_BACKGROUND then fails as a
+PayloadValueError naming the file.  The robot base frame is the world frame,
+so pose_world is also the base-frame pose and the similarity (camera 1 ->
+robot base, unit scale) canonicalizes registered camera-frame geometry.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..camera import CoordMap, DepthMap, Intrinsics, project, unproject
+from ..camera import CoordMap, DepthMap, Intrinsics, coords_from_intrinsics, project, unproject
 from ..kinematics import (
     Joint,
     KeypointSpec,
@@ -43,7 +42,7 @@ from ..kinematics import (
 )
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT, MaskSet
 from ..transforms import RigidTransform, Similarity
-from .raster import RasterError, raster_shape, read_raster, write_raster
+from .raster import RasterError, raster_header, read_raster, write_raster
 from .scene import (
     PRIMITIVE_TYPES,
     Box,
@@ -56,11 +55,10 @@ from .scene import (
     sample_camera,
 )
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 META_NAME = "meta.json"
 CHAIN_NAME = "chain.json"
-# raster file key (view_{i}_{key}.r3rb) -> channel axis of its shape (none for one channel)
-RASTER_CHANNELS = {"depth": (), "valid": (), "coords": (2,), "masks": (3,)}
+RASTER_KEYS = ("depth", "labels")  # each view's HxW rasters, view_{i}_{key}.r3rb
 
 
 class BundleError(ValueError):
@@ -87,31 +85,39 @@ class PayloadValueError(BundleError):
     """A raster payload holding a value its map type rejects."""
 
 
+class DtypeMismatchError(BundleError):
+    """A raster whose dtype its file key does not allow."""
+
+
 @dataclass(frozen=True, eq=False)
 class ViewRecord:
     """One camera of a bundle.
 
-    `depth`, `coords` and `masks` are each built on first access by looking
-    its name up in `rasters`: a dict of built maps for a generated scene, the
-    view's raster files for a loaded one.
+    `rasters[key]` gives the stored depth or labels array: from a dict for a
+    generated scene, read from the view's file for a loaded one.  Every
+    property is built on first access; validity, coords and mask planes are
+    derived here, the same way for both.
     """
 
     intrinsics: Intrinsics
     pose_world: RigidTransform
-    pose_robot: RigidTransform
-    rasters: object  # rasters[name] gives the map of that name
+    rasters: object  # rasters[key] gives the array of that RASTER_KEYS key
 
     @cached_property
     def depth(self) -> DepthMap:
-        return self.rasters["depth"]
+        return DepthMap.from_values(self.rasters["depth"])  # 0, NaN: holes
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return self.rasters["labels"]
 
     @cached_property
     def coords(self) -> CoordMap:
-        return self.rasters["coords"]
+        return coords_from_intrinsics(self.intrinsics)
 
     @cached_property
     def masks(self) -> MaskSet:
-        return self.rasters["masks"]
+        return MaskSet.from_labels(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,21 +275,8 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
             raise BundleError(f"could not find a camera seeing all keypoints (seed {seed})")
         intr, pose = chosen
         kp_cam = pose.inverse().apply(kp3d)
-        depth, coords, labels = render(spec, intr, pose)
-        masks = MaskSet(
-            robot=(labels == LABEL_ROBOT).astype(float),
-            object=(labels == LABEL_OBJECT).astype(float),
-            background=(labels == LABEL_BACKGROUND).astype(float),
-        )
-        # base frame == world frame, so both pose entries coincide by design
-        views.append(
-            ViewRecord(
-                intrinsics=intr,
-                pose_world=pose,
-                pose_robot=pose,
-                rasters={"depth": depth, "coords": coords, "masks": masks},
-            )
-        )
+        depth, labels = render(spec, intr, pose)
+        views.append(ViewRecord(intr, pose, rasters={"depth": depth, "labels": labels}))
         kp2d.append(project(kp_cam, intr))
         if sim is None:
             sim = Similarity(1.0, pose)
@@ -353,16 +346,13 @@ def save_bundle(path, bundle: SceneBundle):
 
     view_entries = []
     for i, view in enumerate(bundle.views):
-        files = {key: f"view_{i}_{key}.r3rb" for key in RASTER_CHANNELS}
+        files = {key: f"view_{i}_{key}.r3rb" for key in RASTER_KEYS}
         write_raster(path / files["depth"], view.depth.values)
-        write_raster(path / files["valid"], view.depth.valid.astype(np.uint8))
-        write_raster(path / files["coords"], view.coords.values)
-        write_raster(path / files["masks"], view.masks.stacked())
+        write_raster(path / files["labels"], view.labels)
         view_entries.append(
             {
                 "intrinsics": asdict(view.intrinsics),
                 "pose_world": view.pose_world.matrix().tolist(),
-                "pose_robot": view.pose_robot.matrix().tolist(),
                 "files": files,
             }
         )
@@ -423,33 +413,33 @@ def _check_shape(name, shape, expected):
         raise ShapeMismatchError(f"{name}: shape {shape}, expected {expected}")
 
 
+def _check_raster(path, key, shape, dtype, grid):
+    """A view raster's header: the intrinsics' HxW, and uint8 for the labels."""
+    _check_shape(path, shape, grid)
+    if key == "labels" and dtype != np.uint8:
+        raise DtypeMismatchError(f"{path}: dtype {dtype}, expected uint8 part labels")
+
+
 class _RasterFiles:
-    """A loaded view's depth, coords and masks, each read when looked up."""
+    """A loaded view's depth and labels, each read when looked up."""
 
     def __init__(self, root: Path, files, grid: tuple):
         self.root, self.files, self.grid = root, files, grid
 
-    def _read(self, key) -> np.ndarray:
+    def __getitem__(self, key) -> np.ndarray:
         path = self.root / self.files[key]
         arr = read_raster(path)
-        _check_shape(path, arr.shape, self.grid + RASTER_CHANNELS[key])
+        _check_raster(path, key, arr.shape, arr.dtype, self.grid)
+        if key == "labels" and arr.max(initial=0) > LABEL_BACKGROUND:
+            raise PayloadValueError(f"{path}: part label {arr.max()} outside [0, {LABEL_BACKGROUND}]")
         return arr
-
-    def __getitem__(self, name):
-        if name == "depth":  # NaN or non-positive depths are holes, not errors
-            return DepthMap(self._read("depth"), self._read("valid").astype(bool))
-        arr = self._read(name)
-        try:
-            return CoordMap(arr) if name == "coords" else MaskSet.from_stacked(arr)
-        except ValueError as exc:
-            raise PayloadValueError(f"{self.root / self.files[name]}: {exc}") from None
 
 
 def load_bundle(path) -> SceneBundle:
     """Read a bundle's metadata, checking its keys and every raster and keypoint shape.
 
-    Raster payloads are read on first access of a view's depth, coords or
-    masks (see the module docstring).
+    Raster payloads are read on first access of a view's depth, labels,
+    coords or masks (see the module docstring).
     """
     path = Path(path)
     meta_path = path / META_NAME
@@ -474,17 +464,10 @@ def load_bundle(path) -> SceneBundle:
             files = entry["files"]
             intrinsics = _from_fields(Intrinsics, entry["intrinsics"])
             grid = (intrinsics.height, intrinsics.width)
-            for key, channels in RASTER_CHANNELS.items():
-                raster = path / files[key]
-                _check_shape(raster, raster_shape(raster), grid + channels)
-            views.append(
-                ViewRecord(
-                    intrinsics=intrinsics,
-                    pose_world=RigidTransform.from_matrix(np.array(entry["pose_world"])),
-                    pose_robot=RigidTransform.from_matrix(np.array(entry["pose_robot"])),
-                    rasters=_RasterFiles(path, files, grid),
-                )
-            )
+            for key in RASTER_KEYS:
+                _check_raster(path / files[key], key, *raster_header(path / files[key]), grid)
+            pose = RigidTransform.from_matrix(np.array(entry["pose_world"]))
+            views.append(ViewRecord(intrinsics, pose, rasters=_RasterFiles(path, files, grid)))
 
         n_kp = len(kp_spec)
         kp3d = np.array(meta["keypoints_3d"], dtype=float)
@@ -530,17 +513,14 @@ def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
     Also checks that stored 2D keypoints re-project from the stored 3D
     keypoints and poses.
     """
-    from ..masks import binarize
-
     worst = 0.0
     for i, view in enumerate(bundle.views):
         pm = unproject(view.coords, view.depth)
         world = view.pose_world.apply(pm.values[pm.valid])
-        labels = binarize(view.masks, 0.5)[pm.valid]
-        d = surface_distances(bundle.spec, world, labels)
+        d = surface_distances(bundle.spec, world, view.labels[pm.valid])
         if d.size:
             worst = max(worst, float(d.max()))
-        kp_cam = view.pose_robot.inverse().apply(bundle.keypoints_3d)
+        kp_cam = view.pose_world.inverse().apply(bundle.keypoints_3d)
         kp_err = np.abs(project(kp_cam, view.intrinsics) - bundle.keypoints_2d[i]).max()
         worst = max(worst, float(kp_err))
     if worst > tol:

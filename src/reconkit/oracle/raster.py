@@ -2,9 +2,8 @@
 
 Layout (little-endian): magic bytes "R3RB", u32 height, u32 width,
 u32 channels, u32 dtype tag, then the row-major payload.  Dtype tags:
-1 = float32, 2 = float64, 3 = uint8.  Oracle bundles store float64 rasters
-(validity and label grids as uint8); float32 is supported for externally
-produced data.
+1 = float32, 2 = float64, 3 = uint8.  Oracle bundles store float64 depth
+and uint8 label grids; float32 is supported for externally produced data.
 """
 
 from __future__ import annotations
@@ -81,13 +80,13 @@ def _check_header(f, path) -> tuple[tuple, np.dtype]:
     return ((h, w) if c == 1 else (h, w, c)), dtype
 
 
-def raster_shape(path) -> tuple:
-    """Shape read_raster would return, after the same header and size checks.
+def raster_header(path) -> tuple[tuple, np.dtype]:
+    """(shape, dtype) read_raster would return, after the same header and size checks.
 
     The payload is not read.
     """
     with open(path, "rb") as f:
-        return _check_header(f, path)[0]
+        return _check_header(f, path)
 
 
 def read_raster(path) -> np.ndarray:

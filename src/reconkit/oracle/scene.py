@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..camera import CoordMap, DepthMap, Intrinsics, coords_from_intrinsics
+from ..camera import Intrinsics, coords_from_intrinsics
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
@@ -365,8 +365,8 @@ def _screen_window(center, radius, intrinsics: Intrinsics, pose: RigidTransform)
 def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     """Ray-cast one view.
 
-    Returns (depth: DepthMap, coords: CoordMap, labels: HxW uint8) where the
-    label of a miss pixel is 0 and the depth there is invalid.  The table is
+    Returns what a bundle view stores: (depth: HxW float64, labels: HxW
+    uint8), both 0 at a miss pixel.  The table is
     cast over the whole frame; every other primitive only inside the screen
     window of its bounding sphere, which gives the same bits as casting it
     over the whole frame.
@@ -392,6 +392,4 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
         near[closer] = t[closer]
         labels[window][closer] = label
 
-    valid = np.isfinite(best_t)
-    depth = DepthMap(np.where(valid, best_t, 0.0), valid)
-    return depth, coords, labels
+    return np.where(np.isfinite(best_t), best_t, 0.0), labels

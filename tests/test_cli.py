@@ -83,8 +83,8 @@ class TestGenScenesBytes:
     """Pinned sha256 of whole `gen-scenes` trees, at 1 and 2 workers."""
 
     SHA256 = {
-        ("3", "160", "120"): "db84cdc6fecddf14c168f820d9f25612d8b3fc55d47ea17fc278ca3a180c180f",
-        ("1", "630", "476"): "b46e04075c7d9c7154e34504539a565e9752715ecf75aa2572300006be42b589",
+        ("3", "160", "120"): "f87b1877ba46442a045a50610884101460404268a6093000d83ee15eeff70341",
+        ("1", "630", "476"): "70cd6356b03b6e6b82c76b08d2ff14a7baa2527f3044d5f4b8817e4010e22fca",
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -349,14 +349,81 @@ class TestInputChecks:
         assert rc == 2
         assert "1.5" in self.assert_flag_error(capsys, "compose-points", "--threshold")
 
-    # damage -> what the error names; the last two are found only when the
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [("solve-pnp", "--temperature", "0"), ("solve-pnp", "--temperature", "-0.05"),
+         ("solve-pnp", "--temperature", "nan"), ("solve-pnp", "--temperature", "inf"),
+         ("check-grads", "--eps", "0"), ("check-grads", "--eps", "-0.001"), ("check-grads", "--eps", "nan"),
+         ("gen-scenes", "--workers", "-3"), ("eval-pose", "--workers", "-3"),
+         ("eval-pointmap", "--workers", "-1"), ("compose-points", "--workers", "-1")],
+    )
+    def test_numeric_flag_checked_up_front(self, bundle_tree, tmp_path, capsys, monkeypatch,
+                                           command, flag, value):
+        for name in ("load_bundle", "run_eval", "run_gen_scenes", "check_gradient"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        target = {"gen-scenes": ["--scenes", "1"], "eval-pointmap": ["--bundles", str(bundle_tree)],
+                  "eval-pose": ["--bundles", str(bundle_tree)], "check-grads": []}.get(
+                      command, ["--bundle", str(bundle_tree / "scene_00000")])
+        out = tmp_path / "out"
+        rc = main([command, *target, flag, value, "--out", str(out)])
+        assert rc == 2
+        got = value if flag == "--workers" else float(value)
+        assert f"got {got}" in self.assert_flag_error(capsys, command, flag)
+        assert not out.exists()
+
+    def assert_pnp_input_error(self, bundle_tree, capsys, monkeypatch, flag, path, message):
+        monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
+        rc = main(["solve-pnp", "--bundle", str(bundle_tree / "scene_00000"), flag, str(path)])
+        assert rc == 2
+        err = self.assert_flag_error(capsys, "solve-pnp", flag)
+        assert err.startswith(f"reconkit solve-pnp: error: {flag}: {path}: ")
+        assert message in err and err.count(str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [(None, "No such file or directory"), ("[[1, 2]", "Expecting ',' delimiter"),
+         ("[[1, 2], [3]]", "inhomogeneous shape"), ('[["a", "b"]]', "could not convert string to float"),
+         ('{"u": 1}', "not 'dict'"), ("[[1, 2], [3, 4]]", "shape (8, 2), got shape (2, 2)"),
+         (json.dumps([[float("nan"), 1.0]] + [[1.0, 2.0]] * 7), "finite values of shape (8, 2)")],
+    )
+    def test_bad_keypoints_file(self, bundle_tree, tmp_path, capsys, monkeypatch, content, message):
+        path = tmp_path / "kp.json"
+        if content is not None:
+            path.write_text(content)
+        self.assert_pnp_input_error(bundle_tree, capsys, monkeypatch, "--keypoints", path, message)
+
+    # (height, width, keypoints) drawn, one value set at a pixel, bytes kept; None: no file
+    @pytest.mark.parametrize(
+        "drawn,message",
+        [(None, "No such file or directory"),
+         (((72, 96, 8), None, 100), "truncated raster at byte 100"),
+         (((72, 96, 8), float("nan"), None), "finite values of shape (72, 96, 8)"),
+         (((72, 95, 8), None, None), "shape (72, 96, 8), got shape (72, 95, 8)"),
+         (((72, 96, 7), None, None), "shape (72, 96, 8), got shape (72, 96, 7)"),
+         (((72, 96, 8), -1.0, None), "heatmap entries must be finite and >= 0")],
+    )
+    def test_bad_heatmap_file(self, bundle_tree, tmp_path, capsys, monkeypatch, drawn, message):
+        from reconkit.oracle.mock import synthesize_heatmaps
+
+        path = tmp_path / "hm.r3rb"
+        if drawn is not None:
+            (height, width, n_kp), value, kept = drawn
+            kp = json.loads((bundle_tree / "scene_00000" / "meta.json").read_text())["keypoints_2d"][0]
+            hm = synthesize_heatmaps(kp[:n_kp], width, height, 3.0)
+            if value is not None:
+                hm[5, 6, 2] = value
+            write_raster(path, hm)
+            if kept is not None:
+                path.write_bytes(path.read_bytes()[:kept])
+        self.assert_pnp_input_error(bundle_tree, capsys, monkeypatch, "--heatmap", path, message)
+
+    # damage -> what the error names; the last is found only when the
     # payload is read, after load_bundle has returned
     BUNDLE_DAMAGE = {
         "missing": "meta.json",
-        "missing_raster": "view_1_masks.r3rb: No such file or directory",
+        "missing_raster": "view_1_labels.r3rb: No such file or directory",
         "width": "view_0_depth.r3rb: shape (72, 96), expected (72, 100)",
-        "nan_coords": "view_0_coords.r3rb: coord map contains non-finite entries",
-        "mask_range": "view_0_masks.r3rb: background mask has entries outside [0, 1]",
+        "mask_range": "view_0_labels.r3rb: part label 4 outside [0, 3]",
     }
 
     @staticmethod
@@ -366,27 +433,22 @@ class TestInputChecks:
             return scene
         shutil.copytree(bundle_tree / "scene_00000", scene)
         if damage == "missing_raster":
-            (scene / "view_1_masks.r3rb").unlink()
+            (scene / "view_1_labels.r3rb").unlink()
         elif damage == "width":
             meta = json.loads((scene / "meta.json").read_text())
             meta["views"][0]["intrinsics"]["width"] = 100
             (scene / "meta.json").write_text(json.dumps(meta))
-        else:
-            name, index, value = {
-                "nan_coords": ("view_0_coords.r3rb", (3, 4, 1), float("nan")),
-                "mask_range": ("view_0_masks.r3rb", (5, 6, 2), 1.5),
-            }[damage]
-            arr = read_raster(scene / name)
-            arr[index] = value
-            write_raster(scene / name, arr)
+        else:  # mask_range: a part label past LABEL_BACKGROUND
+            arr = read_raster(scene / "view_0_labels.r3rb")
+            arr[5, 6] = 4
+            write_raster(scene / "view_0_labels.r3rb", arr)
         return scene
 
     @pytest.mark.parametrize(
         "command,damage",
         [("solve-pnp", "missing"), ("solve-pnp", "missing_raster"), ("solve-pnp", "width"),
          ("compose-points", "missing"), ("compose-points", "missing_raster"),
-         ("compose-points", "width"), ("compose-points", "nan_coords"),
-         ("compose-points", "mask_range")],
+         ("compose-points", "width"), ("compose-points", "mask_range")],
     )
     def test_bad_bundle(self, bundle_tree, tmp_path, capsys, command, damage):
         scene = self.damaged_bundle(bundle_tree, tmp_path, damage)
@@ -650,9 +712,11 @@ class TestConfigPrecedence:
         keys = self.CONFIG_KEYS[command]
         cfg = tmp_path / "cfg.json"
         argv = [command, *self.TARGETS.get(command, []), "--config", str(cfg)]
-        cfg.write_text(json.dumps({key: 7 for key in keys}))  # an integer suits int and float flags
+        # an integer suits int and float flags; main checks threshold in (0, 1) before any handler
+        values = {key: 0.5 if key == "threshold" else 7 for key in keys}
+        cfg.write_text(json.dumps(values))
         assert main(argv) == 0
-        assert {key: seen[key] for key in keys} == {key: 7 for key in keys}
+        assert {key: seen[key] for key in keys} == values
         others = set().union(*self.CONFIG_KEYS.values()) - keys
         for key in sorted(others | {"out", "bundle", "bundles", "view", "heatmap", "keypoints", "weights_file"}):
             cfg.write_text(json.dumps({key: 7}))

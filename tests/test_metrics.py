@@ -117,7 +117,7 @@ class TestAbsolutePoseMetrics:
     def test_pnp_recovered_pose(self, small_bundle):
         view = small_bundle.views[0]
         res = solve_pnp(small_bundle.keypoints_3d, small_bundle.keypoints_2d[0], view.intrinsics)
-        report = absolute_pose_metrics(res.extrinsic.inverse(), view.pose_robot)
+        report = absolute_pose_metrics(res.extrinsic.inverse(), view.pose_world)
         assert report.ate < 1e-6
         assert report.are < 1e-6
 

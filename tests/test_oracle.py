@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from reconkit.oracle import bundle as bundle_module
 from reconkit.oracle import mock as mock_module
 from reconkit.oracle.bundle import (
     BundleError,
+    DtypeMismatchError,
     MalformedMetadataError,
     MissingMetadataError,
     PayloadValueError,
@@ -40,6 +42,7 @@ from reconkit.oracle.mock import (
     synthesize_heatmaps,
 )
 from reconkit.oracle.raster import (
+    HEADER,
     BadMagicError,
     RasterError,
     TruncatedRasterError,
@@ -165,10 +168,10 @@ class TestRender:
             np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]]),
             np.array([2.0, 2.0, 1.0]),  # away from the arm at the origin
         )
-        depth, coords, labels = render(spec, k, down)
+        depth, labels = render(spec, k, down)
         table_px = labels == 3
         assert table_px.sum() > 1000
-        np.testing.assert_allclose(depth.values[table_px], 1.0, atol=1e-12)
+        np.testing.assert_allclose(depth[table_px], 1.0, atol=1e-12)
 
     def test_unit_sphere_center_depth(self):
         spec = minimal_spec(
@@ -180,16 +183,17 @@ class TestRender:
             np.array([1.0, 0.0, 1.0]),
         )
         # optical axis +x toward the sphere center 3 m away
-        depth, coords, labels = render(spec, k, pose)
+        depth, labels = render(spec, k, pose)
         assert labels[24, 32] == 2
-        assert abs(depth.values[24, 32] - 2.0) < 1e-12
+        assert abs(depth[24, 32] - 2.0) < 1e-12
 
     def test_sphere_depth_matches_independent_quadratic(self, rng):
         sphere = Sphere(center=[0.4, 0.1, 0.08], radius=0.08)
         spec = minimal_spec([sphere], CameraRanges())
         seed_rng = np.random.default_rng(5)
         k, pose = sample_camera([0.4, 0.1, 0.08], seed_rng, CameraRanges(), 64, 48)
-        depth, coords, labels = render(spec, k, pose)
+        depth, labels = render(spec, k, pose)
+        coords = coords_from_intrinsics(k)
         ij = np.argwhere(labels == 2)
         assert len(ij) > 10
         picks = ij[rng.choice(len(ij), size=min(100, len(ij)), replace=False)]
@@ -203,7 +207,7 @@ class TestRender:
             perp2 = oc @ oc - proj**2
             thc = np.sqrt(sphere.radius**2 - perp2)
             t_geo = (proj - thc) / np.linalg.norm(d_world)  # back to z-depth units
-            assert abs(depth.values[v, u] - t_geo) < 1e-9
+            assert abs(depth[v, u] - t_geo) < 1e-9
 
     def test_generation_is_pure_function(self):
         spec = random_scene_spec(seed=11, views=2, width=64, height=48)
@@ -238,9 +242,9 @@ def full_frame_render(spec, k, pose):
 
 
 def assert_matches_full_frame(spec, k, pose):
-    depth, _, labels = render(spec, k, pose)
+    depth, labels = render(spec, k, pose)
     ref_depth, ref_labels = full_frame_render(spec, k, pose)
-    assert depth.values.tobytes() == ref_depth.tobytes()
+    assert depth.tobytes() == ref_depth.tobytes()
     np.testing.assert_array_equal(labels, ref_labels)
     return labels
 
@@ -551,7 +555,7 @@ class TestBundleIO:
             np.testing.assert_array_equal(va.coords.values, vb.coords.values)
             np.testing.assert_array_equal(va.masks.stacked(), vb.masks.stacked())
             np.testing.assert_array_equal(va.pose_world.matrix(), vb.pose_world.matrix())
-            np.testing.assert_array_equal(va.pose_robot.matrix(), vb.pose_robot.matrix())
+            np.testing.assert_array_equal(va.labels, vb.labels)
             assert va.intrinsics.fx == vb.intrinsics.fx
             assert va.intrinsics.cy == vb.intrinsics.cy
         assert a.spec.capsule_radius == b.spec.capsule_radius
@@ -569,6 +573,17 @@ class TestBundleIO:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
+    def test_stores_only_depth_and_labels(self, small_bundle, tmp_path):
+        save_bundle(tmp_path / "s", small_bundle)
+        assert sorted(f.name for f in (tmp_path / "s").iterdir()) == [
+            "chain.json", "meta.json", "view_0_depth.r3rb", "view_0_labels.r3rb",
+            "view_1_depth.r3rb", "view_1_labels.r3rb",
+        ]
+        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+        assert meta["format_version"] == 2
+        assert [sorted(view) for view in meta["views"]] == [["files", "intrinsics", "pose_world"]] * 2
+        assert read_raster(tmp_path / "s" / "view_1_labels.r3rb").dtype == np.uint8
+
     def test_truncated_raster_reports_byte_offset(self, small_bundle, tmp_path):
         save_bundle(tmp_path / "s", small_bundle)
         target = tmp_path / "s" / "view_0_depth.r3rb"
@@ -579,7 +594,7 @@ class TestBundleIO:
 
     def test_bad_magic(self, small_bundle, tmp_path):
         save_bundle(tmp_path / "s", small_bundle)
-        target = tmp_path / "s" / "view_0_coords.r3rb"
+        target = tmp_path / "s" / "view_0_labels.r3rb"
         data = bytearray(target.read_bytes())
         data[:4] = b"XXXX"
         target.write_bytes(bytes(data))
@@ -624,9 +639,9 @@ class TestBundleIO:
         [
             ("width", "view_0_depth.r3rb", (120, 160), (120, 168)),
             ("height", "view_0_depth.r3rb", (120, 160), (100, 160)),
-            ("coords_channels", "view_1_coords.r3rb", (120, 160, 3), (120, 160, 2)),
-            ("masks_channels", "view_0_masks.r3rb", (120, 160), (120, 160, 3)),
-            ("valid_shape", "view_1_valid.r3rb", (120, 159), (120, 160)),
+            ("labels_channels", "view_1_labels.r3rb", (120, 160, 3), (120, 160)),
+            ("labels_width", "view_0_labels.r3rb", (120, 159), (120, 160)),
+            ("labels_height", "view_1_labels.r3rb", (119, 160), (120, 160)),
             ("keypoints_2d_views", "keypoints_2d", (1, 8, 2), (2, 8, 2)),
             ("keypoints_2d_count", "keypoints_2d", (2, 7, 2), (2, 8, 2)),
             ("keypoints_3d_count", "keypoints_3d", (9, 3), (8, 3)),
@@ -649,6 +664,23 @@ class TestBundleIO:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(ShapeMismatchError, match=re.escape(f"{named}: shape {got}, expected {want}")):
             load_bundle(tmp_path / "s")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_labels_dtype_named(self, small_bundle, tmp_path, dtype):
+        save_bundle(tmp_path / "s", small_bundle)
+        write_raster(tmp_path / "s" / "view_1_labels.r3rb", small_bundle.views[1].labels.astype(dtype))
+        with pytest.raises(DtypeMismatchError, match=r"view_1_labels\.r3rb: dtype .*, expected uint8"):
+            load_bundle(tmp_path / "s")
+
+    def test_nonpositive_and_nan_depths_are_holes(self, small_bundle, tmp_path):
+        save_bundle(tmp_path / "s", small_bundle)
+        depth = small_bundle.views[0].depth.values.copy()
+        hit = np.argwhere(depth > 0)[:3]
+        depth[tuple(hit.T)] = [-0.5, np.nan, 0.0]
+        write_raster(tmp_path / "s" / "view_0_depth.r3rb", depth)
+        view = load_bundle(tmp_path / "s").views[0]
+        np.testing.assert_array_equal(view.depth.valid, small_bundle.views[0].depth.valid & (depth > 0))
+        assert not view.depth.valid[tuple(hit.T)].any()
 
     def test_float32_raster_support(self, tmp_path, rng):
         arr = rng.standard_normal((8, 6, 2)).astype(np.float32)
@@ -862,9 +894,7 @@ class TestLazyPayloads:
         from reconkit.pipeline import evaluate_pointmap_scene
 
         evaluate_pointmap_scene(load_bundle(saved), self.NOISE, 1)
-        assert sorted(counts["reads"]) == sorted(
-            f"view_{i}_{key}.r3rb" for i in range(2) for key in ("depth", "valid", "coords")
-        )
+        assert sorted(counts["reads"]) == ["view_0_depth.r3rb", "view_1_depth.r3rb"]
         assert (counts["MaskSet"], counts["flips"]) == (0, 0)
 
     @pytest.mark.parametrize("view", [0, 1])
@@ -874,7 +904,7 @@ class TestLazyPayloads:
         assert main(["compose-points", "--bundle", str(saved), "--view", str(view),
                      "--noise-mask-flip", "0.05", "--out", str(tmp_path / "out")]) == 0
         assert sorted(counts["reads"]) == sorted(
-            f"view_{view}_{key}.r3rb" for key in ("depth", "valid", "coords", "masks")
+            f"view_{view}_{key}.r3rb" for key in ("depth", "labels")
         )
         assert counts["flips"] == 1
 
@@ -882,7 +912,7 @@ class TestLazyPayloads:
         b = load_bundle(saved)
         pred = mock_predict(b, self.NOISE, seed=2)
         assert pred.masks[1] is pred.masks[1] and b.views[1].masks is b.views[1].masks
-        assert counts["reads"] == ["view_1_masks.r3rb"]
+        assert counts["reads"] == ["view_1_labels.r3rb"]
         assert (counts["MaskSet"], counts["flips"]) == (2, 1)  # the stored set, then the flipped one
 
     @pytest.mark.parametrize(
@@ -896,34 +926,33 @@ class TestLazyPayloads:
         ],
     )
     def test_header_errors_fire_at_load(self, saved, counts, corrupt, error):
-        target = saved / "view_1_masks.r3rb"
+        target = saved / "view_1_labels.r3rb"
         target.write_bytes(corrupt(target.read_bytes()))
-        with pytest.raises(error, match="view_1_masks.r3rb"):
+        with pytest.raises(error, match="view_1_labels.r3rb"):
             load_bundle(saved)
         assert counts["reads"] == []
 
-    def test_nan_coords_fail_only_readers(self, small_bundle, tmp_path):
+    @settings(max_examples=60, deadline=None)
+    @given(view=st.sampled_from([0, 1]), pixel=st.integers(0, 32 * 24 - 1), value=st.integers(4, 255))
+    def test_bad_label_fails_only_mask_readers(self, tiny_saved, view, pixel, value):
         from reconkit.cli import main
 
-        tree = tmp_path / "tree"
-        save_bundle(tree / "scene_00000", small_bundle)
-        coords = tree / "scene_00000" / "view_1_coords.r3rb"
-        arr = read_raster(coords)
-        arr[10, 20, 0] = np.nan
-        write_raster(coords, arr)
-        with pytest.raises(PayloadValueError, match="view_1_coords.r3rb: coord map contains non-finite"):
-            load_bundle(tree / "scene_00000").views[1].coords
+        name = f"view_{view}_labels.r3rb"
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp)
+            shutil.copytree(tiny_saved, tree / "scene_00000")
+            target = tree / "scene_00000" / name
+            data = bytearray(target.read_bytes())
+            data[HEADER.size + pixel] = value
+            target.write_bytes(bytes(data))
 
-        out = tmp_path / "pointmap.json"
-        assert main(["eval-pointmap", "--bundles", str(tree), "--workers", "1", "--out", str(out)]) == 1
-        [failure] = json.loads(out.read_text())["failures"]
-        assert failure["error"].startswith("PayloadValueError: ")
-        assert "view_1_coords.r3rb" in failure["error"]
-
-        out = tmp_path / "pose.json"
-        assert main(["eval-pose", "--bundles", str(tree), "--workers", "1", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        assert report["failures"] == [] and len(report["scenes"]) == 1
+            bundle = load_bundle(tree / "scene_00000")
+            assert bundle.views[view].depth.valid.any()  # its depth reads cleanly
+            assert bundle.views[1 - view].masks.shape == (24, 32)  # so does the other view's labels
+            with pytest.raises(PayloadValueError, match=rf"{re.escape(name)}: part label {value} outside"):
+                bundle.views[view].masks
+            for command in ("eval-pose", "eval-pointmap"):
+                assert main([command, "--bundles", str(tree), "--workers", "1"]) == 0
 
 
 def eager_mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int):
