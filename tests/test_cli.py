@@ -626,6 +626,32 @@ class TestComposePointsBytes:
         assert tree_sha256(out) == self.SHA256
 
 
+class TestZeroNoiseBytes:
+    """Pinned sha256 of zero-noise `eval-pointmap`, `eval-pose` and `compose-points` outputs.
+
+    At zero noise every head is the bundle's ground truth, so these bytes
+    hold whatever random draws the mock makes.
+    """
+
+    SHA256 = "adc2a7fe76ab05dd9d2e8a4cbe8064e9f5fd0e1ebf822414f9aa1b00523541fe"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_outputs_sha256_pinned(self, bundle_tree, tmp_path, monkeypatch, workers):
+        monkeypatch.chdir(bundle_tree)  # compose-points echoes the --bundle path
+        out = tmp_path / "out"
+        out.mkdir()
+        for command in ("eval-pointmap", "eval-pose"):
+            rc = main([command, "--bundles", ".", "--seed", "4", "--workers", workers,
+                       "--out", str(out / f"{command}.json")])
+            assert rc == 0
+        for view in ("0", "1"):
+            rc = main(["compose-points", "--bundle", "scene_00002", "--view", view, "--seed", "6",
+                       "--workers", workers, "--out", str(out / f"view_{view}")])
+            assert rc == 0
+        assert len([p for p in out.rglob("*") if p.is_file()]) == 10
+        assert tree_sha256(out) == self.SHA256
+
+
 class TestCheckGrads:
     def test_all_losses_under_tolerance(self, tmp_path):
         out = tmp_path / "grads.json"
