@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import GRADIENT_CHECKS, NonDifferentiableError, check_gradient
-from .masks import compose_masked_points
+from .losses import GRADIENT_CHECKS, check_gradient
+from .masks import LABEL_ROBOT, PART_NAMES, compose_masked_points
 from .oracle.bundle import BundleError, load_bundle
 from .oracle.mock import NoiseModel, mock_predict
 from .oracle.raster import RasterError, read_raster, write_raster
 from .pipeline import BundleTreeError, RunConfig, default_workers, run_eval, run_gen_scenes, write_report
-from .pnp import DEFAULT_TEMPERATURE, soft_argmax, solve_pnp
-from .transforms import rotation_angle
+from .pnp import DEFAULT_TEMPERATURE, DegenerateConfigurationError, NonConvergenceError, soft_argmax, solve_pnp
+from .transforms import RankDeficientError, rotation_angle
 
 NOISE_FLAGS = {
     "noise_depth": "depth_sigma",
@@ -44,6 +44,7 @@ LOCATION_FLAGS = ("config", "out", "bundle", "bundles", "view", "heatmap", "keyp
 GRADIENT_TOLERANCE = 1e-4
 # numeric flag -> (its check, what it must be), applied before any command runs
 FLAG_RANGES = {
+    "seed": (lambda v: v >= 0, ">= 0"),
     "workers": (lambda v: v >= 0, ">= 0 (0: all cores)"),
     "threshold": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "temperature": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
@@ -206,6 +207,12 @@ def _finish(report: dict, out, lines) -> int:
     return 1 if failures else 0
 
 
+def _run_failure(command, config, exc, out) -> int:
+    """A single-scene run that failed on well-formed input: one failures row, exit 1."""
+    failure = {"scene": config["bundle"], "error": f"{type(exc).__name__}: {exc}"}
+    return _finish({"command": command, "config": config, "failures": [failure]}, out, [])
+
+
 def cmd_gen_scenes(args) -> int:
     if not args.out:
         raise FlagError("--out: required, the directory to write the bundles to")
@@ -303,19 +310,18 @@ def cmd_solve_pnp(args) -> int:
     else:
         pixels = bundle.keypoints_2d[i]
         source = "bundle ground-truth keypoints"
-    result = solve_pnp(bundle.keypoints_3d, pixels, view.intrinsics)
+    config = {"bundle": str(args.bundle), "view": i, "seed": args.seed, "temperature": args.temperature,
+              "source": source}
+    try:
+        result = solve_pnp(bundle.keypoints_3d, pixels, view.intrinsics)
+    except (DegenerateConfigurationError, NonConvergenceError, RankDeficientError) as exc:  # a run failure
+        return _run_failure("solve-pnp", config, exc, args.out)
     gt_extrinsic = view.pose_world.inverse()
     t_err = float(np.linalg.norm(result.extrinsic.translation - gt_extrinsic.translation))
     r_err = rotation_angle(result.extrinsic.rotation, gt_extrinsic.rotation)
     report = {
         "command": "solve-pnp",
-        "config": {
-            "bundle": str(args.bundle),
-            "view": i,
-            "seed": args.seed,
-            "temperature": args.temperature,
-            "source": source,
-        },
+        "config": config,
         "extrinsic": result.extrinsic.matrix().tolist(),
         "reprojection_error_px": result.reprojection_error,
         "iterations": result.iterations,
@@ -332,25 +338,20 @@ def cmd_solve_pnp(args) -> int:
 
 def cmd_compose_points(args) -> int:
     noise = _noise_from(args)
-    with _bundle_errors():
-        bundle = load_bundle(args.bundle)
-        i = _check_view(args, bundle)
-        pred = mock_predict(bundle, noise, args.seed)
-        labeled = compose_masked_points(pred.depths[i], pred.coords[i], pred.masks[i], args.threshold)
-    counts = {
-        "robot": int(np.sum(labeled.labels == 1)),
-        "object": int(np.sum(labeled.labels == 2)),
-        "background": int(np.sum(labeled.labels == 3)),
-    }
+    config = {"bundle": str(args.bundle), "view": args.view, "seed": args.seed, "threshold": args.threshold,
+              "noise": asdict(noise)}
+    try:
+        with _bundle_errors():  # which turns a bad bundle or payload into a FlagError first
+            bundle = load_bundle(args.bundle)
+            i = _check_view(args, bundle)
+            pred = mock_predict(bundle, noise, args.seed)
+            labeled = compose_masked_points(pred.depths[i], pred.coords[i], pred.masks[i], args.threshold)
+    except ValueError as exc:  # noise so large that no finite prediction exists; no --out is made
+        return _run_failure("compose-points", config, exc, None)
+    counts = {part: int(np.sum(labeled.labels == label)) for label, part in enumerate(PART_NAMES, LABEL_ROBOT)}
     report = {
         "command": "compose-points",
-        "config": {
-            "bundle": str(args.bundle),
-            "view": i,
-            "seed": args.seed,
-            "threshold": args.threshold,
-            "noise": asdict(noise),
-        },
+        "config": config,
         "points": int(labeled.points.valid.sum()),
         "per_part": counts,
         "failures": [],
@@ -364,10 +365,7 @@ def cmd_compose_points(args) -> int:
             write_raster(out / "points_valid.r3rb", labeled.points.valid.astype(np.uint8))
             write_raster(out / "labels.r3rb", labeled.labels)
             write_report(report, out / "report.json")
-        print(f"rasters written to {out}")
-        for line in lines:
-            print(line)
-        return 0
+        lines.insert(0, f"rasters written to {out}")
     return _finish(report, None, lines)
 
 
@@ -376,8 +374,8 @@ def cmd_check_grads(args) -> int:
     for name in sorted(GRADIENT_CHECKS):
         try:
             err = check_gradient(name, seed=args.seed, eps=args.eps)
-        except NonDifferentiableError as exc:
-            failures.append({"loss": name, "error": f"NonDifferentiableError: {exc}"})
+        except ValueError as exc:  # not differentiable at x0, or a step that leaves the loss's domain
+            failures.append({"loss": name, "error": f"{type(exc).__name__}: {exc}"})
             continue
         rows[name] = err
         print(f"{name:<16} max relative gradient error {err:.3e}")

@@ -440,6 +440,8 @@ def compare_gradient(x0, f, grad, eps: float = 1e-6, name: str = "loss") -> floa
         f_plus = f(x0 + step)
         f_minus = f(x0 - step)
         central = (f_plus - f_minus) / (2.0 * eps)
+        if not np.isfinite(central):  # a step so large that it leaves the float range
+            raise ValueError(f"{name}: step {eps:g} gives a non-finite difference at coordinate {i}")
         forward = (f_plus - f0) / eps
         backward = (f0 - f_minus) / eps
         scale = max(abs(central), 1.0)

@@ -1,18 +1,18 @@
 """Configurable noise-injecting mock predictor.
 
 Stands in for the trained network: it returns the bundle's ground truth
-perturbed per NoiseModel.  Standard normal draws are made in a fixed order
-independent of the sigma values and then scaled, so for a fixed seed the
-injected error is monotone in each sigma; components with sigma = 0 skip
-perturbation entirely and are bit-exact ground truth.
+perturbed per NoiseModel.  Each head draws from its own generator, the child
+of SeedSequence([0x30C4, seed, bundle.seed]) at a fixed spawn key: (i, 0),
+(i, 1) and (i, 2) for view i's depth, coords and mask flips, (n_views,) for
+the relative poses and the similarity.  A head's standard draws do not depend
+on the sigmas, so for a fixed seed its error is monotone in each sigma; a
+view head whose sigma is 0 draws nothing and is bit-exact ground truth.
 
-A Prediction pays only for what its caller reads.  The normal draws are
-made up front, since later draws depend on how many outputs they consumed;
-their shapes come from each view's intrinsics, so no raster is read.  Each
-view's mask-flip uniforms (one generator output per double) are skipped by
-advancing the generator and replayed from a saved state when that view's
-masks are first read.  A view's depth, coords and masks are perturbed and
-validated on first access, each reading only its own bundle rasters.
+A Prediction pays only for what its caller reads.  The pose block is drawn up
+front; a view's depth, coords and masks are drawn, perturbed and validated on
+first access, each reading only its own bundle rasters.  So `eval-pose` makes
+no pixel-sized draw, `eval-pointmap` draws each view's depth and coords, and
+`compose-points --view i` draws view i's heads only.
 
 Heatmaps are synthesized as Gaussian bumps at the true 2D keypoints (the
 predicted bumps widen by the blur sigma).  Predicted and ground-truth
@@ -75,7 +75,6 @@ class LazyViews(Sequence):
         entry = self._entries[i]
         if entry is _UNBUILT:
             entry = self._entries[i] = self._builders[i]()
-            self._builders[i] = None  # frees the draws the builder held
         return entry
 
 
@@ -134,51 +133,47 @@ def _perturb_pose(pose: RigidTransform, t_sigma, r_sigma, rng) -> RigidTransform
     return RigidTransform(rot, t)
 
 
-def _noisy_depth(view, sigma, eps) -> DepthMap:
+def _generator(entropy, key) -> np.random.Generator:
+    """The generator of one head: the child of SeedSequence(entropy) at spawn key `key`."""
+    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
+
+
+def _noisy_depth(view, sigma, entropy, key) -> DepthMap:
     if sigma == 0:
         return view.depth
+    eps = _generator(entropy, key).standard_normal(view.depth.values.shape)
     dv = view.depth.values + sigma * eps
     return DepthMap(np.where(view.depth.valid, dv, 0.0), view.depth.valid)
 
 
-def _noisy_coords(view, sigma, eps) -> CoordMap:
+def _noisy_coords(view, sigma, entropy, key) -> CoordMap:
     if sigma == 0:
         return view.coords
+    eps = _generator(entropy, key).standard_normal(view.coords.values.shape)
     return CoordMap(view.coords.values + sigma * eps)
 
 
-def _flipped_masks(view, rate, state) -> MaskSet:
-    """view.masks with each part plane flipped where a replayed uniform is < rate."""
+def _flipped_masks(view, rate, entropy, key) -> MaskSet:
+    """view.masks with each part plane flipped where its uniform draw is < rate."""
     if rate == 0:
         return view.masks
-    replay = np.random.Generator(np.random.PCG64())
-    replay.bit_generator.state = state
-    flip = replay.random(view.masks.shape + (3,)) < rate
+    flip = _generator(entropy, key).random(view.masks.shape + (3,)) < rate
     planes = (getattr(view.masks, part) for part in PART_NAMES)
     return MaskSet(*(np.where(flip[:, :, i], 1.0 - m, m) for i, m in enumerate(planes)))
 
 
 def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Prediction:
     """Deterministic prediction set for a bundle: pure in (bundle, noise, seed)."""
-    rng = np.random.default_rng(np.random.SeedSequence([0x30C4, int(seed), bundle.seed]))
+    entropy = [0x30C4, int(seed), bundle.seed]
     spec = bundle.spec
 
     depths, coords, masks = [], [], []  # per view, the builders of its entries
-    for view in bundle.views:
-        grid = (view.intrinsics.height, view.intrinsics.width)
-        eps_d = rng.standard_normal(grid)
-        eps_c = rng.standard_normal(grid + (2,))
-        flip_state = rng.bit_generator.state
-        rng.bit_generator.advance(grid[0] * grid[1] * 3)  # the flip uniforms
-        # a draw whose sigma is 0 is made for the stream's sake only; drop it
-        if noise.depth_sigma == 0:
-            eps_d = None
-        if noise.coord_sigma == 0:
-            eps_c = None
-        depths.append(partial(_noisy_depth, view, noise.depth_sigma, eps_d))
-        coords.append(partial(_noisy_coords, view, noise.coord_sigma, eps_c))
-        masks.append(partial(_flipped_masks, view, noise.mask_flip_rate, flip_state))
+    for i, view in enumerate(bundle.views):
+        depths.append(partial(_noisy_depth, view, noise.depth_sigma, entropy, (i, 0)))
+        coords.append(partial(_noisy_coords, view, noise.coord_sigma, entropy, (i, 1)))
+        masks.append(partial(_flipped_masks, view, noise.mask_flip_rate, entropy, (i, 2)))
 
+    rng = _generator(entropy, (len(bundle.views),))
     rel_poses = [RigidTransform.identity()]
     for view in bundle.views[1:]:
         rel = relative_pose(bundle.views[0].pose_world, view.pose_world)

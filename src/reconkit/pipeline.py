@@ -87,8 +87,9 @@ def scene_dir_name(index: int) -> str:
 
 
 def _run_parallel(worker, payloads, workers: int):
-    """Ordered map over payloads, inline for one worker."""
-    if workers <= 1 or len(payloads) <= 1:
+    """Ordered map over payloads, inline for one worker; never more workers than payloads."""
+    workers = min(workers, len(payloads))
+    if workers <= 1:
         return [worker(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, payloads))
@@ -288,4 +289,7 @@ def write_report(report: dict, path) -> None:
 
 
 def default_workers() -> int:
+    """The CPUs this process may run on, where the OS tells; else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

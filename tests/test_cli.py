@@ -14,6 +14,8 @@ from reconkit.losses import NonDifferentiableError
 from reconkit.oracle.bundle import random_scene_spec
 from reconkit.oracle.raster import read_raster, write_raster
 from reconkit.pipeline import RunConfig
+from reconkit.pnp import DegenerateConfigurationError, NonConvergenceError
+from reconkit.transforms import RankDeficientError
 
 
 def tree_bytes(root: Path) -> dict:
@@ -371,6 +373,15 @@ class TestInputChecks:
         assert f"got {got}" in self.assert_flag_error(capsys, command, flag)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["gen-scenes", "eval-pointmap", "compose-points", "check-grads"])
+    def test_negative_seed_checked_up_front(self, bundle_tree, tmp_path, capsys, monkeypatch, command):
+        for name in ("load_bundle", "run_eval", "run_gen_scenes", "check_gradient"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        target = {"gen-scenes": ["--scenes", "1"], "eval-pointmap": ["--bundles", str(bundle_tree)],
+                  "compose-points": ["--bundle", str(bundle_tree / "scene_00000")]}.get(command, [])
+        assert main([command, *target, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "must be >= 0, got -1" in self.assert_flag_error(capsys, command, "--seed")
+
     def assert_pnp_input_error(self, bundle_tree, capsys, monkeypatch, flag, path, message):
         monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
         rc = main(["solve-pnp", "--bundle", str(bundle_tree / "scene_00000"), flag, str(path)])
@@ -502,8 +513,8 @@ class TestReportBytes:
         "--noise-scale", "0.01",
     ]
     SHA256 = {
-        "eval-pointmap": "87b3b841ba9a92501a17d59c5047daa750bb14dbd4e68a51ece2e29ea8bf960c",
-        "eval-pose": "1bd44d1462706c2e84cf63cbef88ede2da07ed441ebe60f930b9472edd0e9b1f",
+        "eval-pointmap": "01fc63bbe17ebf15356106f144c08c89a22689cba8a88a44dbf2ff5a01476b4d",
+        "eval-pose": "35e41e6e0306d95acf502c13f3d9b62687c7eb4faf3ccbb945da68db9e891b83",
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -583,6 +594,107 @@ class TestSolvePnP:
         assert report["config"]["temperature"] == 0.05
         assert report["error_vs_bundle"]["translation_m"] < 5e-3
 
+    # sha256 of the successful report of each keypoint source on view 1 of scene_00001
+    REPORT_SHA256 = {
+        "default": "354767a708184a33d949c27f39e085f05f906c92941b999afaf0bad1865c5cc1",
+        "keypoints": "e6d8c8daf0c453faf7c5b5a96d2c81be83e9e459c4756f3a9f7d303c1085fe51",
+        "heatmap": "02047d0faec22874784930570059cbb510ee1c92b65d2e3c55c6351c9b1d70cb",
+    }
+
+    @pytest.mark.parametrize("source", ["default", "keypoints", "heatmap"])
+    def test_report_sha256_pinned(self, bundle_tree, tmp_path, monkeypatch, source):
+        from reconkit.oracle.bundle import load_bundle
+        from reconkit.oracle.mock import ground_truth_heatmaps
+
+        bundle = load_bundle(bundle_tree / "scene_00001")
+        (tmp_path / "kp.json").write_text(json.dumps(bundle.keypoints_2d[1].tolist()))
+        write_raster(tmp_path / "hm.r3rb", ground_truth_heatmaps(bundle)[1])
+        flags = {"default": [], "keypoints": ["--keypoints", str(tmp_path / "kp.json")],
+                 "heatmap": ["--heatmap", str(tmp_path / "hm.r3rb")]}[source]
+        monkeypatch.chdir(bundle_tree)  # the report echoes the --bundle path
+        out = tmp_path / "pnp.json"
+        assert main(["solve-pnp", "--bundle", "scene_00001", "--view", "1", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.REPORT_SHA256[source]
+
+    @staticmethod
+    def assert_failure_row(capsys, out, scene, error):
+        assert capsys.readouterr().err == f"FAILED {scene}: {error}\n"
+        report = json.loads(out.read_text())
+        assert report["failures"] == [{"scene": str(scene), "error": error}]
+        assert set(report) == {"command", "config", "failures"}
+
+    def test_identical_pixels_are_a_failure_row(self, bundle_tree, tmp_path, capsys):
+        kp_file = tmp_path / "kp.json"
+        kp_file.write_text(json.dumps([[10, 10]] * 8))
+        out, scene = tmp_path / "pnp.json", bundle_tree / "scene_00000"
+        assert main(["solve-pnp", "--bundle", str(scene), "--keypoints", str(kp_file), "--out", str(out)]) == 1
+        error = json.loads(out.read_text())["failures"][0]["error"]
+        assert error.startswith("RankDeficientError: rank-deficient 9D input")
+        self.assert_failure_row(capsys, out, scene, error)
+
+    @pytest.mark.parametrize("error", [DegenerateConfigurationError, NonConvergenceError, RankDeficientError])
+    def test_pnp_failure_is_a_failure_row(self, bundle_tree, tmp_path, capsys, monkeypatch, error):
+        def solve_pnp(*args):
+            raise error("no pose")
+
+        monkeypatch.setattr(cli, "solve_pnp", solve_pnp)
+        out, scene = tmp_path / "pnp.json", bundle_tree / "scene_00000"
+        assert main(["solve-pnp", "--bundle", str(scene), "--out", str(out)]) == 1
+        self.assert_failure_row(capsys, out, scene, f"{error.__name__}: no pose")
+
+
+class TestWorkerPool:
+    """Pools start no more processes than there are scenes."""
+
+    class Pool:
+        """A ProcessPoolExecutor stand-in that records max_workers, starts nothing and maps inline."""
+
+        made = []
+
+        def __init__(self, max_workers):
+            self.made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        from reconkit import pipeline
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", self.Pool)
+        monkeypatch.setattr(self.Pool, "made", [])
+        monkeypatch.setattr(cli, "default_workers", lambda: 64)  # --workers 0: a many-core host
+        return self.Pool.made
+
+    @pytest.mark.parametrize("workers,pools_made", [("0", [3]), ("64", [3]), ("2", [2]), ("1", [])])
+    def test_eval_capped_at_scenes(self, bundle_tree, tmp_path, pools, workers, pools_made):
+        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--workers", workers,
+                   "--out", str(tmp_path / "pose.json")])
+        assert rc == 0 and pools == pools_made
+
+    @pytest.mark.parametrize("scenes,pools_made", [("1", []), ("2", [2])])
+    def test_gen_scenes_capped_at_scenes(self, tmp_path, pools, scenes, pools_made):
+        rc = main(["gen-scenes", "--scenes", scenes, "--width", "32", "--height", "24",
+                   "--workers", "0", "--out", str(tmp_path / "tree")])
+        assert rc == 0 and pools == pools_made
+
+    def test_default_workers_counts_usable_cpus(self, monkeypatch):
+        import os
+
+        from reconkit.pipeline import default_workers
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert default_workers() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert default_workers() == 64
+
 
 class TestComposePoints:
     def test_zero_noise_matches_oracle_restriction(self, bundle_tree, tmp_path):
@@ -608,11 +720,23 @@ class TestComposePoints:
         np.testing.assert_array_equal(pts[keep], expected.values[keep])
         np.testing.assert_array_equal(got_labels[keep], labels[keep])
 
+    @pytest.mark.parametrize(
+        "flag,error",
+        [("--noise-coord", "ValueError: coord map contains non-finite entries"),
+         ("--noise-scale", "ValueError: similarity scale must be positive, got inf")],
+    )
+    def test_non_finite_prediction_is_a_failure(self, bundle_tree, tmp_path, capsys, flag, error):
+        scene, out = bundle_tree / "scene_00000", tmp_path / "composed"
+        with np.errstate(over="ignore"):
+            assert main(["compose-points", "--bundle", str(scene), flag, "1e308", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"FAILED {scene}: {error}\n"
+        assert not out.exists()
+
 
 class TestComposePointsBytes:
     """Pinned sha256 of noisy `compose-points` outputs for both views of one scene."""
 
-    SHA256 = "073c559fd7f0e39f75398012c67ae72f621a865749d32847f0ac37e12a2ba428"
+    SHA256 = "572d4b5ddddaf7e576c7faebf1d449d2df1b54657d8e4533065f502b1b66eb3c"
 
     def test_outputs_sha256_pinned(self, bundle_tree, tmp_path, monkeypatch):
         monkeypatch.chdir(bundle_tree)  # the report echoes the --bundle path
@@ -689,6 +813,13 @@ class TestCheckGrads:
         assert "NonDifferentiableError" in report["failures"][0]["error"]
         assert "point" not in report["max_relative_error"]
         assert report["worst"] < cli.GRADIENT_TOLERANCE
+
+    def test_step_outside_a_loss_domain_recorded_as_failure(self, tmp_path, capsys):
+        out = tmp_path / "grads.json"
+        assert main(["check-grads", "--eps", "0.5", "--out", str(out)]) == 1
+        failures = {f["loss"]: f["error"] for f in json.loads(out.read_text())["failures"]}
+        assert failures["mask"] == "ValueError: robot mask has entries outside [0, 1]"
+        assert "FAILED mask: ValueError: robot mask" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

@@ -373,6 +373,11 @@ class TestGradientChecker:
         with pytest.raises(NonDifferentiableError):
             compare_gradient(x0, lambda x: float(np.abs(x[0])), lambda x: np.sign(x), name="abs")
 
+    def test_non_finite_difference_is_an_error(self):
+        # inf - inf is nan: a step past the float range must not read as a zero error
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite difference at coordinate 0"):
+            compare_gradient(np.ones(1), lambda x: float(x[0] ** 2), lambda x: 2 * x, 1e308, "square")
+
     def test_unknown_loss_name(self):
         with pytest.raises(KeyError, match="unknown loss"):
             check_gradient("nope")

@@ -414,13 +414,13 @@ class TestMockPredict:
         scale_sigma=0.01, heatmap_blur=0.5, mask_flip_rate=0.05,
     )
     LOSS_TERMS_REPR = {
-        "point": "0.0009575199341852526",
-        "normal": "0.15078680521912177",
-        "mask": "0.8004482306388033",
-        "relative_pose": "0.003913395789166756",
-        "similarity": "0.004684750746173448",
+        "point": "0.0009569011950438666",
+        "normal": "0.15144958951021406",
+        "mask": "0.7926130453014177",
+        "relative_pose": "0.004308978808840214",
+        "similarity": "0.003193575809237197",
         "keypoint": "0.00294151798595147",
-        "total": "0.969615256285305",
+        "total": "0.9613466445826074",
     }
 
     def test_noisy_loss_terms_pinned(self, small_bundle):
@@ -855,7 +855,7 @@ class TestLazyPayloads:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Raster files read, maps built and flip replays made, counted at their bindings."""
+        """Raster files read, maps built and masks flipped, counted at their bindings."""
         counts = {"reads": [], "DepthMap": 0, "CoordMap": 0, "MaskSet": 0, "flips": 0}
         read_raster_ = bundle_module.read_raster
 
@@ -872,9 +872,9 @@ class TestLazyPayloads:
             monkeypatch.setattr(cls, "__post_init__", post_init)
         flipped = mock_module._flipped_masks
 
-        def flips(view, rate, state):
+        def flips(*args):
             counts["flips"] += 1
-            return flipped(view, rate, state)
+            return flipped(*args)
 
         monkeypatch.setattr(mock_module, "_flipped_masks", flips)
         return counts
@@ -957,13 +957,15 @@ class TestLazyPayloads:
 
 def eager_mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int):
     """mock_predict's depths, coords, masks, relative poses and similarity,
-    drawn and perturbed eagerly, view by view, as the predictor once did."""
-    rng = np.random.default_rng(np.random.SeedSequence([0x30C4, int(seed), bundle.seed]))
+    drawn and perturbed eagerly, view by view, each head from its own child
+    of the seed sequence, spawned through SeedSequence.spawn."""
+    per_view = np.random.SeedSequence([0x30C4, int(seed), bundle.seed]).spawn(len(bundle.views) + 1)
     depths, coords, masks = [], [], []
-    for view in bundle.views:
-        eps_d = rng.standard_normal(view.depth.values.shape)
-        eps_c = rng.standard_normal(view.coords.values.shape)
-        flips = rng.random(view.masks.shape + (3,))
+    for view, seq in zip(bundle.views, per_view):
+        depth_rng, coord_rng, flip_rng = (np.random.default_rng(s) for s in seq.spawn(3))
+        eps_d = depth_rng.standard_normal(view.depth.values.shape)
+        eps_c = coord_rng.standard_normal(view.coords.values.shape)
+        flips = flip_rng.random(view.masks.shape + (3,))
         if noise.depth_sigma > 0:
             dv = view.depth.values + noise.depth_sigma * eps_d
             depths.append(DepthMap(np.where(view.depth.valid, dv, 0.0), view.depth.valid))
@@ -981,6 +983,7 @@ def eager_mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int):
             )
         else:
             masks.append(view.masks)
+    rng = np.random.default_rng(per_view[-1])
     rel_poses = [RigidTransform.identity()]
     for view in bundle.views[1:]:
         rel = relative_pose(bundle.views[0].pose_world, view.pose_world)
@@ -996,7 +999,7 @@ def eager_mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int):
 
 
 @pytest.fixture(scope="module")
-def replay_bundles():
+def mock_bundles():
     """A monocular and a binocular 40x30 scene."""
     return {
         views: generate_scene(random_scene_spec(seed=views, views=views, width=40, height=30), views)
@@ -1020,21 +1023,98 @@ class TestLazyMatchesEager:
         ),
         data=st.data(),
     )
-    def test_bit_identical(self, replay_bundles, views, seed, noise, data):
-        bundle = replay_bundles[views]
+    def test_bit_identical(self, mock_bundles, views, seed, noise, data):
+        bundle = mock_bundles[views]
         pred = mock_predict(bundle, noise, seed)
         depths, coords, masks, rel_poses, similarity = eager_mock_predict(bundle, noise, seed)
-        # masks first, in any view order, so no replay can lean on an earlier read
-        for i in data.draw(st.permutations(range(views))):
-            assert pred.masks[i].stacked().tobytes() == masks[i].stacked().tobytes()
+        # every (head, view) entry, read in any order, so no head can lean on an earlier read
+        entries = [(head, i) for head in ("depths", "coords", "masks") for i in range(views)]
+        eager = {"depths": depths, "coords": coords, "masks": masks}
+        raw = {"depths": lambda d: d.values.tobytes() + d.valid.tobytes(),
+               "coords": lambda c: c.values.tobytes(), "masks": lambda m: m.stacked().tobytes()}
+        for head, i in data.draw(st.permutations(entries)):
+            assert raw[head](getattr(pred, head)[i]) == raw[head](eager[head][i])
         assert len(pred.depths) == len(pred.coords) == len(pred.masks) == views
-        for got, want in zip(pred.depths, depths):
-            assert got.values.tobytes() == want.values.tobytes()
-            assert got.valid.tobytes() == want.valid.tobytes()
-        for got, want in zip(pred.coords, coords):
-            assert got.values.tobytes() == want.values.tobytes()
         for got, want in zip(pred.rel_poses, rel_poses):
             assert got.matrix().tobytes() == want.matrix().tobytes()
         assert pred.similarity.scale == similarity.scale
         assert pred.similarity.rigid.matrix().tobytes() == similarity.rigid.matrix().tobytes()
 
+
+class TestHeadStreams:
+    """Each head draws from its own generator, made only when that head is read."""
+
+    NOISE = TestLazyPayloads.NOISE
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """(spawn key, values) of every draw the mock makes, recorded at its generator factory."""
+        log = []
+        generator = mock_module._generator
+
+        class Recorded:
+            def __init__(self, entropy, key):
+                self._rng, self._key = generator(entropy, key), key
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    out = getattr(self._rng, name)(*args, **kwargs)
+                    log.append((self._key, np.asarray(out)))
+                    return out
+
+                return draw
+
+        monkeypatch.setattr(mock_module, "_generator", Recorded)
+        return log
+
+    def test_pose_scene_makes_no_pixel_sized_draw(self, small_bundle, draws):
+        from reconkit.pipeline import RunConfig, evaluate_pose_scene
+
+        evaluate_pose_scene(small_bundle, self.NOISE, 1, RunConfig(noise=self.NOISE))
+        # relative pose, then similarity rigid part: translation, axis, angle; then the scale
+        sizes = [(key, out.size) for key, out in draws]
+        assert sizes == [((2,), 3), ((2,), 3), ((2,), 1)] * 2 + [((2,), 1)]
+
+    def test_pointmap_scene_draws_depth_and_coords_heads(self, small_bundle, draws):
+        from reconkit.pipeline import evaluate_pointmap_scene
+
+        evaluate_pointmap_scene(small_bundle, self.NOISE, 1)
+        pixels = small_bundle.spec.width * small_bundle.spec.height
+        assert sorted((key, out.size) for key, out in draws if out.size > 3) == [
+            ((0, 0), pixels), ((0, 1), 2 * pixels), ((1, 0), pixels), ((1, 1), 2 * pixels)
+        ]
+
+    @pytest.mark.parametrize("view", [0, 1])
+    def test_compose_points_draws_its_view_only(self, small_bundle, tmp_path, draws, view):
+        from reconkit.cli import main
+
+        save_bundle(tmp_path / "scene", small_bundle)
+        assert main(["compose-points", "--bundle", str(tmp_path / "scene"), "--view", str(view),
+                     "--noise-depth", "0.002", "--noise-coord", "0.0005", "--noise-mask-flip", "0.05",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert {key for key, _ in draws} == {(view, 0), (view, 1), (view, 2), (2,)}
+
+    def test_head_ignores_other_sigmas(self, small_bundle):
+        alone = [
+            mock_predict(small_bundle, NoiseModel(depth_sigma=0.002), 5).depths[1],
+            mock_predict(small_bundle, NoiseModel(coord_sigma=0.0005), 5).coords[1],
+            mock_predict(small_bundle, NoiseModel(mask_flip_rate=0.05), 5).masks[1],
+        ]
+        pred = mock_predict(small_bundle, self.NOISE, 5)
+        together = [pred.depths[1], pred.coords[1], pred.masks[1]]
+        for got, want in zip(together, alone):
+            for a, b in zip(vars(got).values(), vars(want).values()):
+                assert a.tobytes() == b.tobytes()
+
+    def test_vga_draws_are_standard(self, draws):
+        bundle = generate_scene(random_scene_spec(seed=11, views=1, width=630, height=476), 11)
+        pred = mock_predict(bundle, NoiseModel(depth_sigma=1e-3, coord_sigma=1e-3, mask_flip_rate=0.25), 3)
+        pred.depths[0], pred.coords[0], pred.masks[0]  # read each head once
+        heads = dict(draws)
+        assert heads[0, 0].shape == (476, 630) and heads[0, 1].shape == (476, 630, 2)
+        for eps in (heads[0, 0], heads[0, 1][..., 0], heads[0, 1][..., 1]):
+            assert abs(eps.mean()) < 5e-3 and abs(eps.std() - 1.0) < 5e-3
+        # the two heads come from unrelated streams
+        assert abs(np.corrcoef(heads[0, 0].ravel(), heads[0, 1][..., 0].ravel())[0, 1]) < 5e-3
+        flips = heads[0, 2]
+        assert flips.shape == (476, 630, 3) and abs(flips.mean() - 0.5) < 5e-3
