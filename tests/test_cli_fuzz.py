@@ -42,7 +42,7 @@ NOISE = {f"--noise-{name}": values("0", "0.001", "0.01", "0.5", bad=BAD_FLOATS)
          for name in ("depth", "coord", "trans", "rot", "scale", "heatmap-blur", "mask-flip")}
 COMMON = {
     "--seed": values("0", "1", "18446744073709551617", bad=BAD_INTS),
-    "--workers": values("1", "2", bad=st.sampled_from(["1", "2"])),
+    "--workers": values("1", "2", bad=st.sampled_from(["1", "2"])),  # more would start more processes
     "--config": values("@config", bad=BAD_PATHS),
     "--out": values("@out", bad=st.just("@under_file")),
 }
