@@ -136,11 +136,21 @@ class Capsule:
     def bound(self) -> tuple[np.ndarray, float]:
         return 0.5 * (self.p0 + self.p1), 0.5 * float(np.linalg.norm(self.p1 - self.p0)) + self.radius
 
+    def ends(self) -> tuple[Sphere, Sphere]:
+        return Sphere(self.p0, self.radius), Sphere(self.p1, self.radius)
+
     def intersect(self, origin, dirs) -> np.ndarray:
+        t = self.intersect_body(origin, dirs)
+        for end in self.ends():
+            t = np.minimum(t, end.intersect(origin, dirs))
+        return t
+
+    def intersect_body(self, origin, dirs) -> np.ndarray:
+        """Hits on the cylinder between the end spheres; all inf when the axis is degenerate."""
         axis = self.p1 - self.p0
         length = np.linalg.norm(axis)
         if length < 1e-12:
-            return Sphere(self.p0, self.radius).intersect(origin, dirs)
+            return np.full(dirs.shape[:-1], np.inf)
         u = axis / length
         oc = origin - self.p0
         d_par = dirs @ u
@@ -159,8 +169,6 @@ class Capsule:
                 s = oc_par + t_cand * d_par
                 good = ok & (t_cand > RAY_EPS) & (s >= 0) & (s <= length)
                 t = np.where(good & (t_cand < t), t_cand, t)
-        for cap_center in (self.p0, self.p1):
-            t = np.minimum(t, Sphere(cap_center, self.radius).intersect(origin, dirs))
         return t
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
@@ -334,25 +342,14 @@ def chain_capsules(spec: SceneSpec) -> list[Capsule]:
     return capsules
 
 
-def _screen_window(center, radius, intrinsics: Intrinsics, pose: RigidTransform):
-    """Conservative (rows, cols) slices of the pixels whose rays can meet a world sphere.
+def _pixel_window(k: Intrinsics, rows, cols):
+    """(rows, cols) slices of the pixels within one pixel of float (lo, hi) ranges; None off-frame.
 
-    None when the sphere is wholly off-screen; the whole frame when it reaches
-    the camera plane.  The rectangle keeps a margin of at least one pixel and
-    is widened to two columns where the frame allows, because numpy takes
-    another matmul path for single-column operands and would change low bits.
+    Widened to two columns where the frame allows: numpy's single-column matmul path changes low bits.
     """
-    c = pose.rotation.T @ (center - pose.translation)
-    k = intrinsics
-    if c[2] - radius <= RAY_EPS:
-        return slice(0, k.height), slice(0, k.width)
     bounds = []
-    for axis, f, p, n in ((1, k.fy, k.cy, k.height), (0, k.fx, k.cx, k.width)):
-        # exact tangent directions of the sphere's disk in the (axis, z) plane
-        theta = math.atan2(c[axis], c[2])
-        alpha = math.asin(radius / math.hypot(c[axis], c[2]))
-        lo = max(math.floor(f * math.tan(theta - alpha) + p) - 1, 0)
-        hi = min(math.ceil(f * math.tan(theta + alpha) + p) + 1, n - 1)
+    for (lo, hi), n in ((rows, k.height), (cols, k.width)):
+        lo, hi = max(math.floor(lo) - 1, 0), min(math.ceil(hi) + 1, n - 1)
         if lo > hi:
             return None
         bounds.append([lo, hi])
@@ -362,31 +359,75 @@ def _screen_window(center, radius, intrinsics: Intrinsics, pose: RigidTransform)
     return tuple(slice(lo, hi + 1) for lo, hi in bounds)
 
 
+def _screen_window(center, radius, k: Intrinsics, pose: RigidTransform):
+    """Conservative (rows, cols) slices of the pixels whose rays can meet a world sphere.
+
+    None when the sphere is wholly off-screen; the whole frame when it reaches
+    the camera plane.
+    """
+    c = pose.rotation.T @ (center - pose.translation)
+    if c[2] - radius <= RAY_EPS:
+        return slice(0, k.height), slice(0, k.width)
+    ranges = []
+    for axis, f, p in ((1, k.fy, k.cy), (0, k.fx, k.cx)):
+        # exact tangent directions of the sphere's disk in the (axis, z) plane
+        theta = math.atan2(c[axis], c[2])
+        alpha = math.asin(radius / math.hypot(c[axis], c[2]))
+        ranges.append((f * math.tan(theta - alpha) + p, f * math.tan(theta + alpha) + p))
+    return _pixel_window(k, *ranges)
+
+
+def _table_window(table: Table, k: Intrinsics, pose: RigidTransform):
+    """`_screen_window` for the table: the box around its projected corners (a rectangle in front of
+    the camera projects inside their hull), or the whole frame when one is not in front of it."""
+    ex, ey = table.half_extents
+    corners = table.pose.apply([[sx * ex, sy * ey, 0.0] for sx in (-1, 1) for sy in (-1, 1)])
+    c = (corners - pose.translation) @ pose.rotation
+    if np.any(c[:, 2] <= RAY_EPS):
+        return slice(0, k.height), slice(0, k.width)
+    u, v = k.fx * c[:, 0] / c[:, 2] + k.cx, k.fy * c[:, 1] / c[:, 2] + k.cy
+    return _pixel_window(k, (v.min(), v.max()), (u.min(), u.max()))
+
+
 def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     """Ray-cast one view.
 
     Returns what a bundle view stores: (depth: HxW float64, labels: HxW
-    uint8), both 0 at a miss pixel.  The table is
-    cast over the whole frame; every other primitive only inside the screen
-    window of its bounding sphere, which gives the same bits as casting it
-    over the whole frame.
+    uint8), both 0 at a miss pixel.  Each cast covers only its screen window:
+    the table the box around its projected corners, an object its bounding
+    sphere's window, and a capsule three casts, each end sphere in its own
+    window and the cylinder, which projects inside their hull, in the box
+    around those two.  The bits are those of casting over the whole frame.
     """
-    coords = coords_from_intrinsics(intrinsics)
+    k = intrinsics
+    coords = coords_from_intrinsics(k)
     dirs_cam = np.concatenate(
         [coords.values, np.ones(coords.values.shape[:2] + (1,))], axis=-1
     )
     dirs_world = dirs_cam @ pose.rotation.T
     origin = pose.translation
 
-    best_t = spec.table.intersect(origin, dirs_world)
-    labels = np.where(np.isfinite(best_t), LABEL_BACKGROUND, 0).astype(np.uint8)
+    casts = [(spec.table.intersect, _table_window(spec.table, k, pose), LABEL_BACKGROUND)]
+    casts += [(p.intersect, _screen_window(*p.bound(), k, pose), LABEL_OBJECT) for p in spec.primitives]
+    for capsule in chain_capsules(spec):
+        ends = capsule.ends()
+        windows = [_screen_window(*end.bound(), k, pose) for end in ends]
+        body = _screen_window(*capsule.bound(), k, pose)
+        if body is not None and None not in windows:
+            body = tuple(
+                slice(max(b.start, min(e0.start, e1.start)), min(b.stop, max(e0.stop, e1.stop)))
+                for b, e0, e1 in zip(body, *windows)
+            )
+        casts.append((capsule.intersect_body, body, LABEL_ROBOT))
+        casts += [(end.intersect, window, LABEL_ROBOT) for end, window in zip(ends, windows)]
 
-    casts = [(p, LABEL_OBJECT) for p in spec.primitives] + [(c, LABEL_ROBOT) for c in chain_capsules(spec)]
-    for prim, label in casts:
-        window = _screen_window(*prim.bound(), intrinsics, pose)
+    # a strict < keeps the earlier cast on a tie; every robot part has one label
+    best_t = np.full((k.height, k.width), np.inf)
+    labels = np.zeros((k.height, k.width), dtype=np.uint8)
+    for intersect, window, label in casts:
         if window is None:
             continue
-        t = prim.intersect(origin, dirs_world[window])
+        t = intersect(origin, dirs_world[window])
         near = best_t[window]
         closer = t < near
         near[closer] = t[closer]

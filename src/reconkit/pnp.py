@@ -26,10 +26,12 @@ from .transforms import (
 DEFAULT_TEMPERATURE = 0.05
 MAX_ITERATIONS = 100
 STEP_TOLERANCE = 1e-10
+# Pixels all this close to their centroid (px) pin down no pose, only a direction.
+MIN_PIXEL_SPREAD = 1e-3
 
 
 class DegenerateConfigurationError(ValueError):
-    """Raised for point sets PnP cannot handle (too few, collinear)."""
+    """Raised for point sets PnP cannot handle (too few, collinear, coincident pixels)."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -250,6 +252,8 @@ def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:
     n = pts.shape[0]
     if n < 4:
         raise DegenerateConfigurationError(f"PnP needs at least 4 points, got {n}")
+    if np.linalg.norm(px - px.mean(axis=0), axis=1).max() < MIN_PIXEL_SPREAD:
+        raise DegenerateConfigurationError(f"pixels lie within {MIN_PIXEL_SPREAD} px of their centroid")
 
     sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     if sv[1] <= sv[0] * 1e-8:

@@ -628,8 +628,21 @@ class TestSolvePnP:
         kp_file.write_text(json.dumps([[10, 10]] * 8))
         out, scene = tmp_path / "pnp.json", bundle_tree / "scene_00000"
         assert main(["solve-pnp", "--bundle", str(scene), "--keypoints", str(kp_file), "--out", str(out)]) == 1
-        error = json.loads(out.read_text())["failures"][0]["error"]
-        assert error.startswith("RankDeficientError: rank-deficient 9D input")
+        error = "DegenerateConfigurationError: pixels lie within 0.001 px of their centroid"
+        self.assert_failure_row(capsys, out, scene, error)
+
+    def test_nearly_identical_pixels_are_a_failure_row(self, bundle_tree, tmp_path, capsys):
+        from reconkit.oracle.bundle import load_bundle
+        from reconkit.oracle.mock import ground_truth_heatmaps
+
+        # a huge temperature flattens the softmax: every keypoint decodes within 1e-9 px of one point
+        scene = bundle_tree / "scene_00000"
+        write_raster(tmp_path / "hm.r3rb", ground_truth_heatmaps(load_bundle(scene))[0])
+        out = tmp_path / "pnp.json"
+        rc = main(["solve-pnp", "--bundle", str(scene), "--view", "0", "--heatmap", str(tmp_path / "hm.r3rb"),
+                   "--temperature", "1e9", "--out", str(out)])
+        assert rc == 1
+        error = "DegenerateConfigurationError: pixels lie within 0.001 px of their centroid"
         self.assert_failure_row(capsys, out, scene, error)
 
     @pytest.mark.parametrize("error", [DegenerateConfigurationError, NonConvergenceError, RankDeficientError])

@@ -5,6 +5,7 @@ import math
 import re
 import shutil
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,7 @@ from reconkit.oracle.scene import (
     Sphere,
     Table,
     _screen_window,
+    _table_window,
     chain_capsules,
     render,
     sample_camera,
@@ -268,6 +270,23 @@ WIDE = Intrinsics(fx=40.0, fy=40.0, cx=32.0, cy=24.0, width=64, height=48)
 FULL_FRAME = (slice(0, 48), slice(0, 64))
 
 
+def camera_seeing(point_cam, world_point) -> RigidTransform:
+    """A camera with HORIZONTAL's rotation that sees world_point at camera-frame point_cam."""
+    return RigidTransform(HORIZONTAL.rotation, world_point - HORIZONTAL.rotation @ point_cam)
+NARROW = Intrinsics(fx=200.0, fy=200.0, cx=32.0, cy=24.0, width=64, height=48)
+
+
+def tangent_at_column(u, side, dist, radius) -> np.ndarray:
+    """Camera-frame center of a sphere whose tangent (side = -1: right, 1: left) or center (0) is on WIDE's column u."""
+    theta = math.atan((u - WIDE.cx) / WIDE.fx) + side * math.asin(radius / dist)
+    return dist * np.array([math.sin(theta), 0.0, math.cos(theta)])
+
+
+def window_area(window) -> int:
+    rows, cols = window
+    return (rows.stop - rows.start) * (cols.stop - cols.start)
+
+
 class TestCulledRender:
     """`render` casts each primitive inside its screen window only; the bits must not change."""
 
@@ -327,9 +346,8 @@ class TestCulledRender:
     )
     def test_window_clipped_to_edge_column(self, u, side, cols):
         # put the sphere's tangent (side = -1: right, 1: left) or center (0) on pixel column u
-        dist, radius = 2.0, 0.2
-        theta = math.atan((u - WIDE.cx) / WIDE.fx) + side * math.asin(radius / dist)
-        sphere = Sphere(HORIZONTAL.apply(dist * np.array([math.sin(theta), 0.0, math.cos(theta)])), radius)
+        radius = 0.2
+        sphere = Sphere(HORIZONTAL.apply(tangent_at_column(u, side, 2.0, radius)), radius)
         spec = minimal_spec([sphere], fixed_camera_ranges())
         rows, window_cols = _screen_window(sphere.center, sphere.radius, WIDE, HORIZONTAL)
         labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
@@ -340,6 +358,82 @@ class TestCulledRender:
             assert int(u) in range(window_cols.start, window_cols.stop)
             assert window_cols.start == 0 or window_cols.stop == WIDE.width
             assert np.any(labels[:, int(u)] == LABEL_OBJECT)
+
+    def test_table_corner_behind_camera_uses_whole_frame(self):
+        spec = minimal_spec([], fixed_camera_ranges())
+        assert HORIZONTAL.inverse().apply([-5.0, 5.0, 0.0])[2] < 0  # a corner of the 10 x 10 m table
+        assert _table_window(spec.table, WIDE, HORIZONTAL) == FULL_FRAME
+        labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
+        assert np.any(labels == LABEL_BACKGROUND)
+
+    def test_table_behind_the_view_skipped(self):
+        # looking up and away from a 1 x 1 m table that lies wholly in front of the camera plane
+        spec = replace(minimal_spec([], fixed_camera_ranges()), table=Table(RigidTransform.identity(), [0.5, 0.5]))
+        pose = look_at([-1.5, 0.0, 0.3], [0.0, 0.0, 1.5])
+        assert _table_window(spec.table, WIDE, pose) is None
+        labels = assert_matches_full_frame(spec, WIDE, pose)
+        assert not np.any(labels == LABEL_BACKGROUND)
+
+    def test_capsule_with_one_end_offscreen(self):
+        # 0.3 m beside the top of the vertical base link, looking along +x: its foot is out of view
+        spec = minimal_spec([], fixed_camera_ranges())
+        cap = chain_capsules(spec)[0]
+        pose = camera_seeing(np.array([0.0, 0.0, 0.3]), cap.p1)
+        foot, top = cap.ends()
+        assert _screen_window(*foot.bound(), NARROW, pose) is None
+        assert _screen_window(*top.bound(), NARROW, pose) is not None
+        labels = assert_matches_full_frame(spec, NARROW, pose)
+        assert np.any(labels[-1] == LABEL_ROBOT)  # the body runs off the bottom of the frame
+
+    def test_capsule_seen_end_on(self):
+        spec = minimal_spec([], fixed_camera_ranges())
+        cap = chain_capsules(spec)[-1]
+        axis = (cap.p1 - cap.p0) / np.linalg.norm(cap.p1 - cap.p0)
+        pose = look_at(cap.p1 + 0.4 * axis + [0.0, 2e-3, 0.0], cap.p0)
+        labels = assert_matches_full_frame(spec, WIDE, pose)
+        assert labels[24, 32] == LABEL_ROBOT
+
+    @pytest.mark.parametrize("u,side,cols", [(-1.5, -1, slice(0, 2)), (64.5, 1, slice(62, 64))])
+    def test_capsule_end_window_clipped_to_edge_column(self, u, side, cols):
+        spec = minimal_spec([], fixed_camera_ranges())
+        end = chain_capsules(spec)[-1].ends()[1]
+        pose = camera_seeing(tangent_at_column(u, side, 1.0, end.radius), end.center)
+        assert _screen_window(*end.bound(), WIDE, pose)[1] == cols
+        assert_matches_full_frame(spec, WIDE, pose)
+
+    @pytest.mark.parametrize("u,cols", [(-1.5, slice(0, 2)), (64.5, slice(62, 64))])
+    def test_table_window_clipped_to_edge_column(self, u, cols):
+        # a 1 x 1 m table 2.5 to 3.5 m ahead and 1 m below HORIZONTAL; its far corner nearest the frame is on column u
+        edge_y = -(u - WIDE.cx) / WIDE.fx * 3.5
+        table = Table(RigidTransform(np.eye(3), [0.0, edge_y + math.copysign(0.5, edge_y), 0.0]), [0.5, 0.5])
+        spec = replace(minimal_spec([], fixed_camera_ranges()), table=table)
+        assert _table_window(table, WIDE, HORIZONTAL)[1] == cols
+        labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
+        assert not np.any(labels == LABEL_BACKGROUND)
+
+    def test_casts_stay_in_their_windows(self, monkeypatch):
+        spec = random_scene_spec(1, views=1, width=160, height=120)
+        k, pose = sample_camera(spec.workspace_center, np.random.default_rng(1), spec.camera, 160, 120)
+        received = []  # (surface, pixels its intersect was given)
+        for cls, name in ((Sphere, "intersect"), (Table, "intersect"), (Capsule, "intersect_body")):
+            def record(self, origin, dirs, cast=getattr(cls, name)):
+                received.append((self, dirs.size // 3))
+                return cast(self, origin, dirs)
+
+            monkeypatch.setattr(cls, name, record)
+        render(spec, k, pose)
+        capsules = chain_capsules(spec)
+        ends = [end for cap in capsules for end in cap.ends()]
+        end_pixels = [
+            n for s, n in received
+            if isinstance(s, Sphere) and any(np.array_equal(s.center, e.center) for e in ends)
+        ]
+        end_windows = [w for w in (_screen_window(*e.bound(), k, pose) for e in ends) if w is not None]
+        assert len(end_pixels) == len(end_windows) > 0
+        for n, window in zip(end_pixels, end_windows):
+            assert n <= window_area(window)
+        [table_pixels] = [n for s, n in received if isinstance(s, Table)]
+        assert 0 < table_pixels < k.width * k.height
 
 
 class TestCanonicalChain:

@@ -111,6 +111,15 @@ class TestSolvePnP:
         with pytest.raises(DegenerateConfigurationError, match="at least 4"):
             solve_pnp(pts[:3], px[:3], k)
 
+    @pytest.mark.parametrize("spread", [0.0, 1e-10, 4.9e-4])
+    def test_coincident_pixels_degenerate(self, rng, spread):
+        # pixels within `spread` of one point, so within 2 * spread of their centroid
+        k, pts, pose, px = synth_problem(rng)
+        offsets = rng.normal(size=px.shape)
+        px = px[0] + spread * offsets / np.linalg.norm(offsets, axis=1, keepdims=True)
+        with pytest.raises(DegenerateConfigurationError, match="within 0.001 px"):
+            solve_pnp(pts, px, k)
+
     def test_collinear_points_degenerate(self, rng):
         k = Intrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480)
         pts = np.outer(np.linspace(0, 1, 6), [1.0, 0.5, 0.2])
