@@ -83,9 +83,11 @@ def point_map_metrics_views(
     if pred_flat.shape[0] == 0:
         raise ValueError("no jointly valid pixels across views")
     all_angles = np.concatenate(angles)
+    if all_angles.size == 0:
+        raise ValueError("no jointly valid normal pairs across views")
     return PointMapReport(
         point_err=point_loss_flat(pred_flat, gt_flat),
-        normal_err=float(all_angles.mean()) if all_angles.size else 0.0,
+        normal_err=float(all_angles.mean()),
         scale_err=abs(pred_scale - gt_scale) / gt_scale,
     )
 

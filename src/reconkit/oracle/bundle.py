@@ -347,8 +347,8 @@ def save_bundle(path, bundle: SceneBundle):
     view_entries = []
     for i, view in enumerate(bundle.views):
         files = {key: f"view_{i}_{key}.r3rb" for key in RASTER_KEYS}
-        write_raster(path / files["depth"], view.depth.values)
-        write_raster(path / files["labels"], view.labels)
+        for key in RASTER_KEYS:
+            write_raster(path / files[key], view.rasters[key])
         view_entries.append(
             {
                 "intrinsics": asdict(view.intrinsics),

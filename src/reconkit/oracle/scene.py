@@ -20,12 +20,18 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..camera import Intrinsics, coords_from_intrinsics
+from ..camera import Intrinsics, pixel_grid
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
 
 RAY_EPS = 1e-9
+
+
+def _squared_lengths(v: np.ndarray) -> np.ndarray:
+    """Squared lengths over the last axis of (..., 3) vectors, summed in np.sum's order."""
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return (x * x + y * y) + z * z
 
 
 def _check_number(name: str, value, integer: bool = False):
@@ -55,18 +61,15 @@ class Sphere:
 
     def intersect(self, origin, dirs) -> np.ndarray:
         oc = origin - self.center
-        a = np.sum(dirs * dirs, axis=-1)
+        a = _squared_lengths(dirs)
         b = 2.0 * (dirs @ oc)
         c = oc @ oc - self.radius**2
         disc = b * b - 4.0 * a * c
-        t = np.full(dirs.shape[:-1], np.inf)
         hit = disc >= 0
         sq = np.sqrt(np.where(hit, disc, 0.0))
         t1 = (-b - sq) / (2.0 * a)
         t2 = (-b + sq) / (2.0 * a)
-        near = np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf))
-        t[hit] = near[hit]
-        return t
+        return np.where(hit, np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf)), np.inf)
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
         return np.abs(np.linalg.norm(pts - self.center, axis=1) - self.radius)
@@ -97,16 +100,15 @@ class Box:
             inv_d = 1.0 / d
             t_lo = (-self.half_extents - o) * inv_d
             t_hi = (self.half_extents - o) * inv_d
-        near = np.nanmax(np.minimum(t_lo, t_hi), axis=-1)
-        far = np.nanmin(np.maximum(t_lo, t_hi), axis=-1)
+        # slab entries and exits; fmax/fmin skip the NaN of a parallel ray on a slab face
+        lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
+        near = np.fmax(np.fmax(lo[..., 0], lo[..., 1]), lo[..., 2])
+        far = np.fmin(np.fmin(hi[..., 0], hi[..., 1]), hi[..., 2])
+        hit = (far >= near) & (far > RAY_EPS)  # false where both are NaN
         # axis-parallel rays miss unless the origin lies inside the slab
-        parallel_miss = np.any(
-            (np.abs(d) < 1e-15) & ((o < -self.half_extents) | (o > self.half_extents)),
-            axis=-1,
-        )
-        t = np.where(near > RAY_EPS, near, np.where(far > RAY_EPS, far, np.inf))
-        t[(far < near) | (far <= RAY_EPS) | parallel_miss] = np.inf
-        return t
+        for i in np.flatnonzero(np.abs(o) > self.half_extents):
+            hit &= np.abs(d[..., i]) >= 1e-15
+        return np.where(hit, np.where(near > RAY_EPS, near, far), np.inf)
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
         local = np.abs(self.pose.inverse().apply(pts)) - self.half_extents
@@ -157,10 +159,10 @@ class Capsule:
         oc_par = oc @ u
         d_perp = dirs - d_par[..., None] * u
         oc_perp = oc - oc_par * u
-        a = np.sum(d_perp * d_perp, axis=-1)
+        a = _squared_lengths(d_perp)
         b = 2.0 * (d_perp @ oc_perp)
         c = oc_perp @ oc_perp - self.radius**2
-        t = np.full(dirs.shape[:-1], np.inf)
+        t = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
             disc = b * b - 4.0 * a * c
             ok = (disc >= 0) & (a > 1e-30)
@@ -201,19 +203,13 @@ class Table:
         o = inv.apply(origin)
         d = dirs @ inv.rotation.T
         dz = d[..., 2]
-        t = np.full(dirs.shape[:-1], np.inf)
-        hit = np.abs(dz) > 1e-15
-        t_hit = np.where(hit, -o[2] / np.where(hit, dz, 1.0), 0.0)
-        px = o[0] + t_hit * d[..., 0]
-        py = o[1] + t_hit * d[..., 1]
-        ok = (
-            hit
-            & (t_hit > RAY_EPS)
-            & (np.abs(px) <= self.half_extents[0])
-            & (np.abs(py) <= self.half_extents[1])
-        )
-        t[ok] = t_hit[ok]
-        return t
+        with np.errstate(divide="ignore", invalid="ignore"):  # a ray parallel to the plane is no hit
+            t_hit = -o[2] / dz
+            px = o[0] + t_hit * d[..., 0]
+            py = o[1] + t_hit * d[..., 1]
+        ok = (np.abs(dz) > 1e-15) & (t_hit > RAY_EPS)
+        ok &= (np.abs(px) <= self.half_extents[0]) & (np.abs(py) <= self.half_extents[1])
+        return np.where(ok, t_hit, np.inf)
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
         return np.abs(self.pose.inverse().apply(pts)[:, 2])
@@ -398,13 +394,11 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     sphere's window, and a capsule three casts, each end sphere in its own
     window and the cylinder, which projects inside their hull, in the box
     around those two.  The bits are those of casting over the whole frame.
+    The kernels work on each x/y/z component; every matmul keeps its operands
+    and shapes on purpose, because BLAS sets the low bits of those products.
     """
     k = intrinsics
-    coords = coords_from_intrinsics(k)
-    dirs_cam = np.concatenate(
-        [coords.values, np.ones(coords.values.shape[:2] + (1,))], axis=-1
-    )
-    dirs_world = dirs_cam @ pose.rotation.T
+    dirs_world = pixel_grid(k, np.ones((k.height, k.width, 3))) @ pose.rotation.T
     origin = pose.translation
 
     casts = [(spec.table.intersect, _table_window(spec.table, k, pose), LABEL_BACKGROUND)]
@@ -430,7 +424,7 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
         t = intersect(origin, dirs_world[window])
         near = best_t[window]
         closer = t < near
-        near[closer] = t[closer]
-        labels[window][closer] = label
+        np.copyto(near, t, where=closer)
+        np.copyto(labels[window], label, where=closer)
 
     return np.where(np.isfinite(best_t), best_t, 0.0), labels

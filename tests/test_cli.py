@@ -87,13 +87,21 @@ class TestGenScenesBytes:
     SHA256 = {
         ("3", "160", "120"): "f87b1877ba46442a045a50610884101460404268a6093000d83ee15eeff70341",
         ("1", "630", "476"): "70cd6356b03b6e6b82c76b08d2ff14a7baa2527f3044d5f4b8817e4010e22fca",
+        ("2", "630", "476"): "7e6144c687d6b60b1a3a60bbf143f4bc90b1691e2a15f50ad7cb8571b35c9dce",  # seed 51
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize("scenes,width,height", [("3", "160", "120"), ("1", "630", "476")])
-    def test_tree_sha256_pinned(self, tmp_path, scenes, width, height, workers):
+    @pytest.mark.parametrize(
+        "scenes,width,height,seed",
+        [
+            pytest.param("3", "160", "120", "13", id="3-160-120"),
+            pytest.param("1", "630", "476", "13", id="1-630-476"),
+            pytest.param("2", "630", "476", "51", id="2-630-476-seed51"),
+        ],
+    )
+    def test_tree_sha256_pinned(self, tmp_path, scenes, width, height, seed, workers):
         out = tmp_path / "tree"
-        rc = main(["gen-scenes", "--scenes", scenes, "--seed", "13", "--width", width,
+        rc = main(["gen-scenes", "--scenes", scenes, "--seed", seed, "--width", width,
                    "--height", height, "--workers", workers, "--out", str(out)])
         assert rc == 0
         assert tree_sha256(out) == self.SHA256[scenes, width, height]
@@ -160,6 +168,22 @@ class TestEvalPointmap:
             ])
             errs.append(json.loads(out.read_text())["summary"]["point_err"])
         assert 0 < errs[0] < errs[1]
+
+
+    def test_no_normal_pairs_is_a_failure(self, tmp_path, capsys):
+        # these 3x3 views hold 3 or 4 valid pixels, none with four valid neighbours
+        tree = tmp_path / "tree"
+        assert main(["gen-scenes", "--scenes", "2", "--width", "3", "--height", "3",
+                     "--workers", "1", "--out", str(tree)]) == 0
+        out = tmp_path / "report.json"
+        rc = main(["eval-pointmap", "--bundles", str(tree), "--noise-depth", "0.01",
+                   "--workers", "1", "--out", str(out)])
+        assert rc == 1
+        error = "ValueError: no jointly valid normal pairs across views"
+        report = json.loads(out.read_text())
+        assert report["failures"] == [{"error": error, "scene": f"scene_0000{i}"} for i in range(2)]
+        assert report["scenes"] == [] and "summary" not in report
+        assert capsys.readouterr().err.count(error) == 2
 
 
 class TestEvalPose:

@@ -1,9 +1,12 @@
-"""Valid-pixel kernels and copy-free raster I/O against full-frame reference copies.
+"""Valid-pixel kernels, ray kernels and copy-free raster I/O against reference copies.
 
 Each `full_frame_*` function below is the full-frame form the kernel had
-before it was restricted to the pixels it keeps.  The kernels must match
-them bit for bit (values and validity, compared with `tobytes()`), also for
-non-finite inputs, for which both run under `np.errstate(all="ignore")`.
+before it was restricted to the pixels it keeps, and each `axis_*` function
+the form a ray kernel had before it worked on each x/y/z component
+separately (reductions over the length-3 axis, a boolean scatter into an
+inf-filled buffer).  The kernels must match them bit for bit (values and
+validity, compared with `tobytes()`), also for non-finite inputs, for which
+both run under `np.errstate(all="ignore")`.
 """
 
 import os
@@ -14,14 +17,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reconkit.camera import CoordMap, DepthMap, PointMap, unproject
+from reconkit.camera import CoordMap, DepthMap, PointMap, coords_from_intrinsics, unproject
 from reconkit.losses import NormalMap, normal_angles, normals_from_pointmap
 from reconkit.masks import LABEL_INVALID, MaskSet, binarize, compose_masked_points
 from reconkit.oracle import raster
+from reconkit.oracle.bundle import random_scene_spec
+from reconkit.oracle.scene import RAY_EPS, Box, CameraRanges, Capsule, Sphere, Table, chain_capsules, sample_camera
 from reconkit.oracle.raster import DTYPE_TAGS, HEADER, MAGIC, TruncatedRasterError, read_raster, write_raster
+from reconkit.transforms import RigidTransform, rotation_about_axis
 
 # ---------------------------------------------------------------------------
-# Full-frame reference copies
+# Reference copies
 # ---------------------------------------------------------------------------
 
 
@@ -75,6 +81,82 @@ def full_frame_compose(depth, coords, masks, threshold):
     labels = np.where(keep, labels, LABEL_INVALID).astype(np.uint8)
     values = np.where(keep[:, :, None], points.values, 0.0)
     return values, keep, labels
+
+
+def axis_sphere(sphere: Sphere, origin, dirs) -> np.ndarray:
+    oc = origin - sphere.center
+    a = np.sum(dirs * dirs, axis=-1)
+    b = 2.0 * (dirs @ oc)
+    c = oc @ oc - sphere.radius**2
+    disc = b * b - 4.0 * a * c
+    t = np.full(dirs.shape[:-1], np.inf)
+    hit = disc >= 0
+    sq = np.sqrt(np.where(hit, disc, 0.0))
+    t1 = (-b - sq) / (2.0 * a)
+    t2 = (-b + sq) / (2.0 * a)
+    near = np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf))
+    t[hit] = near[hit]
+    return t
+
+
+def axis_box(box: Box, origin, dirs) -> np.ndarray:
+    inv = box.pose.inverse()
+    o = inv.apply(origin)
+    d = dirs @ inv.rotation.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_d = 1.0 / d
+        t_lo = (-box.half_extents - o) * inv_d
+        t_hi = (box.half_extents - o) * inv_d
+    near = np.nanmax(np.minimum(t_lo, t_hi), axis=-1)
+    far = np.nanmin(np.maximum(t_lo, t_hi), axis=-1)
+    parallel_miss = np.any(
+        (np.abs(d) < 1e-15) & ((o < -box.half_extents) | (o > box.half_extents)),
+        axis=-1,
+    )
+    t = np.where(near > RAY_EPS, near, np.where(far > RAY_EPS, far, np.inf))
+    t[(far < near) | (far <= RAY_EPS) | parallel_miss] = np.inf
+    return t
+
+
+def axis_capsule_body(capsule: Capsule, origin, dirs) -> np.ndarray:
+    axis = capsule.p1 - capsule.p0
+    length = np.linalg.norm(axis)
+    if length < 1e-12:
+        return np.full(dirs.shape[:-1], np.inf)
+    u = axis / length
+    oc = origin - capsule.p0
+    d_par = dirs @ u
+    oc_par = oc @ u
+    d_perp = dirs - d_par[..., None] * u
+    oc_perp = oc - oc_par * u
+    a = np.sum(d_perp * d_perp, axis=-1)
+    b = 2.0 * (d_perp @ oc_perp)
+    c = oc_perp @ oc_perp - capsule.radius**2
+    t = np.full(dirs.shape[:-1], np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        disc = b * b - 4.0 * a * c
+        ok = (disc >= 0) & (a > 1e-30)
+        sq = np.sqrt(np.where(ok, disc, 0.0))
+        for t_cand in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
+            s = oc_par + t_cand * d_par
+            good = ok & (t_cand > RAY_EPS) & (s >= 0) & (s <= length)
+            t = np.where(good & (t_cand < t), t_cand, t)
+    return t
+
+
+def axis_table(table: Table, origin, dirs) -> np.ndarray:
+    inv = table.pose.inverse()
+    o = inv.apply(origin)
+    d = dirs @ inv.rotation.T
+    dz = d[..., 2]
+    t = np.full(dirs.shape[:-1], np.inf)
+    hit = np.abs(dz) > 1e-15
+    t_hit = np.where(hit, -o[2] / np.where(hit, dz, 1.0), 0.0)
+    px = o[0] + t_hit * d[..., 0]
+    py = o[1] + t_hit * d[..., 1]
+    ok = hit & (t_hit > RAY_EPS) & (np.abs(px) <= table.half_extents[0]) & (np.abs(py) <= table.half_extents[1])
+    t[ok] = t_hit[ok]
+    return t
 
 
 def copying_write_raster(path, array):
@@ -263,6 +345,121 @@ class TestBinarizeCompose:
         assert same_bits(got.points.values, values)
         assert same_bits(got.points.valid, keep)
         assert same_bits(got.labels, labels)
+
+
+# ---------------------------------------------------------------------------
+# Ray kernels
+# ---------------------------------------------------------------------------
+
+
+def assert_casts_match(surfaces, origin, dirs):
+    """Each cast `render` makes of these surfaces (a capsule's body and end spheres apart) against its reference copy."""
+    casts = []
+    for s in surfaces:
+        if isinstance(s, Capsule):
+            casts += [(s, Capsule.intersect_body, axis_capsule_body)]
+            casts += [(end, Sphere.intersect, axis_sphere) for end in s.ends()]
+        else:
+            casts.append((s, type(s).intersect, {Sphere: axis_sphere, Box: axis_box, Table: axis_table}[type(s)]))
+    for s, kernel, reference in casts:
+        assert same_bits(outcome(kernel, s, origin, dirs), outcome(reference, s, origin, dirs))
+
+
+def drawn_pose(rng, aligned) -> RigidTransform:
+    rot = np.eye(3) if aligned else rotation_about_axis(rng.standard_normal(3), rng.uniform(-np.pi, np.pi))
+    return RigidTransform(rot, rng.uniform(-1.0, 1.0, 3))
+
+
+def drawn_surfaces(rng, aligned) -> list:
+    """One surface of each kind near the origin; `aligned` ones have no rotation."""
+    return [
+        Sphere(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.1, 1.0)),
+        Box(drawn_pose(rng, aligned), rng.uniform(0.1, 1.0, 3)),
+        Table(drawn_pose(rng, aligned), rng.uniform(0.1, 2.0, 2)),
+        Capsule(rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 3), rng.uniform(0.05, 0.5)),
+    ]
+
+
+def drawn_window(rng, h, w):
+    r0, c0 = rng.integers(0, h), rng.integers(0, w)
+    return slice(r0, rng.integers(r0 + 1, h + 1)), slice(c0, rng.integers(c0 + 1, w + 1))
+
+
+class TestRayKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 60), height=st.integers(1, 45),
+           near=st.booleans())
+    def test_scene_casts_match_reference(self, seed, width, height, near):
+        """Every surface of a drawn scene, over a drawn window of a drawn camera's rays."""
+        rng = np.random.default_rng(seed)
+        spec = random_scene_spec(seed, views=1, width=width, height=height)
+        ranges = CameraRanges(radius=(0.05, 0.5)) if near else spec.camera
+        k, pose = sample_camera(spec.workspace_center, rng, ranges, width, height)
+        coords = coords_from_intrinsics(k).values
+        dirs = np.concatenate([coords, np.ones((height, width, 1))], axis=-1) @ pose.rotation.T
+        surfaces = [spec.table, *spec.primitives, *chain_capsules(spec)]
+        assert_casts_match(surfaces, pose.translation, dirs[drawn_window(rng, height, width)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 20), w=st.integers(1, 20),
+           aligned=st.booleans(), p_zero=st.sampled_from([0.0, 0.3, 0.6]))
+    def test_drawn_rays_match_reference(self, seed, h, w, aligned, p_zero):
+        """Random origins and directions with zero (some negative) or tiny components."""
+        rng = np.random.default_rng(seed)
+        dirs = rng.standard_normal((h, w, 3))
+        zero = rng.random((h, w, 3)) < p_zero
+        dirs[zero] = rng.choice([0.0, -0.0, 1e-16, -1e-16], size=zero.sum())
+        dirs[np.all(dirs == 0, axis=-1)] = (0.0, 0.0, 1.0)
+        origin = rng.uniform(-2.0, 2.0, 3)
+        assert_casts_match(drawn_surfaces(rng, aligned), origin, dirs[drawn_window(rng, h, w)])
+
+    # one direction per pixel of a 1x5 grid: x, y (as -0.0), z, no component zero, x and y zero and z tiny
+    ZERO_COMPONENTS = np.array(
+        [[[0.0, 0.1, 1.0], [-0.1, -0.0, 1.0], [1.0, 0.05, 0.0], [-0.1, 0.05, 1.0], [0.0, 0.0, 1e-16]]]
+    )
+
+    @pytest.mark.parametrize(
+        "origin,hits",
+        [
+            ((0.5, 0.0, -5.0), [True, True, False, True, False]),  # inside the x and y slabs
+            ((3.0, 0.0, -5.0), [False, False, False, False, False]),  # outside the x slab
+            ((0.0, -3.0, -5.0), [False, False, False, False, False]),  # outside the y slab
+            ((-3.0, -0.2, 0.0), [False, False, True, False, False]),  # inside the z slab only
+            ((1.0, 0.0, -5.0), [True, True, False, True, False]),  # on an x face: 0 * inf is NaN
+        ],
+    )
+    def test_box_zero_component(self, origin, hits):
+        box = Box(RigidTransform.identity(), [1.0, 1.0, 1.0])
+        t = box.intersect(np.array(origin), self.ZERO_COMPONENTS)
+        assert same_bits(t, axis_box(box, np.array(origin), self.ZERO_COMPONENTS))
+        assert list(np.isfinite(t[0])) == hits
+
+    @pytest.mark.parametrize(
+        "height,sign,hits",
+        [
+            (1.0, 1.0, [False, False, False, False, False]),  # every ray points up or along the plane
+            (1.0, -1.0, [True, True, False, True, False]),
+            (0.0, -1.0, [False, False, False, False, False]),  # the origin in the plane: t = 0
+        ],
+    )
+    def test_table_parallel_ray(self, height, sign, hits):
+        table = Table(RigidTransform.identity(), [1.0, 1.0])
+        origin, dirs = np.array([0.0, 0.0, height]), sign * self.ZERO_COMPONENTS
+        t = table.intersect(origin, dirs)
+        assert same_bits(t, axis_table(table, origin, dirs))
+        assert list(np.isfinite(t[0])) == hits
+
+    def test_tangent_rays(self):
+        """disc == 0 exactly: the sphere and the cylinder are grazed at one point."""
+        dirs = np.array([[[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]])
+        sphere = Sphere([0.0, 0.0, 5.0], 1.0)
+        origin = np.array([1.0, 0.0, 0.0])
+        t = sphere.intersect(origin, dirs)
+        assert same_bits(t, axis_sphere(sphere, origin, dirs)) and t[0, 0] == 5.0
+        capsule = Capsule([0.0, 0.0, 0.0], [0.0, 0.0, 10.0], 1.0)
+        origin = np.array([1.0, -5.0, 5.0])
+        t = capsule.intersect_body(origin, dirs)
+        assert same_bits(t, axis_capsule_body(capsule, origin, dirs)) and t[0, 1] == 5.0
 
 
 class TestRasterIO:
