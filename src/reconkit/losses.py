@@ -56,21 +56,53 @@ class LossWeights:
 
 @dataclass(frozen=True, eq=False)
 class NormalMap:
-    """H x W unit normals with validity flags."""
+    """Unit normals held per valid pixel of an H x W grid.
 
-    values: np.ndarray
-    valid: np.ndarray
+    `index` is the sorted flat (row-major) index of the valid pixels and
+    `components` their x, y and z as three 1-D arrays; each normal must be
+    within 1e-9 of unit length, so a NaN normal is rejected.  The dense
+    `values` (zero at invalid pixels) and `valid` grids are built on access.
+    """
+
+    shape: tuple
+    index: np.ndarray
+    components: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        m = np.asarray(self.valid, dtype=bool)
+        h, w = shape = tuple(int(n) for n in self.shape)
+        idx = np.asarray(self.index, dtype=np.intp)
+        comps = tuple(np.asarray(c, dtype=float) for c in self.components)
+        if idx.ndim != 1 or [c.shape for c in comps] != [idx.shape] * 3:
+            raise ValueError("normal map needs a 1-D index and 3 components as long")
+        if idx.size and not (0 <= idx[0] and idx[-1] < h * w and np.all(idx[1:] > idx[:-1])):
+            raise ValueError("normal map index must be increasing and inside the grid")
+        if not np.all(np.abs(_lengths(*comps) - 1.0) <= 1e-9):
+            raise ValueError("valid normals must have unit norm")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "index", idx)
+        object.__setattr__(self, "components", comps)
+
+    @classmethod
+    def from_dense(cls, values, valid) -> "NormalMap":
+        """The normals of an HxWx3 array at the pixels an HxW grid marks valid."""
+        v = np.asarray(values, dtype=float)
+        m = np.asarray(valid, dtype=bool)
         if v.ndim != 3 or v.shape[2] != 3 or m.shape != v.shape[:2]:
             raise ValueError("normal map must be HxWx3 with an HxW valid grid")
-        norms = _lengths(*np.take(v.reshape(-1, 3), np.flatnonzero(m), axis=0).T)
-        if norms.size and np.abs(norms - 1.0).max() > 1e-9:
-            raise ValueError("valid normals must have unit norm")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "valid", m)
+        idx = np.flatnonzero(m)
+        return cls(m.shape, idx, tuple(np.take(v.reshape(-1, 3), idx, axis=0).T))
+
+    @property
+    def valid(self) -> np.ndarray:
+        grid = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
+        grid[self.index] = True
+        return grid.reshape(self.shape)
+
+    @property
+    def values(self) -> np.ndarray:
+        grid = np.zeros((self.shape[0] * self.shape[1], 3))
+        grid[self.index] = np.column_stack(self.components)
+        return grid.reshape(self.shape + (3,))
 
 
 def huber(residual, delta: float = HUBER_DELTA) -> float:
@@ -137,54 +169,47 @@ def normals_from_pointmap(points: PointMap) -> NormalMap:
 
     Boundary pixels, pixels with any invalid 4-neighbor and pixels whose
     cross product has zero (or NaN) length are invalid.  The stencil is
-    evaluated only at pixels whose five points are all valid; the cross
-    product, its length and the division are formed per component in the
-    order np.cross and np.linalg.norm use, so every value is bit-identical
-    to the full-frame evaluation.
+    evaluated only at pixels whose five points are all valid, on each x/y/z
+    component separately; the cross product, its length and the division
+    are formed in the order np.cross and np.linalg.norm use, so every value
+    is bit-identical to the full-frame evaluation.  Only the valid normals
+    are stored: no HxWx3 buffer is built.
     """
     h, w = points.shape
     if h < 3 or w < 3:
         raise ValueError(f"need at least 3x3 points for normals, got {h}x{w}")
-    v = points.values.reshape(-1, 3)
     m = points.valid
     ok = np.zeros((h, w), dtype=bool)
-    ok[1:-1, 1:-1] = (
-        m[1:-1, 1:-1]
-        & m[1:-1, 2:]
-        & m[1:-1, :-2]
-        & m[2:, 1:-1]
-        & m[:-2, 1:-1]
-    )
+    ok[1:-1, 1:-1] = m[1:-1, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2] & m[2:, 1:-1] & m[:-2, 1:-1]
     idx = np.flatnonzero(ok)
-    dx = np.take(v, idx + 1, axis=0) - np.take(v, idx - 1, axis=0)
-    dy = np.take(v, idx + w, axis=0) - np.take(v, idx - w, axis=0)
-    n = _cross(*dx.T, *dy.T)
+    inner, xyz = ok[1:-1, 1:-1], points.values.transpose(2, 0, 1)
+    n = _cross(*(c[1:-1, 2:][inner] - c[1:-1, :-2][inner] for c in xyz),  # right - left
+               *(c[2:, 1:-1][inner] - c[:-2, 1:-1][inner] for c in xyz))  # down - up
     lengths = _lengths(*n)
-    nonzero = lengths > 0
-    idx, lengths = idx[nonzero], lengths[nonzero]
-    normals = np.zeros((h * w, 3))
-    for k in range(3):
-        normals[idx, k] = n[k][nonzero] / lengths
-    valid = np.zeros(h * w, dtype=bool)
-    valid[idx] = True
-    return NormalMap(normals.reshape(h, w, 3), valid.reshape(h, w))
+    keep = lengths > 0
+    if not keep.all():
+        idx, lengths, n = idx[keep], lengths[keep], [c[keep] for c in n]
+    return NormalMap((h, w), idx, tuple(c / lengths for c in n))
 
 
 def normal_angles(pred: NormalMap, gt: NormalMap) -> np.ndarray:
     """Angles arctan2(||n_p x n_g||, n_p . n_g) over jointly valid pixels.
 
-    Only jointly valid pixels are gathered; the cross product, its length
-    and the dot product are formed per component in the order np.cross,
-    np.linalg.norm and np.sum over a length-3 axis use, so the angles are
-    bit-identical to the vectorized full-array form.
+    Maps with other valid pixels first select their jointly valid entries,
+    in pixel order; the cross product, its length and the dot product are
+    formed per component in the order np.cross, np.linalg.norm and np.sum
+    over a length-3 axis use, so the angles are bit-identical to the
+    full-array form.
     """
-    if pred.values.shape != gt.values.shape:
+    if pred.shape != gt.shape:
         raise ValueError("normal map shapes differ")
-    idx = np.flatnonzero(pred.valid & gt.valid)
-    p0, p1, p2 = np.take(pred.values.reshape(-1, 3), idx, axis=0).T
-    g0, g1, g2 = np.take(gt.values.reshape(-1, 3), idx, axis=0).T
-    cross = _lengths(*_cross(p0, p1, p2, g0, g1, g2))
-    dot = (p0 * g0 + p1 * g1) + p2 * g2
+    p, g = pred.components, gt.components
+    if not np.array_equal(pred.index, gt.index):
+        in_gt = np.isin(pred.index, gt.index, assume_unique=True, kind="table")
+        in_pred = np.isin(gt.index, pred.index, assume_unique=True, kind="table")
+        p, g = [c[in_gt] for c in p], [c[in_pred] for c in g]
+    cross = _lengths(*_cross(*p, *g))
+    dot = (p[0] * g[0] + p[1] * g[1]) + p[2] * g[2]
     return np.arctan2(cross, dot)
 
 

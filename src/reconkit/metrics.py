@@ -26,8 +26,8 @@ class PointMapReport:
     scale_err: float
 
     def __post_init__(self):
-        if min(self.point_err, self.normal_err, self.scale_err) < 0:
-            raise ValueError("point map errors must be non-negative")
+        if not all(np.isfinite(e) and e >= 0 for e in vars(self).values()):
+            raise ValueError("point map errors must be finite and non-negative")
 
 
 class _PoseReportBase:

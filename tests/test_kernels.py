@@ -22,8 +22,10 @@ from reconkit.losses import NormalMap, normal_angles, normals_from_pointmap
 from reconkit.masks import LABEL_INVALID, MaskSet, binarize, compose_masked_points
 from reconkit.oracle import raster
 from reconkit.oracle.bundle import random_scene_spec
+from reconkit.oracle.mock import NoiseModel
 from reconkit.oracle.scene import RAY_EPS, Box, CameraRanges, Capsule, Sphere, Table, chain_capsules, sample_camera
 from reconkit.oracle.raster import DTYPE_TAGS, HEADER, MAGIC, TruncatedRasterError, read_raster, write_raster
+from reconkit.pipeline import evaluate_pointmap_scene
 from reconkit.transforms import RigidTransform, rotation_about_axis
 
 # ---------------------------------------------------------------------------
@@ -46,7 +48,7 @@ def full_frame_normals(points: PointMap) -> NormalMap:
     n = np.where(interior_ok[:, :, None], n / np.where(lengths == 0, 1.0, lengths)[:, :, None], 0.0)
     normals[1:-1, 1:-1] = n
     ok[1:-1, 1:-1] = interior_ok
-    return NormalMap(normals, ok)
+    return NormalMap.from_dense(normals, ok)
 
 
 def full_frame_angles(pred: NormalMap, gt: NormalMap) -> np.ndarray:
@@ -226,12 +228,16 @@ def drawn_points(rng, h, w, p_valid, kind, fortran=False) -> PointMap:
     return PointMap(values, rng.random((h, w)) < p_valid)
 
 
-def drawn_normals(rng, h, w, p_valid, kind) -> NormalMap:
+def drawn_normals(rng, h, w, p_valid, kind) -> tuple[NormalMap, np.ndarray]:
+    """Random unit normals and the dense array they were taken from;
+    `nonfinite` puts NaN at some invalid pixels (at a valid pixel a NaN
+    normal is rejected)."""
     v = rng.standard_normal((h, w, 3))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    valid = rng.random((h, w)) < p_valid
     if kind == "nonfinite":
-        v[rng.random((h, w)) < 0.1] = np.nan
-    return NormalMap(v, rng.random((h, w)) < p_valid)
+        v[~valid & (rng.random((h, w)) < 0.1)] = np.nan
+    return NormalMap.from_dense(v, valid), v
 
 
 map_sizes = dict(seed=st.integers(0, 2**32 - 1), h=st.integers(3, 30), w=st.integers(3, 40))
@@ -264,14 +270,16 @@ class TestNormalAngles:
     @given(**map_sizes, p_valid=validity, kind=st.sampled_from(["random", "nonfinite"]),
            relation=st.sampled_from(["independent", "equal", "opposite"]))
     @example(seed=0, h=3, w=3, p_valid=0.0, kind="random", relation="independent")
+    @example(seed=1, h=5, w=4, p_valid=1.0, kind="random", relation="opposite")
     def test_matches_full_frame(self, seed, h, w, p_valid, kind, relation):
         rng = np.random.default_rng(seed)
-        pred = drawn_normals(rng, h, w, p_valid, kind)
+        pred, dense = drawn_normals(rng, h, w, p_valid, kind)
         if relation == "independent":
-            gt = drawn_normals(rng, h, w, p_valid, kind)
+            gt, _ = drawn_normals(rng, h, w, p_valid, kind)
         else:
             sign = 1.0 if relation == "equal" else -1.0
-            gt = NormalMap(sign * pred.values, rng.random((h, w)) < p_valid)
+            valid = (rng.random((h, w)) < p_valid) & ~np.isnan(dense[:, :, 0])
+            gt = NormalMap.from_dense(sign * dense, valid)
         got = outcome(normal_angles, pred, gt)
         assert same_bits(got, outcome(full_frame_angles, pred, gt))
 
@@ -280,6 +288,68 @@ class TestNormalAngles:
         pred = normals_from_pointmap(PointMap(maps[0].values * 1.01, maps[0].valid))
         gt = normals_from_pointmap(maps[0])
         assert same_bits(normal_angles(pred, gt), full_frame_angles(pred, gt))
+
+
+class TestCompactNormals:
+    """A NormalMap holds its valid pixels only; the dense grids are built when read."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**map_sizes, p_valid=validity)
+    @example(seed=0, h=3, w=3, p_valid=0.0)
+    def test_dense_round_trip(self, seed, h, w, p_valid):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((h, w, 3))
+        v[rng.random((h, w)) < 0.1, 0] = -0.0  # signed zeros survive the trip
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        m = rng.random((h, w)) < p_valid
+        normals = NormalMap.from_dense(v, m)
+        assert same_bits(normals.values, np.where(m[:, :, None], v, 0.0))
+        assert same_bits(normals.valid, m)
+        assert normals.shape == (h, w) and same_bits(normals.index, np.flatnonzero(m))
+
+    @pytest.mark.parametrize("index, message", [
+        ([2, 1], "increasing"),
+        ([1, 1], "increasing"),
+        ([-1, 2], "inside the grid"),
+        ([0, 9], "inside the grid"),
+        ([[0, 1]], "1-D index"),
+    ])
+    def test_bad_index_rejected(self, index, message):
+        comps = np.tile([[1.0], [0.0], [0.0]], np.size(index))
+        with pytest.raises(ValueError, match=message):
+            NormalMap((3, 3), index, comps.reshape((3,) + np.shape(index)))
+
+    def test_component_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3 components as long"):
+            NormalMap((3, 3), [4], (np.ones(1), np.zeros(1), np.zeros(2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.5])
+    def test_non_unit_normal_at_valid_pixel_rejected(self, bad):
+        v = np.zeros((3, 3, 3))
+        v[:, :, 2] = 1.0
+        v[1, 1] = (0.0, 0.0, bad)
+        with pytest.raises(ValueError, match="unit norm"):
+            NormalMap.from_dense(v, np.ones((3, 3), bool))
+        v[1, 1] = (np.nan, 0.0, 0.0)  # at an invalid pixel it is never read
+        assert not np.isnan(NormalMap.from_dense(v, v[:, :, 2] == 1.0).values).any()
+
+    def test_angles_pair_pixels_not_positions(self):
+        # as many valid pixels in each map, but only pixel 1 is valid in both
+        z = (np.zeros(2), np.zeros(2), np.ones(2))
+        pred = NormalMap((3, 3), [0, 1], (np.array([1.0, 0.0]), np.zeros(2), np.array([0.0, 1.0])))
+        assert same_bits(normal_angles(pred, NormalMap((3, 3), [1, 2], z)), np.zeros(1))
+        assert same_bits(normal_angles(pred, NormalMap((3, 3), [0, 1], z)), np.array([np.pi / 2, 0.0]))
+
+    def test_eval_path_builds_no_dense_grid(self, small_bundle, monkeypatch):
+        noise = NoiseModel(depth_sigma=0.01, coord_sigma=0.001)
+        want = evaluate_pointmap_scene(small_bundle, noise, 5)
+
+        def dense(self):
+            raise AssertionError("a dense normal grid was built on the eval path")
+
+        monkeypatch.setattr(NormalMap, "values", property(dense))
+        monkeypatch.setattr(NormalMap, "valid", property(dense))
+        assert evaluate_pointmap_scene(small_bundle, noise, 5) == want
 
 
 def drawn_depth_coords(rng, h, w, p_valid, huge):

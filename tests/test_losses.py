@@ -190,6 +190,15 @@ class TestNormalLoss:
         loss = normal_loss(full_map(mirrored), full_map(plane))
         assert abs(loss - np.pi) < 1e-12
 
+    def test_overflowing_cross_product_is_rejected(self):
+        # at 1e200 m spacing the cross product overflows to (0, 0, inf) and
+        # normalizes to (0, 0, nan): a normal of no length, not a valid one
+        gx, gy = np.meshgrid(np.arange(3.0), np.arange(3.0))
+        pm = full_map(np.stack([gx * 1e200, gy * 1e200, np.ones((3, 3))], axis=-1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="valid normals must have unit norm"):
+                normal_loss(pm, pm)
+
     def test_symmetric_and_in_range(self, rng):
         a = full_map(rng.uniform(0.5, 2.0, (7, 7, 3)))
         b = full_map(rng.uniform(0.5, 2.0, (7, 7, 3)))

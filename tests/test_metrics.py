@@ -49,6 +49,11 @@ class TestPointMapMetrics:
         with pytest.raises(ValueError):
             PointMapReport(point_err=-1.0, normal_err=0.0, scale_err=0.0)
 
+    @pytest.mark.parametrize("errors", [(np.nan, 0.1, 0.0), (0.1, np.nan, 0.0), (0.1, 0.1, np.inf)])
+    def test_non_finite_fields_rejected(self, errors):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PointMapReport(*errors)
+
     @pytest.mark.parametrize("kind", [PoseReport, AbsolutePoseReport])
     @pytest.mark.parametrize("accuracies", [(1.5, 1.0), (1.0, -0.5)])
     def test_pose_accuracies_outside_unit_interval_rejected(self, kind, accuracies):
