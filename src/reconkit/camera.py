@@ -18,7 +18,7 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,27 +44,17 @@ class Intrinsics:
 
 @dataclass(frozen=True, eq=False)
 class DepthMap:
-    """H x W depth in meters plus a validity grid."""
+    """H x W depth in meters; a pixel is valid iff its depth is finite and > 0."""
 
     values: np.ndarray
-    valid: np.ndarray
+    valid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError(f"depth values must be HxW, got shape {v.shape}")
-        m = np.asarray(self.valid, dtype=bool)
-        if m.shape != v.shape:
-            raise ValueError(f"valid grid shape {m.shape} != depth shape {v.shape}")
-        # Holes: a pixel cannot be valid unless its depth is finite and > 0.
-        m = m & np.isfinite(v) & (v > 0)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "valid", m)
-
-    @staticmethod
-    def from_values(values) -> "DepthMap":
-        v = np.asarray(values, dtype=float)
-        return DepthMap(v, np.ones(v.shape, dtype=bool))
+        object.__setattr__(self, "valid", np.isfinite(v) & (v > 0))
 
     @property
     def shape(self):

@@ -186,19 +186,21 @@ def _eval_config(args) -> RunConfig:
 
 
 @contextlib.contextmanager
-def _out_errors(out):
-    """An --out path that cannot be made or written, as a FlagError."""
+def _input_errors(flag, path):
+    """A file flag's path that cannot be read, made or written, or is malformed, as a FlagError naming it."""
     try:
         yield
-    except OSError as exc:
-        raise FlagError(f"--out: {out}: {exc.strerror}") from None
+    except OSError as exc:  # missing, a directory, unreadable or unwritable
+        raise FlagError(f"{flag}: {path}: {exc.strerror}") from None
+    except (ValueError, TypeError) as exc:  # invalid JSON, ragged or non-numeric rows, a bad raster
+        raise FlagError(f"{flag}: {path}: {str(exc).removeprefix(f'{path}: ')}") from None
 
 
 def _finish(report: dict, out, lines) -> int:
     for line in lines:
         print(line)
     if out:
-        with _out_errors(out):
+        with _input_errors("--out", out):
             write_report(report, out)
         print(f"report written to {out}")
     failures = report.get("failures", [])
@@ -219,7 +221,7 @@ def cmd_gen_scenes(args) -> int:
     config = _build(
         RunConfig, **{key: getattr(args, key) for key in GEN_KEYS}, workers=args.workers or default_workers()
     )
-    with _out_errors(args.out):  # before any scene runs
+    with _input_errors("--out", args.out):  # before any scene runs
         Path(args.out).mkdir(parents=True, exist_ok=True)
     manifest = run_gen_scenes(config, args.out)
     print(f"generated {len(manifest['bundles'])} bundles under {args.out}")
@@ -272,17 +274,6 @@ def _check_view(args, bundle) -> int:
     if not 0 <= args.view < len(bundle.views):
         raise FlagError(f"--view: the bundle has {len(bundle.views)} view(s), got {args.view}")
     return args.view
-
-
-@contextlib.contextmanager
-def _input_errors(flag, path):
-    """An input file that is missing, unreadable or malformed, as a FlagError naming it."""
-    try:
-        yield
-    except OSError as exc:  # missing, a directory or unreadable
-        raise FlagError(f"{flag}: {path}: {exc.strerror}") from None
-    except (ValueError, TypeError) as exc:  # invalid JSON, ragged or non-numeric rows, a bad raster
-        raise FlagError(f"{flag}: {path}: {str(exc).removeprefix(f'{path}: ')}") from None
 
 
 def _check_input(arr, shape):
@@ -359,7 +350,7 @@ def cmd_compose_points(args) -> int:
     lines = [f"composed {report['points']} labeled points {counts}"]
     if args.out:
         out = Path(args.out)
-        with _out_errors(out):  # made only now, so a bad bundle or --view leaves no --out behind
+        with _input_errors("--out", out):  # made only now, so a bad bundle or --view leaves no --out behind
             out.mkdir(parents=True, exist_ok=True)
             write_raster(out / "points.r3rb", labeled.points.values)
             write_raster(out / "points_valid.r3rb", labeled.points.valid.astype(np.uint8))

@@ -22,6 +22,7 @@ from .transforms import (
     rotation_about_axis,
     rotation_angle,
     rotation_axis,
+    rotation_from_vector,
 )
 
 BCE_EPS = 1e-7
@@ -116,17 +117,17 @@ def _huber_grad(residual, delta: float = HUBER_DELTA) -> np.ndarray:
     return np.where(np.abs(r) <= delta, r, delta * np.sign(r))
 
 
-def _joint_flat(pred: PointMap, gt: PointMap) -> tuple[np.ndarray, np.ndarray]:
+def joint_points(pred: PointMap, gt: PointMap) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, 3) points of both maps at their jointly valid pixels, in pixel order."""
     if pred.shape != gt.shape:
         raise ValueError(f"point map shapes differ: {pred.shape} vs {gt.shape}")
-    both = pred.valid & gt.valid
-    return pred.values[both], gt.values[both]
+    joint = np.flatnonzero(pred.valid & gt.valid)
+    return tuple(np.take(m.values.reshape(-1, 3), joint, axis=0) for m in (pred, gt))
 
 
 def align_scale(pred: PointMap, gt: PointMap) -> float:
     """Closed-form scale minimizing sum ||s * pred - gt||^2 over joint pixels."""
-    p, g = _joint_flat(pred, gt)
-    return align_scale_flat(p, g)
+    return align_scale_flat(*joint_points(pred, gt))
 
 
 def align_scale_flat(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
@@ -143,8 +144,7 @@ def align_scale_flat(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
 
 def point_loss(pred: PointMap, gt: PointMap) -> float:
     """Scale-aligned mean L1 over the 3 coordinates of every joint pixel."""
-    p, g = _joint_flat(pred, gt)
-    return point_loss_flat(p, g)
+    return point_loss_flat(*joint_points(pred, gt))
 
 
 def point_loss_flat(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
@@ -350,10 +350,7 @@ def _relative_pose_check(rng, alpha: float = 1.0):
     gt = RigidTransform(r_gt, t_gt)
 
     def build(x):
-        omega = x[3:6]
-        angle = np.linalg.norm(omega)
-        d = rotation_about_axis(omega, angle) if angle > 0 else np.eye(3)
-        return RigidTransform(r0 @ d, x[0:3])
+        return RigidTransform(r0 @ rotation_from_vector(x[3:6]), x[0:3])
 
     def f(x):
         return relative_pose_loss(build(x), gt, alpha)
@@ -378,10 +375,7 @@ def _st_check(rng, beta1: float = 1.0, beta2: float = 1.0):
     s0 = s_gt + rng.choice([-1, 1]) * rng.uniform(0.2, 0.6)
 
     def build(x):
-        omega = x[4:7]
-        angle = np.linalg.norm(omega)
-        d = rotation_about_axis(omega, angle) if angle > 0 else np.eye(3)
-        return Similarity(x[0], RigidTransform(r0 @ d, x[1:4]))
+        return Similarity(x[0], RigidTransform(r0 @ rotation_from_vector(x[4:7]), x[1:4]))
 
     def f(x):
         return st_loss(build(x), gt, beta1, beta2)
@@ -426,9 +420,7 @@ def _rotation_angle_check(rng):
     r0 = r_gt @ rotation_about_axis(rng.standard_normal(3), rng.uniform(0.2, 0.8))
 
     def build(x):
-        angle = np.linalg.norm(x)
-        d = rotation_about_axis(x, angle) if angle > 0 else np.eye(3)
-        return r0 @ d
+        return r0 @ rotation_from_vector(x)
 
     def f(x):
         return rotation_angle(build(x), r_gt)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .losses import normal_angles, normals_from_pointmap, point_loss_flat
+from .losses import joint_points, normal_angles, normals_from_pointmap, point_loss_flat
 from .transforms import RigidTransform, rotation_angle
 
 DEFAULT_RELATIVE_THRESHOLD = 0.03
@@ -70,16 +70,11 @@ def point_map_metrics_views(
         raise ValueError("need equal, non-empty lists of predicted and gt maps")
     if not (gt_scale > 0):
         raise ValueError(f"ground-truth scale must be positive, got {gt_scale}")
-    pred_pts, gt_pts, angles = [], [], []
+    joint, angles = [], []
     for p, g in zip(pred_views, gt_views):
-        if p.shape != g.shape:
-            raise ValueError(f"view shapes differ: {p.shape} vs {g.shape}")
-        joint = np.flatnonzero(p.valid & g.valid)
-        pred_pts.append(np.take(p.values.reshape(-1, 3), joint, axis=0))
-        gt_pts.append(np.take(g.values.reshape(-1, 3), joint, axis=0))
+        joint.append(joint_points(p, g))
         angles.append(normal_angles(normals_from_pointmap(p), normals_from_pointmap(g)))
-    pred_flat = np.concatenate(pred_pts)
-    gt_flat = np.concatenate(gt_pts)
+    pred_flat, gt_flat = (np.concatenate(pts) for pts in zip(*joint))
     if pred_flat.shape[0] == 0:
         raise ValueError("no jointly valid pixels across views")
     all_angles = np.concatenate(angles)

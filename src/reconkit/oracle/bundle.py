@@ -105,7 +105,7 @@ class ViewRecord:
 
     @cached_property
     def depth(self) -> DepthMap:
-        return DepthMap.from_values(self.rasters["depth"])  # 0, NaN: holes
+        return DepthMap(self.rasters["depth"])  # 0, NaN: holes
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -181,9 +181,9 @@ def default_chain() -> tuple[KinematicChain, KeypointSpec]:
 
 def random_scene_spec(
     seed: int,
-    views: int = 2,
-    width: int = 630,
-    height: int = 476,
+    views: int = SceneSpec.views,
+    width: int = SceneSpec.width,
+    height: int = SceneSpec.height,
     camera: CameraRanges = CameraRanges(),
 ) -> SceneSpec:
     """Deterministic randomized scene: table, 1-3 primitives, random arm pose."""
@@ -413,6 +413,15 @@ def _check_shape(name, shape, expected):
         raise ShapeMismatchError(f"{name}: shape {shape}, expected {expected}")
 
 
+def _keypoints(meta, meta_path, key, shape) -> np.ndarray:
+    """meta[key] as a finite float array of the given shape."""
+    arr = np.array(meta[key], dtype=float)
+    _check_shape(f"{meta_path}: {key}", arr.shape, shape)
+    if not np.all(np.isfinite(arr)):
+        raise MalformedMetadataError(f"{meta_path}: {key} holds non-finite values")
+    return arr
+
+
 def _check_raster(path, key, shape, dtype, grid):
     """A view raster's header: the intrinsics' HxW, and uint8 for the labels."""
     _check_shape(path, shape, grid)
@@ -466,14 +475,13 @@ def load_bundle(path) -> SceneBundle:
             grid = (intrinsics.height, intrinsics.width)
             for key in RASTER_KEYS:
                 _check_raster(path / files[key], key, *raster_header(path / files[key]), grid)
+            echo = (spec.views, spec.height, spec.width)  # the scene echo repeats what the views store
+            _check_shape(f"{meta_path}: scene echo (views, height, width)", echo, (len(meta["views"]), *grid))
             pose = RigidTransform.from_matrix(np.array(entry["pose_world"]))
             views.append(ViewRecord(intrinsics, pose, rasters=_RasterFiles(path, files, grid)))
 
-        n_kp = len(kp_spec)
-        kp3d = np.array(meta["keypoints_3d"], dtype=float)
-        _check_shape(f"{meta_path}: keypoints_3d", kp3d.shape, (n_kp, 3))
-        kp2d = np.array(meta["keypoints_2d"], dtype=float)
-        _check_shape(f"{meta_path}: keypoints_2d", kp2d.shape, (len(views), n_kp, 2))
+        shapes = {"keypoints_3d": (len(kp_spec), 3), "keypoints_2d": (len(views), len(kp_spec), 2)}
+        kp3d, kp2d = (_keypoints(meta, meta_path, key, shape) for key, shape in shapes.items())
         return SceneBundle(
             views=tuple(views),
             similarity=Similarity(

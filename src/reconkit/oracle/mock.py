@@ -143,7 +143,7 @@ def _noisy_depth(view, sigma, entropy, key) -> DepthMap:
         return view.depth
     eps = _generator(entropy, key).standard_normal(view.depth.values.shape)
     dv = view.depth.values + sigma * eps
-    return DepthMap(np.where(view.depth.valid, dv, 0.0), view.depth.valid)
+    return DepthMap(np.where(view.depth.valid, dv, 0.0))
 
 
 def _noisy_coords(view, sigma, entropy, key) -> CoordMap:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..camera import Intrinsics, pixel_grid
+from ..camera import Intrinsics, pixel_grid, project
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
@@ -280,8 +280,8 @@ def sample_camera(
     center,
     rng: np.random.Generator,
     ranges: CameraRanges = CameraRanges(),
-    width: int = 630,
-    height: int = 476,
+    width: int = SceneSpec.width,
+    height: int = SceneSpec.height,
 ) -> tuple[Intrinsics, RigidTransform]:
     """Spherical-shell camera pose plus jittered pinhole intrinsics.
 
@@ -328,14 +328,9 @@ def sample_camera(
 
 
 def chain_capsules(spec: SceneSpec) -> list[Capsule]:
+    """One capsule per link, between consecutive link origins; a zero-length link is its end sphere."""
     poses = forward_kinematics(spec.chain, spec.joint_state)
-    capsules = []
-    for prev, cur in zip(poses[:-1], poses[1:]):
-        if np.linalg.norm(cur.translation - prev.translation) > 1e-9:
-            capsules.append(Capsule(prev.translation, cur.translation, spec.capsule_radius))
-        else:
-            capsules.append(Capsule(prev.translation, cur.translation + np.array([0, 0, 1e-9]), spec.capsule_radius))
-    return capsules
+    return [Capsule(a.translation, b.translation, spec.capsule_radius) for a, b in zip(poses[:-1], poses[1:])]
 
 
 def _pixel_window(k: Intrinsics, rows, cols):
@@ -381,7 +376,7 @@ def _table_window(table: Table, k: Intrinsics, pose: RigidTransform):
     c = (corners - pose.translation) @ pose.rotation
     if np.any(c[:, 2] <= RAY_EPS):
         return slice(0, k.height), slice(0, k.width)
-    u, v = k.fx * c[:, 0] / c[:, 2] + k.cx, k.fy * c[:, 1] / c[:, 2] + k.cy
+    u, v = project(c, k).T
     return _pixel_window(k, (v.min(), v.max()), (u.min(), u.max()))
 
 

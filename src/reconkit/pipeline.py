@@ -28,6 +28,8 @@ from .losses import (
     weighted_total,
 )
 from .metrics import (
+    DEFAULT_ABSOLUTE_THRESHOLD,
+    DEFAULT_RELATIVE_THRESHOLD,
     AbsolutePoseReport,
     PointMapReport,
     PoseReport,
@@ -38,6 +40,7 @@ from .metrics import (
 )
 from .oracle.bundle import SceneBundle, generate_scene, load_bundle, random_scene_spec, save_bundle
 from .oracle.mock import NoiseModel, ground_truth_heatmaps, mock_predict
+from .oracle.scene import SceneSpec
 from .pnp import soft_argmax
 from .transforms import relative_pose
 
@@ -46,14 +49,14 @@ from .transforms import relative_pose
 class RunConfig:
     seed: int = 0
     scenes: int = 1
-    views: int = 2
-    width: int = 630
-    height: int = 476
+    views: int = SceneSpec.views
+    width: int = SceneSpec.width
+    height: int = SceneSpec.height
     noise: NoiseModel = field(default_factory=NoiseModel)
-    t_threshold_rel: float = 0.03
-    r_threshold_rel: float = 0.03
-    t_threshold_abs: float = 0.01
-    r_threshold_abs: float = 0.01
+    t_threshold_rel: float = DEFAULT_RELATIVE_THRESHOLD
+    r_threshold_rel: float = DEFAULT_RELATIVE_THRESHOLD
+    t_threshold_abs: float = DEFAULT_ABSOLUTE_THRESHOLD
+    r_threshold_abs: float = DEFAULT_ABSOLUTE_THRESHOLD
     workers: int = 1
 
     def __post_init__(self):
@@ -136,7 +139,10 @@ def list_bundles(bundle_root) -> list[Path]:
         raise BundleTreeError(f"{root} is not a directory" if root.exists() else f"{root} does not exist")
     manifest = root / "manifest.json"
     if manifest.exists():
-        dirs = [root / r["path"] for r in json.loads(manifest.read_text())["bundles"]]
+        try:
+            dirs = [root / r["path"] for r in json.loads(manifest.read_text())["bundles"]]
+        except (OSError, ValueError, TypeError, KeyError) as exc:  # invalid JSON, a list, an entry without a path
+            raise BundleTreeError(f"{manifest}: not a manifest of bundle paths: {type(exc).__name__}: {exc}") from None
     else:
         dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not dirs:

@@ -18,7 +18,7 @@ from .camera import Intrinsics, project
 from .transforms import (
     RigidTransform,
     orthogonalize_9d,
-    rotation_about_axis,
+    rotation_from_vector,
     skew,
 )
 
@@ -85,17 +85,23 @@ def _normalized_obs(pixels, k: Intrinsics) -> np.ndarray:
     return m
 
 
+def _dlt_null_vector(points: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Last right-singular vector, as 3 rows of k, of the 2n x 3k DLT system of n points
+    (n x (k-1), made homogeneous here) and their normalized observations."""
+    n, k = points.shape[0], points.shape[1] + 1
+    a = np.zeros((2 * n, 3 * k))
+    xh = np.hstack([points, np.ones((n, 1))])
+    a[0::2, k:2 * k] = -xh
+    a[0::2, 2 * k:] = obs[:, 1:2] * xh
+    a[1::2, 0:k] = xh
+    a[1::2, 2 * k:] = -obs[:, 0:1] * xh
+    _, _, vt = np.linalg.svd(a)
+    return vt[-1].reshape(3, k)
+
+
 def _init_dlt(pts: np.ndarray, obs: np.ndarray) -> RigidTransform:
     """12-parameter DLT on normalized observations; needs >= 6 points."""
-    n = pts.shape[0]
-    a = np.zeros((2 * n, 12))
-    xh = np.hstack([pts, np.ones((n, 1))])
-    a[0::2, 4:8] = -xh
-    a[0::2, 8:12] = obs[:, 1:2] * xh
-    a[1::2, 0:4] = xh
-    a[1::2, 8:12] = -obs[:, 0:1] * xh
-    _, _, vt = np.linalg.svd(a)
-    p = vt[-1].reshape(3, 4)
+    p = _dlt_null_vector(pts, obs)
     if np.linalg.det(p[:, :3]) < 0:
         p = -p
     m = p[:, :3]
@@ -114,16 +120,7 @@ def _init_homography(pts: np.ndarray, obs: np.ndarray) -> RigidTransform:
     _, _, vt = np.linalg.svd(centered)
     u_ax, v_ax = vt[0], vt[1]
     plane = np.stack([centered @ u_ax, centered @ v_ax], axis=1)
-
-    n = pts.shape[0]
-    a = np.zeros((2 * n, 9))
-    ph = np.hstack([plane, np.ones((n, 1))])
-    a[0::2, 3:6] = -ph
-    a[0::2, 6:9] = obs[:, 1:2] * ph
-    a[1::2, 0:3] = ph
-    a[1::2, 6:9] = -obs[:, 0:1] * ph
-    _, _, vt_h = np.linalg.svd(a)
-    hmat = vt_h[-1].reshape(3, 3)
+    hmat = _dlt_null_vector(plane, obs)
 
     def decompose(h):
         s = 0.5 * (np.linalg.norm(h[:, 0]) + np.linalg.norm(h[:, 1]))
@@ -212,9 +209,7 @@ def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
         scale = 1.0
         for _ in range(30):
             dt = scale * step[0:3]
-            omega = scale * step[3:6]
-            angle = np.linalg.norm(omega)
-            d_rot = rotation_about_axis(omega, angle) if angle > 0 else np.eye(3)
+            d_rot = rotation_from_vector(scale * step[3:6])
             candidate = RigidTransform(
                 d_rot @ pose.rotation, d_rot @ pose.translation + dt
             )

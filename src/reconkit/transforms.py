@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .camera import PointMap
+
 ROTATION_TOL = 1e-9
 
 
@@ -54,6 +56,12 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
     a = a / n
     k = skew(a)
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def rotation_from_vector(omega) -> np.ndarray:
+    """Rotation by |omega| radians about omega (the so(3) exponential); the identity at 0."""
+    angle = np.linalg.norm(omega)
+    return rotation_about_axis(omega, angle) if angle > 0 else np.eye(3)
 
 
 def skew(v) -> np.ndarray:
@@ -198,26 +206,26 @@ def relative_pose(pose_i: RigidTransform, pose_j: RigidTransform) -> RigidTransf
     return pose_i.inverse().compose(pose_j)
 
 
+def _map_valid(pm: PointMap, transform) -> PointMap:
+    """pm with its valid points mapped by transform.apply; invalid pixels stay (0, 0, 0)."""
+    values = np.zeros_like(pm.values)
+    values[pm.valid] = transform.apply(pm.values[pm.valid])
+    return PointMap(values, pm.valid.copy())
+
+
 def register_views(locals_, rels):
     """Map each view's local point map through its relative pose.
 
     `locals_` and `rels` are equal-length lists; entry i is transformed as
     R_rel_i @ p + t_rel_i.  Returns new point maps in the reference frame.
     """
-    from .camera import PointMap
-
     if len(locals_) != len(rels):
         raise ValueError(
             f"got {len(locals_)} point maps but {len(rels)} relative poses"
         )
-    out = []
-    for pm, rel in zip(locals_, rels):
-        out.append(PointMap(rel.apply(pm.values), pm.valid.copy()))
-    return out
+    return [_map_valid(pm, rel) for pm, rel in zip(locals_, rels)]
 
 
 def to_canonical(pointmaps, sim: Similarity):
     """Apply the global similarity s * (R @ p + t) to every point map."""
-    from .camera import PointMap
-
-    return [PointMap(sim.apply(pm.values), pm.valid.copy()) for pm in pointmaps]
+    return [_map_valid(pm, sim) for pm in pointmaps]

@@ -21,20 +21,20 @@ from reconkit.camera import (
 
 def test_unproject_single_coord():
     coords = CoordMap(np.array([[[0.5, -0.25]]]))
-    depth = DepthMap.from_values(np.array([[2.0]]))
+    depth = DepthMap(np.array([[2.0]]))
     pm = unproject(coords, depth)
     np.testing.assert_array_equal(pm.values[0, 0], [1.0, -0.5, 2.0])
     assert pm.valid[0, 0]
 
 
 def test_unproject_optical_axis():
-    pm = unproject(CoordMap(np.zeros((1, 1, 2))), DepthMap.from_values(np.ones((1, 1))))
+    pm = unproject(CoordMap(np.zeros((1, 1, 2))), DepthMap(np.ones((1, 1))))
     np.testing.assert_array_equal(pm.values[0, 0], [0.0, 0.0, 1.0])
 
 
 def test_unproject_full_map_from_intrinsics(vga_intrinsics):
     coords = coords_from_intrinsics(vga_intrinsics)
-    depth = DepthMap.from_values(np.full((480, 640), 1.5))
+    depth = DepthMap(np.full((480, 640), 1.5))
     pm = unproject(coords, depth)
     np.testing.assert_allclose(pm.values[240, 320], [0.0, 0.0, 1.5], atol=1e-15)
     assert pm.valid.all()
@@ -43,12 +43,12 @@ def test_unproject_full_map_from_intrinsics(vga_intrinsics):
 def test_unproject_dimension_mismatch(vga_intrinsics):
     coords = coords_from_intrinsics(vga_intrinsics)
     with pytest.raises(ValueError, match="shape"):
-        unproject(coords, DepthMap.from_values(np.ones((10, 10))))
+        unproject(coords, DepthMap(np.ones((10, 10))))
 
 
 def test_invalid_depth_marks_pixels_invalid():
     values = np.array([[1.0, 0.0], [-2.0, np.nan]])
-    depth = DepthMap.from_values(values)
+    depth = DepthMap(values)
     assert depth.valid[0, 0]
     assert not depth.valid[0, 1]
     assert not depth.valid[1, 0]
@@ -106,7 +106,7 @@ def test_project_unproject_round_trip(vga_intrinsics, rng):
 
 def test_perspective_division_reproduces_coords(vga_intrinsics, rng):
     coords = coords_from_intrinsics(vga_intrinsics)
-    depth = DepthMap.from_values(rng.uniform(0.5, 3.0, size=(480, 640)))
+    depth = DepthMap(rng.uniform(0.5, 3.0, size=(480, 640)))
     pm = unproject(coords, depth)
     x_over_z = pm.values[:, :, 0] / pm.values[:, :, 2]
     y_over_z = pm.values[:, :, 1] / pm.values[:, :, 2]
@@ -119,8 +119,8 @@ def test_unprojection_depth_homogeneity(vga_intrinsics, rng):
     coords = coords_from_intrinsics(vga_intrinsics)
     base = rng.uniform(0.5, 3.0, size=(480, 640))
     lam = 3.7
-    pm1 = unproject(coords, DepthMap.from_values(base))
-    pm2 = unproject(coords, DepthMap.from_values(lam * base))
+    pm1 = unproject(coords, DepthMap(base))
+    pm2 = unproject(coords, DepthMap(lam * base))
     np.testing.assert_allclose(pm2.values, lam * pm1.values, rtol=1e-12)
 
 

@@ -508,6 +508,33 @@ class TestInputChecks:
         assert self.BUNDLE_DAMAGE["missing_raster"] in failure["error"]
 
     @pytest.mark.parametrize(
+        "manifest,message",
+        [("{", "JSONDecodeError: Expecting property name"), ("[]", "TypeError: list indices"),
+         ('{"bundles": [{"seed": 1}]}', "KeyError: 'path'")],
+    )
+    def test_malformed_manifest(self, tmp_path, capsys, monkeypatch, manifest, message):
+        (tmp_path / "manifest.json").write_text(manifest)
+        monkeypatch.setattr("reconkit.pipeline._run_parallel", _must_not_run)
+        out = tmp_path / "report.json"
+        assert main(["eval-pose", "--bundles", str(tmp_path), "--out", str(out)]) == 2
+        err = self.assert_flag_error(capsys, "eval-pose", "--bundles")
+        assert f"{tmp_path / 'manifest.json'}: " in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["keypoints_3d", "keypoints_2d"])
+    def test_non_finite_bundle_keypoints(self, bundle_tree, tmp_path, capsys, monkeypatch, key):
+        scene = tmp_path / "scene"
+        shutil.copytree(bundle_tree / "scene_00000", scene)
+        meta = json.loads((scene / "meta.json").read_text())
+        first = meta[key][0] if key == "keypoints_3d" else meta[key][0][0]  # one keypoint's coordinates
+        first[0] = float("nan")
+        (scene / "meta.json").write_text(json.dumps(meta))
+        monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
+        assert main(["solve-pnp", "--bundle", str(scene)]) == 2
+        err = self.assert_flag_error(capsys, "solve-pnp", "--bundle")
+        assert f"meta.json: {key} holds non-finite values" in err
+
+    @pytest.mark.parametrize(
         "content,message",
         [(None, "No such file"), (b'{"seed": 1', "Expecting ',' delimiter"),
          (b"", "Expecting value"), (b"\xff{}", "can't decode byte 0xff")],

@@ -354,7 +354,8 @@ class TestCompactNormals:
 
 def drawn_depth_coords(rng, h, w, p_valid, huge):
     scale = 1e200 if huge else 1.0
-    depth = DepthMap(rng.uniform(-0.5, 3.0, (h, w)) * scale, rng.random((h, w)) < p_valid)
+    values = rng.uniform(-0.5, 3.0, (h, w)) * scale
+    depth = DepthMap(np.where(rng.random((h, w)) < p_valid, values, 0.0))
     coords = CoordMap(rng.standard_normal((h, w, 2)) * scale)
     return depth, coords
 

@@ -55,7 +55,7 @@ def test_mask_entries_validated():
 
 def test_compose_all_masks_zero(rng):
     h, w = 4, 5
-    depth = DepthMap.from_values(rng.uniform(1.0, 2.0, (h, w)))
+    depth = DepthMap(rng.uniform(1.0, 2.0, (h, w)))
     coords = CoordMap(rng.standard_normal((h, w, 2)))
     out = compose_masked_points(depth, coords, _uniform_masks(h, w))
     assert out.points.valid.sum() == 0
@@ -64,7 +64,7 @@ def test_compose_all_masks_zero(rng):
 
 def test_compose_equals_unprojection_on_labeled_pixels(rng):
     h, w = 6, 7
-    depth = DepthMap.from_values(rng.uniform(1.0, 2.0, (h, w)))
+    depth = DepthMap(rng.uniform(1.0, 2.0, (h, w)))
     coords = CoordMap(rng.standard_normal((h, w, 2)))
     robot = (rng.random((h, w)) < 0.4).astype(float)
     obj = np.where(robot == 0, (rng.random((h, w)) < 0.5).astype(float), 0.0)
@@ -78,7 +78,7 @@ def test_compose_equals_unprojection_on_labeled_pixels(rng):
 
 
 def test_compose_respects_depth_holes():
-    depth = DepthMap(np.array([[1.0, 0.0]]), np.array([[True, True]]))
+    depth = DepthMap(np.array([[1.0, 0.0]]))
     coords = CoordMap(np.zeros((1, 2, 2)))
     masks = _uniform_masks(1, 2, robot=1.0)
     out = compose_masked_points(depth, coords, masks)
@@ -88,7 +88,7 @@ def test_compose_respects_depth_holes():
 
 
 def test_compose_dimension_mismatch(rng):
-    depth = DepthMap.from_values(np.ones((2, 2)))
+    depth = DepthMap(np.ones((2, 2)))
     coords = CoordMap(np.zeros((2, 2, 2)))
     with pytest.raises(ValueError, match="shape"):
         compose_masked_points(depth, coords, _uniform_masks(3, 3, robot=1.0))
@@ -96,7 +96,7 @@ def test_compose_dimension_mismatch(rng):
 
 def test_part_permutation_leaves_point_set_unchanged(rng):
     h, w = 5, 5
-    depth = DepthMap.from_values(rng.uniform(1.0, 2.0, (h, w)))
+    depth = DepthMap(rng.uniform(1.0, 2.0, (h, w)))
     coords = CoordMap(rng.standard_normal((h, w, 2)))
     a = (rng.random((h, w)) < 0.3).astype(float)
     b = np.where(a == 0, (rng.random((h, w)) < 0.4).astype(float), 0.0)
@@ -126,7 +126,7 @@ def test_point_count_bounded_and_single_label(rng):
     h, w = 8, 8
     depth_vals = rng.uniform(1.0, 2.0, (h, w))
     depth_vals[0, :] = -1.0  # invalid row
-    depth = DepthMap.from_values(depth_vals)
+    depth = DepthMap(depth_vals)
     coords = CoordMap(rng.standard_normal((h, w, 2)))
     masks = _uniform_masks(h, w, robot=0.9)
     out = compose_masked_points(depth, coords, masks)

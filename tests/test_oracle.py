@@ -436,6 +436,28 @@ class TestCulledRender:
         assert 0 < table_pixels < k.width * k.height
 
 
+def zero_length_link_spec(seed: int) -> SceneSpec:
+    """random_scene_spec(seed) with default_chain's last joint origin the identity: its last link has zero length."""
+    spec = random_scene_spec(seed, views=2, width=64, height=48)
+    *joints, last = spec.chain.joints
+    chain = replace(spec.chain, joints=(*joints, replace(last, origin=RigidTransform.identity())))
+    return replace(spec, chain=chain)
+
+
+class TestZeroLengthLink:
+    """A zero-length link's capsule is its end sphere: no cylinder, no nudged axis."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_renders_and_validates(self, seed):
+        spec = zero_length_link_spec(seed)
+        capsule = chain_capsules(spec)[-1]
+        np.testing.assert_array_equal(capsule.p0, capsule.p1)
+        bundle = generate_scene(spec, seed)
+        for view in bundle.views:
+            assert_matches_full_frame(spec, view.intrinsics, view.pose_world)
+        assert validate_bundle(bundle, tol=1e-9) <= 1e-9
+
+
 class TestCanonicalChain:
     def test_unproject_register_canonicalize_hits_surfaces(self, small_bundles):
         for bundle in small_bundles:
@@ -941,6 +963,26 @@ class TestBundleJSONErrors:
         loads_or_fails_named(tiny_saved, name, bytes(content))
 
 
+class TestBundleConsistency:
+    """meta.json values that are well formed but disagree with the bundle fail at load, naming the file."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("path", [("keypoints_3d", 0, 0), ("keypoints_2d", 1, 7, 1)])
+    def test_non_finite_keypoints_named(self, tiny_saved, path, value):
+        doc = replaced(json.loads((tiny_saved / "meta.json").read_text()), path, value)
+        with pytest.raises(MalformedMetadataError, match=rf"meta\.json: {path[0]} holds non-finite values"):
+            load_edited(tiny_saved, "meta.json", json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "key,value,echo", [("width", 70, (2, 24, 70)), ("height", 40, (2, 40, 32)), ("views", 1, (1, 24, 32))]
+    )
+    def test_scene_echo_mismatch_named(self, tiny_saved, key, value, echo):
+        doc = replaced(json.loads((tiny_saved / "meta.json").read_text()), ("scene", key), value)
+        message = f"meta.json: scene echo (views, height, width): shape {echo}, expected (2, 24, 32)"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+            load_edited(tiny_saved, "meta.json", json.dumps(doc))
+
+
 class TestLazyPayloads:
     """Raster payloads are read, and maps built, only when a caller reads them."""
 
@@ -1062,7 +1104,7 @@ def eager_mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int):
         flips = flip_rng.random(view.masks.shape + (3,))
         if noise.depth_sigma > 0:
             dv = view.depth.values + noise.depth_sigma * eps_d
-            depths.append(DepthMap(np.where(view.depth.valid, dv, 0.0), view.depth.valid))
+            depths.append(DepthMap(np.where(view.depth.valid, dv, 0.0)))
         else:
             depths.append(view.depth)
         if noise.coord_sigma > 0:

@@ -156,6 +156,18 @@ class TestRegisterAndCanonicalize:
         out = to_canonical([pm], Similarity(2.0, RigidTransform.identity()))
         np.testing.assert_array_equal(out[0].values[0, 0], [2.0, 2.0, 2.0])
 
+    def test_invalid_pixels_stay_zero(self):
+        valid = np.array([[True, False], [False, False]])
+        pm = self._grid(np.where(valid[..., None], np.arange(1.0, 13.0).reshape(2, 2, 3), 0.0), valid)
+        rel = RigidTransform(rotation_about_axis([0, 0, 1], 0.3), [1.0, 2.0, 3.0])
+        registered = register_views([pm], [rel])[0]
+        canonical = to_canonical([pm], Similarity(4.0, rel))[0]
+        for out in (registered, canonical):
+            np.testing.assert_array_equal(out.valid, valid)
+            np.testing.assert_array_equal(out.values[~valid], 0.0)
+        np.testing.assert_array_equal(registered.values[0, 0], rel.apply(pm.values[0, 0]))
+        np.testing.assert_array_equal(canonical.values[0, 0], 4.0 * rel.apply(pm.values[0, 0]))
+
 
 class TestRotationAngle:
     def test_equal_inputs_exactly_zero(self, rng):
