@@ -24,7 +24,7 @@ from .masks import LABEL_ROBOT, PART_NAMES, compose_masked_points
 from .oracle.bundle import BundleError, load_bundle
 from .oracle.mock import NoiseModel, mock_predict
 from .oracle.raster import RasterError, read_raster, write_raster
-from .pipeline import BundleTreeError, RunConfig, default_workers, run_eval, run_gen_scenes, write_report
+from .pipeline import EVALUATIONS, BundleTreeError, RunConfig, default_workers, run_eval, run_gen_scenes, write_report
 from .pnp import DEFAULT_TEMPERATURE, DegenerateConfigurationError, NonConvergenceError, soft_argmax, solve_pnp
 from .transforms import RankDeficientError, rotation_angle
 
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--width", type=int, default=RunConfig.width, help="image width (default %(default)s)")
     g.add_argument("--height", type=int, default=RunConfig.height, help="image height (default %(default)s)")
 
-    for name in ("eval-pointmap", "eval-pose"):
+    for name in EVALUATIONS:
         e = sub.add_parser(name, help=f"run {name.split('-')[1]} evaluation over a bundle tree")
         _add_common(e)
         _add_noise(e)
@@ -388,8 +388,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {
         "gen-scenes": cmd_gen_scenes,
-        "eval-pointmap": cmd_eval,
-        "eval-pose": cmd_eval,
+        **dict.fromkeys(EVALUATIONS, cmd_eval),
         "solve-pnp": cmd_solve_pnp,
         "compose-points": cmd_compose_points,
         "check-grads": cmd_check_grads,

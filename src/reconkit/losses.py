@@ -106,15 +106,15 @@ class NormalMap:
         return grid.reshape(self.shape + (3,))
 
 
-def huber(residual, delta: float = HUBER_DELTA) -> float:
-    """Per-coordinate Huber penalty, summed over all coordinates."""
+def huber(residual) -> float:
+    """Per-coordinate Huber penalty at delta = HUBER_DELTA, summed over all coordinates."""
     r = np.abs(np.asarray(residual, dtype=float))
-    return float(np.sum(np.where(r <= delta, 0.5 * r * r, delta * (r - 0.5 * delta))))
+    return float(np.sum(np.where(r <= HUBER_DELTA, 0.5 * r * r, HUBER_DELTA * (r - 0.5 * HUBER_DELTA))))
 
 
-def _huber_grad(residual, delta: float = HUBER_DELTA) -> np.ndarray:
+def _huber_grad(residual) -> np.ndarray:
     r = np.asarray(residual, dtype=float)
-    return np.where(np.abs(r) <= delta, r, delta * np.sign(r))
+    return np.where(np.abs(r) <= HUBER_DELTA, r, HUBER_DELTA * np.sign(r))
 
 
 def joint_points(pred: PointMap, gt: PointMap) -> tuple[np.ndarray, np.ndarray]:
@@ -231,29 +231,16 @@ def mask_loss(pred: MaskSet, gt: MaskSet) -> float:
     return float(bce.mean())
 
 
-def relative_pose_loss(
-    pred: RigidTransform,
-    gt: RigidTransform,
-    alpha: float = 1.0,
-    delta: float = HUBER_DELTA,
-) -> float:
+def relative_pose_loss(pred: RigidTransform, gt: RigidTransform, alpha: float = 1.0) -> float:
     """alpha * Huber(translation residual) + geodesic rotation angle."""
-    return alpha * huber(pred.translation - gt.translation, delta) + rotation_angle(
-        pred.rotation, gt.rotation
-    )
+    return alpha * huber(pred.translation - gt.translation) + rotation_angle(pred.rotation, gt.rotation)
 
 
-def st_loss(
-    pred: Similarity,
-    gt: Similarity,
-    beta1: float = 1.0,
-    beta2: float = 1.0,
-    delta: float = HUBER_DELTA,
-) -> float:
+def st_loss(pred: Similarity, gt: Similarity, beta1: float = 1.0, beta2: float = 1.0) -> float:
     """beta1 * Huber(scale) + beta2 * Huber(translation) + rotation angle."""
     return (
-        beta1 * huber(pred.scale - gt.scale, delta)
-        + beta2 * huber(pred.rigid.translation - gt.rigid.translation, delta)
+        beta1 * huber(pred.scale - gt.scale)
+        + beta2 * huber(pred.rigid.translation - gt.rigid.translation)
         + rotation_angle(pred.rigid.rotation, gt.rigid.rotation)
     )
 
@@ -341,11 +328,11 @@ def _angle_grad(r_pred: np.ndarray, r_gt: np.ndarray) -> np.ndarray:
     return -rotation_axis(r_pred.T @ r_gt)
 
 
-def _relative_pose_check(rng, alpha: float = 1.0):
+def _relative_pose_check(rng):
     r_gt = rotation_about_axis(rng.standard_normal(3), rng.uniform(0.3, 1.0))
     t_gt = rng.standard_normal(3)
     r0 = r_gt @ rotation_about_axis(rng.standard_normal(3), rng.uniform(0.4, 1.2))
-    # residuals away from 0 and from the Huber transition at |r| = delta
+    # residuals away from 0 and from the Huber transition at |r| = HUBER_DELTA
     t0 = t_gt + rng.choice([-1, 1], 3) * rng.uniform(0.3, 0.7, 3)
     gt = RigidTransform(r_gt, t_gt)
 
@@ -353,19 +340,19 @@ def _relative_pose_check(rng, alpha: float = 1.0):
         return RigidTransform(r0 @ rotation_from_vector(x[3:6]), x[0:3])
 
     def f(x):
-        return relative_pose_loss(build(x), gt, alpha)
+        return relative_pose_loss(build(x), gt)
 
     def grad(x):
         pose = build(x)
         g = np.empty(6)
-        g[0:3] = alpha * _huber_grad(x[0:3] - t_gt)
+        g[0:3] = _huber_grad(x[0:3] - t_gt)
         g[3:6] = _angle_grad(pose.rotation, r_gt)
         return g
 
     return np.concatenate([t0, np.zeros(3)]), f, grad
 
 
-def _st_check(rng, beta1: float = 1.0, beta2: float = 1.0):
+def _st_check(rng):
     r_gt = rotation_about_axis(rng.standard_normal(3), rng.uniform(0.3, 1.0))
     t_gt = rng.standard_normal(3)
     s_gt = rng.uniform(0.8, 1.2)
@@ -378,20 +365,20 @@ def _st_check(rng, beta1: float = 1.0, beta2: float = 1.0):
         return Similarity(x[0], RigidTransform(r0 @ rotation_from_vector(x[4:7]), x[1:4]))
 
     def f(x):
-        return st_loss(build(x), gt, beta1, beta2)
+        return st_loss(build(x), gt)
 
     def grad(x):
         sim = build(x)
         g = np.empty(7)
-        g[0] = beta1 * _huber_grad(x[0] - s_gt)
-        g[1:4] = beta2 * _huber_grad(x[1:4] - t_gt)
+        g[0] = _huber_grad(x[0] - s_gt)
+        g[1:4] = _huber_grad(x[1:4] - t_gt)
         g[4:7] = _angle_grad(sim.rigid.rotation, r_gt)
         return g
 
     return np.concatenate([[s0], t0, np.zeros(3)]), f, grad
 
 
-def _keypoint_check(rng, gamma: float = 1.0):
+def _keypoint_check(rng):
     h, w, n = 6, 6, 3
     gt_hm = rng.random((h, w, n))
     gt_kp = rng.uniform(0, 5, size=(n, 2))
@@ -403,12 +390,12 @@ def _keypoint_check(rng, gamma: float = 1.0):
     def f(x):
         hm = x[:n_hm].reshape(h, w, n)
         kp = x[n_hm:].reshape(-1, 2)
-        return keypoint_loss(hm, gt_hm, kp, gt_kp, gamma)
+        return keypoint_loss(hm, gt_hm, kp, gt_kp)
 
     def grad(x):
         hm = x[:n_hm].reshape(h, w, n)
         kp = x[n_hm:].reshape(-1, 2)
-        g_hm = gamma * np.sign(hm - gt_hm) / n_hm
+        g_hm = np.sign(hm - gt_hm) / n_hm
         g_kp = np.sign(kp - gt_kp) / n_kp
         return np.concatenate([g_hm.ravel(), g_kp.ravel()])
 

@@ -34,6 +34,7 @@ import numpy as np
 from ..camera import CoordMap, DepthMap, Intrinsics, coords_from_intrinsics, project, unproject
 from ..kinematics import (
     Joint,
+    JointLimitError,
     KeypointSpec,
     KinematicChain,
     chain_from_dict,
@@ -184,7 +185,6 @@ def random_scene_spec(
     views: int = SceneSpec.views,
     width: int = SceneSpec.width,
     height: int = SceneSpec.height,
-    camera: CameraRanges = CameraRanges(),
 ) -> SceneSpec:
     """Deterministic randomized scene: table, 1-3 primitives, random arm pose."""
     rng = np.random.default_rng(np.random.SeedSequence([0x5CE4E, int(seed)]))
@@ -228,7 +228,6 @@ def random_scene_spec(
         views=views,
         width=width,
         height=height,
-        camera=camera,
     )
 
 
@@ -464,7 +463,10 @@ def load_bundle(path) -> SceneBundle:
         with _parsing(chain_path):
             chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
         joint_state = np.array(meta["joint_state"], dtype=float)
-        spec = _spec_from_dict(meta["scene"], chain, kp_spec, joint_state)
+        try:
+            spec = _spec_from_dict(meta["scene"], chain, kp_spec, joint_state)
+        except JointLimitError as exc:  # the joint state, or the limits chain.json gives
+            raise MalformedMetadataError(f"{meta_path}: {exc} of {chain_path}") from None
 
         if not meta["views"]:
             raise ValueError("no views")
@@ -519,7 +521,8 @@ def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
 
     Raises BundleError when the internal-consistency invariant is violated.
     Also checks that stored 2D keypoints re-project from the stored 3D
-    keypoints and poses.
+    keypoints and poses; a keypoint at or behind a view's camera is a
+    BundleError naming the view.
     """
     worst = 0.0
     for i, view in enumerate(bundle.views):
@@ -529,6 +532,10 @@ def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
         if d.size:
             worst = max(worst, float(d.max()))
         kp_cam = view.pose_world.inverse().apply(bundle.keypoints_3d)
+        behind = np.flatnonzero(kp_cam[:, 2] <= 0)
+        if behind.size:
+            k = behind[0]
+            raise BundleError(f"view {i}: keypoint {k} is at or behind the camera (depth {kp_cam[k, 2]:.3g})")
         kp_err = np.abs(project(kp_cam, view.intrinsics) - bundle.keypoints_2d[i]).max()
         worst = max(worst, float(kp_err))
     if worst > tol:

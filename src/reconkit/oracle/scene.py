@@ -258,9 +258,14 @@ class SceneSpec:
         for p in self.primitives:
             if not isinstance(p, (Sphere, Box)):
                 raise TypeError(f"unknown primitive {type(p).__name__}")
-        object.__setattr__(
-            self, "joint_state", np.asarray(self.joint_state, dtype=float).reshape(-1)
-        )
+        for name in ("capsule_radius", "heatmap_sigma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        q = np.asarray(self.joint_state, dtype=float).reshape(-1)
+        if not np.all(np.isfinite(q)):
+            raise ValueError(f"joint state must be finite, got {q.tolist()}")
+        object.__setattr__(self, "joint_state", self.chain.check_state(q))
         object.__setattr__(
             self,
             "workspace_center",

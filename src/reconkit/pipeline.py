@@ -125,7 +125,7 @@ def run_gen_scenes(config: RunConfig, out_dir) -> dict:
         "config": config.echo(),
         "bundles": rows,
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    write_report(manifest, out_dir / "manifest.json")
     return manifest
 
 

@@ -33,16 +33,16 @@ def _as_matrix3(m) -> np.ndarray:
     return m
 
 
-def check_rotation(r: np.ndarray, tol: float = ROTATION_TOL) -> np.ndarray:
-    """Validate orthonormality and det = +1 within tol; returns the matrix."""
+def check_rotation(r: np.ndarray) -> np.ndarray:
+    """Validate orthonormality and det = +1 within ROTATION_TOL; returns the matrix."""
     r = _as_matrix3(r)
     if not np.all(np.isfinite(r)):
         raise ValueError("rotation contains non-finite entries")
     err = np.abs(r.T @ r - np.eye(3)).max()
-    if err > tol:
+    if err > ROTATION_TOL:
         raise ValueError(f"matrix is not orthonormal (max deviation {err:.3e})")
     det = np.linalg.det(r)
-    if abs(det - 1.0) > tol:
+    if abs(det - 1.0) > ROTATION_TOL:
         raise ValueError(f"matrix determinant {det:.12f} != +1")
     return r
 

@@ -534,6 +534,17 @@ class TestInputChecks:
         err = self.assert_flag_error(capsys, "solve-pnp", "--bundle")
         assert f"meta.json: {key} holds non-finite values" in err
 
+    def test_short_bundle_joint_state(self, bundle_tree, tmp_path, capsys, monkeypatch):
+        scene = tmp_path / "scene"
+        shutil.copytree(bundle_tree / "scene_00000", scene)
+        meta = json.loads((scene / "meta.json").read_text())
+        meta["joint_state"].pop()
+        (scene / "meta.json").write_text(json.dumps(meta))
+        monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
+        assert main(["solve-pnp", "--bundle", str(scene)]) == 2
+        err = self.assert_flag_error(capsys, "solve-pnp", "--bundle")
+        assert "meta.json: joint state has 3 values, chain has 4" in err
+
     @pytest.mark.parametrize(
         "content,message",
         [(None, "No such file"), (b'{"seed": 1', "Expecting ',' delimiter"),
@@ -884,6 +895,21 @@ class TestCheckGrads:
         failures = {f["loss"]: f["error"] for f in json.loads(out.read_text())["failures"]}
         assert failures["mask"] == "ValueError: robot mask has entries outside [0, 1]"
         assert "FAILED mask: ValueError: robot mask" in capsys.readouterr().err
+
+
+class TestCheckGradsBytes:
+    """Pinned sha256 of `check-grads` reports: the gradient checks' draws and errors, bit for bit."""
+
+    SHA256 = {
+        0: "8fda6fc1168b7f21cf5f741bed73c46668080e97c30438557ad83fd7906a05ab",
+        3: "fd202d993321cf653a17dfd3cdd3b86cedfe35c3a22adb1a8132ac98b6ed591b",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SHA256))
+    def test_report_sha256_pinned(self, tmp_path, seed):
+        out = tmp_path / "grads.json"
+        assert main(["check-grads", "--seed", str(seed), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[seed]
 
 
 class TestConfigPrecedence:

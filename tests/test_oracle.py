@@ -653,6 +653,14 @@ class TestLazyKeypointHeads:
         assert all(a is b for a, b in zip(pred.heatmaps, heatmaps))
         assert calls == {"synthesize_heatmaps": 2, "soft_argmax": 2}
 
+    def test_heads_are_built_per_view(self, small_bundle, calls):
+        pred = mock_predict(small_bundle, self.NOISE, seed=1)
+        keypoints = pred.keypoints_2d[0]
+        assert calls == {"synthesize_heatmaps": 1, "soft_argmax": 1}
+        np.testing.assert_array_equal(keypoints, soft_argmax(pred.heatmaps[0]))  # view 0's cached heatmap
+        pred.heatmaps[1]
+        assert calls == {"synthesize_heatmaps": 2, "soft_argmax": 1}
+
 
 class TestBundleIO:
     def _assert_bit_exact(self, a: SceneBundle, b: SceneBundle):
@@ -935,6 +943,18 @@ class TestBundleJSONErrors:
                           "camera radius must be a number, got 'a'"),
         "primitive_type": ("meta.json", ("scene", "primitives", 0, "type"), "cylinder",
                            "unknown primitive type 'cylinder'"),
+        "joint_state_short": ("meta.json", ("joint_state",), [0.0] * 3, "joint state has 3 values, chain has 4"),
+        "joint_state_nan": ("meta.json", ("joint_state", 2), float("nan"), "joint state must be finite"),
+        "joint_state_outside_limit": ("meta.json", ("joint_state", 1), 1.9,
+                                      "joint 1 value 1.9 outside limits (-1.8, 1.8) of "),
+        "capsule_radius_negative": ("meta.json", ("scene", "capsule_radius"), -0.01,
+                                    "capsule_radius must be finite and positive, got -0.01"),
+        "heatmap_sigma_zero": ("meta.json", ("scene", "heatmap_sigma"), 0.0,
+                               "heatmap_sigma must be finite and positive, got 0.0"),
+        "heatmap_sigma_negative": ("meta.json", ("scene", "heatmap_sigma"), -3.0,
+                                   "heatmap_sigma must be finite and positive, got -3.0"),
+        "heatmap_sigma_nan": ("meta.json", ("scene", "heatmap_sigma"), float("nan"),
+                              "heatmap_sigma must be finite and positive, got nan"),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
@@ -981,6 +1001,15 @@ class TestBundleConsistency:
         message = f"meta.json: scene echo (views, height, width): shape {echo}, expected (2, 24, 32)"
         with pytest.raises(ShapeMismatchError, match=re.escape(message)):
             load_edited(tiny_saved, "meta.json", json.dumps(doc))
+
+
+class TestValidateBundle:
+    def test_keypoint_behind_camera_named(self, small_bundle):
+        view = small_bundle.views[1]
+        turned = RigidTransform(view.pose_world.rotation @ np.diag([1.0, -1.0, -1.0]), view.pose_world.translation)
+        bundle = replace(small_bundle, views=(small_bundle.views[0], replace(view, pose_world=turned)))
+        with pytest.raises(BundleError, match=r"view 1: keypoint 0 is at or behind the camera \(depth -"):
+            validate_bundle(bundle)
 
 
 class TestLazyPayloads:
