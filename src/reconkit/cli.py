@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import re
 import sys
@@ -24,7 +25,8 @@ from .masks import LABEL_ROBOT, PART_NAMES, compose_masked_points
 from .oracle.bundle import BundleError, load_bundle
 from .oracle.mock import NoiseModel, mock_predict
 from .oracle.raster import RasterError, read_raster, write_raster
-from .pipeline import EVALUATIONS, BundleTreeError, RunConfig, default_workers, run_eval, run_gen_scenes, write_report
+from .pipeline import (EVALUATIONS, BundleTreeError, RunConfig, default_workers, retain_freed_memory, run_eval,
+                       run_gen_scenes, write_report)
 from .pnp import DEFAULT_TEMPERATURE, DegenerateConfigurationError, NonConvergenceError, soft_argmax, solve_pnp
 from .transforms import RankDeficientError, rotation_angle
 
@@ -95,6 +97,7 @@ def _add_thresholds(p: argparse.ArgumentParser):
                    help="absolute pose threshold (m and rad, default %(default)s)")
 
 
+@functools.cache  # built once per process; parse_args gives each call its own namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reconkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -385,6 +388,7 @@ def cmd_check_grads(args) -> int:
 
 
 def main(argv=None) -> int:
+    retain_freed_memory()
     args = build_parser().parse_args(argv)
     handlers = {
         "gen-scenes": cmd_gen_scenes,

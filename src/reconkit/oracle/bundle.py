@@ -460,6 +460,8 @@ def load_bundle(path) -> SceneBundle:
             )
 
         chain_path = path / meta["chain_file"]
+        if "\x00" in meta["chain_file"]:  # open() raises a ValueError for it, blamed on the chain file
+            raise ValueError(f"chain_file {meta['chain_file']!r} holds a NUL byte")
         with _parsing(chain_path):
             chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
         joint_state = np.array(meta["joint_state"], dtype=float)
@@ -484,6 +486,9 @@ def load_bundle(path) -> SceneBundle:
 
         shapes = {"keypoints_3d": (len(kp_spec), 3), "keypoints_2d": (len(views), len(kp_spec), 2)}
         kp3d, kp2d = (_keypoints(meta, meta_path, key, shape) for key, shape in shapes.items())
+        seed = int(meta["seed"])  # a string that holds no number fails here
+        if seed < 0 or type(meta["seed"]) is not int:  # also a bool, a float or a string of digits
+            raise ValueError(f"seed must be a non-negative integer, got {json.dumps(meta['seed'])}")
         return SceneBundle(
             views=tuple(views),
             similarity=Similarity(
@@ -493,7 +498,7 @@ def load_bundle(path) -> SceneBundle:
             keypoints_3d=kp3d,
             keypoints_2d=kp2d,
             spec=spec,
-            seed=int(meta["seed"]),
+            seed=seed,
         )
 
 
@@ -529,15 +534,16 @@ def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
         pm = unproject(view.coords, view.depth)
         world = view.pose_world.apply(pm.values[pm.valid])
         d = surface_distances(bundle.spec, world, view.labels[pm.valid])
-        if d.size:
-            worst = max(worst, float(d.max()))
         kp_cam = view.pose_world.inverse().apply(bundle.keypoints_3d)
         behind = np.flatnonzero(kp_cam[:, 2] <= 0)
         if behind.size:
             k = behind[0]
             raise BundleError(f"view {i}: keypoint {k} is at or behind the camera (depth {kp_cam[k, 2]:.3g})")
         kp_err = np.abs(project(kp_cam, view.intrinsics) - bundle.keypoints_2d[i]).max()
-        worst = max(worst, float(kp_err))
+        deviation = float(np.max([d.max(initial=0.0), kp_err]))  # a NaN, which Python's max would drop, stays
+        if not np.isfinite(deviation):
+            raise BundleError(f"view {i}: deviation {deviation} from the analytic scene is not finite")
+        worst = max(worst, deviation)
     if worst > tol:
         raise BundleError(f"bundle inconsistency: max deviation {worst:.3e} > {tol:.0e}")
     return worst

@@ -50,8 +50,8 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not (np.all(np.isfinite(self.center)) and math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"sphere needs a finite center and a finite radius > 0, got {self.center} {self.radius}")
 
     def to_dict(self) -> dict:
         return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius}
@@ -82,8 +82,8 @@ class Box:
 
     def __post_init__(self):
         he = np.asarray(self.half_extents, dtype=float).reshape(3)
-        if np.any(he <= 0):
-            raise ValueError("box half extents must be positive")
+        if not np.all(np.isfinite(he) & (he > 0)):
+            raise ValueError(f"box half extents must be finite and positive, got {he.tolist()}")
         object.__setattr__(self, "half_extents", he)
 
     def to_dict(self) -> dict:
@@ -132,8 +132,8 @@ class Capsule:
     def __post_init__(self):
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float).reshape(3))
         object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float).reshape(3))
-        if self.radius <= 0:
-            raise ValueError("capsule radius must be positive")
+        if not (np.all(np.isfinite([*self.p0, *self.p1])) and math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"capsule needs finite ends and finite radius > 0, got {self.p0} {self.p1} {self.radius}")
 
     def bound(self) -> tuple[np.ndarray, float]:
         return 0.5 * (self.p0 + self.p1), 0.5 * float(np.linalg.norm(self.p1 - self.p0)) + self.radius
@@ -191,8 +191,8 @@ class Table:
 
     def __post_init__(self):
         he = np.asarray(self.half_extents, dtype=float).reshape(2)
-        if np.any(he <= 0):
-            raise ValueError("table half extents must be positive")
+        if not np.all(np.isfinite(he) & (he > 0)):
+            raise ValueError(f"table half extents must be finite and positive, got {he.tolist()}")
         object.__setattr__(self, "half_extents", he)
 
     def to_dict(self) -> dict:

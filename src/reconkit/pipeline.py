@@ -10,6 +10,7 @@ count itself is therefore not echoed into reports.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -89,12 +90,31 @@ def scene_dir_name(index: int) -> str:
     return f"scene_{index:05d}"
 
 
+# glibc's mallopt parameters, and retain_freed_memory's values for them: the
+# ceiling that glibc's own dynamic mmap threshold reaches on 64-bit, and a trim
+# threshold near one scene's churn.  Forked workers' RSS counts the parent's
+# retained heap too, so the trim threshold is a memory budget, not a knob.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD_BYTES = TRIM_THRESHOLD_BYTES = 32 << 20
+
+
+def retain_freed_memory() -> None:
+    """Keep freed heap pages mapped for the next scene where glibc's mallopt exists; else do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (TypeError, AttributeError):  # Windows: CDLL(None) is a TypeError; macOS: no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
+
+
 def _run_parallel(worker, payloads, workers: int):
     """Ordered map over payloads, inline for one worker; never more workers than payloads."""
     workers = min(workers, len(payloads))
     if workers <= 1:
         return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=retain_freed_memory) as pool:
         return list(pool.map(worker, payloads))
 
 

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
+import platform
 import shutil
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reconkit import cli
+from reconkit import cli, pipeline
 from reconkit.cli import main
 from reconkit.losses import NonDifferentiableError
 from reconkit.oracle.bundle import random_scene_spec
@@ -725,9 +730,11 @@ class TestWorkerPool:
         """A ProcessPoolExecutor stand-in that records max_workers, starts nothing and maps inline."""
 
         made = []
+        initializers = []
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             self.made.append(max_workers)
+            self.initializers.append(initializer)
 
         def __enter__(self):
             return self
@@ -740,10 +747,9 @@ class TestWorkerPool:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        from reconkit import pipeline
-
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", self.Pool)
         monkeypatch.setattr(self.Pool, "made", [])
+        monkeypatch.setattr(self.Pool, "initializers", [])
         monkeypatch.setattr(cli, "default_workers", lambda: 64)  # --workers 0: a many-core host
         return self.Pool.made
 
@@ -759,6 +765,10 @@ class TestWorkerPool:
                    "--workers", "0", "--out", str(tmp_path / "tree")])
         assert rc == 0 and pools == pools_made
 
+    def test_workers_retain_freed_memory(self, bundle_tree, tmp_path, pools):
+        rc = main(["eval-pose", "--bundles", str(bundle_tree), "--workers", "2", "--out", str(tmp_path / "pose.json")])
+        assert rc == 0 and self.Pool.initializers == [pipeline.retain_freed_memory]
+
     def test_default_workers_counts_usable_cpus(self, monkeypatch):
         import os
 
@@ -769,6 +779,55 @@ class TestWorkerPool:
         assert default_workers() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         assert default_workers() == 64
+
+
+# run in a fresh interpreter: eval-pointmap twice in process, minor page faults of each call
+TWICE = """
+import json, resource, sys
+from reconkit import cli
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = cli.main(["eval-pointmap", "--bundles", sys.argv[1], "--workers", "1", "--noise-depth", "0.002",
+                     "--out", sys.argv[2]])
+    faults.append((code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before))
+print(json.dumps(faults))
+"""
+
+
+class TestRetainFreedMemory:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_second_run_reuses_freed_pages(self, bundle_tree, tmp_path):
+        src = str(Path(pipeline.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", TWICE, str(bundle_tree), str(tmp_path / "r.json")],
+                              env=env, capture_output=True, text=True, check=True, timeout=120)
+        (code1, first), (code2, second) = json.loads(done.stdout.splitlines()[-1])
+        assert code1 == code2 == 0
+        assert second < first / 10, (first, second)
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        pipeline.retain_freed_memory()
+        trim = pipeline.TRIM_THRESHOLD_BYTES
+        assert calls == [(pipeline.M_MMAP_THRESHOLD, 32 << 20), (pipeline.M_TRIM_THRESHOLD, trim)]
+
+    @pytest.mark.parametrize("libc", ["no mallopt", "no CDLL(None)"])
+    def test_no_op_without_mallopt(self, monkeypatch, capsys, libc):
+        def cdll(name):
+            if libc == "no CDLL(None)":  # Windows
+                raise TypeError("expected str, bytes or os.PathLike object, not NoneType")
+            return types.SimpleNamespace()  # a C library without mallopt, as on macOS
+
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", cdll)
+        assert pipeline.retain_freed_memory() is None
+        assert capsys.readouterr() == ("", "")
 
 
 class TestComposePoints:
@@ -997,6 +1056,17 @@ class TestConfigPrecedence:
         assert rc == 2
         assert err.startswith(f"reconkit {command}: error: --config: ") and message in err
         assert err.count("\n") == 1
+
+    def test_no_setting_leaks_into_the_next_call(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_check_grads", lambda args: seen.append(vars(args)) or 0)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 0.001}))
+        for argv in (["--config", str(cfg)], ["--seed", "4"], []):
+            assert main(["check-grads", *argv]) == 0
+        got = [(a["config"], a["eps"], a["seed"]) for a in seen]
+        assert got == [(str(cfg), 0.001, 0), (None, 1e-6, 4), (None, 1e-6, 0)]
+        assert cli.build_parser() is cli.build_parser()
 
     def test_config_ints_accepted_for_floats(self, bundle_tree, tmp_path):
         cfg = tmp_path / "cfg.json"

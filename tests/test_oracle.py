@@ -1,5 +1,6 @@
 """Scene oracle: camera sampling, ray casting, bundles, mock predictor."""
 
+import copy
 import json
 import math
 import re
@@ -955,6 +956,17 @@ class TestBundleJSONErrors:
                                    "heatmap_sigma must be finite and positive, got -3.0"),
         "heatmap_sigma_nan": ("meta.json", ("scene", "heatmap_sigma"), float("nan"),
                               "heatmap_sigma must be finite and positive, got nan"),
+        "chain_file_nul": ("meta.json", ("chain_file",), "\x00", "chain_file '\\x00' holds a NUL byte"),
+        "seed_negative": ("meta.json", ("seed",), -1, "seed must be a non-negative integer, got -1"),
+        "seed_float": ("meta.json", ("seed",), 1.5, "seed must be a non-negative integer, got 1.5"),
+        "seed_bool": ("meta.json", ("seed",), True, "seed must be a non-negative integer, got true"),
+        "seed_digits": ("meta.json", ("seed",), "7", 'seed must be a non-negative integer, got "7"'),
+        "sphere_center_nan": ("meta.json", ("scene", "primitives", 0, "center", 1), float("nan"),
+                              "sphere needs a finite center and a finite radius > 0"),
+        "sphere_radius_nan": ("meta.json", ("scene", "primitives", 0, "radius"), float("nan"),
+                              "sphere needs a finite center and a finite radius > 0"),
+        "table_half_extent_nan": ("meta.json", ("scene", "table", "half_extents", 0), float("nan"),
+                                  "table half extents must be finite and positive, got [nan, "),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
@@ -1010,6 +1022,13 @@ class TestValidateBundle:
         bundle = replace(small_bundle, views=(small_bundle.views[0], replace(view, pose_world=turned)))
         with pytest.raises(BundleError, match=r"view 1: keypoint 0 is at or behind the camera \(depth -"):
             validate_bundle(bundle)
+
+    def test_non_finite_distance_named(self, small_bundle):
+        sphere = copy.copy(small_bundle.spec.primitives[0])
+        object.__setattr__(sphere, "center", np.array([np.nan, 0.0, 0.0]))  # past the constructor's check
+        spec = replace(small_bundle.spec, primitives=(sphere, *small_bundle.spec.primitives[1:]))
+        with pytest.raises(BundleError, match=r"view 0: deviation nan from the analytic scene is not finite"):
+            validate_bundle(replace(small_bundle, spec=spec))
 
 
 class TestLazyPayloads:
