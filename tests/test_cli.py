@@ -594,6 +594,29 @@ class TestReportBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SHA256[command]
 
 
+class TestEvalConsoleLines:
+    """Pinned stdout of the eval commands' summaries over the 96x72 `bundle_tree`."""
+
+    STDOUT = {
+        ("eval-pointmap",): "point_err 0.000948691  normal_err 0.0900282  scale_err 0.00774254  (3 scenes)\n",
+        ("eval-pose",): (
+            "RTE 0.0164356  RRE 0.00563219  RTA@0.03 1.000  RRA@0.03 1.000\n"
+            "ATE 0.0168928  ARE 0.00103435  ATA@0.01 0.000  ARA@0.01 1.000\n"
+        ),
+        ("eval-pose", "--threshold-rel", "0.015", "--threshold-abs", "0.0175"): (
+            "RTE 0.0164356  RRE 0.00563219  RTA@0.015 0.667  RRA@0.015 1.000\n"
+            "ATE 0.0168928  ARE 0.00103435  ATA@0.0175 0.667  ARA@0.0175 1.000\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("argv", sorted(STDOUT))
+    def test_stdout_pinned(self, bundle_tree, capsys, argv):
+        capsys.readouterr()
+        rc = main([*argv, "--bundles", str(bundle_tree), "--seed", "4", *TestReportBytes.NOISE, "--workers", "1"])
+        assert rc == 0
+        assert capsys.readouterr().out == self.STDOUT[argv]
+
+
 class TestSolvePnP:
     def test_oracle_bundle_round_trip(self, bundle_tree, tmp_path):
         out = tmp_path / "pnp.json"
