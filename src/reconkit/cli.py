@@ -21,14 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from .losses import GRADIENT_CHECKS, check_gradient
-from .masks import LABEL_ROBOT, PART_NAMES, compose_masked_points
+from .masks import DEFAULT_THRESHOLD, LABEL_ROBOT, PART_NAMES, compose_masked_points
+from .metrics import absolute_pose_metrics
 from .oracle.bundle import BundleError, load_bundle
 from .oracle.mock import NoiseModel, mock_predict
 from .oracle.raster import RasterError, read_raster, write_raster
 from .pipeline import (EVALUATIONS, BundleTreeError, RunConfig, default_workers, retain_freed_memory, run_eval,
                        run_gen_scenes, write_report)
 from .pnp import DEFAULT_TEMPERATURE, DegenerateConfigurationError, NonConvergenceError, soft_argmax, solve_pnp
-from .transforms import RankDeficientError, rotation_angle
+from .transforms import RankDeficientError
 
 NOISE_FLAGS = {
     "noise_depth": "depth_sigma",
@@ -130,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_noise(c)
     c.add_argument("--bundle", type=str, required=True, help="bundle directory")
     c.add_argument("--view", type=int, default=0)
-    c.add_argument("--threshold", type=float, default=0.5, help="mask binarization threshold (default %(default)s)")
+    c.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help="mask binarization threshold (default %(default)s)")
 
     k = sub.add_parser("check-grads", help="finite-difference checks of every loss gradient")
     _add_common(k)
@@ -184,7 +186,6 @@ def _eval_config(args) -> RunConfig:
         r_threshold_rel=args.threshold_rel,
         t_threshold_abs=args.threshold_abs,
         r_threshold_abs=args.threshold_abs,
-        workers=args.workers or default_workers(),
     )
 
 
@@ -221,46 +222,22 @@ def _run_failure(command, config, exc, out) -> int:
 def cmd_gen_scenes(args) -> int:
     if not args.out:
         raise FlagError("--out: required, the directory to write the bundles to")
-    config = _build(
-        RunConfig, **{key: getattr(args, key) for key in GEN_KEYS}, workers=args.workers or default_workers()
-    )
+    config = _build(RunConfig, **{key: getattr(args, key) for key in GEN_KEYS})
     with _input_errors("--out", args.out):  # before any scene runs
         Path(args.out).mkdir(parents=True, exist_ok=True)
-    manifest = run_gen_scenes(config, args.out)
+    manifest = run_gen_scenes(config, args.out, args.workers or default_workers())
     print(f"generated {len(manifest['bundles'])} bundles under {args.out}")
     return 0
-
-
-# eval subcommand -> summary lines, formatted from the report's summary
-EVAL_SUMMARY_LINES = {
-    "eval-pointmap": (
-        "point_err {point_err:.6g}  normal_err {normal_err:.6g}  "
-        "scale_err {scale_err:.6g}  ({scenes} scenes)",
-    ),
-    "eval-pose": (
-        "RTE {relative[rte]:.6g}  RRE {relative[rre]:.6g}  "
-        "RTA@{relative[t_threshold]:g} {relative[rta]:.3f}  "
-        "RRA@{relative[r_threshold]:g} {relative[rra]:.3f}",
-        "ATE {absolute[ate]:.6g}  ARE {absolute[are]:.6g}  "
-        "ATA@{absolute[t_threshold]:g} {absolute[ata]:.3f}  "
-        "ARA@{absolute[r_threshold]:g} {absolute[ara]:.3f}",
-    ),
-}
 
 
 def cmd_eval(args) -> int:
     config = _eval_config(args)
     try:
-        report = run_eval(args.command, config, args.bundles)
+        report = run_eval(args.command, config, args.bundles, args.workers or default_workers())
     except BundleTreeError as exc:
         raise FlagError(f"--bundles: {exc}") from None
-    lines = []
-    if "summary" in report:
-        lines = [
-            line.format(scenes=len(report["scenes"]), **report["summary"])
-            for line in EVAL_SUMMARY_LINES[args.command]
-        ]
-    return _finish(report, args.out, lines)
+    lines = EVALUATIONS[args.command][2] if "summary" in report else ()
+    return _finish(report, args.out, [line.format(scenes=len(report["scenes"]), **report["summary"]) for line in lines])
 
 
 @contextlib.contextmanager
@@ -310,22 +287,20 @@ def cmd_solve_pnp(args) -> int:
         result = solve_pnp(bundle.keypoints_3d, pixels, view.intrinsics)
     except (DegenerateConfigurationError, NonConvergenceError, RankDeficientError) as exc:  # a run failure
         return _run_failure("solve-pnp", config, exc, args.out)
-    gt_extrinsic = view.pose_world.inverse()
-    t_err = float(np.linalg.norm(result.extrinsic.translation - gt_extrinsic.translation))
-    r_err = rotation_angle(result.extrinsic.rotation, gt_extrinsic.rotation)
+    error = absolute_pose_metrics(result.extrinsic, view.pose_world.inverse())
     report = {
         "command": "solve-pnp",
         "config": config,
         "extrinsic": result.extrinsic.matrix().tolist(),
         "reprojection_error_px": result.reprojection_error,
         "iterations": result.iterations,
-        "error_vs_bundle": {"translation_m": t_err, "rotation_rad": r_err},
+        "error_vs_bundle": {"translation_m": error.ate, "rotation_rad": error.are},
         "failures": [],
     }
     lines = [
         f"extrinsic from {source}: reprojection {result.reprojection_error:.3e} px, "
         f"{result.iterations} iterations",
-        f"vs stored pose: {t_err:.3e} m, {r_err:.3e} rad",
+        f"vs stored pose: {error.ate:.3e} m, {error.are:.3e} rad",
     ]
     return _finish(report, args.out, lines)
 

@@ -20,6 +20,7 @@ LABEL_OBJECT = 2
 LABEL_BACKGROUND = 3
 
 PART_NAMES = ("robot", "object", "background")
+DEFAULT_THRESHOLD = 0.5  # a pixel is labeled only where some part's probability exceeds it
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +79,7 @@ class LabeledPointMap:
         object.__setattr__(self, "labels", lab)
 
 
-def binarize(masks: MaskSet, threshold: float = 0.5) -> np.ndarray:
+def binarize(masks: MaskSet, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Per-pixel part labels; pixels where no part clears threshold are invalid.
 
     The maximum and the winning part are taken over the three part planes
@@ -100,7 +101,7 @@ def compose_masked_points(
     depth: DepthMap,
     coords: CoordMap,
     masks: MaskSet,
-    threshold: float = 0.5,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> LabeledPointMap:
     """Unproject and keep only pixels with a valid part label.
 

@@ -120,7 +120,8 @@ def aggregate(reports):
 
     Accepts a non-empty list of PointMapReport, PoseReport or
     AbsolutePoseReport and returns a summary of the same type whose
-    thresholds are copied from the first report.
+    thresholds are copied from the first report; anything that is no
+    dataclass fails in `fields` with a TypeError.
     """
     reports = list(reports)
     if not reports:
@@ -129,8 +130,6 @@ def aggregate(reports):
     kind = type(first)
     if any(type(r) is not kind for r in reports):
         raise ValueError("cannot aggregate mixed report types")
-    if kind not in (PointMapReport, PoseReport, AbsolutePoseReport):
-        raise TypeError(f"cannot aggregate reports of type {kind.__name__}")
     return kind(
         **{
             f.name: getattr(first, f.name)

@@ -42,7 +42,7 @@ from ..kinematics import (
     save_chain,
 )
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT, MaskSet
-from ..transforms import RigidTransform, Similarity
+from ..transforms import RigidTransform, Similarity, relative_pose
 from .raster import RasterError, raster_header, read_raster, write_raster
 from .scene import (
     PRIMITIVE_TYPES,
@@ -133,13 +133,11 @@ class SceneBundle:
     def __post_init__(self):
         object.__setattr__(self, "views", tuple(self.views))
 
-    @property
-    def joint_state(self) -> np.ndarray:
-        return self.spec.joint_state
-
-    @property
-    def chain(self) -> KinematicChain:
-        return self.spec.chain
+    @cached_property
+    def rel_poses(self) -> tuple:
+        """Per view, view j -> view 0 (first entry identity): the ground truth of Prediction.rel_poses."""
+        first = self.views[0].pose_world
+        return RigidTransform.identity(), *(relative_pose(first, v.pose_world) for v in self.views[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +249,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
         fallback = None
         chosen = None
         for _attempt in range(64):
-            intr, pose = sample_camera(
-                spec.workspace_center, rng, spec.camera, spec.width, spec.height
-            )
+            intr, pose = sample_camera(spec.workspace_center, rng, spec.camera, spec.width, spec.height)
             kp_cam = pose.inverse().apply(kp3d)
             if not np.all(kp_cam[:, 2] > 0.05):
                 continue
@@ -341,7 +337,7 @@ def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_stat
 def save_bundle(path, bundle: SceneBundle):
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    save_chain(path / CHAIN_NAME, bundle.chain, bundle.spec.keypoints)
+    save_chain(path / CHAIN_NAME, bundle.spec.chain, bundle.spec.keypoints)
 
     view_entries = []
     for i, view in enumerate(bundle.views):
@@ -360,7 +356,7 @@ def save_bundle(path, bundle: SceneBundle):
         "format_version": FORMAT_VERSION,
         "seed": bundle.seed,
         "chain_file": CHAIN_NAME,
-        "joint_state": bundle.joint_state.tolist(),
+        "joint_state": bundle.spec.joint_state.tolist(),
         "similarity": {
             "scale": bundle.similarity.scale,
             "matrix": bundle.similarity.rigid.matrix().tolist(),

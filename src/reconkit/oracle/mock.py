@@ -29,14 +29,14 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
 from ..camera import CoordMap, DepthMap
 from ..masks import PART_NAMES, MaskSet
 from ..pnp import soft_argmax
-from ..transforms import RigidTransform, Similarity, relative_pose, rotation_about_axis
+from ..transforms import RigidTransform, Similarity, rotation_about_axis
 from .bundle import SceneBundle
 
 
@@ -58,25 +58,17 @@ class NoiseModel:
             raise ValueError(f"noise parameter mask_flip_rate is a probability, got {self.mask_flip_rate}")
 
 
-_UNBUILT = object()
-
-
 class LazyViews(Sequence):
     """Per-view entries, each built by its zero-argument builder on first access."""
 
     def __init__(self, builders):
-        self._builders = list(builders)
-        self._entries = [_UNBUILT] * len(self._builders)
+        self._builders = [cache(builder) for builder in builders]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._builders)
 
     def __getitem__(self, i):
-        i = operator.index(i)  # an integer, not a slice
-        entry = self._entries[i]
-        if entry is _UNBUILT:
-            entry = self._entries[i] = self._builders[i]()
-        return entry
+        return self._builders[operator.index(i)]()  # an integer, not a slice
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +161,8 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
 
     rng = _generator(entropy, (len(bundle.views),))
     rel_poses = [RigidTransform.identity()]
-    for view in bundle.views[1:]:
-        rel = relative_pose(bundle.views[0].pose_world, view.pose_world)
-        rel_poses.append(
-            _perturb_pose(rel, noise.translation_sigma, noise.rotation_sigma, rng)
-        )
+    for rel in bundle.rel_poses[1:]:
+        rel_poses.append(_perturb_pose(rel, noise.translation_sigma, noise.rotation_sigma, rng))
 
     sim_rigid = _perturb_pose(
         bundle.similarity.rigid, noise.translation_sigma, noise.rotation_sigma, rng

@@ -17,7 +17,7 @@ MAGIC = b"R3RB"
 HEADER = struct.Struct("<4sIIII")
 
 DTYPE_TAGS = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
-TAG_FOR_KIND = {"f4": 1, "f8": 2, "u1": 3}
+TAG_FOR_KIND = {f"{dtype.kind}{dtype.itemsize}": tag for tag, dtype in DTYPE_TAGS.items()}
 
 
 class RasterError(ValueError):

@@ -282,11 +282,7 @@ def default_intrinsics(width: int, height: int) -> Intrinsics:
 
 
 def sample_camera(
-    center,
-    rng: np.random.Generator,
-    ranges: CameraRanges = CameraRanges(),
-    width: int = SceneSpec.width,
-    height: int = SceneSpec.height,
+    center, rng: np.random.Generator, ranges: CameraRanges, width: int, height: int
 ) -> tuple[Intrinsics, RigidTransform]:
     """Spherical-shell camera pose plus jittered pinhole intrinsics.
 

@@ -5,7 +5,7 @@ Every run is a pure function of (bundle bytes, config): per-scene seeds
 derive from the master seed and the scene index, scenes fan out over a
 process pool, and results reduce in scene order, so reports and manifests
 are byte-identical across re-runs and across worker counts.  The worker
-count itself is therefore not echoed into reports.
+count is therefore an argument of each run, not a RunConfig field.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .oracle.bundle import SceneBundle, generate_scene, load_bundle, random_scen
 from .oracle.mock import NoiseModel, ground_truth_heatmaps, mock_predict
 from .oracle.scene import SceneSpec
 from .pnp import soft_argmax
-from .transforms import relative_pose
 
 
 @dataclass(frozen=True)
@@ -58,7 +57,6 @@ class RunConfig:
     r_threshold_rel: float = DEFAULT_RELATIVE_THRESHOLD
     t_threshold_abs: float = DEFAULT_ABSOLUTE_THRESHOLD
     r_threshold_abs: float = DEFAULT_ABSOLUTE_THRESHOLD
-    workers: int = 1
 
     def __post_init__(self):
         if self.views not in (1, 2):
@@ -73,7 +71,6 @@ class RunConfig:
 
     def echo(self, generation: bool = True) -> dict:
         d = asdict(self)
-        d.pop("workers")  # reports must not depend on the execution layout
         if not generation:
             # evaluation derives scene geometry from the bundles themselves
             for key in ("scenes", "views", "width", "height"):
@@ -135,11 +132,11 @@ def _gen_one(payload) -> dict:
     return {"path": name, "seed": seed}
 
 
-def run_gen_scenes(config: RunConfig, out_dir) -> dict:
+def run_gen_scenes(config: RunConfig, out_dir, workers: int = 1) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = [(str(out_dir), i, config) for i in range(config.scenes)]
-    rows = _run_parallel(_gen_one, payloads, config.workers)
+    rows = _run_parallel(_gen_one, payloads, workers)
     manifest = {
         "command": "gen-scenes",
         "config": config.echo(),
@@ -195,9 +192,8 @@ def evaluate_pose_scene(
     if len(bundle.views) < 2:
         raise ValueError("relative pose metrics need binocular scenes")
     pred = mock_predict(bundle, noise, seed)
-    rel_gt = relative_pose(bundle.views[0].pose_world, bundle.views[1].pose_world)
     rel = relative_pose_metrics(
-        pred.rel_poses[1], rel_gt, config.t_threshold_rel, config.r_threshold_rel
+        pred.rel_poses[1], bundle.rel_poses[1], config.t_threshold_rel, config.r_threshold_rel
     )
     absolute = absolute_pose_metrics(
         pred.similarity.rigid,
@@ -218,10 +214,7 @@ def evaluate_losses_scene(
         np.mean([mask_loss(p, v.masks) for p, v in zip(pred.masks, bundle.views)])
     )
 
-    rel_terms = []
-    for j in range(1, len(bundle.views)):
-        rel_gt = relative_pose(bundle.views[0].pose_world, bundle.views[j].pose_world)
-        rel_terms.append(relative_pose_loss(pred.rel_poses[j], rel_gt, weights.alpha))
+    rel_terms = [relative_pose_loss(p, g, weights.alpha) for p, g in zip(pred.rel_poses[1:], bundle.rel_poses[1:])]
     rel = float(np.mean(rel_terms)) if rel_terms else 0.0
 
     st = st_loss(pred.similarity, bundle.similarity, weights.beta1, weights.beta2)
@@ -270,10 +263,22 @@ def _pose_summary(results) -> dict:
     }
 
 
-# command -> (scene evaluation giving (report row, result), summary over the results)
+# command -> (scene evaluation giving (report row, result), summary over the results,
+# its console lines, formatted from the summary and the count of `scenes`)
 EVALUATIONS = {
-    "eval-pointmap": (_pointmap_scene, lambda results: asdict(aggregate(results))),
-    "eval-pose": (_pose_scene, _pose_summary),
+    "eval-pointmap": (
+        _pointmap_scene,
+        lambda results: asdict(aggregate(results)),
+        ("point_err {point_err:.6g}  normal_err {normal_err:.6g}  scale_err {scale_err:.6g}  ({scenes} scenes)",),
+    ),
+    "eval-pose": (
+        _pose_scene,
+        _pose_summary,
+        ("RTE {relative[rte]:.6g}  RRE {relative[rre]:.6g}  RTA@{relative[t_threshold]:g} {relative[rta]:.3f}  "
+         "RRA@{relative[r_threshold]:g} {relative[rra]:.3f}",
+         "ATE {absolute[ate]:.6g}  ARE {absolute[are]:.6g}  ATA@{absolute[t_threshold]:g} {absolute[ata]:.3f}  "
+         "ARA@{absolute[r_threshold]:g} {absolute[ara]:.3f}"),
+    ),
 }
 
 
@@ -288,7 +293,7 @@ def _eval_one(payload) -> dict:
         return {"scene": scene, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def run_eval(command: str, config: RunConfig, bundle_root) -> dict:
+def run_eval(command: str, config: RunConfig, bundle_root, workers: int = 1) -> dict:
     """Report of `command` ("eval-pointmap" or "eval-pose") over a bundle tree.
 
     Raises BundleTreeError, before any scene runs, if `bundle_root` is not a
@@ -297,7 +302,7 @@ def run_eval(command: str, config: RunConfig, bundle_root) -> dict:
     summarize = EVALUATIONS[command][1]
     dirs = list_bundles(bundle_root)
     payloads = [(command, str(d), i, config) for i, d in enumerate(dirs)]
-    outcomes = _run_parallel(_eval_one, payloads, config.workers)
+    outcomes = _run_parallel(_eval_one, payloads, workers)
     done = [o for o in outcomes if "error" not in o]
     report = {
         "command": command,

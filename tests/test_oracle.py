@@ -672,7 +672,7 @@ class TestBundleIO:
         )
         np.testing.assert_array_equal(a.keypoints_3d, b.keypoints_3d)
         np.testing.assert_array_equal(a.keypoints_2d, b.keypoints_2d)
-        np.testing.assert_array_equal(a.joint_state, b.joint_state)
+        np.testing.assert_array_equal(a.spec.joint_state, b.spec.joint_state)
         assert len(a.views) == len(b.views)
         for va, vb in zip(a.views, b.views):
             np.testing.assert_array_equal(va.depth.values, vb.depth.values)
