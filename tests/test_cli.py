@@ -945,6 +945,12 @@ class TestCheckGrads:
         }
 
 
+    def test_point_check_passes_at_a_large_step(self, tmp_path):
+        # seed 1's point check used to keep a residual of 7e-5, which a step of 1e-4 crossed
+        out = tmp_path / "grads.json"
+        assert main(["check-grads", "--seed", "1", "--eps", "1e-4", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["failures"] == []
+
     def test_error_at_tolerance_fails(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "check_gradient", lambda name, seed, eps: 1.0)
         out = tmp_path / "grads.json"
@@ -983,8 +989,8 @@ class TestCheckGradsBytes:
     """Pinned sha256 of `check-grads` reports: the gradient checks' draws and errors, bit for bit."""
 
     SHA256 = {
-        0: "8fda6fc1168b7f21cf5f741bed73c46668080e97c30438557ad83fd7906a05ab",
-        3: "fd202d993321cf653a17dfd3cdd3b86cedfe35c3a22adb1a8132ac98b6ed591b",
+        0: "f31ca601159926e8be5f59d8d1d078b6b9ec24187dee9729a538a097c9c7d39b",
+        3: "e680e4fb1e14d0d2e0de92a9f482a73da1fd8059f82bf9c8985afc642ce0d142",
     }
 
     @pytest.mark.parametrize("seed", sorted(SHA256))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_rotation
 
+from reconkit import losses
 from reconkit.camera import PointMap
 from reconkit.losses import (
     BCE_EPS,
@@ -376,6 +377,17 @@ class TestGradientChecker:
         residual = s * pred[2, 2, 1] - gt[2, 2, 1]
         assert np.sign(slope) == np.sign(residual) * np.sign(s)
         assert abs(abs(slope) - s / (3 * 16)) / (s / 48) < 0.2  # chain term is small
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-5, 1e-4])
+    @pytest.mark.parametrize("seed", [1, 38, 52, 69])
+    def test_point_check_clear_of_the_kink(self, seed, eps):
+        # at these seeds a draw used to keep a residual that a step of 1e-5 or 1e-4 crosses
+        assert check_gradient("point", seed=seed, eps=eps) < 1e-4
+
+    def test_point_check_raises_when_no_draw_meets_its_margin(self, monkeypatch):
+        monkeypatch.setattr(losses, "POINT_CHECK_MARGIN", 1.0)
+        with pytest.raises(ValueError, match="no draw of 100 keeps every residual 1 clear of the L1 kink"):
+            check_gradient("point", seed=0)
 
     def test_kink_detection(self):
         x0 = np.zeros(1)
