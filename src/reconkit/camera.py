@@ -18,6 +18,7 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,11 @@ class Intrinsics:
                 f"principal point ({self.cx}, {self.cy}) outside image "
                 f"{self.width}x{self.height}"
             )
+        if not (np.isfinite(self.fx) and np.isfinite(self.fy)):
+            raise ValueError(f"focal lengths must be finite, got {self.fx}, {self.fy}")
+        for name, value in (("width", self.width), ("height", self.height)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"image {name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

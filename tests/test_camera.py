@@ -124,6 +124,18 @@ def test_unprojection_depth_homogeneity(vga_intrinsics, rng):
     np.testing.assert_allclose(pm2.values, lam * pm1.values, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "changes,error,message",
+    [({"fx": np.inf}, ValueError, "focal lengths must be finite"),
+     ({"fy": np.inf}, ValueError, "focal lengths must be finite"),
+     ({"width": 10.0}, TypeError, "image width must be an integer, got 10.0"),
+     ({"height": True, "cy": 0.5}, TypeError, "image height must be an integer, got True")],
+)
+def test_intrinsics_need_finite_focal_lengths_and_integer_sizes(changes, error, message):
+    with pytest.raises(error, match=message):
+        Intrinsics(**{"fx": 10.0, "fy": 10.0, "cx": 5.0, "cy": 5.0, "width": 10, "height": 10, **changes})
+
+
 def test_intrinsics_invariants():
     with pytest.raises(ValueError):
         Intrinsics(fx=-1.0, fy=1.0, cx=1.0, cy=1.0, width=10, height=10)

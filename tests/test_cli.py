@@ -551,6 +551,24 @@ class TestInputChecks:
         assert "meta.json: joint state has 3 values, chain has 4" in err
 
     @pytest.mark.parametrize(
+        "key,value,message",
+        [("fx", float("inf"), "focal lengths must be finite, got inf"),
+         ("width", 96.0, "image width must be an integer, got 96.0")],
+    )
+    @pytest.mark.parametrize("command", ["solve-pnp", "compose-points"])
+    def test_bad_intrinsics(self, bundle_tree, tmp_path, capsys, monkeypatch, command, key, value, message):
+        scene = tmp_path / "scene"
+        shutil.copytree(bundle_tree / "scene_00000", scene)
+        meta = json.loads((scene / "meta.json").read_text())
+        meta["views"][0]["intrinsics"][key] = value
+        (scene / "meta.json").write_text(json.dumps(meta))
+        monkeypatch.setattr(cli, "mock_predict", _must_not_run)
+        monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
+        assert main([command, "--bundle", str(scene)]) == 2
+        err = self.assert_flag_error(capsys, command, "--bundle")
+        assert f"meta.json: {message}" in err
+
+    @pytest.mark.parametrize(
         "content,message",
         [(None, "No such file"), (b'{"seed": 1', "Expecting ',' delimiter"),
          (b"", "Expecting value"), (b"\xff{}", "can't decode byte 0xff")],

@@ -157,6 +157,10 @@ class TestAggregate:
         with pytest.raises(ValueError, match="empty"):
             aggregate([])
 
+    def test_non_report_error(self):
+        with pytest.raises(TypeError):
+            aggregate([0.1, 0.2])
+
     def test_mixed_types_error(self):
         with pytest.raises(ValueError, match="mixed"):
             aggregate([PointMapReport(0, 0, 0), PoseReport(0, 0, 1, 1, 0.03, 0.03)])

@@ -967,6 +967,11 @@ class TestBundleJSONErrors:
                               "sphere needs a finite center and a finite radius > 0"),
         "table_half_extent_nan": ("meta.json", ("scene", "table", "half_extents", 0), float("nan"),
                                   "table half extents must be finite and positive, got [nan, "),
+        "width_float": ("meta.json", ("views", 0, "intrinsics", "width"), 32.0, "image width must be an integer, got 32.0"),
+        "height_bool": ("meta.json", ("views", 1, "intrinsics", "height"), True, "outside image 32xTrue"),
+        "fx_inf": ("meta.json", ("views", 0, "intrinsics", "fx"), float("inf"), "focal lengths must be finite, got inf, "),
+        "fy_inf": ("meta.json", ("views", 1, "intrinsics", "fy"), float("inf"), "focal lengths must be finite, got "),
+        "scene_views": ("meta.json", ("scene", "views"), 3, "views must be 1 or 2, got 3"),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
@@ -1021,6 +1026,13 @@ class TestValidateBundle:
         turned = RigidTransform(view.pose_world.rotation @ np.diag([1.0, -1.0, -1.0]), view.pose_world.translation)
         bundle = replace(small_bundle, views=(small_bundle.views[0], replace(view, pose_world=turned)))
         with pytest.raises(BundleError, match=r"view 1: keypoint 0 is at or behind the camera \(depth -"):
+            validate_bundle(bundle)
+
+    def test_moved_view_is_an_inconsistency(self, small_bundle):
+        view = small_bundle.views[1]
+        moved = RigidTransform(view.pose_world.rotation, view.pose_world.translation + [0.001, 0.0, 0.0])
+        bundle = replace(small_bundle, views=(small_bundle.views[0], replace(view, pose_world=moved)))
+        with pytest.raises(BundleError, match=r"bundle inconsistency: max deviation .* > 1e-09"):
             validate_bundle(bundle)
 
     def test_non_finite_distance_named(self, small_bundle):
