@@ -18,10 +18,26 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# check_number's (ok, must) for a value that must be finite and > 0
+POSITIVE = (lambda v: v > 0, "finite and positive")
+
+
+def check_number(name: str, value, ok=lambda v: True, must: str = "finite", integer: bool = False):
+    """value, if it is a real number (an integer if asked; a bool is neither), finite and ok(value).
+
+    Otherwise a TypeError (wrong type) or ValueError (non-finite, or not ok) that names `name`.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
+        raise TypeError(f"{name}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+    if not ((isinstance(value, numbers.Integral) or math.isfinite(value)) and ok(value)):
+        raise ValueError(f"{name} must be {must}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,18 +50,17 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError(f"focal lengths must be positive, got {self.fx}, {self.fy}")
+        for name in ("fx", "fy"):
+            check_number(name, getattr(self, name), *POSITIVE)
+        for name in ("cx", "cy"):
+            check_number(name, getattr(self, name))
+        for name in ("width", "height"):
+            check_number(f"image {name}", getattr(self, name), integer=True)
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
             raise ValueError(
                 f"principal point ({self.cx}, {self.cy}) outside image "
                 f"{self.width}x{self.height}"
             )
-        if not (np.isfinite(self.fx) and np.isfinite(self.fy)):
-            raise ValueError(f"focal lengths must be finite, got {self.fx}, {self.fy}")
-        for name, value in (("width", self.width), ("height", self.height)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"image {name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

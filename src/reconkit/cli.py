@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .camera import check_number
 from .losses import GRADIENT_CHECKS, check_gradient
 from .masks import DEFAULT_THRESHOLD, LABEL_ROBOT, PART_NAMES, compose_masked_points
 from .metrics import absolute_pose_metrics
@@ -45,13 +46,13 @@ GEN_KEYS = ("seed", "scenes", "views", "width", "height")
 LOCATION_FLAGS = ("config", "out", "bundle", "bundles", "view", "heatmap", "keypoints")
 # check-grads fails a loss whose max relative gradient error reaches this
 GRADIENT_TOLERANCE = 1e-4
-# numeric flag -> (its check, what it must be), applied before any command runs
+# numeric flag -> check_number's (ok, must) for it, applied before any command runs
 FLAG_RANGES = {
     "seed": (lambda v: v >= 0, ">= 0"),
     "workers": (lambda v: v >= 0, ">= 0 (0: all cores)"),
     "threshold": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "temperature": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
-    "eps": (lambda v: 0.0 < v < np.inf, "finite and > 0"),
+    "temperature": (lambda v: v > 0, "finite and > 0"),
+    "eps": (lambda v: v > 0, "finite and > 0"),
 }
 # config field -> the flag (and config-file key) that sets it
 FIELD_FLAGS = {
@@ -146,19 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flag type -> (JSON value types a --config key accepts, their name); bool is
-# an int subclass but never a valid value
-CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
-
-
-def _config_value(key: str, value, flag_type):
-    """value, if its flag's type accepts it; else a FlagError naming the key."""
-    accepted, name = CONFIG_TYPES[flag_type]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise FlagError(f"--config: {key}: expected {name}, got {json.dumps(value)}")
-    return value
-
-
 def _apply_config(args: argparse.Namespace) -> None:
     """Overlay the --config file's JSON object onto the parsed flags: config file > flags > defaults."""
     try:
@@ -170,7 +158,10 @@ def _apply_config(args: argparse.Namespace) -> None:
     for key, value in config.items():
         if key not in args.config_types:
             raise FlagError(f"--config: {args.config}: unknown key {key!r}")
-        setattr(args, key, _config_value(key, value, args.config_types[key]))
+        try:
+            setattr(args, key, check_number(key, value, integer=args.config_types[key] is int))
+        except (TypeError, ValueError) as exc:
+            raise FlagError(f"--config: {exc}") from None
 
 
 def _noise_from(args) -> NoiseModel:
@@ -376,8 +367,11 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args)
         for flag, (ok, must) in FLAG_RANGES.items():
-            if hasattr(args, flag) and not ok(getattr(args, flag)):
-                raise FlagError(f"--{flag}: must be {must}, got {getattr(args, flag)}")
+            if hasattr(args, flag):
+                try:
+                    check_number(flag, getattr(args, flag), ok, must)
+                except ValueError as exc:
+                    raise FlagError(f"--{flag}: {exc}") from None
         return handlers[args.command](args)
     except FlagError as exc:
         print(f"reconkit {args.command}: error: {exc}", file=sys.stderr)

@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .camera import check_number
 from .transforms import RigidTransform, rotation_about_axis
 
 JOINT_TYPES = ("revolute", "prismatic")
@@ -58,7 +59,7 @@ class Joint:
             raise ValueError(f"joint axis must be unit length, |axis| = {n}")
         object.__setattr__(self, "axis", a)
         if self.limits is not None:
-            lo, hi = self.limits
+            lo, hi = (check_number("joint limits", v) for v in self.limits)
             if not lo < hi:
                 raise ValueError(f"joint limits must satisfy lo < hi, got {self.limits}")
             object.__setattr__(self, "limits", (float(lo), float(hi)))
@@ -105,7 +106,7 @@ class KeypointSpec:
     offsets: np.ndarray
 
     def __post_init__(self):
-        links = np.asarray(self.links, dtype=int).reshape(-1)
+        links = np.asarray([check_number("keypoint link", v, integer=True) for v in self.links], dtype=int)
         offsets = np.asarray(self.offsets, dtype=float).reshape(-1, 3)
         if links.shape[0] != offsets.shape[0]:
             raise ValueError("keypoint links and offsets differ in length")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import PointMap
+from .camera import POSITIVE, PointMap, check_number
 from .masks import MaskSet
 from .transforms import (
     RigidTransform,
@@ -53,8 +53,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"loss weight {name} must be positive, got {value}")
+            check_number(f"loss weight {name}", value, *POSITIVE)
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import CoordMap, DepthMap, PointMap, unproject
+from .camera import CoordMap, DepthMap, PointMap, check_number, unproject
 
 LABEL_INVALID = 0
 LABEL_ROBOT = 1
@@ -87,8 +87,7 @@ def binarize(masks: MaskSet, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray
     parts robot beats object beats background, the first-index rule of
     argmax over the stacked (robot, object, background) axis.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    check_number("threshold", threshold, lambda v: 0.0 < v < 1.0, "in (0, 1)")
     top = np.maximum(np.maximum(masks.robot, masks.object), masks.background)
     labels = np.full(masks.shape, LABEL_BACKGROUND, dtype=np.uint8)
     labels[masks.object == top] = LABEL_OBJECT

@@ -12,6 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .camera import POSITIVE, check_number
 from .losses import joint_points, normal_angles, normals_from_pointmap, point_loss_flat
 from .transforms import RigidTransform, rotation_angle
 
@@ -26,8 +27,8 @@ class PointMapReport:
     scale_err: float
 
     def __post_init__(self):
-        if not all(np.isfinite(e) and e >= 0 for e in vars(self).values()):
-            raise ValueError("point map errors must be finite and non-negative")
+        for name, error in vars(self).items():
+            check_number(name, error, lambda v: v >= 0, "finite and non-negative")
 
 
 class _PoseReportBase:
@@ -36,6 +37,8 @@ class _PoseReportBase:
     def __post_init__(self):
         if not all(0 <= getattr(self, f.name) <= 1 for f in fields(self)[2:4]):
             raise ValueError("accuracies must lie in [0, 1]")
+        for f in fields(self)[4:]:
+            check_number(f.name, getattr(self, f.name), *POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,7 @@ def point_map_metrics_views(
     """
     if len(pred_views) != len(gt_views) or not pred_views:
         raise ValueError("need equal, non-empty lists of predicted and gt maps")
-    if not (gt_scale > 0):
-        raise ValueError(f"ground-truth scale must be positive, got {gt_scale}")
+    check_number("ground-truth scale", gt_scale, *POSITIVE)
     joint, angles = [], []
     for p, g in zip(pred_views, gt_views):
         joint.append(joint_points(p, g))

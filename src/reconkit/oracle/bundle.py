@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..camera import CoordMap, DepthMap, Intrinsics, coords_from_intrinsics, project, unproject
+from ..camera import CoordMap, DepthMap, Intrinsics, check_number, coords_from_intrinsics, project, unproject
 from ..kinematics import (
     Joint,
     JointLimitError,
@@ -330,7 +330,7 @@ def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_stat
         capsule_radius=d["capsule_radius"],
         heatmap_sigma=d["heatmap_sigma"],
         camera=_from_fields(CameraRanges, d["camera"]),
-        workspace_center=np.array(d["workspace_center"]),
+        workspace_center=d["workspace_center"],
     )
 
 
@@ -482,9 +482,7 @@ def load_bundle(path) -> SceneBundle:
 
         shapes = {"keypoints_3d": (len(kp_spec), 3), "keypoints_2d": (len(views), len(kp_spec), 2)}
         kp3d, kp2d = (_keypoints(meta, meta_path, key, shape) for key, shape in shapes.items())
-        seed = int(meta["seed"])  # a string that holds no number fails here
-        if seed < 0 or type(meta["seed"]) is not int:  # also a bool, a float or a string of digits
-            raise ValueError(f"seed must be a non-negative integer, got {json.dumps(meta['seed'])}")
+        seed = check_number("seed", meta["seed"], lambda v: v >= 0, "a non-negative integer", integer=True)
         return SceneBundle(
             views=tuple(views),
             similarity=Similarity(
@@ -525,6 +523,7 @@ def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
     keypoints and poses; a keypoint at or behind a view's camera is a
     BundleError naming the view.
     """
+    check_number("tol", tol, lambda v: v >= 0, "finite and >= 0")
     worst = 0.0
     for i, view in enumerate(bundle.views):
         pm = unproject(view.coords, view.depth)

@@ -33,7 +33,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from ..camera import CoordMap, DepthMap
+from ..camera import CoordMap, DepthMap, check_number
 from ..masks import PART_NAMES, MaskSet
 from ..pnp import soft_argmax
 from ..transforms import RigidTransform, Similarity, rotation_about_axis
@@ -52,8 +52,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name, value in self.__dict__.items():
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"noise parameter {name} must be finite and >= 0, got {value}")
+            check_number(f"noise parameter {name}", value, lambda v: v >= 0, "finite and >= 0")
         if self.mask_flip_rate > 1:
             raise ValueError(f"noise parameter mask_flip_rate is a probability, got {self.mask_flip_rate}")
 

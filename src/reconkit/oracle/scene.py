@@ -15,12 +15,11 @@ camera-frame direction (x, y, 1), so the hit parameter equals the z-depth.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..camera import Intrinsics, pixel_grid, project
+from ..camera import POSITIVE, Intrinsics, check_number, pixel_grid, project
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
@@ -34,12 +33,6 @@ def _squared_lengths(v: np.ndarray) -> np.ndarray:
     return (x * x + y * y) + z * z
 
 
-def _check_number(name: str, value, integer: bool = False):
-    """A TypeError naming `name` unless value is a real number (an integer if asked) and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
-        raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-
-
 # A primitive's intersect(origin, dirs) gives the hit parameter t of each ray
 # origin + t * dir (dir unnormalized, inf on a miss), distance(pts) each point's
 # distance to its surface and bound() a (center, radius) sphere around it.
@@ -49,9 +42,9 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).reshape(3))
-        if not (np.all(np.isfinite(self.center)) and math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"sphere needs a finite center and a finite radius > 0, got {self.center} {self.radius}")
+        center = [check_number("sphere center", v) for v in self.center]
+        object.__setattr__(self, "center", np.asarray(center, dtype=float).reshape(3))
+        check_number("sphere radius", self.radius, *POSITIVE)
 
     def to_dict(self) -> dict:
         return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius}
@@ -81,10 +74,8 @@ class Box:
     half_extents: np.ndarray
 
     def __post_init__(self):
-        he = np.asarray(self.half_extents, dtype=float).reshape(3)
-        if not np.all(np.isfinite(he) & (he > 0)):
-            raise ValueError(f"box half extents must be finite and positive, got {he.tolist()}")
-        object.__setattr__(self, "half_extents", he)
+        he = [check_number("box half extents", v, *POSITIVE) for v in self.half_extents]
+        object.__setattr__(self, "half_extents", np.asarray(he, dtype=float).reshape(3))
 
     def to_dict(self) -> dict:
         return {"type": "box", "pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
@@ -132,8 +123,9 @@ class Capsule:
     def __post_init__(self):
         object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float).reshape(3))
         object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float).reshape(3))
-        if not (np.all(np.isfinite([*self.p0, *self.p1])) and math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"capsule needs finite ends and finite radius > 0, got {self.p0} {self.p1} {self.radius}")
+        if not np.all(np.isfinite([*self.p0, *self.p1])):
+            raise ValueError(f"capsule needs finite ends, got {self.p0} {self.p1}")
+        check_number("capsule radius", self.radius, *POSITIVE)
 
     def bound(self) -> tuple[np.ndarray, float]:
         return 0.5 * (self.p0 + self.p1), 0.5 * float(np.linalg.norm(self.p1 - self.p0)) + self.radius
@@ -190,10 +182,8 @@ class Table:
     half_extents: np.ndarray  # (ex, ey)
 
     def __post_init__(self):
-        he = np.asarray(self.half_extents, dtype=float).reshape(2)
-        if not np.all(np.isfinite(he) & (he > 0)):
-            raise ValueError(f"table half extents must be finite and positive, got {he.tolist()}")
-        object.__setattr__(self, "half_extents", he)
+        he = [check_number("table half extents", v, *POSITIVE) for v in self.half_extents]
+        object.__setattr__(self, "half_extents", np.asarray(he, dtype=float).reshape(2))
 
     def to_dict(self) -> dict:
         return {"pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
@@ -233,7 +223,7 @@ class CameraRanges:
             if pair and not (isinstance(value, tuple) and len(value) == 2):
                 raise TypeError(f"camera {f.name} must be a (low, high) pair, got {value!r}")
             for v in value if pair else (value,):
-                _check_number(f"camera {f.name}", v)
+                check_number(f"camera {f.name}", v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,27 +242,21 @@ class SceneSpec:
     workspace_center: np.ndarray = field(default_factory=lambda: np.array([0.25, 0.0, 0.15]))
 
     def __post_init__(self):
-        for name in ("views", "width", "height", "capsule_radius", "heatmap_sigma"):
-            _check_number(name, getattr(self, name), integer=name in ("views", "width", "height"))
+        check_number("views", self.views, lambda v: v in (1, 2), "1 or 2", integer=True)
+        for name in ("width", "height"):
+            check_number(name, getattr(self, name), integer=True)
+        for name in ("capsule_radius", "heatmap_sigma"):
+            check_number(name, getattr(self, name), *POSITIVE)
         object.__setattr__(self, "primitives", tuple(self.primitives))
         for p in self.primitives:
             if not isinstance(p, (Sphere, Box)):
                 raise TypeError(f"unknown primitive {type(p).__name__}")
-        for name in ("capsule_radius", "heatmap_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
         q = np.asarray(self.joint_state, dtype=float).reshape(-1)
         if not np.all(np.isfinite(q)):
             raise ValueError(f"joint state must be finite, got {q.tolist()}")
         object.__setattr__(self, "joint_state", self.chain.check_state(q))
-        object.__setattr__(
-            self,
-            "workspace_center",
-            np.asarray(self.workspace_center, dtype=float).reshape(3),
-        )
-        if self.views not in (1, 2):
-            raise ValueError(f"views must be 1 or 2, got {self.views}")
+        center = [check_number("workspace_center", v) for v in self.workspace_center]
+        object.__setattr__(self, "workspace_center", np.asarray(center, dtype=float).reshape(3))
 
 
 def default_intrinsics(width: int, height: int) -> Intrinsics:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import unproject
+from .camera import POSITIVE, check_number, unproject
 from .losses import (
     LossWeights,
     keypoint_loss,
@@ -59,15 +59,12 @@ class RunConfig:
     r_threshold_abs: float = DEFAULT_ABSOLUTE_THRESHOLD
 
     def __post_init__(self):
-        if self.views not in (1, 2):
-            raise ValueError(f"views must be 1 or 2, got {self.views}")
+        check_number("seed", self.seed, lambda v: v >= 0, ">= 0", integer=True)
+        check_number("views", self.views, lambda v: v in (1, 2), "1 or 2", integer=True)
         for name in ("scenes", "width", "height"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            check_number(name, getattr(self, name), lambda v: v >= 1, "at least 1", integer=True)
         for name in ("t_threshold_rel", "r_threshold_rel", "t_threshold_abs", "r_threshold_abs"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            check_number(name, getattr(self, name), *POSITIVE)
 
     def echo(self, generation: bool = True) -> dict:
         d = asdict(self)

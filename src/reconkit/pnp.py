@@ -10,11 +10,12 @@ accepted step never increases it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import Intrinsics, project
+from .camera import POSITIVE, Intrinsics, check_number, project
 from .transforms import (
     RigidTransform,
     orthogonalize_9d,
@@ -50,8 +51,7 @@ def soft_argmax(heatmap, temperature: float = DEFAULT_TEMPERATURE) -> np.ndarray
         hm = hm[:, :, None]
     if hm.ndim != 3:
         raise ValueError(f"heatmap must be HxWxN, got shape {hm.shape}")
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    check_number("temperature", temperature, *POSITIVE)
     if np.any(hm < 0) or not np.all(np.isfinite(hm)):
         raise ValueError("heatmap entries must be finite and >= 0")
     h, w, n = hm.shape
@@ -140,18 +140,9 @@ def _init_homography(pts: np.ndarray, obs: np.ndarray) -> RigidTransform:
 
 def _cube_rotations():
     """The 24 axis-aligned orientations (signed permutations with det +1)."""
-    out = []
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        base = np.zeros((3, 3))
-        for row, col in enumerate(perm):
-            base[row, col] = 1.0
-        for sx in (1.0, -1.0):
-            for sy in (1.0, -1.0):
-                for sz in (1.0, -1.0):
-                    r = base * np.array([sx, sy, sz])[:, None]
-                    if np.linalg.det(r) > 0:
-                        out.append(r)
-    return out
+    signed = (np.eye(3)[list(perm)] * np.array(signs)[:, None]
+              for perm in itertools.permutations(range(3)) for signs in itertools.product((1.0, -1.0), repeat=3))
+    return [r for r in signed if np.linalg.det(r) > 0]
 
 
 _CUBE_ROTATIONS = _cube_rotations()

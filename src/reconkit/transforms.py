@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import PointMap
+from .camera import POSITIVE, PointMap, check_number
 
 ROTATION_TOL = 1e-9
 
@@ -169,10 +169,7 @@ class Similarity:
     rigid: RigidTransform
 
     def __post_init__(self):
-        s = float(self.scale)
-        if not np.isfinite(s) or s <= 0.0:
-            raise ValueError(f"similarity scale must be positive, got {s}")
-        object.__setattr__(self, "scale", s)
+        object.__setattr__(self, "scale", float(check_number("similarity scale", self.scale, *POSITIVE)))
 
     @staticmethod
     def identity() -> "Similarity":

@@ -6,6 +6,8 @@ Expected values are hand-computed from the conventions:
     project((x, y, z))  = (fx x/z + cx, fy y/z + cy)
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from reconkit.camera import (
     CoordMap,
     DepthMap,
     Intrinsics,
+    check_number,
     coords_from_intrinsics,
     project,
     unproject,
@@ -126,14 +129,37 @@ def test_unprojection_depth_homogeneity(vga_intrinsics, rng):
 
 @pytest.mark.parametrize(
     "changes,error,message",
-    [({"fx": np.inf}, ValueError, "focal lengths must be finite"),
-     ({"fy": np.inf}, ValueError, "focal lengths must be finite"),
-     ({"width": 10.0}, TypeError, "image width must be an integer, got 10.0"),
-     ({"height": True, "cy": 0.5}, TypeError, "image height must be an integer, got True")],
+    [({"fx": np.inf}, ValueError, "fx must be finite and positive, got inf"),
+     ({"fy": np.inf}, ValueError, "fy must be finite and positive, got inf"),
+     ({"width": 10.0}, TypeError, "image width: expected an integer, got 10.0"),
+     ({"height": True, "cy": 0.5}, TypeError, "image height: expected an integer, got True")],
 )
 def test_intrinsics_need_finite_focal_lengths_and_integer_sizes(changes, error, message):
     with pytest.raises(error, match=message):
         Intrinsics(**{"fx": 10.0, "fy": 10.0, "cx": 5.0, "cy": 5.0, "width": 10, "height": 10, **changes})
+
+
+@pytest.mark.parametrize(
+    "value,options,error,message",
+    [(True, {}, TypeError, "x: expected a number, got True"),
+     (np.True_, {}, TypeError, "x: expected a number, got "),
+     (False, {"integer": True}, TypeError, "x: expected an integer, got False"),
+     (2.0, {"integer": True}, TypeError, "x: expected an integer, got 2.0"),
+     ("1", {}, TypeError, "x: expected a number, got '1'"),
+     (None, {}, TypeError, "x: expected a number, got None"),
+     (float("nan"), {}, ValueError, "x must be finite, got nan"),
+     (-np.inf, {}, ValueError, "x must be finite, got -inf"),
+     (0, {"ok": lambda v: v > 0, "must": "positive"}, ValueError, "x must be positive, got 0")],
+)
+def test_check_number_rejects(value, options, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        check_number("x", value, **options)
+
+
+@pytest.mark.parametrize("value,integer", [(3, True), (np.int64(3), True), (10**400, True), (-2.5, False),
+                                           (np.float64(0.5), False), (7, False)])
+def test_check_number_returns_the_value(value, integer):
+    assert check_number("x", value, integer=integer) is value
 
 
 def test_intrinsics_invariants():

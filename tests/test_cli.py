@@ -552,8 +552,9 @@ class TestInputChecks:
 
     @pytest.mark.parametrize(
         "key,value,message",
-        [("fx", float("inf"), "focal lengths must be finite, got inf"),
-         ("width", 96.0, "image width must be an integer, got 96.0")],
+        [("fx", float("inf"), "fx must be finite and positive, got inf"),
+         ("fx", True, "fx: expected a number, got True"),
+         ("width", 96.0, "image width: expected an integer, got 96.0")],
     )
     @pytest.mark.parametrize("command", ["solve-pnp", "compose-points"])
     def test_bad_intrinsics(self, bundle_tree, tmp_path, capsys, monkeypatch, command, key, value, message):
@@ -898,7 +899,7 @@ class TestComposePoints:
     @pytest.mark.parametrize(
         "flag,error",
         [("--noise-coord", "ValueError: coord map contains non-finite entries"),
-         ("--noise-scale", "ValueError: similarity scale must be positive, got inf")],
+         ("--noise-scale", "ValueError: similarity scale must be finite and positive, got inf")],
     )
     def test_non_finite_prediction_is_a_failure(self, bundle_tree, tmp_path, capsys, flag, error):
         scene, out = bundle_tree / "scene_00000", tmp_path / "composed"
@@ -1081,13 +1082,14 @@ class TestConfigPrecedence:
         [
             ("eval-pose", [0.5], "must hold a JSON object, got list"),
             ("eval-pose", "x", "must hold a JSON object, got str"),
-            ("compose-points", {"threshold": "0.5"}, 'threshold: expected a number, got "0.5"'),
-            ("eval-pose", {"threshold_rel": "x"}, 'threshold_rel: expected a number, got "x"'),
+            ("compose-points", {"threshold": "0.5"}, "threshold: expected a number, got '0.5'"),
+            ("eval-pose", {"threshold_rel": "x"}, "threshold_rel: expected a number, got 'x'"),
             ("eval-pointmap", {"seed": 1.5}, "seed: expected an integer, got 1.5"),
-            ("eval-pointmap", {"workers": True}, "workers: expected an integer, got true"),
-            ("eval-pose", {"noise_depth": False}, "noise_depth: expected a number, got false"),
+            ("eval-pointmap", {"workers": True}, "workers: expected an integer, got True"),
+            ("eval-pose", {"noise_depth": False}, "noise_depth: expected a number, got False"),
             ("eval-pointmap", {"threshold_abs": [0.01]}, "threshold_abs: expected a number, got [0.01]"),
-            ("compose-points", {"seed": None}, "seed: expected an integer, got null"),
+            ("compose-points", {"seed": None}, "seed: expected an integer, got None"),
+            ("eval-pose", {"threshold_rel": float("nan")}, "threshold_rel must be finite, got nan"),
         ],
     )
     def test_config_value_types_checked(self, bundle_tree, tmp_path, capsys, monkeypatch,

@@ -61,6 +61,16 @@ class TestPointMapMetrics:
             kind(0.1, 0.1, *accuracies, 0.03, 0.03)
 
 
+@pytest.mark.parametrize("metrics", [relative_pose_metrics, absolute_pose_metrics])
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -0.03])
+def test_pose_threshold_must_be_finite_and_positive(metrics, threshold):
+    identity = RigidTransform.identity()
+    with pytest.raises(ValueError, match="t_threshold must be finite and positive"):
+        metrics(identity, identity, threshold, 0.03)
+    with pytest.raises(ValueError, match="r_threshold must be finite and positive"):
+        metrics(identity, identity, 0.03, threshold)
+
+
 class TestRelativePoseMetrics:
     def test_perfect(self, rng):
         p = random_rigid(rng)

@@ -827,6 +827,14 @@ def tiny_saved(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def boxed_saved(tmp_path_factory):
+    """A saved binocular 32x24 bundle whose scene holds a box and a sphere."""
+    path = tmp_path_factory.mktemp("boxed") / "scene"
+    save_bundle(path, generate_scene(random_scene_spec(seed=6, views=2, width=32, height=24), 6))
+    return path
+
+
 def key_paths(obj, prefix=()):
     """Every key of a parsed JSON document, as a path of keys and list indices."""
     if isinstance(obj, dict):
@@ -932,16 +940,16 @@ class TestBundleJSONErrors:
     WRONG_VALUES = {
         "ragged_keypoints_2d": ("meta.json", ("keypoints_2d", 0, 0), [1.0], "inhomogeneous"),
         "joint_state": ("meta.json", ("joint_state",), "x", "could not convert string to float"),
-        "seed": ("meta.json", ("seed",), "abc", "invalid literal for int()"),
-        "width": ("meta.json", ("views", 0, "intrinsics", "width"), "32", "not supported between"),
+        "seed": ("meta.json", ("seed",), "abc", "seed: expected an integer, got 'abc'"),
+        "width": ("meta.json", ("views", 0, "intrinsics", "width"), "32", "image width: expected an integer, got '32'"),
         "nan_pose": ("meta.json", ("views", 1, "pose_world", 0, 3), float("nan"),
                      "translation contains non-finite"),
         "no_views": ("meta.json", ("views",), [], "no views"),
-        "huge_link": ("chain.json", ("keypoints", 0, "link"), "9" * 30, "too large to convert"),
-        "heatmap_sigma": ("meta.json", ("scene", "heatmap_sigma"), "x", "heatmap_sigma must be a number, got 'x'"),
-        "scene_width": ("meta.json", ("scene", "width"), True, "width must be an integer, got True"),
+        "huge_link": ("chain.json", ("keypoints", 0, "link"), "9" * 30, "keypoint link: expected an integer, got '999"),
+        "heatmap_sigma": ("meta.json", ("scene", "heatmap_sigma"), "x", "heatmap_sigma: expected a number, got 'x'"),
+        "scene_width": ("meta.json", ("scene", "width"), True, "width: expected an integer, got True"),
         "camera_radius": ("meta.json", ("scene", "camera", "radius"), ["a", "b"],
-                          "camera radius must be a number, got 'a'"),
+                          "camera radius: expected a number, got 'a'"),
         "primitive_type": ("meta.json", ("scene", "primitives", 0, "type"), "cylinder",
                            "unknown primitive type 'cylinder'"),
         "joint_state_short": ("meta.json", ("joint_state",), [0.0] * 3, "joint state has 3 values, chain has 4"),
@@ -958,20 +966,21 @@ class TestBundleJSONErrors:
                               "heatmap_sigma must be finite and positive, got nan"),
         "chain_file_nul": ("meta.json", ("chain_file",), "\x00", "chain_file '\\x00' holds a NUL byte"),
         "seed_negative": ("meta.json", ("seed",), -1, "seed must be a non-negative integer, got -1"),
-        "seed_float": ("meta.json", ("seed",), 1.5, "seed must be a non-negative integer, got 1.5"),
-        "seed_bool": ("meta.json", ("seed",), True, "seed must be a non-negative integer, got true"),
-        "seed_digits": ("meta.json", ("seed",), "7", 'seed must be a non-negative integer, got "7"'),
+        "seed_float": ("meta.json", ("seed",), 1.5, "seed: expected an integer, got 1.5"),
+        "seed_bool": ("meta.json", ("seed",), True, "seed: expected an integer, got True"),
+        "seed_digits": ("meta.json", ("seed",), "7", "seed: expected an integer, got '7'"),
         "sphere_center_nan": ("meta.json", ("scene", "primitives", 0, "center", 1), float("nan"),
-                              "sphere needs a finite center and a finite radius > 0"),
+                              "sphere center must be finite, got nan"),
         "sphere_radius_nan": ("meta.json", ("scene", "primitives", 0, "radius"), float("nan"),
-                              "sphere needs a finite center and a finite radius > 0"),
+                              "sphere radius must be finite and positive, got nan"),
         "table_half_extent_nan": ("meta.json", ("scene", "table", "half_extents", 0), float("nan"),
-                                  "table half extents must be finite and positive, got [nan, "),
-        "width_float": ("meta.json", ("views", 0, "intrinsics", "width"), 32.0, "image width must be an integer, got 32.0"),
-        "height_bool": ("meta.json", ("views", 1, "intrinsics", "height"), True, "outside image 32xTrue"),
-        "fx_inf": ("meta.json", ("views", 0, "intrinsics", "fx"), float("inf"), "focal lengths must be finite, got inf, "),
-        "fy_inf": ("meta.json", ("views", 1, "intrinsics", "fy"), float("inf"), "focal lengths must be finite, got "),
+                                  "table half extents must be finite and positive, got nan"),
+        "width_float": ("meta.json", ("views", 0, "intrinsics", "width"), 32.0, "image width: expected an integer, got 32.0"),
+        "height_bool": ("meta.json", ("views", 1, "intrinsics", "height"), True, "image height: expected an integer, got True"),
+        "fx_inf": ("meta.json", ("views", 0, "intrinsics", "fx"), float("inf"), "fx must be finite and positive, got inf"),
+        "fy_inf": ("meta.json", ("views", 1, "intrinsics", "fy"), float("inf"), "fy must be finite and positive, got inf"),
         "scene_views": ("meta.json", ("scene", "views"), 3, "views must be 1 or 2, got 3"),
+        "link_float": ("chain.json", ("keypoints", 0, "link"), 1.7, "keypoint link: expected an integer, got 1.7"),
     }
 
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
@@ -980,6 +989,30 @@ class TestBundleJSONErrors:
         doc = replaced(json.loads((tiny_saved / name).read_text()), path, value)
         with pytest.raises(MalformedMetadataError, match=re.escape(f"{name}: ") + f".*{re.escape(message)}"):
             load_edited(tiny_saved, name, json.dumps(doc))
+
+    # Leaves left out, and why: format_version fails first, as a VersionMismatchError naming
+    # the file; the chain's name is a label no code reads as a number; and the entries of the
+    # poses, keypoint arrays, joint state and a joint's axis and origin keep their array checks,
+    # which read true as 1.0 and, for a 4x4 pose, never read the bottom row.
+    NOT_SCALAR = {"format_version", "name", "pose_world", "matrix", "pose", "keypoints_3d", "keypoints_2d",
+                  "joint_state", "axis", "origin", "offset"}
+
+    @pytest.mark.parametrize("value", [True, float("nan"), float("inf")], ids=["true", "NaN", "Infinity"])
+    @pytest.mark.parametrize("name", ["meta.json", "chain.json"])
+    def test_every_scalar_leaf_checked(self, boxed_saved, name, value):
+        """Each scalar leaf set to true, NaN or Infinity fails at load as a MalformedMetadataError naming the file."""
+        text = (boxed_saved / name).read_text()
+        leaves = [p for p in leaf_paths(json.loads(text)) if not self.NOT_SCALAR.intersection(p)]
+        assert leaves
+        missed = []
+        for path in leaves:
+            try:
+                load_edited(boxed_saved, name, json.dumps(replaced(json.loads(text), path, value)))
+                missed.append((path, "loaded"))
+            except MalformedMetadataError as exc:
+                if not str(exc).split(": ")[0].endswith(f"/{name}"):  # the file the error blames
+                    missed.append((path, str(exc)))
+        assert missed == []
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1021,6 +1054,11 @@ class TestBundleConsistency:
 
 
 class TestValidateBundle:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_tolerance_must_be_finite_and_non_negative(self, small_bundle, tol):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            validate_bundle(small_bundle, tol=tol)
+
     def test_keypoint_behind_camera_named(self, small_bundle):
         view = small_bundle.views[1]
         turned = RigidTransform(view.pose_world.rotation @ np.diag([1.0, -1.0, -1.0]), view.pose_world.translation)

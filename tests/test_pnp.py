@@ -1,5 +1,7 @@
 """Soft-argmax decoding and PnP extrinsic estimation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.special
@@ -8,6 +10,7 @@ from conftest import random_rotation
 
 from reconkit.camera import Intrinsics, project
 from reconkit.pnp import (
+    _CUBE_ROTATIONS,
     DegenerateConfigurationError,
     soft_argmax,
     solve_pnp,
@@ -67,11 +70,23 @@ class TestSoftArgmax:
         assert (kp[:, 0] >= 0).all() and (kp[:, 0] < 24).all()
         assert (kp[:, 1] >= 0).all() and (kp[:, 1] < 16).all()
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_rejects_bad_temperature(self, temperature):
+        with pytest.raises(ValueError, match=f"temperature must be finite and positive, got {temperature}"):
+            soft_argmax(np.ones((4, 4)), temperature=temperature)
+
     def test_rejects_bad_inputs(self, rng):
         with pytest.raises(ValueError, match="temperature"):
             soft_argmax(np.ones((4, 4)), temperature=0.0)
         with pytest.raises(ValueError, match="finite"):
             soft_argmax(-np.ones((4, 4)))
+
+
+def test_cube_rotations_pinned():
+    """The 24 fallback seeds of solve_pnp, in order, as the signed-permutation loop built them."""
+    assert len(_CUBE_ROTATIONS) == 24
+    digest = hashlib.sha256(b"".join(r.tobytes() for r in _CUBE_ROTATIONS)).hexdigest()
+    assert digest == "2eb1a0e75ea50dc5d5dfe52dfa103d3d1c87f7a38606ef093010e6cb8d556e80"
 
 
 def synth_problem(rng, n=8, z=1.0, spread=0.3):
