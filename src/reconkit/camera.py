@@ -123,16 +123,12 @@ class PointMap:
         return self.values.shape[:2]
 
 
-def pixel_grid(k: Intrinsics, out: np.ndarray) -> np.ndarray:
-    """out (H x W x C, C >= 2) with each pixel center's normalized (x, y) in its first two channels."""
-    out[:, :, 0] = ((np.arange(k.width, dtype=float) - k.cx) / k.fx)[None, :]
-    out[:, :, 1] = ((np.arange(k.height, dtype=float) - k.cy) / k.fy)[:, None]
-    return out
-
-
 def coords_from_intrinsics(k: Intrinsics) -> CoordMap:
     """Normalized coordinate map of every pixel center of a pinhole camera."""
-    return CoordMap(pixel_grid(k, np.empty((k.height, k.width, 2))))
+    out = np.empty((k.height, k.width, 2))
+    out[:, :, 0] = ((np.arange(k.width, dtype=float) - k.cx) / k.fx)[None, :]
+    out[:, :, 1] = ((np.arange(k.height, dtype=float) - k.cy) / k.fy)[:, None]
+    return CoordMap(out)
 
 
 def unproject(coords: CoordMap, depth: DepthMap) -> PointMap:

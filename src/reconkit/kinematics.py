@@ -53,7 +53,7 @@ class Joint:
     def __post_init__(self):
         if self.type not in JOINT_TYPES:
             raise ValueError(f"unknown joint type {self.type!r}")
-        a = np.asarray(self.axis, dtype=float).reshape(3)
+        a = np.asarray([check_number("joint axis", v) for v in self.axis], dtype=float).reshape(3)
         n = np.linalg.norm(a)
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"joint axis must be unit length, |axis| = {n}")
@@ -107,7 +107,7 @@ class KeypointSpec:
 
     def __post_init__(self):
         links = np.asarray([check_number("keypoint link", v, integer=True) for v in self.links], dtype=int)
-        offsets = np.asarray(self.offsets, dtype=float).reshape(-1, 3)
+        offsets = np.array([[check_number("keypoint offset", v) for v in o] for o in self.offsets], float).reshape(-1, 3)
         if links.shape[0] != offsets.shape[0]:
             raise ValueError("keypoint links and offsets differ in length")
         object.__setattr__(self, "links", links)
@@ -153,7 +153,7 @@ def chain_from_dict(data: dict, default_name: str) -> tuple[KinematicChain, Keyp
         joints.append(
             Joint(
                 type=j["type"],
-                axis=np.asarray(j["axis"], dtype=float),
+                axis=j["axis"],
                 origin=RigidTransform.from_matrix(np.asarray(j["origin"], dtype=float)),
                 limits=tuple(j["limits"]) if j.get("limits") is not None else None,
             )

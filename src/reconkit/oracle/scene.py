@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..camera import POSITIVE, Intrinsics, check_number, pixel_grid, project
+from ..camera import POSITIVE, Intrinsics, check_number, project
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
@@ -27,15 +27,32 @@ from ..transforms import RigidTransform, rotation_about_axis
 RAY_EPS = 1e-9
 
 
-def _squared_lengths(v: np.ndarray) -> np.ndarray:
-    """Squared lengths over the last axis of (..., 3) vectors, summed in np.sum's order."""
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    return (x * x + y * y) + z * z
+def _sum3(a, b):
+    """a . b for 3-sequences of floats or arrays, summed left to right."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
-# A primitive's intersect(origin, dirs) gives the hit parameter t of each ray
-# origin + t * dir (dir unnormalized, inf on a miss), distance(pts) each point's
-# distance to its surface and bound() a (center, radius) sphere around it.
+def _frame(pose: RigidTransform, v, point: bool = True) -> list:
+    """The world 3-vector v in pose's frame, in Python floats: R^T (v - t) for a point, R^T v for a direction."""
+    q = np.subtract(v, pose.translation) if point else np.asarray(v, dtype=float)
+    return [_sum3(col, q.tolist()) for col in pose.rotation.T.tolist()]
+
+
+def _dot(v, x, y):
+    """(x, y, 1) . v for a row x (w,) and a column y (h, 1): only the last + forms the (h, w) grid."""
+    return x * v[0] + (y * v[1] + v[2])
+
+
+def _local_rays(pose: RigidTransform, view: RigidTransform, x, y):
+    """Origin (3 floats) and direction components of the rays (x, y, 1) of camera `view` in the frame of pose."""
+    return _frame(pose, view.translation), [_dot(_frame(view, a, point=False), x, y) for a in pose.rotation.T]
+
+
+# A primitive's cast(view, x, y) gives the depth of each ray (x, y, 1) from the centre of camera `view`
+# (camera-to-world) to its first hit beyond RAY_EPS, inf on a miss; x is a row of normalized pixel columns,
+# y a column of rows.  The primitive moves into the camera frame in Python floats, then each depth is
+# fixed-order IEEE +, *, / and sqrt with no BLAS product; a NaN (a miss's sqrt, a ray along a face) fails
+# every test.  distance(pts) gives each world point's distance to the surface, bound() a sphere around it.
 @dataclass(frozen=True, eq=False)
 class Sphere:
     center: np.ndarray
@@ -52,17 +69,14 @@ class Sphere:
     def bound(self) -> tuple[np.ndarray, float]:
         return self.center, self.radius
 
-    def intersect(self, origin, dirs) -> np.ndarray:
-        oc = origin - self.center
-        a = _squared_lengths(dirs)
-        b = 2.0 * (dirs @ oc)
-        c = oc @ oc - self.radius**2
-        disc = b * b - 4.0 * a * c
-        hit = disc >= 0
-        sq = np.sqrt(np.where(hit, disc, 0.0))
-        t1 = (-b - sq) / (2.0 * a)
-        t2 = (-b + sq) / (2.0 * a)
-        return np.where(hit, np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf)), np.inf)
+    def cast(self, view, x, y) -> np.ndarray:
+        c = _frame(view, self.center)
+        a = x * x + (y * y + 1.0)
+        b = _dot(c, x, y)  # half the quadratic's b, negated: the ray origin is 0
+        with np.errstate(invalid="ignore"):
+            sq = np.sqrt(b * b - a * (_sum3(c, c) - self.radius * self.radius))
+            t1, t2 = (b - sq) / a, (b + sq) / a
+            return np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf))
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
         return np.abs(np.linalg.norm(pts - self.center, axis=1) - self.radius)
@@ -83,23 +97,22 @@ class Box:
     def bound(self) -> tuple[np.ndarray, float]:
         return self.pose.translation, float(np.linalg.norm(self.half_extents))
 
-    def intersect(self, origin, dirs) -> np.ndarray:
-        inv = self.pose.inverse()
-        o = inv.apply(origin)
-        d = dirs @ inv.rotation.T
+    def cast(self, view, x, y) -> np.ndarray:
+        o, d = _local_rays(self.pose, view, x, y)
+        lo, hi, hit = [], [], True
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv_d = 1.0 / d
-            t_lo = (-self.half_extents - o) * inv_d
-            t_hi = (self.half_extents - o) * inv_d
-        # slab entries and exits; fmax/fmin skip the NaN of a parallel ray on a slab face
-        lo, hi = np.minimum(t_lo, t_hi), np.maximum(t_lo, t_hi)
-        near = np.fmax(np.fmax(lo[..., 0], lo[..., 1]), lo[..., 2])
-        far = np.fmin(np.fmin(hi[..., 0], hi[..., 1]), hi[..., 2])
-        hit = (far >= near) & (far > RAY_EPS)  # false where both are NaN
-        # axis-parallel rays miss unless the origin lies inside the slab
-        for i in np.flatnonzero(np.abs(o) > self.half_extents):
-            hit &= np.abs(d[..., i]) >= 1e-15
-        return np.where(hit, np.where(near > RAY_EPS, near, far), np.inf)
+            for i, h in enumerate(self.half_extents.tolist()):
+                inv_d = 1.0 / d[i]
+                t_lo, t_hi = (-h - o[i]) * inv_d, (h - o[i]) * inv_d
+                lo.append(np.minimum(t_lo, t_hi))
+                hi.append(np.maximum(t_lo, t_hi))
+                if abs(o[i]) > h:  # an axis-parallel ray misses unless the origin lies inside the slab
+                    hit = hit & (np.abs(d[i]) >= 1e-15)
+            # slab entries and exits; fmax/fmin skip the NaN of a parallel ray on a slab face
+            near = np.fmax(np.fmax(lo[0], lo[1]), lo[2])
+            far = np.fmin(np.fmin(hi[0], hi[1]), hi[2])
+            hit = hit & (far >= near) & (far > RAY_EPS)  # false where both are NaN
+            return np.where(hit, np.where(near > RAY_EPS, near, far), np.inf)
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
         local = np.abs(self.pose.inverse().apply(pts)) - self.half_extents
@@ -133,36 +146,30 @@ class Capsule:
     def ends(self) -> tuple[Sphere, Sphere]:
         return Sphere(self.p0, self.radius), Sphere(self.p1, self.radius)
 
-    def intersect(self, origin, dirs) -> np.ndarray:
-        t = self.intersect_body(origin, dirs)
-        for end in self.ends():
-            t = np.minimum(t, end.intersect(origin, dirs))
-        return t
-
-    def intersect_body(self, origin, dirs) -> np.ndarray:
-        """Hits on the cylinder between the end spheres; all inf when the axis is degenerate."""
-        axis = self.p1 - self.p0
-        length = np.linalg.norm(axis)
+    def cast_body(self, view, x, y) -> np.ndarray:
+        """`cast` for the cylinder between the end spheres; all inf when the axis is degenerate."""
+        axis = (self.p1 - self.p0).tolist()
+        length = math.sqrt(_sum3(axis, axis))
         if length < 1e-12:
-            return np.full(dirs.shape[:-1], np.inf)
-        u = axis / length
-        oc = origin - self.p0
-        d_par = dirs @ u
-        oc_par = oc @ u
-        d_perp = dirs - d_par[..., None] * u
-        oc_perp = oc - oc_par * u
-        a = _squared_lengths(d_perp)
-        b = 2.0 * (d_perp @ oc_perp)
-        c = oc_perp @ oc_perp - self.radius**2
+            return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.inf)
+        # rays in a frame (e1, e2, u) at p0, e1 and e2 from u as in Duff et al., JCGT 2017
+        u = _frame(view, [a / length for a in axis], point=False)
+        sign = math.copysign(1.0, u[2])
+        g = -1.0 / (sign + u[2])
+        h = u[0] * u[1] * g
+        axes = ((1.0 + sign * u[0] * u[0] * g, sign * h, -sign * u[0]), (h, sign + u[1] * u[1] * g, -u[1]), u)
+        p0 = _frame(view, self.p0)
+        o = [-_sum3(p0, e) for e in axes]
+        d0, d1, d_par = (_dot(e, x, y) for e in axes)
+        a = d0 * d0 + d1 * d1
+        b = d0 * o[0] + d1 * o[1]  # half the quadratic's b
+        c = (o[0] * o[0] + o[1] * o[1]) - self.radius * self.radius
         t = np.inf
         with np.errstate(divide="ignore", invalid="ignore"):
-            disc = b * b - 4.0 * a * c
-            ok = (disc >= 0) & (a > 1e-30)
-            sq = np.sqrt(np.where(ok, disc, 0.0))
-            for t_cand in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-                s = oc_par + t_cand * d_par
-                good = ok & (t_cand > RAY_EPS) & (s >= 0) & (s <= length)
-                t = np.where(good & (t_cand < t), t_cand, t)
+            sq = np.sqrt(b * b - a * c)
+            for t_cand in ((-b - sq) / a, (-b + sq) / a):
+                s = o[2] + t_cand * d_par
+                t = np.where((t_cand > RAY_EPS) & (s >= 0) & (s <= length) & (t_cand < t), t_cand, t)
         return t
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
@@ -188,18 +195,17 @@ class Table:
     def to_dict(self) -> dict:
         return {"pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
 
-    def intersect(self, origin, dirs) -> np.ndarray:
-        inv = self.pose.inverse()
-        o = inv.apply(origin)
-        d = dirs @ inv.rotation.T
-        dz = d[..., 2]
+    def cast(self, view, x, y) -> np.ndarray:
+        o, (dx, dy, dz) = _local_rays(self.pose, view, x, y)
         with np.errstate(divide="ignore", invalid="ignore"):  # a ray parallel to the plane is no hit
             t_hit = -o[2] / dz
-            px = o[0] + t_hit * d[..., 0]
-            py = o[1] + t_hit * d[..., 1]
-        ok = (np.abs(dz) > 1e-15) & (t_hit > RAY_EPS)
-        ok &= (np.abs(px) <= self.half_extents[0]) & (np.abs(py) <= self.half_extents[1])
-        return np.where(ok, t_hit, np.inf)
+            ok = ((dz > 1e-15) | (dz < -1e-15)) & (t_hit > RAY_EPS)
+            # the hit's in-plane coordinates o + t d, formed in place and compared without np.abs: no float temporaries
+            for p, o_i, h in zip((dx, dy), o, self.half_extents.tolist()):
+                p *= t_hit
+                p += o_i
+                ok &= (p <= h) & (p >= -h)
+            return np.where(ok, t_hit, np.inf)
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
         return np.abs(self.pose.inverse().apply(pts)[:, 2])
@@ -321,18 +327,15 @@ def chain_capsules(spec: SceneSpec) -> list[Capsule]:
 def _pixel_window(k: Intrinsics, rows, cols):
     """(rows, cols) slices of the pixels within one pixel of float (lo, hi) ranges; None off-frame.
 
-    Widened to two columns where the frame allows: numpy's single-column matmul path changes low bits.
+    A window may be one row or column wide: a cast's bits do not depend on its window's shape.
     """
-    bounds = []
+    window = []
     for (lo, hi), n in ((rows, k.height), (cols, k.width)):
         lo, hi = max(math.floor(lo) - 1, 0), min(math.ceil(hi) + 1, n - 1)
         if lo > hi:
             return None
-        bounds.append([lo, hi])
-    cols = bounds[1]
-    if cols[0] == cols[1]:
-        cols[0], cols[1] = max(cols[0] - 1, 0), min(cols[1] + 1, k.width - 1)
-    return tuple(slice(lo, hi + 1) for lo, hi in bounds)
+        window.append(slice(lo, hi + 1))
+    return tuple(window)
 
 
 def _screen_window(center, radius, k: Intrinsics, pose: RigidTransform):
@@ -373,16 +376,16 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     the table the box around its projected corners, an object its bounding
     sphere's window, and a capsule three casts, each end sphere in its own
     window and the cylinder, which projects inside their hull, in the box
-    around those two.  The bits are those of casting over the whole frame.
-    The kernels work on each x/y/z component; every matmul keeps its operands
-    and shapes on purpose, because BLAS sets the low bits of those products.
+    around those two.  The bits are those of casting over the whole frame:
+    rays (x, y, 1) leave the camera centre, x = (u - cx) / fx and y = (v - cy) / fy
+    as in `coords_from_intrinsics`, and a kernel call takes a row of x and a column of y.
     """
     k = intrinsics
-    dirs_world = pixel_grid(k, np.ones((k.height, k.width, 3))) @ pose.rotation.T
-    origin = pose.translation
+    xs = (np.arange(k.width, dtype=float) - k.cx) / k.fx
+    ys = ((np.arange(k.height, dtype=float) - k.cy) / k.fy)[:, None]
 
-    casts = [(spec.table.intersect, _table_window(spec.table, k, pose), LABEL_BACKGROUND)]
-    casts += [(p.intersect, _screen_window(*p.bound(), k, pose), LABEL_OBJECT) for p in spec.primitives]
+    casts = [(spec.table.cast, _table_window(spec.table, k, pose), LABEL_BACKGROUND)]
+    casts += [(p.cast, _screen_window(*p.bound(), k, pose), LABEL_OBJECT) for p in spec.primitives]
     for capsule in chain_capsules(spec):
         ends = capsule.ends()
         windows = [_screen_window(*end.bound(), k, pose) for end in ends]
@@ -392,19 +395,19 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
                 slice(max(b.start, min(e0.start, e1.start)), min(b.stop, max(e0.stop, e1.stop)))
                 for b, e0, e1 in zip(body, *windows)
             )
-        casts.append((capsule.intersect_body, body, LABEL_ROBOT))
-        casts += [(end.intersect, window, LABEL_ROBOT) for end, window in zip(ends, windows)]
+        casts.append((capsule.cast_body, body, LABEL_ROBOT))
+        casts += [(end.cast, window, LABEL_ROBOT) for end, window in zip(ends, windows)]
 
     # a strict < keeps the earlier cast on a tie; every robot part has one label
     best_t = np.full((k.height, k.width), np.inf)
     labels = np.zeros((k.height, k.width), dtype=np.uint8)
-    for intersect, window, label in casts:
-        if window is None:
-            continue
-        t = intersect(origin, dirs_world[window])
-        near = best_t[window]
-        closer = t < near
-        np.copyto(near, t, where=closer)
-        np.copyto(labels[window], label, where=closer)
+    for cast, (rows, cols), label in (c for c in casts if c[1] is not None):
+        step = max(1, (1 << 15) // (cols.stop - cols.start))  # row blocks of 32k pixels keep temporaries in cache
+        for block in (slice(r, min(r + step, rows.stop)) for r in range(rows.start, rows.stop, step)):
+            t = cast(pose, xs[cols], ys[block])
+            near = best_t[block, cols]
+            closer = t < near
+            np.copyto(near, t, where=closer)
+            np.copyto(labels[block, cols], label, where=closer)
 
     return np.where(np.isfinite(best_t), best_t, 0.0), labels

@@ -90,9 +90,9 @@ class TestGenScenesBytes:
     """Pinned sha256 of whole `gen-scenes` trees, at 1 and 2 workers."""
 
     SHA256 = {
-        ("3", "160", "120"): "f87b1877ba46442a045a50610884101460404268a6093000d83ee15eeff70341",
-        ("1", "630", "476"): "70cd6356b03b6e6b82c76b08d2ff14a7baa2527f3044d5f4b8817e4010e22fca",
-        ("2", "630", "476"): "7e6144c687d6b60b1a3a60bbf143f4bc90b1691e2a15f50ad7cb8571b35c9dce",  # seed 51
+        ("3", "160", "120"): "afdf3d575a0ac990e4f1776e7b0f9296548a5e933a8883e3bfbf4ee71713cb6b",
+        ("1", "630", "476"): "6c205f68630a28c6fdfa5639d0bb080a1bac14edfd7c20042b4d8455aa0c7098",
+        ("2", "630", "476"): "51d59883f324aa1058f1222942dfdd7e2fd79dd1224c6635f6afde0760c07677",  # seed 51
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -115,7 +115,7 @@ class TestGenScenesBytes:
 class TestLoadedRasterBytes:
     """Pinned sha256 of what a loaded view serves, independent of how a bundle stores it."""
 
-    SHA256 = "894ce055e994bd7c02f3258733d540192b84b53e131c7bc15dd4b40b98a7cf48"
+    SHA256 = "adaa374bfcfca8e5b0b2d091ffd0170e59b96175623d383ace6c0cf3cf51d059"
 
     def test_loaded_view_sha256_pinned(self, tmp_path):
         from reconkit.oracle.bundle import load_bundle
@@ -599,7 +599,7 @@ class TestReportBytes:
         "--noise-scale", "0.01",
     ]
     SHA256 = {
-        "eval-pointmap": "01fc63bbe17ebf15356106f144c08c89a22689cba8a88a44dbf2ff5a01476b4d",
+        "eval-pointmap": "b1ac099ba2747aeeba91af9378d6f9359b3b37cdd37762ebc1a2af18956b4747",
         "eval-pose": "35e41e6e0306d95acf502c13f3d9b62687c7eb4faf3ccbb945da68db9e891b83",
     }
 
@@ -912,7 +912,7 @@ class TestComposePoints:
 class TestComposePointsBytes:
     """Pinned sha256 of noisy `compose-points` outputs for both views of one scene."""
 
-    SHA256 = "572d4b5ddddaf7e576c7faebf1d449d2df1b54657d8e4533065f502b1b66eb3c"
+    SHA256 = "69250084ff49e1512ca72a75f98e466939e34137eab238ee5ce35601ffad8236"
 
     def test_outputs_sha256_pinned(self, bundle_tree, tmp_path, monkeypatch):
         monkeypatch.chdir(bundle_tree)  # the report echoes the --bundle path
@@ -933,7 +933,7 @@ class TestZeroNoiseBytes:
     hold whatever random draws the mock makes.
     """
 
-    SHA256 = "adc2a7fe76ab05dd9d2e8a4cbe8064e9f5fd0e1ebf822414f9aa1b00523541fe"
+    SHA256 = "f95605248a2c903994b861c63f5d6fc0030ab3e84a5462dc3de1dab7feadeb8b"
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_outputs_sha256_pinned(self, bundle_tree, tmp_path, monkeypatch, workers):

@@ -1,14 +1,17 @@
 """Valid-pixel kernels, ray kernels and copy-free raster I/O against reference copies.
 
 Each `full_frame_*` function below is the full-frame form the kernel had
-before it was restricted to the pixels it keeps, and each `axis_*` function
-the form a ray kernel had before it worked on each x/y/z component
-separately (reductions over the length-3 axis, a boolean scatter into an
-inf-filled buffer).  The kernels must match them bit for bit (values and
-validity, compared with `tobytes()`), also for non-finite inputs, for which
-both run under `np.errstate(all="ignore")`.
+before it was restricted to the pixels it keeps.  The kernels must match
+them bit for bit (values and validity, compared with `tobytes()`), also for
+non-finite inputs, for which both run under `np.errstate(all="ignore")`.
+
+Each `scalar_*` function recomputes one ray kernel for a single pixel in
+plain Python floats (`math.sqrt`), in the kernel's order of operations.
+Every element a kernel returns, and every depth `render` returns, must equal
+that recomputation bit for bit.
 """
 
+import math
 import os
 import types
 
@@ -19,11 +22,13 @@ from hypothesis import strategies as st
 
 from reconkit.camera import CoordMap, DepthMap, PointMap, coords_from_intrinsics, unproject
 from reconkit.losses import NormalMap, normal_angles, normals_from_pointmap
-from reconkit.masks import LABEL_INVALID, MaskSet, binarize, compose_masked_points
+from reconkit.masks import (LABEL_BACKGROUND, LABEL_INVALID, LABEL_OBJECT, LABEL_ROBOT, MaskSet, binarize,
+                            compose_masked_points)
 from reconkit.oracle import raster
 from reconkit.oracle.bundle import random_scene_spec
 from reconkit.oracle.mock import NoiseModel
-from reconkit.oracle.scene import RAY_EPS, Box, CameraRanges, Capsule, Sphere, Table, chain_capsules, sample_camera
+from reconkit.oracle.scene import (RAY_EPS, Box, CameraRanges, Capsule, Sphere, Table, chain_capsules, render,
+                                   sample_camera)
 from reconkit.oracle.raster import DTYPE_TAGS, HEADER, MAGIC, TruncatedRasterError, read_raster, write_raster
 from reconkit.pipeline import evaluate_pointmap_scene
 from reconkit.transforms import RigidTransform, rotation_about_axis
@@ -85,80 +90,107 @@ def full_frame_compose(depth, coords, masks, threshold):
     return values, keep, labels
 
 
-def axis_sphere(sphere: Sphere, origin, dirs) -> np.ndarray:
-    oc = origin - sphere.center
-    a = np.sum(dirs * dirs, axis=-1)
-    b = 2.0 * (dirs @ oc)
-    c = oc @ oc - sphere.radius**2
-    disc = b * b - 4.0 * a * c
-    t = np.full(dirs.shape[:-1], np.inf)
-    hit = disc >= 0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    t1 = (-b - sq) / (2.0 * a)
-    t2 = (-b + sq) / (2.0 * a)
-    near = np.where(t1 > RAY_EPS, t1, np.where(t2 > RAY_EPS, t2, np.inf))
-    t[hit] = near[hit]
-    return t
+def scalar_frame(pose: RigidTransform, v, point=True) -> list:
+    """R^T (v - t) for a point, R^T v for a direction, each sum left to right."""
+    r, t = pose.rotation.tolist(), pose.translation.tolist()
+    q = [float(a) - b for a, b in zip(v, t)] if point else [float(a) for a in v]
+    return [(r[0][j] * q[0] + r[1][j] * q[1]) + r[2][j] * q[2] for j in range(3)]
 
 
-def axis_box(box: Box, origin, dirs) -> np.ndarray:
-    inv = box.pose.inverse()
-    o = inv.apply(origin)
-    d = dirs @ inv.rotation.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_d = 1.0 / d
-        t_lo = (-box.half_extents - o) * inv_d
-        t_hi = (box.half_extents - o) * inv_d
-    near = np.nanmax(np.minimum(t_lo, t_hi), axis=-1)
-    far = np.nanmin(np.maximum(t_lo, t_hi), axis=-1)
-    parallel_miss = np.any(
-        (np.abs(d) < 1e-15) & ((o < -box.half_extents) | (o > box.half_extents)),
-        axis=-1,
-    )
-    t = np.where(near > RAY_EPS, near, np.where(far > RAY_EPS, far, np.inf))
-    t[(far < near) | (far <= RAY_EPS) | parallel_miss] = np.inf
-    return t
+def scalar_dot(v, x, y) -> float:
+    return x * v[0] + (y * v[1] + v[2])
 
 
-def axis_capsule_body(capsule: Capsule, origin, dirs) -> np.ndarray:
-    axis = capsule.p1 - capsule.p0
-    length = np.linalg.norm(axis)
+def scalar_local(pose: RigidTransform, view: RigidTransform, x, y):
+    """The camera centre and the ray (x, y, 1) of `view` in the frame of pose."""
+    o = scalar_frame(pose, view.translation)
+    return o, [scalar_dot(scalar_frame(view, a, point=False), x, y) for a in pose.rotation.T.tolist()]
+
+
+def nan_or(f, a, b):
+    """np.minimum/np.maximum of two floats (for f = min/max): NaN if either is NaN."""
+    return math.nan if math.isnan(a) or math.isnan(b) else f(a, b)
+
+
+def skip_nan(f, a, b):
+    """np.fmin/np.fmax of two floats (for f = min/max): the other one where one is NaN."""
+    return b if math.isnan(a) else a if math.isnan(b) else f(a, b)
+
+
+def scalar_sphere(sphere: Sphere, view, x, y) -> float:
+    c = scalar_frame(view, sphere.center)
+    a = x * x + (y * y + 1.0)
+    b = scalar_dot(c, x, y)
+    disc = b * b - a * (((c[0] * c[0] + c[1] * c[1]) + c[2] * c[2]) - sphere.radius * sphere.radius)
+    if disc < 0:
+        return math.inf
+    sq = math.sqrt(disc)
+    return next((t for t in ((b - sq) / a, (b + sq) / a) if t > RAY_EPS), math.inf)
+
+
+def scalar_box(box: Box, view, x, y) -> float:
+    o, d = scalar_local(box.pose, view, x, y)
+    lo, hi, hit = [], [], True
+    for i, h in enumerate(box.half_extents.tolist()):
+        inv_d = 1.0 / d[i] if d[i] else math.copysign(math.inf, d[i])
+        t_lo, t_hi = (-h - o[i]) * inv_d, (h - o[i]) * inv_d
+        lo.append(nan_or(min, t_lo, t_hi))
+        hi.append(nan_or(max, t_lo, t_hi))
+        hit = hit and not (abs(o[i]) > h and abs(d[i]) < 1e-15)
+    near = skip_nan(max, skip_nan(max, lo[0], lo[1]), lo[2])
+    far = skip_nan(min, skip_nan(min, hi[0], hi[1]), hi[2])
+    if hit and far >= near and far > RAY_EPS:
+        return near if near > RAY_EPS else far
+    return math.inf
+
+
+def scalar_capsule_body(capsule: Capsule, view, x, y) -> float:
+    axis = [float(b) - a for a, b in zip(capsule.p0.tolist(), capsule.p1.tolist())]
+    length = math.sqrt((axis[0] * axis[0] + axis[1] * axis[1]) + axis[2] * axis[2])
     if length < 1e-12:
-        return np.full(dirs.shape[:-1], np.inf)
-    u = axis / length
-    oc = origin - capsule.p0
-    d_par = dirs @ u
-    oc_par = oc @ u
-    d_perp = dirs - d_par[..., None] * u
-    oc_perp = oc - oc_par * u
-    a = np.sum(d_perp * d_perp, axis=-1)
-    b = 2.0 * (d_perp @ oc_perp)
-    c = oc_perp @ oc_perp - capsule.radius**2
-    t = np.full(dirs.shape[:-1], np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        disc = b * b - 4.0 * a * c
-        ok = (disc >= 0) & (a > 1e-30)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        for t_cand in ((-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)):
-            s = oc_par + t_cand * d_par
-            good = ok & (t_cand > RAY_EPS) & (s >= 0) & (s <= length)
-            t = np.where(good & (t_cand < t), t_cand, t)
+        return math.inf
+    u = scalar_frame(view, [a / length for a in axis], point=False)
+    sign = math.copysign(1.0, u[2])
+    g = -1.0 / (sign + u[2])
+    h = u[0] * u[1] * g
+    axes = ((1.0 + sign * u[0] * u[0] * g, sign * h, -sign * u[0]), (h, sign + u[1] * u[1] * g, -u[1]), u)
+    p0 = scalar_frame(view, capsule.p0)
+    o = [-((p0[0] * e[0] + p0[1] * e[1]) + p0[2] * e[2]) for e in axes]
+    d0, d1, d_par = (scalar_dot(e, x, y) for e in axes)
+    a = d0 * d0 + d1 * d1
+    b = d0 * o[0] + d1 * o[1]
+    disc = b * b - a * ((o[0] * o[0] + o[1] * o[1]) - capsule.radius * capsule.radius)
+    if disc < 0 or a == 0:  # a ray along the axis: numpy's roots are NaN or infinite
+        return math.inf
+    sq = math.sqrt(disc)
+    t = math.inf
+    for t_cand in ((-b - sq) / a, (-b + sq) / a):
+        s = o[2] + t_cand * d_par
+        if t_cand > RAY_EPS and 0 <= s <= length and t_cand < t:
+            t = t_cand
     return t
 
 
-def axis_table(table: Table, origin, dirs) -> np.ndarray:
-    inv = table.pose.inverse()
-    o = inv.apply(origin)
-    d = dirs @ inv.rotation.T
-    dz = d[..., 2]
-    t = np.full(dirs.shape[:-1], np.inf)
-    hit = np.abs(dz) > 1e-15
-    t_hit = np.where(hit, -o[2] / np.where(hit, dz, 1.0), 0.0)
-    px = o[0] + t_hit * d[..., 0]
-    py = o[1] + t_hit * d[..., 1]
-    ok = hit & (t_hit > RAY_EPS) & (np.abs(px) <= table.half_extents[0]) & (np.abs(py) <= table.half_extents[1])
-    t[ok] = t_hit[ok]
-    return t
+def scalar_table(table: Table, view, x, y) -> float:
+    o, (dx, dy, dz) = scalar_local(table.pose, view, x, y)
+    if not abs(dz) > 1e-15:
+        return math.inf
+    t = -o[2] / dz
+    hx, hy = table.half_extents.tolist()
+    return t if t > RAY_EPS and abs(o[0] + t * dx) <= hx and abs(o[1] + t * dy) <= hy else math.inf
+
+
+SCALAR_KERNELS = {Sphere: scalar_sphere, Box: scalar_box, Table: scalar_table}
+
+
+def scalar_casts(spec) -> list:
+    """(kernel, scalar kernel, surface, label) of each cast `render` makes of spec, in its order."""
+    casts = [(s.cast, SCALAR_KERNELS[type(s)], s, label) for s, label in
+             [(spec.table, LABEL_BACKGROUND)] + [(p, LABEL_OBJECT) for p in spec.primitives]]
+    for capsule in chain_capsules(spec):
+        casts.append((capsule.cast_body, scalar_capsule_body, capsule, LABEL_ROBOT))
+        casts += [(end.cast, scalar_sphere, end, LABEL_ROBOT) for end in capsule.ends()]
+    return casts
 
 
 def copying_write_raster(path, array):
@@ -423,26 +455,27 @@ class TestBinarizeCompose:
 # ---------------------------------------------------------------------------
 
 
-def assert_casts_match(surfaces, origin, dirs):
-    """Each cast `render` makes of these surfaces (a capsule's body and end spheres apart) against its reference copy."""
-    casts = []
-    for s in surfaces:
-        if isinstance(s, Capsule):
-            casts += [(s, Capsule.intersect_body, axis_capsule_body)]
-            casts += [(end, Sphere.intersect, axis_sphere) for end in s.ends()]
-        else:
-            casts.append((s, type(s).intersect, {Sphere: axis_sphere, Box: axis_box, Table: axis_table}[type(s)]))
-    for s, kernel, reference in casts:
-        assert same_bits(outcome(kernel, s, origin, dirs), outcome(reference, s, origin, dirs))
+def assert_kernel_matches_scalar(kernel, scalar, surface, view, x, y) -> np.ndarray:
+    """kernel(view, x, y) for a row x and a column y, each element against the scalar kernel."""
+    t = outcome(kernel, view, x, y)
+    assert t.shape == (y.shape[0], x.shape[0])
+    for (i, j), got in np.ndenumerate(t):
+        assert got.tobytes() == np.float64(scalar(surface, view, float(x[j]), float(y[i, 0]))).tobytes()
+    return t
 
 
 def drawn_pose(rng, aligned) -> RigidTransform:
-    rot = np.eye(3) if aligned else rotation_about_axis(rng.standard_normal(3), rng.uniform(-np.pi, np.pi))
+    """A random pose; an `aligned` one's rotation is a signed permutation, so rays keep their zero components."""
+    if aligned:
+        rot = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], (3, 1))
+        rot[0] *= np.sign(np.linalg.det(rot))
+    else:
+        rot = rotation_about_axis(rng.standard_normal(3), rng.uniform(-np.pi, np.pi))
     return RigidTransform(rot, rng.uniform(-1.0, 1.0, 3))
 
 
 def drawn_surfaces(rng, aligned) -> list:
-    """One surface of each kind near the origin; `aligned` ones have no rotation."""
+    """One surface of each kind near the origin."""
     return [
         Sphere(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.1, 1.0)),
         Box(drawn_pose(rng, aligned), rng.uniform(0.1, 1.0, 3)),
@@ -451,9 +484,25 @@ def drawn_surfaces(rng, aligned) -> list:
     ]
 
 
-def drawn_window(rng, h, w):
-    r0, c0 = rng.integers(0, h), rng.integers(0, w)
-    return slice(r0, rng.integers(r0 + 1, h + 1)), slice(c0, rng.integers(c0 + 1, w + 1))
+def drawn_coords(rng, n, p_zero) -> np.ndarray:
+    """n normalized pixel coordinates, some zero (some -0.0) or tiny."""
+    v = rng.standard_normal(n)
+    zero = rng.random(n) < p_zero
+    v[zero] = rng.choice([0.0, -0.0, 1e-16, -1e-16], size=zero.sum())
+    return v
+
+
+def hit_rows(t) -> list:
+    return ["".join("1" if np.isfinite(v) else "0" for v in row) for row in t]
+
+
+def sideways(sign) -> np.ndarray:
+    """The rotation of a camera whose rays (x, y, 1) are (1, sign x, sign y) in the world."""
+    return np.array([[0.0, 0.0, 1.0], [sign, 0.0, 0.0], [0.0, sign, 0.0]])
+
+
+# the rotation of a camera whose rays (x, y, 1) are (x, 1, -y) in the world
+ALONG_Y = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 class TestRayKernels:
@@ -461,76 +510,108 @@ class TestRayKernels:
     @given(seed=st.integers(0, 2**32 - 1), width=st.integers(1, 60), height=st.integers(1, 45),
            near=st.booleans())
     def test_scene_casts_match_reference(self, seed, width, height, near):
-        """Every surface of a drawn scene, over a drawn window of a drawn camera's rays."""
+        """Sampled pixels of a drawn scene and camera, half of them on the robot or an object."""
         rng = np.random.default_rng(seed)
         spec = random_scene_spec(seed, views=1, width=width, height=height)
         ranges = CameraRanges(radius=(0.05, 0.5)) if near else spec.camera
         k, pose = sample_camera(spec.workspace_center, rng, ranges, width, height)
+        depth, labels = render(spec, k, pose)
         coords = coords_from_intrinsics(k).values
-        dirs = np.concatenate([coords, np.ones((height, width, 1))], axis=-1) @ pose.rotation.T
-        surfaces = [spec.table, *spec.primitives, *chain_capsules(spec)]
-        assert_casts_match(surfaces, pose.translation, dirs[drawn_window(rng, height, width)])
+        parts = np.flatnonzero((labels == LABEL_ROBOT) | (labels == LABEL_OBJECT))
+        picks = rng.choice(width * height, 40)
+        if parts.size:
+            picks = np.concatenate([picks, rng.choice(parts, 40)])
+        casts = scalar_casts(spec)
+        for v, u in zip(*np.unravel_index(picks, (height, width))):
+            x, y = coords[v, u].tolist()
+            t, label = math.inf, 0
+            for _, scalar, surface, part in casts:
+                t_part = scalar(surface, pose, x, y)
+                if t_part < t:
+                    t, label = t_part, part
+            assert depth[v, u].tobytes() == np.float64(t if t < math.inf else 0.0).tobytes()
+            assert labels[v, u] == label
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 20), w=st.integers(1, 20),
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 12), w=st.integers(1, 12),
            aligned=st.booleans(), p_zero=st.sampled_from([0.0, 0.3, 0.6]))
     def test_drawn_rays_match_reference(self, seed, h, w, aligned, p_zero):
-        """Random origins and directions with zero (some negative) or tiny components."""
+        """Random cameras and pixel coordinates with zero (some negative) or tiny components."""
         rng = np.random.default_rng(seed)
-        dirs = rng.standard_normal((h, w, 3))
-        zero = rng.random((h, w, 3)) < p_zero
-        dirs[zero] = rng.choice([0.0, -0.0, 1e-16, -1e-16], size=zero.sum())
-        dirs[np.all(dirs == 0, axis=-1)] = (0.0, 0.0, 1.0)
-        origin = rng.uniform(-2.0, 2.0, 3)
-        assert_casts_match(drawn_surfaces(rng, aligned), origin, dirs[drawn_window(rng, h, w)])
+        view = drawn_pose(rng, aligned)
+        x, y = drawn_coords(rng, w, p_zero), drawn_coords(rng, h, p_zero)[:, None]
+        for surface in drawn_surfaces(rng, aligned):
+            if isinstance(surface, Capsule):
+                assert_kernel_matches_scalar(surface.cast_body, scalar_capsule_body, surface, view, x, y)
+            else:
+                assert_kernel_matches_scalar(surface.cast, SCALAR_KERNELS[type(surface)], surface, view, x, y)
 
-    # one direction per pixel of a 1x5 grid: x, y (as -0.0), z, no component zero, x and y zero and z tiny
-    ZERO_COMPONENTS = np.array(
-        [[[0.0, 0.1, 1.0], [-0.1, -0.0, 1.0], [1.0, 0.05, 0.0], [-0.1, 0.05, 1.0], [0.0, 0.0, 1e-16]]]
-    )
+    def test_scene_kernels_match_scalar_reference(self):
+        """Every cast of a 64x48 scene, over the whole frame."""
+        spec = random_scene_spec(4, views=1, width=64, height=48)
+        k, pose = sample_camera(spec.workspace_center, np.random.default_rng(4), spec.camera, 64, 48)
+        coords = coords_from_intrinsics(k).values
+        hit = set()
+        for kernel, scalar, surface, label in scalar_casts(spec):
+            t = assert_kernel_matches_scalar(kernel, scalar, surface, pose, coords[0, :, 0], coords[:, :1, 1])
+            if np.isfinite(t).any():
+                hit.add(label)
+        assert hit == {LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT}
+
+    # one row of x: zero, -0.0, no component zero, tiny; and y: 0.05, then zero
+    XS, YS = np.array([0.0, -0.0, -0.1, -1e-16]), np.array([[0.05], [0.0]])
 
     @pytest.mark.parametrize(
         "origin,hits",
         [
-            ((0.5, 0.0, -5.0), [True, True, False, True, False]),  # inside the x and y slabs
-            ((3.0, 0.0, -5.0), [False, False, False, False, False]),  # outside the x slab
-            ((0.0, -3.0, -5.0), [False, False, False, False, False]),  # outside the y slab
-            ((-3.0, -0.2, 0.0), [False, False, True, False, False]),  # inside the z slab only
-            ((1.0, 0.0, -5.0), [True, True, False, True, False]),  # on an x face: 0 * inf is NaN
+            # each origin seen by a camera whose rays are (x, y, 1) in the world, then by one whose rays are (1, x, y)
+            ((0.5, 0.0, -5.0), (["1111", "1111"], ["0000", "0000"])),  # inside the x and y slabs
+            ((1.3, 0.0, -5.0), (["0010", "0010"], ["0000", "0000"])),  # outside the x slab
+            ((0.0, -3.0, -5.0), (["0000", "0000"], ["0000", "0000"])),  # outside the y slab
+            ((-3.0, -0.2, 1.0), (["0000", "0000"], ["0000", "1111"])),  # on a z face: 0 * inf is NaN
+            ((1.0, 0.0, -5.0), (["1111", "1111"], ["0000", "0000"])),  # on an x face
+            ((1.0 + 2**-52, 0.0, -5.0), (["0010", "0010"], ["0000", "0000"])),  # a tiny x toward the face is parallel
         ],
     )
     def test_box_zero_component(self, origin, hits):
         box = Box(RigidTransform.identity(), [1.0, 1.0, 1.0])
-        t = box.intersect(np.array(origin), self.ZERO_COMPONENTS)
-        assert same_bits(t, axis_box(box, np.array(origin), self.ZERO_COMPONENTS))
-        assert list(np.isfinite(t[0])) == hits
+        for rotation, rows in zip((np.eye(3), sideways(1.0)), hits):
+            view = RigidTransform(rotation, origin)
+            t = assert_kernel_matches_scalar(box.cast, scalar_box, box, view, self.XS, self.YS)
+            assert hit_rows(t) == rows
 
     @pytest.mark.parametrize(
         "height,sign,hits",
         [
-            (1.0, 1.0, [False, False, False, False, False]),  # every ray points up or along the plane
-            (1.0, -1.0, [True, True, False, True, False]),
-            (0.0, -1.0, [False, False, False, False, False]),  # the origin in the plane: t = 0
+            (1.0, 1.0, ["0000", "0000"]),  # every ray points up or along the plane
+            (1.0, -1.0, ["1101", "0000"]),  # x = -0.1 lands 2 m to the side; y = 0 runs along the plane
+            (0.0, -1.0, ["0000", "0000"]),  # the origin in the plane: t = 0
         ],
     )
     def test_table_parallel_ray(self, height, sign, hits):
+        """A 2 x 2 m table seen from 20 m away along x, at the given height."""
         table = Table(RigidTransform.identity(), [1.0, 1.0])
-        origin, dirs = np.array([0.0, 0.0, height]), sign * self.ZERO_COMPONENTS
-        t = table.intersect(origin, dirs)
-        assert same_bits(t, axis_table(table, origin, dirs))
-        assert list(np.isfinite(t[0])) == hits
+        view = RigidTransform(sideways(sign), [-20.0, 0.0, height])
+        t = assert_kernel_matches_scalar(table.cast, scalar_table, table, view, self.XS, self.YS)
+        assert hit_rows(t) == hits
+
+    def test_table_ray_within_1e15_of_parallel(self):
+        """From 1e-16 m above a table's plane, a ray at slope 1e-16 would meet it 1 m away, and is parallel."""
+        table = Table(RigidTransform.identity(), [1.0, 1.0])
+        view = RigidTransform(sideways(-1.0), [-1.0, 0.0, 1e-16])
+        x, y = np.zeros(1), np.array([[1e-16], [1e-14]])
+        t = assert_kernel_matches_scalar(table.cast, scalar_table, table, view, x, y)
+        assert hit_rows(t) == ["0", "1"]
 
     def test_tangent_rays(self):
         """disc == 0 exactly: the sphere and the cylinder are grazed at one point."""
-        dirs = np.array([[[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]])
+        x, y = np.zeros(1), np.zeros((1, 1))
         sphere = Sphere([0.0, 0.0, 5.0], 1.0)
-        origin = np.array([1.0, 0.0, 0.0])
-        t = sphere.intersect(origin, dirs)
-        assert same_bits(t, axis_sphere(sphere, origin, dirs)) and t[0, 0] == 5.0
+        view = RigidTransform(np.eye(3), [1.0, 0.0, 0.0])
+        assert assert_kernel_matches_scalar(sphere.cast, scalar_sphere, sphere, view, x, y)[0, 0] == 5.0
         capsule = Capsule([0.0, 0.0, 0.0], [0.0, 0.0, 10.0], 1.0)
-        origin = np.array([1.0, -5.0, 5.0])
-        t = capsule.intersect_body(origin, dirs)
-        assert same_bits(t, axis_capsule_body(capsule, origin, dirs)) and t[0, 1] == 5.0
+        view = RigidTransform(ALONG_Y, [1.0, -5.0, 5.0])
+        assert assert_kernel_matches_scalar(capsule.cast_body, scalar_capsule_body, capsule, view, x, y)[0, 0] == 5.0
 
 
 class TestRasterIO:

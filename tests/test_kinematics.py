@@ -148,3 +148,20 @@ class TestChainFile:
     def test_axis_must_be_unit(self):
         with pytest.raises(ValueError, match="unit"):
             Joint("revolute", np.array([0.0, 0.0, 2.0]), RigidTransform.identity())
+
+    @pytest.mark.parametrize(
+        "axis,offset,error,message",
+        [
+            ([0.0, float("nan"), 1.0], [0.0, 0.0, 0.0], ValueError, "joint axis must be finite, got nan"),
+            ([0.0, 0.0, True], [0.0, 0.0, 0.0], TypeError, "joint axis: expected a number, got True"),
+            ([0.0, 0.0, 1.0], [0.0, float("inf"), 0.0], ValueError, "keypoint offset must be finite, got inf"),
+            ([0.0, 0.0, 1.0], [True, 0.0, 0.0], TypeError, "keypoint offset: expected a number, got True"),
+        ],
+    )
+    def test_axis_and_offset_entries_checked(self, axis, offset, error, message):
+        data = {
+            "joints": [{"type": "revolute", "axis": axis, "origin": np.eye(4).tolist()}],
+            "keypoints": [{"link": 1, "offset": offset}],
+        }
+        with pytest.raises(error, match=message):
+            chain_from_dict(data, "arm")
