@@ -402,12 +402,10 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     best_t = np.full((k.height, k.width), np.inf)
     labels = np.zeros((k.height, k.width), dtype=np.uint8)
     for cast, (rows, cols), label in (c for c in casts if c[1] is not None):
-        step = max(1, (1 << 15) // (cols.stop - cols.start))  # row blocks of 32k pixels keep temporaries in cache
-        for block in (slice(r, min(r + step, rows.stop)) for r in range(rows.start, rows.stop, step)):
-            t = cast(pose, xs[cols], ys[block])
-            near = best_t[block, cols]
-            closer = t < near
-            np.copyto(near, t, where=closer)
-            np.copyto(labels[block, cols], label, where=closer)
+        t = cast(pose, xs[cols], ys[rows])
+        near = best_t[rows, cols]
+        closer = t < near
+        np.copyto(near, t, where=closer)
+        np.copyto(labels[rows, cols], label, where=closer)
 
     return np.where(np.isfinite(best_t), best_t, 0.0), labels

@@ -464,14 +464,15 @@ def assert_kernel_matches_scalar(kernel, scalar, surface, view, x, y) -> np.ndar
     return t
 
 
-def drawn_pose(rng, aligned) -> RigidTransform:
-    """A random pose; an `aligned` one's rotation is a signed permutation, so rays keep their zero components."""
+def drawn_pose(rng, aligned, span=1.0) -> RigidTransform:
+    """A random pose within span of the origin; an `aligned` one's rotation is a signed permutation,
+    so rays keep their zero components."""
     if aligned:
         rot = np.eye(3)[rng.permutation(3)] * rng.choice([-1.0, 1.0], (3, 1))
         rot[0] *= np.sign(np.linalg.det(rot))
     else:
         rot = rotation_about_axis(rng.standard_normal(3), rng.uniform(-np.pi, np.pi))
-    return RigidTransform(rot, rng.uniform(-1.0, 1.0, 3))
+    return RigidTransform(rot, rng.uniform(-span, span, 3))
 
 
 def drawn_surfaces(rng, aligned) -> list:
@@ -490,6 +491,11 @@ def drawn_coords(rng, n, p_zero) -> np.ndarray:
     zero = rng.random(n) < p_zero
     v[zero] = rng.choice([0.0, -0.0, 1e-16, -1e-16], size=zero.sum())
     return v
+
+
+def drawn_window(rng, h, w):
+    r0, c0 = rng.integers(0, h), rng.integers(0, w)
+    return slice(r0, rng.integers(r0 + 1, h + 1)), slice(c0, rng.integers(c0 + 1, w + 1))
 
 
 def hit_rows(t) -> list:
@@ -533,13 +539,14 @@ class TestRayKernels:
             assert labels[v, u] == label
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 12), w=st.integers(1, 12),
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 20), w=st.integers(1, 20),
            aligned=st.booleans(), p_zero=st.sampled_from([0.0, 0.3, 0.6]))
     def test_drawn_rays_match_reference(self, seed, h, w, aligned, p_zero):
-        """Random cameras and pixel coordinates with zero (some negative) or tiny components."""
+        """Random cameras and pixel coordinates with zero (some negative) or tiny components, over a drawn window."""
         rng = np.random.default_rng(seed)
-        view = drawn_pose(rng, aligned)
-        x, y = drawn_coords(rng, w, p_zero), drawn_coords(rng, h, p_zero)[:, None]
+        view = drawn_pose(rng, aligned, span=2.0)
+        rows, cols = drawn_window(rng, h, w)
+        x, y = drawn_coords(rng, w, p_zero)[cols], drawn_coords(rng, h, p_zero)[:, None][rows]
         for surface in drawn_surfaces(rng, aligned):
             if isinstance(surface, Capsule):
                 assert_kernel_matches_scalar(surface.cast_body, scalar_capsule_body, surface, view, x, y)

@@ -312,15 +312,6 @@ class TestCulledRender:
         k, pose = sample_camera(spec.workspace_center, np.random.default_rng(seed), ranges, width, height)
         assert_matches_full_frame(spec, k, pose)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_full_frame_at_default_size(self, seed):
-        """At 630x476 the table's window spans several of `render`'s row blocks."""
-        spec = random_scene_spec(seed, views=1)
-        rng = np.random.default_rng(seed)
-        k, pose = sample_camera(spec.workspace_center, rng, spec.camera, spec.width, spec.height)
-        assert window_area(_table_window(spec.table, k, pose)) > 2 * (1 << 15)
-        assert_matches_full_frame(spec, k, pose)
-
     def test_camera_inside_capsule_bound_uses_whole_frame(self):
         spec = minimal_spec([], fixed_camera_ranges(), width=64, height=48)
         cap = max(chain_capsules(spec), key=lambda c: np.linalg.norm(c.p1 - c.p0))
