@@ -40,6 +40,23 @@ def check_number(name: str, value, ok=lambda v: True, must: str = "finite", inte
     return value
 
 
+def check_array(name: str, value, shape: tuple, ok=lambda v: True, must: str = "finite") -> np.ndarray:
+    """value (nested sequences, as JSON gives them) as a float array, if it has exactly `shape` and every entry
+    passes check_number(name, entry, ok, must); each entry is checked as given, before numpy reads a bool as 1.0.
+
+    Otherwise a ValueError (wrong nesting or length) or check_number's error, each naming `name`.
+    """
+
+    def entries(v, dims):
+        if not dims:
+            return [check_number(name, v, ok, must)]
+        if not isinstance(v, (list, tuple, np.ndarray)) or len(v) != dims[0]:
+            raise ValueError(f"{name}: expected shape {shape}, got {v!r}")
+        return [e for item in v for e in entries(item, dims[1:])]
+
+    return np.array(entries(value, shape), dtype=float).reshape(shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Intrinsics:
     fx: float

@@ -256,6 +256,7 @@ def _check_input(arr, shape):
 def cmd_solve_pnp(args) -> int:
     with _bundle_errors():
         bundle = load_bundle(args.bundle)
+        bundle.keypoints_2d  # derived on first read, where a keypoint behind a camera fails
     i = _check_view(args, bundle)
     view = bundle.views[i]
     if args.keypoints:

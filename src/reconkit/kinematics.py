@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import check_number
+from .camera import check_array, check_number
 from .transforms import RigidTransform, rotation_about_axis
 
 JOINT_TYPES = ("revolute", "prismatic")
@@ -53,7 +53,7 @@ class Joint:
     def __post_init__(self):
         if self.type not in JOINT_TYPES:
             raise ValueError(f"unknown joint type {self.type!r}")
-        a = np.asarray([check_number("joint axis", v) for v in self.axis], dtype=float).reshape(3)
+        a = check_array("joint axis", self.axis, (3,))
         n = np.linalg.norm(a)
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"joint axis must be unit length, |axis| = {n}")
@@ -107,9 +107,7 @@ class KeypointSpec:
 
     def __post_init__(self):
         links = np.asarray([check_number("keypoint link", v, integer=True) for v in self.links], dtype=int)
-        offsets = np.array([[check_number("keypoint offset", v) for v in o] for o in self.offsets], float).reshape(-1, 3)
-        if links.shape[0] != offsets.shape[0]:
-            raise ValueError("keypoint links and offsets differ in length")
+        offsets = check_array("keypoint offset", self.offsets, (len(links), 3))
         object.__setattr__(self, "links", links)
         object.__setattr__(self, "offsets", offsets)
 
@@ -154,7 +152,7 @@ def chain_from_dict(data: dict, default_name: str) -> tuple[KinematicChain, Keyp
             Joint(
                 type=j["type"],
                 axis=j["axis"],
-                origin=RigidTransform.from_matrix(np.asarray(j["origin"], dtype=float)),
+                origin=RigidTransform.from_matrix(j["origin"], "joint origin"),
                 limits=tuple(j["limits"]) if j.get("limits") is not None else None,
             )
         )

@@ -1,16 +1,19 @@
 """Ground-truth scene bundles: generation, on-disk layout, validation.
 
-A bundle (format 2) is one directory:
+A bundle (format 3) is one directory:
 
-    meta.json             all poses (4x4 row-major), intrinsics, keypoints,
-                          similarity {scale, matrix}, joint state, scene echo
+    meta.json             view poses (4x4 row-major) and intrinsics, joint
+                          state, scene echo
     chain.json            kinematic chain + keypoint spec
     view_{i}_depth.r3rb   float64 depth raster, 0 at holes
     view_{i}_labels.r3rb  uint8 part labels (masks.LABEL_*, 0 at holes)
 
-Validity (depth > 0), coords (from the intrinsics) and mask planes (one-hot
-labels) are not stored; ViewRecord derives them on one path for generated
-and loaded views.  save/load is a lossless bit-exact round trip.
+Nothing derivable is stored but the scene echo's view count and image size,
+which load_bundle checks against the views.  ViewRecord derives validity
+(depth > 0), coords (from the intrinsics) and mask planes (one-hot labels),
+and SceneBundle the keypoints (forward kinematics of the chain at the joint
+state, and their projections) and the similarity, on one path for generated
+and loaded bundles.  save/load is a lossless bit-exact round trip.
 load_bundle checks both JSON files and every raster's header, size, shape
 and (labels: uint8) dtype up front, so a missing or malformed file or key,
 a value of the wrong type or form, or a wrong shape or dtype fails at load
@@ -51,12 +54,11 @@ from .scene import (
     SceneSpec,
     Sphere,
     Table,
-    chain_capsules,
     render,
     sample_camera,
 )
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 META_NAME = "meta.json"
 CHAIN_NAME = "chain.json"
 RASTER_KEYS = ("depth", "labels")  # each view's HxW rasters, view_{i}_{key}.r3rb
@@ -75,7 +77,7 @@ class VersionMismatchError(BundleError):
 
 
 class ShapeMismatchError(BundleError):
-    """A raster or keypoint array whose shape disagrees with the metadata."""
+    """A raster, or the scene echo, whose shape disagrees with the views."""
 
 
 class MalformedMetadataError(BundleError):
@@ -123,15 +125,41 @@ class ViewRecord:
 
 @dataclass(frozen=True, eq=False)
 class SceneBundle:
+    """A scene's views, spec and seed; everything else is derived from them on first access."""
+
     views: tuple
-    similarity: Similarity
-    keypoints_3d: np.ndarray
-    keypoints_2d: np.ndarray
     spec: SceneSpec
     seed: int
 
     def __post_init__(self):
         object.__setattr__(self, "views", tuple(self.views))
+
+    @cached_property
+    def keypoints_3d(self) -> np.ndarray:
+        """(N_kp, 3) base-frame keypoints: forward kinematics of the chain at the joint state."""
+        return keypoints_3d(self.spec.chain, self.spec.joint_state, self.spec.keypoints)
+
+    @cached_property
+    def keypoints_2d(self) -> np.ndarray:
+        """(views, N_kp, 2) projections of keypoints_3d into each view.
+
+        A keypoint at or behind a view's camera, where its projection is
+        undefined, is a BundleError naming the view.
+        """
+        out = []
+        for i, view in enumerate(self.views):
+            kp_cam = view.pose_world.inverse().apply(self.keypoints_3d)
+            behind = np.flatnonzero(kp_cam[:, 2] <= 0)
+            if behind.size:
+                k = behind[0]
+                raise BundleError(f"view {i}: keypoint {k} is at or behind the camera (depth {kp_cam[k, 2]:.3g})")
+            out.append(project(kp_cam, view.intrinsics))
+        return np.stack(out)
+
+    @cached_property
+    def similarity(self) -> Similarity:
+        """Camera 0 -> robot base at unit scale: canonicalizes geometry registered into view 0's frame."""
+        return Similarity(1.0, self.views[0].pose_world)
 
     @cached_property
     def rel_poses(self) -> tuple:
@@ -233,7 +261,7 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
     """Render all views of a scene; pure function of (spec, seed).
 
     Cameras are resampled (deterministically) preferring poses that project
-    every keypoint inside the image with a small margin, so stored 2D
+    every keypoint inside the image with a small margin, so the 2D
     projections are well defined and heatmaps decode cleanly; a camera with
     all keypoints merely in front is the fallback.
     """
@@ -243,8 +271,6 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
     margin_v = 0.05 * spec.height
 
     views = []
-    kp2d = []
-    sim = None
     for _ in range(spec.views):
         fallback = None
         chosen = None
@@ -269,21 +295,10 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
         if chosen is None:
             raise BundleError(f"could not find a camera seeing all keypoints (seed {seed})")
         intr, pose = chosen
-        kp_cam = pose.inverse().apply(kp3d)
         depth, labels = render(spec, intr, pose)
         views.append(ViewRecord(intr, pose, rasters={"depth": depth, "labels": labels}))
-        kp2d.append(project(kp_cam, intr))
-        if sim is None:
-            sim = Similarity(1.0, pose)
 
-    return SceneBundle(
-        views=tuple(views),
-        similarity=sim,
-        keypoints_3d=kp3d,
-        keypoints_2d=np.stack(kp2d),
-        spec=spec,
-        seed=int(seed),
-    )
+    return SceneBundle(views=tuple(views), spec=spec, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +332,7 @@ def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_stat
             raise ValueError(f"unknown primitive type {p['type']!r}")
     return SceneSpec(
         table=Table(
-            pose=RigidTransform.from_matrix(np.array(d["table"]["pose"])),
+            pose=RigidTransform.from_matrix(d["table"]["pose"], "table pose"),
             half_extents=d["table"]["half_extents"],
         ),
         primitives=[PRIMITIVE_TYPES[p["type"]](p) for p in d["primitives"]],
@@ -357,12 +372,6 @@ def save_bundle(path, bundle: SceneBundle):
         "seed": bundle.seed,
         "chain_file": CHAIN_NAME,
         "joint_state": bundle.spec.joint_state.tolist(),
-        "similarity": {
-            "scale": bundle.similarity.scale,
-            "matrix": bundle.similarity.rigid.matrix().tolist(),
-        },
-        "keypoints_3d": bundle.keypoints_3d.tolist(),
-        "keypoints_2d": bundle.keypoints_2d.tolist(),
         "views": view_entries,
         "scene": _spec_to_dict(bundle.spec),
     }
@@ -408,15 +417,6 @@ def _check_shape(name, shape, expected):
         raise ShapeMismatchError(f"{name}: shape {shape}, expected {expected}")
 
 
-def _keypoints(meta, meta_path, key, shape) -> np.ndarray:
-    """meta[key] as a finite float array of the given shape."""
-    arr = np.array(meta[key], dtype=float)
-    _check_shape(f"{meta_path}: {key}", arr.shape, shape)
-    if not np.all(np.isfinite(arr)):
-        raise MalformedMetadataError(f"{meta_path}: {key} holds non-finite values")
-    return arr
-
-
 def _check_raster(path, key, shape, dtype, grid):
     """A view raster's header: the intrinsics' HxW, and uint8 for the labels."""
     _check_shape(path, shape, grid)
@@ -440,7 +440,7 @@ class _RasterFiles:
 
 
 def load_bundle(path) -> SceneBundle:
-    """Read a bundle's metadata, checking its keys and every raster and keypoint shape.
+    """Read a bundle's metadata, checking its keys, every value and every raster's shape.
 
     Raster payloads are read on first access of a view's depth, labels,
     coords or masks (see the module docstring).
@@ -460,9 +460,8 @@ def load_bundle(path) -> SceneBundle:
             raise ValueError(f"chain_file {meta['chain_file']!r} holds a NUL byte")
         with _parsing(chain_path):
             chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
-        joint_state = np.array(meta["joint_state"], dtype=float)
         try:
-            spec = _spec_from_dict(meta["scene"], chain, kp_spec, joint_state)
+            spec = _spec_from_dict(meta["scene"], chain, kp_spec, meta["joint_state"])
         except JointLimitError as exc:  # the joint state, or the limits chain.json gives
             raise MalformedMetadataError(f"{meta_path}: {exc} of {chain_path}") from None
 
@@ -477,23 +476,10 @@ def load_bundle(path) -> SceneBundle:
                 _check_raster(path / files[key], key, *raster_header(path / files[key]), grid)
             echo = (spec.views, spec.height, spec.width)  # the scene echo repeats what the views store
             _check_shape(f"{meta_path}: scene echo (views, height, width)", echo, (len(meta["views"]), *grid))
-            pose = RigidTransform.from_matrix(np.array(entry["pose_world"]))
+            pose = RigidTransform.from_matrix(entry["pose_world"], "pose_world")
             views.append(ViewRecord(intrinsics, pose, rasters=_RasterFiles(path, files, grid)))
-
-        shapes = {"keypoints_3d": (len(kp_spec), 3), "keypoints_2d": (len(views), len(kp_spec), 2)}
-        kp3d, kp2d = (_keypoints(meta, meta_path, key, shape) for key, shape in shapes.items())
         seed = check_number("seed", meta["seed"], lambda v: v >= 0, "a non-negative integer", integer=True)
-        return SceneBundle(
-            views=tuple(views),
-            similarity=Similarity(
-                meta["similarity"]["scale"],
-                RigidTransform.from_matrix(np.array(meta["similarity"]["matrix"])),
-            ),
-            keypoints_3d=kp3d,
-            keypoints_2d=kp2d,
-            spec=spec,
-            seed=seed,
-        )
+        return SceneBundle(views=tuple(views), spec=spec, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +490,7 @@ def load_bundle(path) -> SceneBundle:
 def surface_distances(spec: SceneSpec, pts: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Distance of each labeled point to its part's nearest analytic surface."""
     out = np.full(pts.shape[0], np.inf)
-    parts = {LABEL_BACKGROUND: [spec.table], LABEL_OBJECT: spec.primitives, LABEL_ROBOT: chain_capsules(spec)}
+    parts = {LABEL_BACKGROUND: [spec.table], LABEL_OBJECT: spec.primitives, LABEL_ROBOT: spec.capsules}
     for label, prims in parts.items():
         sel = labels == label
         if np.any(sel):
@@ -518,24 +504,17 @@ def surface_distances(spec: SceneSpec, pts: np.ndarray, labels: np.ndarray) -> n
 def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
     """Max distance of unprojected + pose-transformed pixels to the scene surfaces.
 
-    Raises BundleError when the internal-consistency invariant is violated.
-    Also checks that stored 2D keypoints re-project from the stored 3D
-    keypoints and poses; a keypoint at or behind a view's camera is a
-    BundleError naming the view.
+    Raises BundleError when the internal-consistency invariant is violated,
+    or when a keypoint is at or behind a view's camera (see keypoints_2d).
     """
     check_number("tol", tol, lambda v: v >= 0, "finite and >= 0")
+    bundle.keypoints_2d  # derived on first read, where a keypoint behind a camera fails
     worst = 0.0
     for i, view in enumerate(bundle.views):
         pm = unproject(view.coords, view.depth)
         world = view.pose_world.apply(pm.values[pm.valid])
         d = surface_distances(bundle.spec, world, view.labels[pm.valid])
-        kp_cam = view.pose_world.inverse().apply(bundle.keypoints_3d)
-        behind = np.flatnonzero(kp_cam[:, 2] <= 0)
-        if behind.size:
-            k = behind[0]
-            raise BundleError(f"view {i}: keypoint {k} is at or behind the camera (depth {kp_cam[k, 2]:.3g})")
-        kp_err = np.abs(project(kp_cam, view.intrinsics) - bundle.keypoints_2d[i]).max()
-        deviation = float(np.max([d.max(initial=0.0), kp_err]))  # a NaN, which Python's max would drop, stays
+        deviation = float(d.max(initial=0.0))  # a NaN, which Python's max would drop, stays
         if not np.isfinite(deviation):
             raise BundleError(f"view {i}: deviation {deviation} from the analytic scene is not finite")
         worst = max(worst, deviation)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from ..camera import POSITIVE, Intrinsics, check_number, project
+from ..camera import POSITIVE, Intrinsics, check_array, check_number, project
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
@@ -59,8 +60,7 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        center = [check_number("sphere center", v) for v in self.center]
-        object.__setattr__(self, "center", np.asarray(center, dtype=float).reshape(3))
+        object.__setattr__(self, "center", check_array("sphere center", self.center, (3,)))
         check_number("sphere radius", self.radius, *POSITIVE)
 
     def to_dict(self) -> dict:
@@ -88,8 +88,7 @@ class Box:
     half_extents: np.ndarray
 
     def __post_init__(self):
-        he = [check_number("box half extents", v, *POSITIVE) for v in self.half_extents]
-        object.__setattr__(self, "half_extents", np.asarray(he, dtype=float).reshape(3))
+        object.__setattr__(self, "half_extents", check_array("box half extents", self.half_extents, (3,), *POSITIVE))
 
     def to_dict(self) -> dict:
         return {"type": "box", "pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
@@ -123,7 +122,7 @@ class Box:
 # meta.json primitive "type" -> the primitive built from its JSON object
 PRIMITIVE_TYPES = {
     "sphere": lambda d: Sphere(center=d["center"], radius=d["radius"]),
-    "box": lambda d: Box(pose=RigidTransform.from_matrix(np.array(d["pose"])), half_extents=d["half_extents"]),
+    "box": lambda d: Box(pose=RigidTransform.from_matrix(d["pose"], "box pose"), half_extents=d["half_extents"]),
 }
 
 
@@ -134,10 +133,8 @@ class Capsule:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float).reshape(3))
-        object.__setattr__(self, "p1", np.asarray(self.p1, dtype=float).reshape(3))
-        if not np.all(np.isfinite([*self.p0, *self.p1])):
-            raise ValueError(f"capsule needs finite ends, got {self.p0} {self.p1}")
+        object.__setattr__(self, "p0", check_array("capsule end", self.p0, (3,)))
+        object.__setattr__(self, "p1", check_array("capsule end", self.p1, (3,)))
         check_number("capsule radius", self.radius, *POSITIVE)
 
     def bound(self) -> tuple[np.ndarray, float]:
@@ -189,8 +186,7 @@ class Table:
     half_extents: np.ndarray  # (ex, ey)
 
     def __post_init__(self):
-        he = [check_number("table half extents", v, *POSITIVE) for v in self.half_extents]
-        object.__setattr__(self, "half_extents", np.asarray(he, dtype=float).reshape(2))
+        object.__setattr__(self, "half_extents", check_array("table half extents", self.half_extents, (2,), *POSITIVE))
 
     def to_dict(self) -> dict:
         return {"pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
@@ -257,12 +253,14 @@ class SceneSpec:
         for p in self.primitives:
             if not isinstance(p, (Sphere, Box)):
                 raise TypeError(f"unknown primitive {type(p).__name__}")
-        q = np.asarray(self.joint_state, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(q)):
-            raise ValueError(f"joint state must be finite, got {q.tolist()}")
+        q = check_array("joint state", self.joint_state, (self.chain.dof,))
         object.__setattr__(self, "joint_state", self.chain.check_state(q))
-        center = [check_number("workspace_center", v) for v in self.workspace_center]
-        object.__setattr__(self, "workspace_center", np.asarray(center, dtype=float).reshape(3))
+        object.__setattr__(self, "workspace_center", check_array("workspace_center", self.workspace_center, (3,)))
+
+    @cached_property
+    def capsules(self) -> tuple:
+        """`chain_capsules` of this scene, built once and shared by every view's render and validation."""
+        return tuple(chain_capsules(self))
 
 
 def default_intrinsics(width: int, height: int) -> Intrinsics:
@@ -386,7 +384,7 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
 
     casts = [(spec.table.cast, _table_window(spec.table, k, pose), LABEL_BACKGROUND)]
     casts += [(p.cast, _screen_window(*p.bound(), k, pose), LABEL_OBJECT) for p in spec.primitives]
-    for capsule in chain_capsules(spec):
+    for capsule in spec.capsules:
         ends = capsule.ends()
         windows = [_screen_window(*end.bound(), k, pose) for end in ends]
         body = _screen_window(*capsule.bound(), k, pose)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import POSITIVE, PointMap, check_number
+from .camera import POSITIVE, PointMap, check_array, check_number
 
 ROTATION_TOL = 1e-9
 
@@ -154,10 +154,12 @@ class RigidTransform:
         return m
 
     @staticmethod
-    def from_matrix(m) -> "RigidTransform":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
+    def from_matrix(m, name: str) -> "RigidTransform":
+        """The 4x4 row-major matrix m (nested lists, as JSON gives it) read through check_array; its bottom
+        row must be exactly (0, 0, 0, 1).  A ValueError or TypeError names `name`."""
+        m = check_array(name, m, (4, 4))
+        if m[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
+            raise ValueError(f"{name}: bottom row must be (0, 0, 0, 1), got {m[3].tolist()}")
         return RigidTransform(m[:3, :3], m[:3, 3])
 
 

@@ -15,6 +15,7 @@ from reconkit.camera import (
     CoordMap,
     DepthMap,
     Intrinsics,
+    check_array,
     check_number,
     coords_from_intrinsics,
     project,
@@ -160,6 +161,27 @@ def test_check_number_rejects(value, options, error, message):
                                            (np.float64(0.5), False), (7, False)])
 def test_check_number_returns_the_value(value, integer):
     assert check_number("x", value, integer=integer) is value
+
+
+@pytest.mark.parametrize(
+    "value,error,message",
+    [([[1.0, 2.0]], ValueError, "a: expected shape (2, 2), got [[1.0, 2.0]]"),
+     ([[1.0, 2.0], [3.0]], ValueError, "a: expected shape (2, 2), got [3.0]"),
+     ("ab", ValueError, "a: expected shape (2, 2), got 'ab'"),
+     ([[1.0, 2.0], [3.0, [4.0]]], TypeError, "a: expected a number, got [4.0]"),
+     ([[1.0, True], [3.0, 4.0]], TypeError, "a: expected a number, got True"),
+     ([[1.0, 2.0], [float("nan"), 4.0]], ValueError, "a must be finite, got nan")],
+)
+def test_check_array_rejects(value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        check_array("a", value, (2, 2))
+
+
+def test_check_array_reads_every_entry():
+    np.testing.assert_array_equal(check_array("a", [[1, 2.5], (3, np.float64(4))], (2, 2)), [[1.0, 2.5], [3.0, 4.0]])
+    assert check_array("a", np.arange(3.0), (3,)).dtype == np.float64
+    with pytest.raises(ValueError, match=re.escape("a must be positive, got -1.0")):
+        check_array("a", [2.0, -1.0], (2,), lambda v: v > 0, "positive")
 
 
 def test_intrinsics_invariants():

@@ -90,9 +90,9 @@ class TestGenScenesBytes:
     """Pinned sha256 of whole `gen-scenes` trees, at 1 and 2 workers."""
 
     SHA256 = {
-        ("3", "160", "120"): "afdf3d575a0ac990e4f1776e7b0f9296548a5e933a8883e3bfbf4ee71713cb6b",
-        ("1", "630", "476"): "6c205f68630a28c6fdfa5639d0bb080a1bac14edfd7c20042b4d8455aa0c7098",
-        ("2", "630", "476"): "51d59883f324aa1058f1222942dfdd7e2fd79dd1224c6635f6afde0760c07677",  # seed 51
+        ("3", "160", "120"): "b7e7f37c15db1ac0d34c5b5093f207365c6bcfc5297889e88fceb10b7352d889",
+        ("1", "630", "476"): "02ad9f375088af3baea097cbccf8be1644172b5f46020cb27fd1f534003edafa",
+        ("2", "630", "476"): "635b4811d769060477dcc8c26718cc6639cf08fa6d761ea187b3a8646860c193",  # seed 51
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -443,12 +443,13 @@ class TestInputChecks:
          (((72, 96, 8), -1.0, None), "heatmap entries must be finite and >= 0")],
     )
     def test_bad_heatmap_file(self, bundle_tree, tmp_path, capsys, monkeypatch, drawn, message):
+        from reconkit.oracle.bundle import load_bundle
         from reconkit.oracle.mock import synthesize_heatmaps
 
         path = tmp_path / "hm.r3rb"
         if drawn is not None:
             (height, width, n_kp), value, kept = drawn
-            kp = json.loads((bundle_tree / "scene_00000" / "meta.json").read_text())["keypoints_2d"][0]
+            kp = load_bundle(bundle_tree / "scene_00000").keypoints_2d[0]
             hm = synthesize_heatmaps(kp[:n_kp], width, height, 3.0)
             if value is not None:
                 hm[5, 6, 2] = value
@@ -526,18 +527,39 @@ class TestInputChecks:
         assert f"{tmp_path / 'manifest.json'}: " in err and message in err
         assert not out.exists()
 
+    # derived keypoints -> (file, key path, the rejecting check's message) of a NaN in what they derive from
+    KEYPOINT_SOURCES = {
+        "keypoints_3d": ("chain.json", ("keypoints", 0, "offset", 0), "keypoint offset must be finite, got nan"),
+        "keypoints_2d": ("meta.json", ("views", 0, "pose_world", 3, 0), "pose_world must be finite, got nan"),
+    }
+
     @pytest.mark.parametrize("key", ["keypoints_3d", "keypoints_2d"])
     def test_non_finite_bundle_keypoints(self, bundle_tree, tmp_path, capsys, monkeypatch, key):
+        name, path, message = self.KEYPOINT_SOURCES[key]
+        scene = tmp_path / "scene"
+        shutil.copytree(bundle_tree / "scene_00000", scene)
+        doc = json.loads((scene / name).read_text())
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        parent[path[-1]] = float("nan")
+        (scene / name).write_text(json.dumps(doc))
+        monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
+        assert main(["solve-pnp", "--bundle", str(scene)]) == 2
+        err = self.assert_flag_error(capsys, "solve-pnp", "--bundle")
+        assert f"{name}: {message}" in err
+
+    def test_keypoint_behind_bundle_camera(self, bundle_tree, tmp_path, capsys, monkeypatch):
         scene = tmp_path / "scene"
         shutil.copytree(bundle_tree / "scene_00000", scene)
         meta = json.loads((scene / "meta.json").read_text())
-        first = meta[key][0] if key == "keypoints_3d" else meta[key][0][0]  # one keypoint's coordinates
-        first[0] = float("nan")
+        for row in meta["views"][1]["pose_world"][:3]:  # turn camera 1 about its x axis: it looks away
+            row[1], row[2] = -row[1], -row[2]
         (scene / "meta.json").write_text(json.dumps(meta))
         monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
         assert main(["solve-pnp", "--bundle", str(scene)]) == 2
         err = self.assert_flag_error(capsys, "solve-pnp", "--bundle")
-        assert f"meta.json: {key} holds non-finite values" in err
+        assert "--bundle: view 1: keypoint " in err and " is at or behind the camera (depth -" in err
 
     def test_short_bundle_joint_state(self, bundle_tree, tmp_path, capsys, monkeypatch):
         scene = tmp_path / "scene"
@@ -548,7 +570,7 @@ class TestInputChecks:
         monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
         assert main(["solve-pnp", "--bundle", str(scene)]) == 2
         err = self.assert_flag_error(capsys, "solve-pnp", "--bundle")
-        assert "meta.json: joint state has 3 values, chain has 4" in err
+        assert "meta.json: joint state: expected shape (4,), got [" in err
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -649,10 +671,11 @@ class TestSolvePnP:
         assert report["error_vs_bundle"]["rotation_rad"] < 1e-6
 
     def test_explicit_keypoints_file(self, bundle_tree, tmp_path):
-        meta = json.loads((bundle_tree / "scene_00000" / "meta.json").read_text())
-        kp = meta["keypoints_2d"][1]
+        from reconkit.oracle.bundle import load_bundle
+
+        kp = load_bundle(bundle_tree / "scene_00000").keypoints_2d[1]
         kp_file = tmp_path / "kp.json"
-        kp_file.write_text(json.dumps(kp))
+        kp_file.write_text(json.dumps(kp.tolist()))
         out = tmp_path / "pnp.json"
         rc = main([
             "solve-pnp", "--bundle", str(bundle_tree / "scene_00000"),

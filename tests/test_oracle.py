@@ -708,7 +708,8 @@ class TestBundleIO:
             "view_1_depth.r3rb", "view_1_labels.r3rb",
         ]
         meta = json.loads((tmp_path / "s" / "meta.json").read_text())
-        assert meta["format_version"] == 2
+        assert meta["format_version"] == 3
+        assert not {"keypoints_3d", "keypoints_2d", "similarity"}.intersection(meta)  # derived, not stored
         assert [sorted(view) for view in meta["views"]] == [["files", "intrinsics", "pose_world"]] * 2
         assert read_raster(tmp_path / "s" / "view_1_labels.r3rb").dtype == np.uint8
 
@@ -737,7 +738,7 @@ class TestBundleIO:
 
     @pytest.mark.parametrize(
         "keys",
-        [("seed",), ("similarity", "scale"), ("views", 0, "intrinsics", "fx"), ("scene", "camera", "roll_deg")],
+        [("seed",), ("scene", "table", "pose"), ("views", 0, "intrinsics", "fx"), ("scene", "camera", "roll_deg")],
     )
     def test_missing_metadata_key_named(self, small_bundle, tmp_path, keys):
         import json
@@ -762,6 +763,19 @@ class TestBundleIO:
         with pytest.raises(VersionMismatchError, match="99"):
             load_bundle(tmp_path / "s")
 
+    def test_format_2_tree_rejected(self, small_bundle, tmp_path):
+        save_bundle(tmp_path / "s", small_bundle)
+        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+        meta.update(  # what format 2 stored beside format 3's keys
+            format_version=2,
+            keypoints_3d=small_bundle.keypoints_3d.tolist(),
+            keypoints_2d=small_bundle.keypoints_2d.tolist(),
+            similarity={"scale": 1.0, "matrix": small_bundle.views[0].pose_world.matrix().tolist()},
+        )
+        (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(VersionMismatchError, match=r"meta\.json: format version 2, supported 3"):
+            load_bundle(tmp_path / "s")
+
     @pytest.mark.parametrize(
         "case,named,got,want",
         [
@@ -770,9 +784,6 @@ class TestBundleIO:
             ("labels_channels", "view_1_labels.r3rb", (120, 160, 3), (120, 160)),
             ("labels_width", "view_0_labels.r3rb", (120, 159), (120, 160)),
             ("labels_height", "view_1_labels.r3rb", (119, 160), (120, 160)),
-            ("keypoints_2d_views", "keypoints_2d", (1, 8, 2), (2, 8, 2)),
-            ("keypoints_2d_count", "keypoints_2d", (2, 7, 2), (2, 8, 2)),
-            ("keypoints_3d_count", "keypoints_3d", (9, 3), (8, 3)),
         ],
     )
     def test_shape_mismatch_named(self, small_bundle, tmp_path, case, named, got, want):
@@ -784,9 +795,6 @@ class TestBundleIO:
         meta = json.loads(meta_path.read_text())
         if case in ("width", "height"):
             meta["views"][0]["intrinsics"][case] = want[case == "width"]
-        elif case.startswith("keypoints"):
-            key = case[: len("keypoints_2d")]
-            meta[key] = np.resize(np.array(meta[key]), got).tolist()
         else:
             write_raster(tmp_path / "s" / named, np.zeros(got))
         meta_path.write_text(json.dumps(meta))
@@ -941,12 +949,21 @@ class TestBundleJSONErrors:
 
     # edit -> (file, key path, value, the text the error keeps from the check that failed)
     WRONG_VALUES = {
-        "ragged_keypoints_2d": ("meta.json", ("keypoints_2d", 0, 0), [1.0], "inhomogeneous"),
-        "joint_state": ("meta.json", ("joint_state",), "x", "could not convert string to float"),
+        "ragged_pose_world": ("meta.json", ("views", 0, "pose_world", 1), [1.0],
+                              "pose_world: expected shape (4, 4), got [1.0]"),
+        "joint_state": ("meta.json", ("joint_state",), "x", "joint state: expected shape (4,), got 'x'"),
         "seed": ("meta.json", ("seed",), "abc", "seed: expected an integer, got 'abc'"),
         "width": ("meta.json", ("views", 0, "intrinsics", "width"), "32", "image width: expected an integer, got '32'"),
-        "nan_pose": ("meta.json", ("views", 1, "pose_world", 0, 3), float("nan"),
-                     "translation contains non-finite"),
+        "nan_pose": ("meta.json", ("views", 1, "pose_world", 0, 3), float("nan"), "pose_world must be finite, got nan"),
+        "pose_bottom_row": ("meta.json", ("views", 1, "pose_world", 3, 3), 5.0,
+                            "pose_world: bottom row must be (0, 0, 0, 1), got [0.0, 0.0, 0.0, 5.0]"),
+        "pose_entry_bool": ("meta.json", ("views", 1, "pose_world", 2, 2), True, "pose_world: expected a number, got True"),
+        "table_pose_bottom_row_inf": ("meta.json", ("scene", "table", "pose", 3, 1), float("inf"),
+                                      "table pose must be finite, got inf"),
+        "origin_bottom_row_nan": ("chain.json", ("joints", 2, "origin", 3, 2), float("nan"),
+                                  "joint origin must be finite, got nan"),
+        "origin_bottom_row": ("chain.json", ("joints", 0, "origin", 3, 0), 0.5,
+                              "joint origin: bottom row must be (0, 0, 0, 1), got [0.5, 0.0, 0.0, 1.0]"),
         "no_views": ("meta.json", ("views",), [], "no views"),
         "huge_link": ("chain.json", ("keypoints", 0, "link"), "9" * 30, "keypoint link: expected an integer, got '999"),
         "heatmap_sigma": ("meta.json", ("scene", "heatmap_sigma"), "x", "heatmap_sigma: expected a number, got 'x'"),
@@ -955,8 +972,10 @@ class TestBundleJSONErrors:
                           "camera radius: expected a number, got 'a'"),
         "primitive_type": ("meta.json", ("scene", "primitives", 0, "type"), "cylinder",
                            "unknown primitive type 'cylinder'"),
-        "joint_state_short": ("meta.json", ("joint_state",), [0.0] * 3, "joint state has 3 values, chain has 4"),
+        "joint_state_short": ("meta.json", ("joint_state",), [0.0] * 3,
+                              "joint state: expected shape (4,), got [0.0, 0.0, 0.0]"),
         "joint_state_nan": ("meta.json", ("joint_state", 2), float("nan"), "joint state must be finite"),
+        "joint_state_bool": ("meta.json", ("joint_state", 0), True, "joint state: expected a number, got True"),
         "joint_state_outside_limit": ("meta.json", ("joint_state", 1), 1.9,
                                       "joint 1 value 1.9 outside limits (-1.8, 1.8) of "),
         "capsule_radius_negative": ("meta.json", ("scene", "capsule_radius"), -0.01,
@@ -994,11 +1013,8 @@ class TestBundleJSONErrors:
             load_edited(tiny_saved, name, json.dumps(doc))
 
     # Leaves left out, and why: format_version fails first, as a VersionMismatchError naming
-    # the file; the chain's name is a label no code reads as a number; and the entries of the
-    # poses, keypoint arrays, joint state and a joint's origin keep their array checks, which
-    # read true as 1.0 and, for a 4x4 pose, never read the bottom row.
-    NOT_SCALAR = {"format_version", "name", "pose_world", "matrix", "pose", "keypoints_3d", "keypoints_2d",
-                  "joint_state", "origin"}
+    # the file, and the chain's name is a label no code reads as a number.
+    NOT_SCALAR = {"format_version", "name"}
 
     @pytest.mark.parametrize("value", [True, float("nan"), float("inf")], ids=["true", "NaN", "Infinity"])
     @pytest.mark.parametrize("name", ["meta.json", "chain.json"])
@@ -1037,14 +1053,20 @@ class TestBundleJSONErrors:
 
 
 class TestBundleConsistency:
-    """meta.json values that are well formed but disagree with the bundle fail at load, naming the file."""
+    """Values that would make the bundle's derived keypoints non-finite, or that disagree with its views,
+    fail at load, naming the file."""
 
+    # a non-finite entry in what keypoints_3d (an offset) and keypoints_2d (a pose's bottom row) derive from
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("path", [("keypoints_3d", 0, 0), ("keypoints_2d", 1, 7, 1)])
+    @pytest.mark.parametrize(
+        "path", [("chain.json", "keypoint offset", "keypoints", 0, "offset", 0),
+                 ("meta.json", "pose_world", "views", 1, "pose_world", 3, 1)]
+    )
     def test_non_finite_keypoints_named(self, tiny_saved, path, value):
-        doc = replaced(json.loads((tiny_saved / "meta.json").read_text()), path, value)
-        with pytest.raises(MalformedMetadataError, match=rf"meta\.json: {path[0]} holds non-finite values"):
-            load_edited(tiny_saved, "meta.json", json.dumps(doc))
+        name, field, *keys = path
+        doc = replaced(json.loads((tiny_saved / name).read_text()), keys, value)
+        with pytest.raises(MalformedMetadataError, match=re.escape(f"{name}: {field} must be finite, got {value}")):
+            load_edited(tiny_saved, name, json.dumps(doc))
 
     @pytest.mark.parametrize(
         "key,value,echo", [("width", 70, (2, 24, 70)), ("height", 40, (2, 40, 32)), ("views", 1, (1, 24, 32))]
