@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .camera import check_number
+from .camera import check_array, check_number
 from .losses import GRADIENT_CHECKS, check_gradient
 from .masks import DEFAULT_THRESHOLD, LABEL_ROBOT, PART_NAMES, compose_masked_points
 from .metrics import absolute_pose_metrics
@@ -261,8 +261,9 @@ def cmd_solve_pnp(args) -> int:
     view = bundle.views[i]
     if args.keypoints:
         with _input_errors("--keypoints", args.keypoints):
-            pixels = np.asarray(json.loads(Path(args.keypoints).read_text()), dtype=float)
-            _check_input(pixels, bundle.keypoints_2d[i].shape)  # (keypoints, 2)
+            rows = json.loads(Path(args.keypoints).read_text())
+            _check_input(np.asarray(rows, dtype=float), bundle.keypoints_2d[i].shape)  # numpy names bad rows
+            pixels = check_array("keypoints", rows, bundle.keypoints_2d[i].shape)  # and no true or "1.5" entry
         source = "explicit keypoints"
     elif args.heatmap:
         with _input_errors("--heatmap", args.heatmap):

@@ -1,19 +1,21 @@
 """Ground-truth scene bundles: generation, on-disk layout, validation.
 
-A bundle (format 3) is one directory:
+A bundle (format 4) is one directory:
 
     meta.json             view poses (4x4 row-major) and intrinsics, joint
-                          state, scene echo
+                          state, scene geometry
     chain.json            kinematic chain + keypoint spec
     view_{i}_depth.r3rb   float64 depth raster, 0 at holes
     view_{i}_labels.r3rb  uint8 part labels (masks.LABEL_*, 0 at holes)
 
-Nothing derivable is stored but the scene echo's view count and image size,
-which load_bundle checks against the views.  ViewRecord derives validity
-(depth > 0), coords (from the intrinsics) and mask planes (one-hot labels),
-and SceneBundle the keypoints (forward kinematics of the chain at the joint
-state, and their projections) and the similarity, on one path for generated
-and loaded bundles.  save/load is a lossless bit-exact round trip.
+Nothing derivable is stored: file names follow from the view index, so a
+bundle reads nothing outside its directory, and the scene's view count and
+image size from the views, each of which must share view 0's size.
+ViewRecord derives validity (depth > 0), coords (from the intrinsics) and
+mask planes (one-hot labels), and SceneBundle the keypoints (forward
+kinematics of the chain at the joint state, and their projections) and the
+similarity, on one path for generated and loaded bundles.  save/load is a
+lossless bit-exact round trip.
 load_bundle checks both JSON files and every raster's header, size, shape
 and (labels: uint8) dtype up front, so a missing or malformed file or key,
 a value of the wrong type or form, or a wrong shape or dtype fails at load
@@ -58,10 +60,11 @@ from .scene import (
     sample_camera,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 META_NAME = "meta.json"
 CHAIN_NAME = "chain.json"
-RASTER_KEYS = ("depth", "labels")  # each view's HxW rasters, view_{i}_{key}.r3rb
+RASTER_KEYS = ("depth", "labels")  # each view's HxW rasters
+RASTER_NAME = "view_{i}_{key}.r3rb"  # view i's raster `key` in its bundle directory
 
 
 class BundleError(ValueError):
@@ -77,7 +80,7 @@ class VersionMismatchError(BundleError):
 
 
 class ShapeMismatchError(BundleError):
-    """A raster, or the scene echo, whose shape disagrees with the views."""
+    """A raster whose shape disagrees with its view's intrinsics, or a view whose image size is not view 0's."""
 
 
 class MalformedMetadataError(BundleError):
@@ -310,11 +313,7 @@ def _spec_to_dict(spec: SceneSpec) -> dict:
     return {
         "table": spec.table.to_dict(),
         "primitives": [p.to_dict() for p in spec.primitives],
-        "views": spec.views,
-        "width": spec.width,
-        "height": spec.height,
         "capsule_radius": spec.capsule_radius,
-        "heatmap_sigma": spec.heatmap_sigma,
         "workspace_center": spec.workspace_center.tolist(),
         "camera": asdict(spec.camera),
     }
@@ -326,7 +325,7 @@ def _from_fields(cls, d: dict):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
-def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_state) -> SceneSpec:
+def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_state, views, grid) -> SceneSpec:
     for p in d["primitives"]:
         if p["type"] not in PRIMITIVE_TYPES:
             raise ValueError(f"unknown primitive type {p['type']!r}")
@@ -339,11 +338,10 @@ def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_stat
         chain=chain,
         keypoints=kp,
         joint_state=joint_state,
-        views=d["views"],
-        width=d["width"],
-        height=d["height"],
+        views=views,
+        width=grid[1],
+        height=grid[0],
         capsule_radius=d["capsule_radius"],
-        heatmap_sigma=d["heatmap_sigma"],
         camera=_from_fields(CameraRanges, d["camera"]),
         workspace_center=d["workspace_center"],
     )
@@ -356,21 +354,13 @@ def save_bundle(path, bundle: SceneBundle):
 
     view_entries = []
     for i, view in enumerate(bundle.views):
-        files = {key: f"view_{i}_{key}.r3rb" for key in RASTER_KEYS}
         for key in RASTER_KEYS:
-            write_raster(path / files[key], view.rasters[key])
-        view_entries.append(
-            {
-                "intrinsics": asdict(view.intrinsics),
-                "pose_world": view.pose_world.matrix().tolist(),
-                "files": files,
-            }
-        )
+            write_raster(path / RASTER_NAME.format(i=i, key=key), view.rasters[key])
+        view_entries.append({"intrinsics": asdict(view.intrinsics), "pose_world": view.pose_world.matrix().tolist()})
 
     meta = {
         "format_version": FORMAT_VERSION,
         "seed": bundle.seed,
-        "chain_file": CHAIN_NAME,
         "joint_state": bundle.spec.joint_state.tolist(),
         "views": view_entries,
         "scene": _spec_to_dict(bundle.spec),
@@ -406,7 +396,7 @@ def _parsing(path):
         yield
     except (BundleError, RasterError):
         raise
-    except OSError as exc:  # a file the JSON names is missing, a directory or unreadable
+    except OSError as exc:  # a bundle file is missing, a directory or unreadable
         raise MissingMetadataError(f"{exc.filename}: {exc.strerror}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # a string for a number, a NaN pose
         raise MalformedMetadataError(f"{path}: {exc}") from None
@@ -427,11 +417,11 @@ def _check_raster(path, key, shape, dtype, grid):
 class _RasterFiles:
     """A loaded view's depth and labels, each read when looked up."""
 
-    def __init__(self, root: Path, files, grid: tuple):
-        self.root, self.files, self.grid = root, files, grid
+    def __init__(self, root: Path, i: int, grid: tuple):
+        self.root, self.i, self.grid = root, i, grid
 
     def __getitem__(self, key) -> np.ndarray:
-        path = self.root / self.files[key]
+        path = self.root / RASTER_NAME.format(i=self.i, key=key)
         arr = read_raster(path)
         _check_raster(path, key, arr.shape, arr.dtype, self.grid)
         if key == "labels" and arr.max(initial=0) > LABEL_BACKGROUND:
@@ -455,29 +445,27 @@ def load_bundle(path) -> SceneBundle:
                 f"{meta_path}: format version {version}, supported {FORMAT_VERSION}"
             )
 
-        chain_path = path / meta["chain_file"]
-        if "\x00" in meta["chain_file"]:  # open() raises a ValueError for it, blamed on the chain file
-            raise ValueError(f"chain_file {meta['chain_file']!r} holds a NUL byte")
+        chain_path = path / CHAIN_NAME
         with _parsing(chain_path):
             chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
-        try:
-            spec = _spec_from_dict(meta["scene"], chain, kp_spec, meta["joint_state"])
-        except JointLimitError as exc:  # the joint state, or the limits chain.json gives
-            raise MalformedMetadataError(f"{meta_path}: {exc} of {chain_path}") from None
 
         if not meta["views"]:
             raise ValueError("no views")
+        intrinsics = [_from_fields(Intrinsics, entry["intrinsics"]) for entry in meta["views"]]
+        grid = (intrinsics[0].height, intrinsics[0].width)  # every view's, the scene's image size
+        try:
+            spec = _spec_from_dict(meta["scene"], chain, kp_spec, meta["joint_state"], len(intrinsics), grid)
+        except JointLimitError as exc:  # the joint state, or the limits chain.json gives
+            raise MalformedMetadataError(f"{meta_path}: {exc} of {chain_path}") from None
+
         views = []
-        for entry in meta["views"]:
-            files = entry["files"]
-            intrinsics = _from_fields(Intrinsics, entry["intrinsics"])
-            grid = (intrinsics.height, intrinsics.width)
+        for i, (entry, intr) in enumerate(zip(meta["views"], intrinsics)):
+            _check_shape(f"{meta_path}: view {i} image (height, width)", (intr.height, intr.width), grid)
             for key in RASTER_KEYS:
-                _check_raster(path / files[key], key, *raster_header(path / files[key]), grid)
-            echo = (spec.views, spec.height, spec.width)  # the scene echo repeats what the views store
-            _check_shape(f"{meta_path}: scene echo (views, height, width)", echo, (len(meta["views"]), *grid))
+                raster = path / RASTER_NAME.format(i=i, key=key)
+                _check_raster(raster, key, *raster_header(raster), grid)
             pose = RigidTransform.from_matrix(entry["pose_world"], "pose_world")
-            views.append(ViewRecord(intrinsics, pose, rasters=_RasterFiles(path, files, grid)))
+            views.append(ViewRecord(intr, pose, rasters=_RasterFiles(path, i, grid)))
         seed = check_number("seed", meta["seed"], lambda v: v >= 0, "a non-negative integer", integer=True)
         return SceneBundle(views=tuple(views), spec=spec, seed=seed)
 

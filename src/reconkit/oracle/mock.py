@@ -15,13 +15,13 @@ rasters, and its heatmaps and keypoints are synthesized and decoded.  So
 `eval-pose` makes no pixel-sized draw, `eval-pointmap` draws each view's
 depth and coords, and `compose-points --view i` draws view i's heads only.
 
-Heatmaps are synthesized as Gaussian bumps at the true 2D keypoints (the
-predicted bumps widen by the blur sigma).  Predicted and ground-truth
-keypoint coordinates are both decoded from their heatmaps with the same
-soft-argmax at its default temperature, so at zero noise the coordinate loss
-is exactly zero while the decoding path stays exercised under noise.  The
-heatmap/keypoint head draws no random numbers; view i's keypoints decode
-view i's cached heatmap, so no heatmap is built twice.
+Heatmaps are synthesized as Gaussian bumps of HEATMAP_SIGMA pixels at the
+true 2D keypoints (the predicted bumps widen by the blur sigma).  Predicted
+and ground-truth keypoint coordinates are both decoded from their heatmaps
+with the same soft-argmax at its default temperature, so at zero noise the
+coordinate loss is exactly zero while the decoding path stays exercised
+under noise.  The heatmap/keypoint head draws no random numbers; view i's
+keypoints decode view i's cached heatmap, so no heatmap is built twice.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from ..masks import PART_NAMES, MaskSet
 from ..pnp import soft_argmax
 from ..transforms import RigidTransform, Similarity, rotation_about_axis
 from .bundle import SceneBundle
+
+HEATMAP_SIGMA = 3.0  # ground-truth heatmap bump width in px
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
         scale = scale * float(np.exp(noise.scale_sigma * scale_eps))
     similarity = Similarity(scale, sim_rigid)
 
-    sigma = bundle.spec.heatmap_sigma + noise.heatmap_blur  # predicted bump width in px
+    sigma = HEATMAP_SIGMA + noise.heatmap_blur  # predicted bump width in px
     heatmaps = LazyViews(partial(_heatmap, bundle, i, sigma) for i in range(len(bundle.views)))
     return Prediction(
         depths=LazyViews(depths),
@@ -186,4 +188,4 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
 
 
 def ground_truth_heatmaps(bundle: SceneBundle) -> list[np.ndarray]:
-    return [_heatmap(bundle, i, bundle.spec.heatmap_sigma) for i in range(len(bundle.views))]
+    return [_heatmap(bundle, i, HEATMAP_SIGMA) for i in range(len(bundle.views))]

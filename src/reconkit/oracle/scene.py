@@ -239,7 +239,6 @@ class SceneSpec:
     width: int = 630
     height: int = 476
     capsule_radius: float = 0.045
-    heatmap_sigma: float = 3.0
     camera: CameraRanges = field(default_factory=CameraRanges)
     workspace_center: np.ndarray = field(default_factory=lambda: np.array([0.25, 0.0, 0.15]))
 
@@ -247,8 +246,7 @@ class SceneSpec:
         check_number("views", self.views, lambda v: v in (1, 2), "1 or 2", integer=True)
         for name in ("width", "height"):
             check_number(name, getattr(self, name), integer=True)
-        for name in ("capsule_radius", "heatmap_sigma"):
-            check_number(name, getattr(self, name), *POSITIVE)
+        check_number("capsule_radius", self.capsule_radius, *POSITIVE)
         object.__setattr__(self, "primitives", tuple(self.primitives))
         for p in self.primitives:
             if not isinstance(p, (Sphere, Box)):

@@ -144,7 +144,7 @@ def run_gen_scenes(config: RunConfig, out_dir, workers: int = 1) -> dict:
 
 
 class BundleTreeError(FileNotFoundError):
-    """A bundle tree root that is missing, not a directory, or holds no bundles."""
+    """A bundle tree root that is missing, not a directory or holds no bundles, or a manifest entry outside it."""
 
 
 def list_bundles(bundle_root) -> list[Path]:
@@ -154,9 +154,13 @@ def list_bundles(bundle_root) -> list[Path]:
     manifest = root / "manifest.json"
     if manifest.exists():
         try:
-            dirs = [root / r["path"] for r in json.loads(manifest.read_text())["bundles"]]
+            names = [r["path"] for r in json.loads(manifest.read_text())["bundles"]]
         except (OSError, ValueError, TypeError, KeyError) as exc:  # invalid JSON, a list, an entry without a path
             raise BundleTreeError(f"{manifest}: not a manifest of bundle paths: {type(exc).__name__}: {exc}") from None
+        for name in names:  # a tree reads only inside its root
+            if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
+                raise BundleTreeError(f"{manifest}: bundle path {name!r} is not one name directly under {root}")
+        dirs = [root / name for name in names]
     else:
         dirs = sorted(p for p in root.iterdir() if p.is_dir())
     if not dirs:

@@ -90,9 +90,9 @@ class TestGenScenesBytes:
     """Pinned sha256 of whole `gen-scenes` trees, at 1 and 2 workers."""
 
     SHA256 = {
-        ("3", "160", "120"): "b7e7f37c15db1ac0d34c5b5093f207365c6bcfc5297889e88fceb10b7352d889",
-        ("1", "630", "476"): "02ad9f375088af3baea097cbccf8be1644172b5f46020cb27fd1f534003edafa",
-        ("2", "630", "476"): "635b4811d769060477dcc8c26718cc6639cf08fa6d761ea187b3a8646860c193",  # seed 51
+        ("3", "160", "120"): "aa2f8811aa85de0f6740146338ccc45abdea0d340ca231348c50b11bf800dcae",
+        ("1", "630", "476"): "c360e87f6a3b1ac595bdcb810093ac9a0e7191a196ac0eeceee57811e4ff68f6",
+        ("2", "630", "476"): "5d028f1e3bbc50cf93f730c3103f9a9ac50c35b12e8e53d3558d87a83ec22d1f",  # seed 51
     }
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -527,6 +527,24 @@ class TestInputChecks:
         assert f"{tmp_path / 'manifest.json'}: " in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    @pytest.mark.parametrize("command", ["eval-pointmap", "eval-pose"])
+    def test_manifest_entry_outside_root(self, bundle_tree, tmp_path, capsys, monkeypatch, command, where):
+        """A manifest entry naming a bundle of another tree, which would be scored as this tree's, exits 2."""
+        root = tmp_path / "tree"
+        shutil.copytree(bundle_tree, root)
+        shutil.copytree(bundle_tree, tmp_path / "other")
+        entry = {"absolute": str(tmp_path / "other" / "scene_00000"), "parent": "../other/scene_00000"}[where]
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["bundles"].append({"path": entry, "seed": 0})
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr("reconkit.pipeline._run_parallel", _must_not_run)
+        out = tmp_path / "report.json"
+        assert main([command, "--bundles", str(root), "--out", str(out)]) == 2
+        err = self.assert_flag_error(capsys, command, "--bundles")
+        assert f"{root / 'manifest.json'}: bundle path {entry!r} is not one name directly under {root}" in err
+        assert not out.exists()
+
     # derived keypoints -> (file, key path, the rejecting check's message) of a NaN in what they derive from
     KEYPOINT_SOURCES = {
         "keypoints_3d": ("chain.json", ("keypoints", 0, "offset", 0), "keypoint offset must be finite, got nan"),
@@ -683,6 +701,20 @@ class TestSolvePnP:
         ])
         assert rc == 0
         assert json.loads(out.read_text())["error_vs_bundle"]["translation_m"] < 1e-6
+
+    @pytest.mark.parametrize("entry", [True, "12.3"], ids=["true", "string"])
+    def test_keypoints_entry_not_a_number(self, bundle_tree, tmp_path, capsys, monkeypatch, entry):
+        """A true or a numeric string among the pixels, which numpy would read as a number, exits 2."""
+        from reconkit.oracle.bundle import load_bundle
+
+        monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
+        rows = load_bundle(bundle_tree / "scene_00000").keypoints_2d[0].tolist()
+        rows[3][1] = entry
+        path = tmp_path / "kp.json"
+        path.write_text(json.dumps(rows))
+        assert main(["solve-pnp", "--bundle", str(bundle_tree / "scene_00000"), "--keypoints", str(path)]) == 2
+        err = TestInputChecks.assert_flag_error(capsys, "solve-pnp", "--keypoints")
+        assert err == f"reconkit solve-pnp: error: --keypoints: {path}: keypoints: expected a number, got {entry!r}\n"
 
     def test_heatmap_decoding_path(self, bundle_tree, tmp_path):
         from reconkit.oracle.bundle import load_bundle

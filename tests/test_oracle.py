@@ -647,7 +647,7 @@ class TestLazyKeypointHeads:
         heatmaps = pred.heatmaps
         assert len(heatmaps) == len(small_bundle.views)
         for hm, kp in zip(heatmaps, small_bundle.keypoints_2d):
-            expected = synthesize_heatmaps(kp, spec.width, spec.height, spec.heatmap_sigma + 0.5)
+            expected = synthesize_heatmaps(kp, spec.width, spec.height, mock_module.HEATMAP_SIGMA + 0.5)
             np.testing.assert_array_equal(hm, expected)
         keypoints = pred.keypoints_2d
         for kp, hm in zip(keypoints, heatmaps):
@@ -708,9 +708,11 @@ class TestBundleIO:
             "view_1_depth.r3rb", "view_1_labels.r3rb",
         ]
         meta = json.loads((tmp_path / "s" / "meta.json").read_text())
-        assert meta["format_version"] == 3
-        assert not {"keypoints_3d", "keypoints_2d", "similarity"}.intersection(meta)  # derived, not stored
-        assert [sorted(view) for view in meta["views"]] == [["files", "intrinsics", "pose_world"]] * 2
+        assert meta["format_version"] == 4
+        # derived (keypoints, similarity, file names, the scene's view count and image size) or fixed, not stored
+        assert sorted(meta) == ["format_version", "joint_state", "scene", "seed", "views"]
+        assert [sorted(view) for view in meta["views"]] == [["intrinsics", "pose_world"]] * 2
+        assert not {"views", "width", "height", "heatmap_sigma"}.intersection(meta["scene"])
         assert read_raster(tmp_path / "s" / "view_1_labels.r3rb").dtype == np.uint8
 
     def test_truncated_raster_reports_byte_offset(self, small_bundle, tmp_path):
@@ -763,9 +765,21 @@ class TestBundleIO:
         with pytest.raises(VersionMismatchError, match="99"):
             load_bundle(tmp_path / "s")
 
+    @staticmethod
+    def save_format_3(path, bundle) -> dict:
+        """Save bundle at path, its meta.json holding what format 3 stored beside format 4's keys; return it."""
+        save_bundle(path, bundle)
+        meta = json.loads((path / "meta.json").read_text())
+        meta.update(format_version=3, chain_file="chain.json")
+        for i, view in enumerate(meta["views"]):
+            view["files"] = {key: f"view_{i}_{key}.r3rb" for key in ("depth", "labels")}
+        spec = bundle.spec
+        meta["scene"].update(views=spec.views, width=spec.width, height=spec.height, heatmap_sigma=3.0)
+        (path / "meta.json").write_text(json.dumps(meta))
+        return meta
+
     def test_format_2_tree_rejected(self, small_bundle, tmp_path):
-        save_bundle(tmp_path / "s", small_bundle)
-        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
+        meta = self.save_format_3(tmp_path / "s", small_bundle)
         meta.update(  # what format 2 stored beside format 3's keys
             format_version=2,
             keypoints_3d=small_bundle.keypoints_3d.tolist(),
@@ -773,8 +787,29 @@ class TestBundleIO:
             similarity={"scale": 1.0, "matrix": small_bundle.views[0].pose_world.matrix().tolist()},
         )
         (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(VersionMismatchError, match=r"meta\.json: format version 2, supported 3"):
+        with pytest.raises(VersionMismatchError, match=r"meta\.json: format version 2, supported 4"):
             load_bundle(tmp_path / "s")
+
+    def test_format_3_tree_rejected(self, small_bundle, tmp_path):
+        self.save_format_3(tmp_path / "s", small_bundle)
+        with pytest.raises(VersionMismatchError, match=r"meta\.json: format version 3, supported 4"):
+            load_bundle(tmp_path / "s")
+
+    @pytest.mark.parametrize("absolute", [False, True], ids=["relative", "absolute"])
+    def test_stray_file_names_not_read(self, small_bundles, tmp_path, absolute):
+        """File names in meta.json, as format 3 stored them, naming another bundle's files are not read."""
+        save_bundle(tmp_path / "a", small_bundles[0])
+        save_bundle(tmp_path / "b", small_bundles[1])
+        other = tmp_path / "b" if absolute else Path("..", "b")
+        meta = json.loads((tmp_path / "a" / "meta.json").read_text())
+        meta["chain_file"] = str(other / "chain.json")
+        for i, view in enumerate(meta["views"]):
+            view["files"] = {key: str(other / f"view_{i}_{key}.r3rb") for key in ("depth", "labels")}
+        (tmp_path / "a" / "meta.json").write_text(json.dumps(meta))
+        loaded = load_bundle(tmp_path / "a")
+        self._assert_bit_exact(loaded, small_bundles[0])
+        assert not np.array_equal(loaded.views[0].depth.values, small_bundles[1].views[0].depth.values)
+        assert validate_bundle(loaded) <= 1e-9
 
     @pytest.mark.parametrize(
         "case,named,got,want",
@@ -867,11 +902,11 @@ def leaf_paths(obj, prefix=()):
 
 
 def replaced(doc, path, value):
-    """doc with the entry at a key path set to value (in place)."""
+    """doc with the entry at a key path set to value, or to value(entry) if value is callable (in place)."""
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
     return doc
 
 
@@ -966,8 +1001,6 @@ class TestBundleJSONErrors:
                               "joint origin: bottom row must be (0, 0, 0, 1), got [0.5, 0.0, 0.0, 1.0]"),
         "no_views": ("meta.json", ("views",), [], "no views"),
         "huge_link": ("chain.json", ("keypoints", 0, "link"), "9" * 30, "keypoint link: expected an integer, got '999"),
-        "heatmap_sigma": ("meta.json", ("scene", "heatmap_sigma"), "x", "heatmap_sigma: expected a number, got 'x'"),
-        "scene_width": ("meta.json", ("scene", "width"), True, "width: expected an integer, got True"),
         "camera_radius": ("meta.json", ("scene", "camera", "radius"), ["a", "b"],
                           "camera radius: expected a number, got 'a'"),
         "primitive_type": ("meta.json", ("scene", "primitives", 0, "type"), "cylinder",
@@ -980,13 +1013,6 @@ class TestBundleJSONErrors:
                                       "joint 1 value 1.9 outside limits (-1.8, 1.8) of "),
         "capsule_radius_negative": ("meta.json", ("scene", "capsule_radius"), -0.01,
                                     "capsule_radius must be finite and positive, got -0.01"),
-        "heatmap_sigma_zero": ("meta.json", ("scene", "heatmap_sigma"), 0.0,
-                               "heatmap_sigma must be finite and positive, got 0.0"),
-        "heatmap_sigma_negative": ("meta.json", ("scene", "heatmap_sigma"), -3.0,
-                                   "heatmap_sigma must be finite and positive, got -3.0"),
-        "heatmap_sigma_nan": ("meta.json", ("scene", "heatmap_sigma"), float("nan"),
-                              "heatmap_sigma must be finite and positive, got nan"),
-        "chain_file_nul": ("meta.json", ("chain_file",), "\x00", "chain_file '\\x00' holds a NUL byte"),
         "seed_negative": ("meta.json", ("seed",), -1, "seed must be a non-negative integer, got -1"),
         "seed_float": ("meta.json", ("seed",), 1.5, "seed: expected an integer, got 1.5"),
         "seed_bool": ("meta.json", ("seed",), True, "seed: expected an integer, got True"),
@@ -1001,7 +1027,8 @@ class TestBundleJSONErrors:
         "height_bool": ("meta.json", ("views", 1, "intrinsics", "height"), True, "image height: expected an integer, got True"),
         "fx_inf": ("meta.json", ("views", 0, "intrinsics", "fx"), float("inf"), "fx must be finite and positive, got inf"),
         "fy_inf": ("meta.json", ("views", 1, "intrinsics", "fy"), float("inf"), "fy must be finite and positive, got inf"),
-        "scene_views": ("meta.json", ("scene", "views"), 3, "views must be 1 or 2, got 3"),
+        # a third view, a copy of view 1: the scene's view count is the number of views
+        "scene_views": ("meta.json", ("views",), lambda views: views + views[1:], "views must be 1 or 2, got 3"),
         "link_float": ("chain.json", ("keypoints", 0, "link"), 1.7, "keypoint link: expected an integer, got 1.7"),
     }
 
@@ -1053,8 +1080,8 @@ class TestBundleJSONErrors:
 
 
 class TestBundleConsistency:
-    """Values that would make the bundle's derived keypoints non-finite, or that disagree with its views,
-    fail at load, naming the file."""
+    """Values that would make the bundle's derived keypoints non-finite, or a view whose image size is not
+    view 0's, fail at load, naming the file."""
 
     # a non-finite entry in what keypoints_3d (an offset) and keypoints_2d (a pose's bottom row) derive from
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -1068,12 +1095,10 @@ class TestBundleConsistency:
         with pytest.raises(MalformedMetadataError, match=re.escape(f"{name}: {field} must be finite, got {value}")):
             load_edited(tiny_saved, name, json.dumps(doc))
 
-    @pytest.mark.parametrize(
-        "key,value,echo", [("width", 70, (2, 24, 70)), ("height", 40, (2, 40, 32)), ("views", 1, (1, 24, 32))]
-    )
-    def test_scene_echo_mismatch_named(self, tiny_saved, key, value, echo):
-        doc = replaced(json.loads((tiny_saved / "meta.json").read_text()), ("scene", key), value)
-        message = f"meta.json: scene echo (views, height, width): shape {echo}, expected (2, 24, 32)"
+    @pytest.mark.parametrize("key,value,size", [("width", 70, (24, 70)), ("height", 40, (40, 32))])
+    def test_view_size_mismatch_named(self, tiny_saved, key, value, size):
+        doc = replaced(json.loads((tiny_saved / "meta.json").read_text()), ("views", 1, "intrinsics", key), value)
+        message = f"meta.json: view 1 image (height, width): shape {size}, expected (24, 32)"
         with pytest.raises(ShapeMismatchError, match=re.escape(message)):
             load_edited(tiny_saved, "meta.json", json.dumps(doc))
 
