@@ -3,6 +3,7 @@
 Subcommands: gen-scenes, eval-pointmap, eval-pose, solve-pnp,
 compose-points, check-grads.  Precedence of settings: config file
 (--config, JSON) overrides flags; flags override their argparse defaults.
+Every numeric value is checked before the command runs.
 Exit code is 0 iff no scene failed; for check-grads, iff every loss's
 gradient error is below GRADIENT_TOLERANCE.
 """
@@ -13,8 +14,8 @@ import argparse
 import contextlib
 import functools
 import json
-import re
 import sys
+from collections import namedtuple
 from dataclasses import asdict
 from pathlib import Path
 
@@ -42,108 +43,81 @@ NOISE_FLAGS = {
     "noise_mask_flip": "mask_flip_rate",
 }
 GEN_KEYS = ("seed", "scenes", "views", "width", "height")
-# flags that say what to read, write or select; --config sets every other typed flag
-LOCATION_FLAGS = ("config", "out", "bundle", "bundles", "view", "heatmap", "keypoints")
 # check-grads fails a loss whose max relative gradient error reaches this
 GRADIENT_TOLERANCE = 1e-4
-# numeric flag -> check_number's (ok, must) for it, applied before any command runs
-FLAG_RANGES = {
-    "seed": (lambda v: v >= 0, ">= 0"),
-    "workers": (lambda v: v >= 0, ">= 0 (0: all cores)"),
-    "threshold": (lambda v: 0.0 < v < 1.0, "in (0, 1)"),
-    "temperature": (lambda v: v > 0, "finite and > 0"),
-    "eps": (lambda v: v > 0, "finite and > 0"),
+
+
+def _sets(cls, field):
+    """The check of a flag that sets one field: cls built with only that field, so cls's own check applies."""
+    return lambda flag, value: cls(**{field: value})
+
+
+def _within(ok, must):
+    """The check of any other flag: check_number with its range, ok(value), which `must` says in words."""
+    return lambda flag, value: check_number(flag, value, ok, must)
+
+
+Flag = namedtuple("Flag", "type default help check")
+# numeric flag, also its --config key -> its argparse type, default and help, and a check that raises a
+# ValueError naming the value out of range; main runs every check before the command
+FLAGS = {
+    "seed": Flag(int, RunConfig.seed, "master seed (default %(default)s)", _within(lambda v: v >= 0, ">= 0")),
+    "workers": Flag(int, 0, "parallel workers (default %(default)s: all cores)",
+                    _within(lambda v: v >= 0, ">= 0 (0: all cores)")),
+    **{key: Flag(int, getattr(RunConfig, key), f"{text} (default %(default)s)", _sets(RunConfig, key))
+       for key, text in (("scenes", "number of scenes"), ("views", "cameras per scene, 1 or 2"),
+                         ("width", "image width"), ("height", "image height"))},
+    **{flag: Flag(float, getattr(NoiseModel, field), text, _sets(NoiseModel, field))
+       for (flag, field), text in zip(NOISE_FLAGS.items(), (
+           "depth noise sigma (m)", "coord noise sigma", "pose translation sigma (m)", "pose rotation sigma (rad)",
+           "log-scale sigma", "extra heatmap bump width (px)", "mask flip probability"))},
+    **{f"threshold_{kind}": Flag(float, getattr(RunConfig, f"t_threshold_{kind}"),
+                                 f"{word} pose threshold (m and rad, default %(default)s)",
+                                 _sets(RunConfig, f"t_threshold_{kind}"))  # which r_threshold_ shares
+       for kind, word in (("rel", "relative"), ("abs", "absolute"))},
+    "threshold": Flag(float, DEFAULT_THRESHOLD, "mask binarization threshold (default %(default)s)",
+                      _within(lambda v: 0.0 < v < 1.0, "in (0, 1)")),
+    "temperature": Flag(float, DEFAULT_TEMPERATURE, "soft-argmax temperature (default %(default)s)",
+                        _within(lambda v: v > 0, "finite and > 0")),
+    "eps": Flag(float, 1e-6, "finite-difference step (default %(default)s)",
+                _within(lambda v: v > 0, "finite and > 0")),
 }
-# config field -> the flag (and config-file key) that sets it
-FIELD_FLAGS = {
-    **{field: flag for flag, field in NOISE_FLAGS.items()},
-    **{f"{axis}_threshold_{kind}": f"threshold_{kind}" for axis in "tr" for kind in ("rel", "abs")},
-    **{key: key for key in GEN_KEYS},
+# command -> (its help, its FLAGS); every command also takes --config and --out
+COMMANDS = {
+    "gen-scenes": ("generate ground-truth scene bundles", (*GEN_KEYS, "workers")),
+    **{name: (f"run {name.split('-')[1]} evaluation over a bundle tree",
+              ("seed", "workers", *NOISE_FLAGS, "threshold_rel", "threshold_abs")) for name in EVALUATIONS},
+    "solve-pnp": ("solve PnP for one bundle view", ("seed", "workers", "temperature")),
+    "compose-points": ("compose a labeled point map from mock predictions",
+                       ("seed", "workers", *NOISE_FLAGS, "threshold")),
+    "check-grads": ("finite-difference checks of every loss gradient", ("seed", "workers", "eps")),
 }
 
 
 class FlagError(Exception):
-    """A flag or config-file value that a config object rejected."""
-
-
-def _build(cls, **kwargs):
-    """cls(**kwargs), turning its ValueError into a FlagError that names the flag."""
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        flag = next((FIELD_FLAGS[w] for w in re.findall(r"\w+", str(exc)) if w in FIELD_FLAGS), None)
-        raise FlagError(f"--{flag.replace('_', '-')}: {exc}" if flag else str(exc)) from None
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=RunConfig.seed, help="master seed (default %(default)s)")
-    p.add_argument("--workers", type=int, default=0, help="parallel workers (default %(default)s: all cores)")
-    p.add_argument("--config", type=str, default=None, help="JSON config file; overrides flags")
-    p.add_argument("--out", type=str, default=None, help="output path")
-
-
-def _add_noise(p: argparse.ArgumentParser):
-    p.add_argument("--noise-depth", type=float, default=0.0, help="depth noise sigma (m)")
-    p.add_argument("--noise-coord", type=float, default=0.0, help="coord noise sigma")
-    p.add_argument("--noise-trans", type=float, default=0.0, help="pose translation sigma (m)")
-    p.add_argument("--noise-rot", type=float, default=0.0, help="pose rotation sigma (rad)")
-    p.add_argument("--noise-scale", type=float, default=0.0, help="log-scale sigma")
-    p.add_argument("--noise-heatmap-blur", type=float, default=0.0, help="extra heatmap bump width (px)")
-    p.add_argument("--noise-mask-flip", type=float, default=0.0, help="mask flip probability")
-
-
-def _add_thresholds(p: argparse.ArgumentParser):
-    p.add_argument("--threshold-rel", type=float, default=RunConfig.t_threshold_rel,
-                   help="relative pose threshold (m and rad, default %(default)s)")
-    p.add_argument("--threshold-abs", type=float, default=RunConfig.t_threshold_abs,
-                   help="absolute pose threshold (m and rad, default %(default)s)")
+    """A flag, config-file value or input file that the command refuses."""
 
 
 @functools.cache  # built once per process; parse_args gives each call its own namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reconkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen-scenes", help="generate ground-truth scene bundles")
-    _add_common(g)
-    g.add_argument("--scenes", type=int, default=RunConfig.scenes, help="number of scenes (default %(default)s)")
-    g.add_argument("--views", type=int, default=RunConfig.views, help="cameras per scene, 1 or 2 (default %(default)s)")
-    g.add_argument("--width", type=int, default=RunConfig.width, help="image width (default %(default)s)")
-    g.add_argument("--height", type=int, default=RunConfig.height, help="image height (default %(default)s)")
-
+    for command, (text, numeric) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.set_defaults(numeric=numeric)
+        for name in numeric:
+            flag = FLAGS[name]
+            p.add_argument("--" + name.replace("_", "-"), type=flag.type, default=flag.default, help=flag.help)
+        p.add_argument("--config", type=str, default=None, help="JSON config file; overrides flags")
+        p.add_argument("--out", type=str, default=None, help="output path")
     for name in EVALUATIONS:
-        e = sub.add_parser(name, help=f"run {name.split('-')[1]} evaluation over a bundle tree")
-        _add_common(e)
-        _add_noise(e)
-        _add_thresholds(e)
-        e.add_argument("--bundles", type=str, required=True, help="bundle tree root")
-
-    s = sub.add_parser("solve-pnp", help="solve PnP for one bundle view")
-    _add_common(s)
-    s.add_argument("--bundle", type=str, required=True, help="bundle directory")
-    s.add_argument("--view", type=int, default=0)
+        sub.choices[name].add_argument("--bundles", type=str, required=True, help="bundle tree root")
+    for p in (sub.choices["solve-pnp"], sub.choices["compose-points"]):
+        p.add_argument("--bundle", type=str, required=True, help="bundle directory")
+        p.add_argument("--view", type=int, default=0)
+    s = sub.choices["solve-pnp"]
     s.add_argument("--heatmap", type=str, default=None, help="heatmap raster to decode (HxWxN_kp)")
     s.add_argument("--keypoints", type=str, default=None, help="JSON file with [[x, y], ...] pixels")
-    s.add_argument("--temperature", type=float, default=DEFAULT_TEMPERATURE,
-                   help="soft-argmax temperature (default %(default)s)")
-
-    c = sub.add_parser("compose-points", help="compose a labeled point map from mock predictions")
-    _add_common(c)
-    _add_noise(c)
-    c.add_argument("--bundle", type=str, required=True, help="bundle directory")
-    c.add_argument("--view", type=int, default=0)
-    c.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="mask binarization threshold (default %(default)s)")
-
-    k = sub.add_parser("check-grads", help="finite-difference checks of every loss gradient")
-    _add_common(k)
-    k.add_argument("--eps", type=float, default=1e-6, help="finite-difference step (default %(default)s)")
-
-    for p in sub.choices.values():
-        # each --config key and its flag's argparse type, which its value is checked against
-        p.set_defaults(config_types={
-            a.dest: a.type for a in p._actions if a.type is not None and a.dest not in LOCATION_FLAGS
-        })
     return parser
 
 
@@ -156,28 +130,16 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not isinstance(config, dict):
         raise FlagError(f"--config: {args.config}: must hold a JSON object, got {type(config).__name__}")
     for key, value in config.items():
-        if key not in args.config_types:
+        if key not in args.numeric:
             raise FlagError(f"--config: {args.config}: unknown key {key!r}")
         try:
-            setattr(args, key, check_number(key, value, integer=args.config_types[key] is int))
+            setattr(args, key, check_number(key, value, integer=FLAGS[key].type is int))
         except (TypeError, ValueError) as exc:
             raise FlagError(f"--config: {exc}") from None
 
 
 def _noise_from(args) -> NoiseModel:
-    return _build(NoiseModel, **{field: getattr(args, flag) for flag, field in NOISE_FLAGS.items()})
-
-
-def _eval_config(args) -> RunConfig:
-    return _build(
-        RunConfig,
-        seed=args.seed,
-        noise=_noise_from(args),
-        t_threshold_rel=args.threshold_rel,
-        r_threshold_rel=args.threshold_rel,
-        t_threshold_abs=args.threshold_abs,
-        r_threshold_abs=args.threshold_abs,
-    )
+    return NoiseModel(**{field: getattr(args, flag) for flag, field in NOISE_FLAGS.items()})
 
 
 @contextlib.contextmanager
@@ -213,7 +175,7 @@ def _run_failure(command, config, exc, out) -> int:
 def cmd_gen_scenes(args) -> int:
     if not args.out:
         raise FlagError("--out: required, the directory to write the bundles to")
-    config = _build(RunConfig, **{key: getattr(args, key) for key in GEN_KEYS})
+    config = RunConfig(**{key: getattr(args, key) for key in GEN_KEYS})
     with _input_errors("--out", args.out):  # before any scene runs
         Path(args.out).mkdir(parents=True, exist_ok=True)
     manifest = run_gen_scenes(config, args.out, args.workers or default_workers())
@@ -222,7 +184,9 @@ def cmd_gen_scenes(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config = _eval_config(args)
+    config = RunConfig(seed=args.seed, noise=_noise_from(args), t_threshold_rel=args.threshold_rel,
+                       r_threshold_rel=args.threshold_rel, t_threshold_abs=args.threshold_abs,
+                       r_threshold_abs=args.threshold_abs)
     try:
         report = run_eval(args.command, config, args.bundles, args.workers or default_workers())
     except BundleTreeError as exc:
@@ -254,6 +218,8 @@ def _check_input(arr, shape):
 
 
 def cmd_solve_pnp(args) -> int:
+    if args.keypoints and args.heatmap:
+        raise FlagError("--heatmap: not allowed with --keypoints; give one source of pixels")
     with _bundle_errors():
         bundle = load_bundle(args.bundle)
         bundle.keypoints_2d  # derived on first read, where a keypoint behind a camera fails
@@ -368,12 +334,11 @@ def main(argv=None) -> int:
     try:
         if args.config:
             _apply_config(args)
-        for flag, (ok, must) in FLAG_RANGES.items():
-            if hasattr(args, flag):
-                try:
-                    check_number(flag, getattr(args, flag), ok, must)
-                except ValueError as exc:
-                    raise FlagError(f"--{flag}: {exc}") from None
+        for name in args.numeric:
+            try:
+                FLAGS[name].check(name, getattr(args, name))
+            except ValueError as exc:
+                raise FlagError(f"--{name.replace('_', '-')}: {exc}") from None
         return handlers[args.command](args)
     except FlagError as exc:
         print(f"reconkit {args.command}: error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ a value of the wrong type or form, or a wrong shape or dtype fails at load
 as a named BundleError or RasterError.  A view's depth and labels are read
 on first access only; a label above LABEL_BACKGROUND then fails as a
 PayloadValueError naming the file.  The robot base frame is the world frame,
-so pose_world is also the base-frame pose and the similarity (camera 1 ->
+so pose_world is also the base-frame pose and the similarity (camera 0 ->
 robot base, unit scale) canonicalizes registered camera-frame geometry.
 """
 

@@ -144,7 +144,7 @@ def run_gen_scenes(config: RunConfig, out_dir, workers: int = 1) -> dict:
 
 
 class BundleTreeError(FileNotFoundError):
-    """A bundle tree root that is missing, not a directory or holds no bundles, or a manifest entry outside it."""
+    """A missing, non-directory or empty bundle tree root, or a manifest entry outside it or listed twice."""
 
 
 def list_bundles(bundle_root) -> list[Path]:
@@ -157,9 +157,13 @@ def list_bundles(bundle_root) -> list[Path]:
             names = [r["path"] for r in json.loads(manifest.read_text())["bundles"]]
         except (OSError, ValueError, TypeError, KeyError) as exc:  # invalid JSON, a list, an entry without a path
             raise BundleTreeError(f"{manifest}: not a manifest of bundle paths: {type(exc).__name__}: {exc}") from None
-        for name in names:  # a tree reads only inside its root
+        seen = set()
+        for name in names:  # a tree reads only inside its root, and each bundle once
             if not isinstance(name, str) or name in ("", "..") or Path(name).name != name:
                 raise BundleTreeError(f"{manifest}: bundle path {name!r} is not one name directly under {root}")
+            if name in seen:
+                raise BundleTreeError(f"{manifest}: bundle path {name!r} is listed more than once")
+            seen.add(name)
         dirs = [root / name for name in names]
     else:
         dirs = sorted(p for p in root.iterdir() if p.is_dir())

@@ -545,6 +545,37 @@ class TestInputChecks:
         assert f"{root / 'manifest.json'}: bundle path {entry!r} is not one name directly under {root}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval-pointmap", "eval-pose"])
+    def test_repeated_manifest_entry(self, bundle_tree, tmp_path, capsys, monkeypatch, command):
+        """A manifest that lists one bundle twice, which would weigh double in every summary, exits 2."""
+        root = tmp_path / "tree"
+        shutil.copytree(bundle_tree, root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["bundles"].append(manifest["bundles"][0])
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        monkeypatch.setattr("reconkit.pipeline._run_parallel", _must_not_run)
+        out = tmp_path / "report.json"
+        assert main([command, "--bundles", str(root), "--out", str(out)]) == 2
+        err = self.assert_flag_error(capsys, command, "--bundles")
+        assert f"{root / 'manifest.json'}: bundle path 'scene_00000' is listed more than once" in err
+        assert not out.exists()
+
+    def test_keypoints_with_heatmap(self, bundle_tree, tmp_path, capsys, monkeypatch):
+        """Two sources of pixels are refused before the bundle is read, not one of them silently ignored."""
+        from reconkit.oracle.mock import ground_truth_heatmaps
+
+        bundle = cli.load_bundle(bundle_tree / "scene_00000")
+        keypoints, heatmap = tmp_path / "kp.json", tmp_path / "hm.r3rb"
+        keypoints.write_text(json.dumps(bundle.keypoints_2d[0].tolist()))
+        write_raster(heatmap, ground_truth_heatmaps(bundle)[0])
+        monkeypatch.setattr(cli, "load_bundle", _must_not_run)
+        out = tmp_path / "pnp.json"
+        rc = main(["solve-pnp", "--bundle", str(bundle_tree / "scene_00000"), "--keypoints", str(keypoints),
+                   "--heatmap", str(heatmap), "--out", str(out)])
+        assert rc == 2
+        assert "--keypoints" in self.assert_flag_error(capsys, "solve-pnp", "--heatmap")
+        assert not out.exists()
+
     # derived keypoints -> (file, key path, the rejecting check's message) of a NaN in what they derive from
     KEYPOINT_SOURCES = {
         "keypoints_3d": ("chain.json", ("keypoints", 0, "offset", 0), "keypoint offset must be finite, got nan"),
@@ -1121,8 +1152,8 @@ class TestConfigPrecedence:
         keys = self.CONFIG_KEYS[command]
         cfg = tmp_path / "cfg.json"
         argv = [command, *self.TARGETS.get(command, []), "--config", str(cfg)]
-        # an integer suits int and float flags; main checks threshold in (0, 1) before any handler
-        values = {key: 0.5 if key == "threshold" else 7 for key in keys}
+        # an integer suits int and float flags; main checks every value's range before any handler
+        values = {key: {"threshold": 0.5, "views": 2, "noise_mask_flip": 0.5}.get(key, 7) for key in keys}
         cfg.write_text(json.dumps(values))
         assert main(argv) == 0
         assert {key: seen[key] for key in keys} == values
@@ -1131,6 +1162,28 @@ class TestConfigPrecedence:
             cfg.write_text(json.dumps({key: 7}))
             assert main(argv) == 2
             assert capsys.readouterr().err.endswith(f"--config: {cfg}: unknown key '{key}'\n")
+
+    # numeric flag -> a value of its type outside its range
+    OUT_OF_RANGE = {"seed": -1, "workers": -1, "scenes": 0, "views": 3, "width": 0, "height": -4,
+                    **dict.fromkeys(cli.NOISE_FLAGS, -0.5), "noise_mask_flip": 1.5, "threshold_rel": -0.03,
+                    "threshold_abs": -0.01, "threshold": 1.5, "temperature": -0.05, "eps": -1e-06}
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command,key", [(c, k) for c, keys in sorted(CONFIG_KEYS.items()) for k in sorted(keys)])
+    def test_every_numeric_value_checked_up_front(self, tmp_path, capsys, monkeypatch, command, key, given):
+        """Every command's every numeric value, from a flag or --config, is checked before any handler runs."""
+        for name in ("load_bundle", "run_eval", "run_gen_scenes", "check_gradient", "cmd_gen_scenes", "cmd_eval",
+                     "cmd_solve_pnp", "cmd_compose_points", "cmd_check_grads"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        value, flag = self.OUT_OF_RANGE[key], "--" + key.replace("_", "-")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        given_as = [f"{flag}={value}"] if given == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main([command, *self.TARGETS.get(command, []), *given_as, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"reconkit {command}: error: {flag}: ") and f"got {value}" in err
+        assert err.count("\n") == 1 and not out.exists()
 
     @pytest.mark.parametrize(
         "command,cfg,message",
