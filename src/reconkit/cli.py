@@ -3,9 +3,9 @@
 Subcommands: gen-scenes, eval-pointmap, eval-pose, solve-pnp,
 compose-points, check-grads.  Precedence of settings: config file
 (--config, JSON) overrides flags; flags override their argparse defaults.
-Every numeric value is checked before the command runs.
-Exit code is 0 iff no scene failed; for check-grads, iff every loss's
-gradient error is below GRADIENT_TOLERANCE.
+Every numeric value is checked, and an empty path flag refused, before
+the command runs.  Exit code is 0 iff no scene failed; for check-grads,
+iff every loss's gradient error is below GRADIENT_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _input_errors(flag, path):
 def _finish(report: dict, out, lines) -> int:
     for line in lines:
         print(line)
-    if out:
+    if out is not None:
         with _input_errors("--out", out):
             write_report(report, out)
         print(f"report written to {out}")
@@ -173,7 +173,7 @@ def _run_failure(command, config, exc, out) -> int:
 
 
 def cmd_gen_scenes(args) -> int:
-    if not args.out:
+    if args.out is None:
         raise FlagError("--out: required, the directory to write the bundles to")
     config = RunConfig(**{key: getattr(args, key) for key in GEN_KEYS})
     with _input_errors("--out", args.out):  # before any scene runs
@@ -218,20 +218,20 @@ def _check_input(arr, shape):
 
 
 def cmd_solve_pnp(args) -> int:
-    if args.keypoints and args.heatmap:
+    if args.keypoints is not None and args.heatmap is not None:
         raise FlagError("--heatmap: not allowed with --keypoints; give one source of pixels")
     with _bundle_errors():
         bundle = load_bundle(args.bundle)
         bundle.keypoints_2d  # derived on first read, where a keypoint behind a camera fails
     i = _check_view(args, bundle)
     view = bundle.views[i]
-    if args.keypoints:
+    if args.keypoints is not None:
         with _input_errors("--keypoints", args.keypoints):
             rows = json.loads(Path(args.keypoints).read_text())
             _check_input(np.asarray(rows, dtype=float), bundle.keypoints_2d[i].shape)  # numpy names bad rows
             pixels = check_array("keypoints", rows, bundle.keypoints_2d[i].shape)  # and no true or "1.5" entry
         source = "explicit keypoints"
-    elif args.heatmap:
+    elif args.heatmap is not None:
         with _input_errors("--heatmap", args.heatmap):
             heatmap = read_raster(args.heatmap)
             _check_input(heatmap, (view.intrinsics.height, view.intrinsics.width, len(bundle.keypoints_3d)))
@@ -285,7 +285,7 @@ def cmd_compose_points(args) -> int:
         "failures": [],
     }
     lines = [f"composed {report['points']} labeled points {counts}"]
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         with _input_errors("--out", out):  # made only now, so a bad bundle or --view leaves no --out behind
             out.mkdir(parents=True, exist_ok=True)
@@ -332,7 +332,10 @@ def main(argv=None) -> int:
         "check-grads": cmd_check_grads,
     }
     try:
-        if args.config:
+        for name in ("config", "out", "bundle", "bundles", "keypoints", "heatmap"):  # Path("") would be "."
+            if getattr(args, name, None) == "":
+                raise FlagError(f"--{name}: must name a path, got an empty string")
+        if args.config is not None:
             _apply_config(args)
         for name in args.numeric:
             try:

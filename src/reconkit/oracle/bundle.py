@@ -270,34 +270,25 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
     """
     rng = np.random.default_rng(np.random.SeedSequence([0xCA3E4A, int(seed)]))
     kp3d = keypoints_3d(spec.chain, spec.joint_state, spec.keypoints)
-    margin_u = 0.05 * spec.width
-    margin_v = 0.05 * spec.height
+    low = 0.05 * np.array([spec.width, spec.height])  # the in-frame (u, v) bounds: 5% inside the image
+    high = np.array([spec.width - 1, spec.height - 1]) - low
 
     views = []
     for _ in range(spec.views):
-        fallback = None
-        chosen = None
+        in_front = []  # cameras with every keypoint in front, in draw order; an in-frame one put first
         for _attempt in range(64):
             intr, pose = sample_camera(spec.workspace_center, rng, spec.camera, spec.width, spec.height)
             kp_cam = pose.inverse().apply(kp3d)
             if not np.all(kp_cam[:, 2] > 0.05):
                 continue
-            if fallback is None:
-                fallback = (intr, pose)
             uv = project(kp_cam, intr)
-            if (
-                np.all(uv[:, 0] >= margin_u)
-                and np.all(uv[:, 0] <= spec.width - 1 - margin_u)
-                and np.all(uv[:, 1] >= margin_v)
-                and np.all(uv[:, 1] <= spec.height - 1 - margin_v)
-            ):
-                chosen = (intr, pose)
+            if np.all((low <= uv) & (uv <= high)):
+                in_front.insert(0, (intr, pose))
                 break
-        if chosen is None:
-            chosen = fallback
-        if chosen is None:
+            in_front.append((intr, pose))
+        if not in_front:
             raise BundleError(f"could not find a camera seeing all keypoints (seed {seed})")
-        intr, pose = chosen
+        intr, pose = in_front[0]
         depth, labels = render(spec, intr, pose)
         views.append(ViewRecord(intr, pose, rasters={"depth": depth, "labels": labels}))
 

@@ -9,11 +9,12 @@ on the sigmas, so for a fixed seed its error is monotone in each sigma; a
 view head whose sigma is 0 draws nothing and is bit-exact ground truth.
 
 A Prediction pays only for what its caller reads.  The pose block is drawn up
-front; each head of a view is built on first access: its depth, coords and
-masks are drawn, perturbed and validated, each reading only its own bundle
-rasters, and its heatmaps and keypoints are synthesized and decoded.  So
-`eval-pose` makes no pixel-sized draw, `eval-pointmap` draws each view's
-depth and coords, and `compose-points --view i` draws view i's heads only.
+front; each per-view head is one LazyViews(n, build), entry i made as build(i)
+on first access: view i's depth, coords and masks are drawn, perturbed and
+validated, each reading only its own bundle rasters, and its heatmaps and
+keypoints are synthesized and decoded.  So `eval-pose` makes no pixel-sized
+draw, `eval-pointmap` draws each view's depth and coords, and
+`compose-points --view i` draws view i's heads only.
 
 Heatmaps are synthesized as Gaussian bumps of HEATMAP_SIGMA pixels at the
 true 2D keypoints (the predicted bumps widen by the blur sigma).  Predicted
@@ -29,7 +30,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -60,16 +61,16 @@ class NoiseModel:
 
 
 class LazyViews(Sequence):
-    """Per-view entries, each built by its zero-argument builder on first access."""
+    """n per-view entries, entry i made as build(i) on first access and kept."""
 
-    def __init__(self, builders):
-        self._builders = [cache(builder) for builder in builders]
+    def __init__(self, n: int, build):
+        self._n, self._build = n, cache(build)
 
     def __len__(self) -> int:
-        return len(self._builders)
+        return self._n
 
     def __getitem__(self, i):
-        return self._builders[operator.index(i)]()  # an integer, not a slice
+        return self._build(range(self._n)[operator.index(i)])  # an integer, not a slice; -1 is entry n - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +113,8 @@ def _perturb_pose(pose: RigidTransform, t_sigma, r_sigma, rng) -> RigidTransform
     return RigidTransform(rot, t)
 
 
-# the head builders look synthesize_heatmaps and soft_argmax up here when they run, so a patched name is seen
 def _heatmap(bundle, i, sigma) -> np.ndarray:
     return synthesize_heatmaps(bundle.keypoints_2d[i], bundle.spec.width, bundle.spec.height, sigma)
-
-
-def _decode(heatmaps, i) -> np.ndarray:
-    return soft_argmax(heatmaps[i])
 
 
 def _generator(entropy, key) -> np.random.Generator:
@@ -153,14 +149,8 @@ def _flipped_masks(view, rate, entropy, key) -> MaskSet:
 def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Prediction:
     """Deterministic prediction set for a bundle: pure in (bundle, noise, seed)."""
     entropy = [0x30C4, int(seed), bundle.seed]
-
-    depths, coords, masks = [], [], []  # per view, the builders of its entries
-    for i, view in enumerate(bundle.views):
-        depths.append(partial(_noisy_depth, view, noise.depth_sigma, entropy, (i, 0)))
-        coords.append(partial(_noisy_coords, view, noise.coord_sigma, entropy, (i, 1)))
-        masks.append(partial(_flipped_masks, view, noise.mask_flip_rate, entropy, (i, 2)))
-
-    rng = _generator(entropy, (len(bundle.views),))
+    n = len(bundle.views)
+    rng = _generator(entropy, (n,))
     rel_poses = [RigidTransform.identity()]
     for rel in bundle.rel_poses[1:]:
         rel_poses.append(_perturb_pose(rel, noise.translation_sigma, noise.rotation_sigma, rng))
@@ -175,13 +165,14 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
     similarity = Similarity(scale, sim_rigid)
 
     sigma = HEATMAP_SIGMA + noise.heatmap_blur  # predicted bump width in px
-    heatmaps = LazyViews(partial(_heatmap, bundle, i, sigma) for i in range(len(bundle.views)))
+    # each head's builder looks its helpers up in this module when it runs, so a patched name is seen
+    heatmaps = LazyViews(n, lambda i: _heatmap(bundle, i, sigma))
     return Prediction(
-        depths=LazyViews(depths),
-        coords=LazyViews(coords),
-        masks=LazyViews(masks),
+        depths=LazyViews(n, lambda i: _noisy_depth(bundle.views[i], noise.depth_sigma, entropy, (i, 0))),
+        coords=LazyViews(n, lambda i: _noisy_coords(bundle.views[i], noise.coord_sigma, entropy, (i, 1))),
+        masks=LazyViews(n, lambda i: _flipped_masks(bundle.views[i], noise.mask_flip_rate, entropy, (i, 2))),
         heatmaps=heatmaps,
-        keypoints_2d=LazyViews(partial(_decode, heatmaps, i) for i in range(len(heatmaps))),
+        keypoints_2d=LazyViews(n, lambda i: soft_argmax(heatmaps[i])),
         rel_poses=tuple(rel_poses),
         similarity=similarity,
     )

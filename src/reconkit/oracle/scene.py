@@ -261,12 +261,6 @@ class SceneSpec:
         return tuple(chain_capsules(self))
 
 
-def default_intrinsics(width: int, height: int) -> Intrinsics:
-    # ~60 degree horizontal field of view
-    f = 0.866 * width
-    return Intrinsics(fx=f, fy=f, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
-
-
 def sample_camera(
     center, rng: np.random.Generator, ranges: CameraRanges, width: int, height: int
 ) -> tuple[Intrinsics, RigidTransform]:
@@ -301,13 +295,13 @@ def sample_camera(
     rot = rot @ rotation_about_axis(np.array([0.0, 0.0, 1.0]), roll)
     pose = RigidTransform(rot, eye)
 
-    base = default_intrinsics(width, height)
+    f = 0.866 * width  # ~60 degree horizontal field of view, principal point at the image center
     fj, cj = ranges.focal_jitter, ranges.center_jitter
     intr = Intrinsics(
-        fx=base.fx * (1.0 + rng.uniform(-fj, fj)),
-        fy=base.fy * (1.0 + rng.uniform(-fj, fj)),
-        cx=base.cx + rng.uniform(-cj, cj) * width,
-        cy=base.cy + rng.uniform(-cj, cj) * height,
+        fx=f * (1.0 + rng.uniform(-fj, fj)),
+        fy=f * (1.0 + rng.uniform(-fj, fj)),
+        cx=width / 2.0 + rng.uniform(-cj, cj) * width,
+        cy=height / 2.0 + rng.uniform(-cj, cj) * height,
         width=width,
         height=height,
     )

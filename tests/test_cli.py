@@ -411,6 +411,31 @@ class TestInputChecks:
         assert main([command, *target, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert "must be >= 0, got -1" in self.assert_flag_error(capsys, command, "--seed")
 
+    # command -> its path flags, each with a value that would run it
+    PATH_FLAGS = {
+        "gen-scenes": {"out": "tree"},
+        "eval-pointmap": {"bundles": ".", "out": "report.json"},
+        "eval-pose": {"bundles": ".", "out": "report.json"},
+        "solve-pnp": {"bundle": ".", "out": "report.json", "keypoints": None, "heatmap": None},
+        "compose-points": {"bundle": ".", "out": "composed"},
+        "check-grads": {"out": "report.json"},
+    }
+
+    @pytest.mark.parametrize("command,flag", [(command, flag) for command, flags in PATH_FLAGS.items()
+                                              for flag in ("config", *flags)])
+    def test_empty_path_flag_refused(self, bundle_tree, tmp_path, capsys, monkeypatch, command, flag):
+        # run inside a bundle, where an empty path, read as ".", would name a real bundle
+        shutil.copytree(bundle_tree / "scene_00000", tmp_path / "scene")
+        monkeypatch.chdir(tmp_path / "scene")
+        for name in ("load_bundle", "run_eval", "run_gen_scenes", "check_gradient", "solve_pnp"):
+            monkeypatch.setattr(cli, name, _must_not_run)
+        values = {name: value for name, value in self.PATH_FLAGS[command].items() if value is not None}
+        values[flag] = ""
+        rc = main([command, *(f"--{name}={value}" for name, value in values.items())])
+        assert rc == 2
+        self.assert_flag_error(capsys, command, f"--{flag}")
+        assert sorted(os.listdir(".")) == sorted(os.listdir(bundle_tree / "scene_00000"))
+
     def assert_pnp_input_error(self, bundle_tree, capsys, monkeypatch, flag, path, message):
         monkeypatch.setattr(cli, "solve_pnp", _must_not_run)
         rc = main(["solve-pnp", "--bundle", str(bundle_tree / "scene_00000"), flag, str(path)])

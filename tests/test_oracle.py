@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reconkit.camera import CoordMap, DepthMap, Intrinsics, coords_from_intrinsics, project, unproject
+from reconkit.kinematics import keypoints_3d
 from reconkit.losses import point_loss
 from reconkit.masks import PART_NAMES, MaskSet, binarize
 from reconkit.oracle import bundle as bundle_module
@@ -224,6 +225,29 @@ class TestRender:
             np.testing.assert_array_equal(v1.coords.values, v2.coords.values)
             np.testing.assert_array_equal(v1.pose_world.matrix(), v2.pose_world.matrix())
         np.testing.assert_array_equal(b1.keypoints_2d, b2.keypoints_2d)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_camera_search_falls_back_to_first_in_front_draw(self, seed):
+        # at radius 0.3 the keypoints sit in front of every draw but never all 5% inside the frame
+        spec = replace(random_scene_spec(seed, views=1, width=64, height=48), camera=CameraRanges(radius=(0.3, 0.3)))
+        rng = np.random.default_rng(np.random.SeedSequence([0xCA3E4A, seed]))  # generate_scene's stream
+        kp3d = keypoints_3d(spec.chain, spec.joint_state, spec.keypoints)
+        draws = [sample_camera(spec.workspace_center, rng, spec.camera, 64, 48) for _ in range(64)]
+        in_front = [(k, pose) for k, pose in draws if np.all(pose.inverse().apply(kp3d)[:, 2] > 0.05)]
+        low = 0.05 * np.array([64, 48])
+        for k, pose in in_front:
+            uv = project(pose.inverse().apply(kp3d), k)
+            assert not (np.all(uv >= low) and np.all(uv <= np.array([63, 47]) - low))
+        k, pose = in_front[0]
+        view = generate_scene(spec, seed).views[0]
+        assert view.pose_world.matrix().tobytes() == pose.matrix().tobytes()
+        assert (view.intrinsics.fx, view.intrinsics.fy, view.intrinsics.cx, view.intrinsics.cy) == (
+            k.fx, k.fy, k.cx, k.cy)
+
+    def test_camera_search_without_an_in_front_draw_raises(self):
+        spec = replace(random_scene_spec(7, views=1, width=64, height=48), camera=CameraRanges(radius=(0.05, 0.05)))
+        with pytest.raises(BundleError, match=re.escape("could not find a camera seeing all keypoints (seed 7)")):
+            generate_scene(spec, 7)
 
     def test_bundle_self_consistency(self, small_bundles):
         for bundle in small_bundles:
@@ -603,6 +627,37 @@ class TestMockPredict:
                 & (stored[:, 1] < small_bundle.spec.height - 8)
             )
             assert np.abs(kp[in_image] - stored[in_image]).max() < 0.05
+
+
+class TestLazyViewsIndex:
+    """LazyViews(n, build): entry i is build(i), made once, for an integer index only."""
+
+    @pytest.fixture
+    def built(self):
+        return []
+
+    @pytest.fixture
+    def views(self, built):
+        return mock_module.LazyViews(3, lambda i: built.append(i) or [i])
+
+    def test_each_entry_built_once(self, views, built):
+        assert built == []
+        first = views[1]
+        assert views[1] is first and views[-2] is first and views[np.int64(1)] is first
+        assert list(views) == [[0], [1], [2]]
+        assert built == [1, 0, 2]
+
+    @pytest.mark.parametrize("i", [3, -4, 100])
+    def test_index_past_the_end(self, views, built, i):
+        with pytest.raises(IndexError):
+            views[i]
+        assert built == [] and len(views) == 3
+
+    @pytest.mark.parametrize("i", [slice(0, 2), 1.0, "0"])
+    def test_non_integer_index(self, views, built, i):
+        with pytest.raises(TypeError):
+            views[i]
+        assert built == []
 
 
 class TestLazyKeypointHeads:
