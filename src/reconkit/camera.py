@@ -18,8 +18,8 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +31,12 @@ POSITIVE = (lambda v: v > 0, "finite and positive")
 def check_number(name: str, value, ok=lambda v: True, must: str = "finite", integer: bool = False):
     """value, if it is a real number (an integer if asked; a bool is neither), finite and ok(value).
 
+    A real value is finite only if a finite float holds it, so an integer past the float range is not.
     Otherwise a TypeError (wrong type) or ValueError (non-finite, or not ok) that names `name`.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integer else numbers.Real):
         raise TypeError(f"{name}: expected {'an integer' if integer else 'a number'}, got {value!r}")
-    if not ((isinstance(value, numbers.Integral) or math.isfinite(value)) and ok(value)):
+    if not ((integer or abs(value) <= sys.float_info.max) and ok(value)):  # NaN and inf compare false
         raise ValueError(f"{name} must be {must}, got {value}")
     return value
 
@@ -151,23 +152,19 @@ def coords_from_intrinsics(k: Intrinsics) -> CoordMap:
 def unproject(coords: CoordMap, depth: DepthMap) -> PointMap:
     """Lift (x, y) coords with depth d to camera-frame points (x d, y d, d).
 
-    Invalid pixels are (0, 0, 0).  The products are formed only at valid
-    pixels and written into a zeroed buffer; each is the same single
+    Invalid pixels are (0, 0, 0).  The products are formed only where the
+    depth is valid, masked into a zeroed buffer; each is the same single
     multiplication as over the full frame, so the values are bit-identical.
     """
     if coords.shape != depth.shape:
         raise ValueError(
             f"coord map shape {coords.shape} != depth map shape {depth.shape}"
         )
-    h, w = depth.shape
-    idx = np.flatnonzero(depth.valid)
-    d = np.take(depth.values, idx)
-    x, y = np.take(coords.values.reshape(-1, 2), idx, axis=0).T
-    pts = np.zeros((h * w, 3))
-    pts[idx, 0] = x * d
-    pts[idx, 1] = y * d
-    pts[idx, 2] = d
-    return PointMap(pts.reshape(h, w, 3), depth.valid.copy())
+    pts = np.zeros(depth.shape + (3,))
+    for k in range(2):
+        np.multiply(coords.values[..., k], depth.values, out=pts[..., k], where=depth.valid)
+    np.copyto(pts[..., 2], depth.values, where=depth.valid)
+    return PointMap(pts, depth.valid.copy())
 
 
 def project(point, k: Intrinsics) -> np.ndarray:

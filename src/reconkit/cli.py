@@ -54,7 +54,7 @@ def _sets(cls, field):
 
 def _within(ok, must):
     """The check of any other flag: check_number with its range, ok(value), which `must` says in words."""
-    return lambda flag, value: check_number(flag, value, ok, must)
+    return lambda flag, value: check_number(flag, value, ok, must, integer=FLAGS[flag].type is int)
 
 
 Flag = namedtuple("Flag", "type default help check")
@@ -133,7 +133,7 @@ def _apply_config(args: argparse.Namespace) -> None:
         if key not in args.numeric:
             raise FlagError(f"--config: {args.config}: unknown key {key!r}")
         try:
-            setattr(args, key, check_number(key, value, integer=FLAGS[key].type is int))
+            setattr(args, key, FLAGS[key].type(check_number(key, value, integer=FLAGS[key].type is int)))
         except (TypeError, ValueError) as exc:
             raise FlagError(f"--config: {exc}") from None
 

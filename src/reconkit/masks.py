@@ -105,15 +105,12 @@ def compose_masked_points(
     """Unproject and keep only pixels with a valid part label.
 
     Masking never alters geometry: the surviving points equal plain
-    unprojection restricted to the labeled pixels.  Dropped pixels hold
-    (0, 0, 0) and label LABEL_INVALID.
+    unprojection restricted to the labeled pixels, as they are the
+    unprojection of the depth kept there.  Dropped pixels hold (0, 0, 0)
+    and label LABEL_INVALID.
     """
     if masks.shape != depth.shape:
         raise ValueError(f"mask shape {masks.shape} != depth shape {depth.shape}")
-    points = unproject(coords, depth)
-    labels = binarize(masks, threshold)
-    labels[~points.valid] = LABEL_INVALID
+    labels = np.where(depth.valid, binarize(masks, threshold), LABEL_INVALID)
     keep = labels != LABEL_INVALID
-    values = points.values  # a fresh buffer, zero wherever points are invalid
-    values[points.valid & ~keep] = 0.0
-    return LabeledPointMap(PointMap(values, keep), labels)
+    return LabeledPointMap(unproject(coords, DepthMap(np.where(keep, depth.values, 0.0))), labels)

@@ -312,7 +312,7 @@ def _spec_to_dict(spec: SceneSpec) -> dict:
 
 def _from_fields(cls, d: dict):
     """cls built from the bundle JSON object d, one key per dataclass field, lists as tuples."""
-    values = {f.name: d[f.name] for f in fields(cls)}  # a missing key raises MissingMetadataError
+    values = {f.name: d[f.name] for f in fields(cls)}  # a missing key is a KeyError, which _parsing names
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
@@ -359,25 +359,17 @@ def save_bundle(path, bundle: SceneBundle):
     (path / META_NAME).write_text(json.dumps(meta, indent=1, sort_keys=True))
 
 
-class _Metadata(dict):
-    """A bundle JSON object whose missing keys raise MissingMetadataError."""
-
-    def __init__(self, path, items):
-        super().__init__(items)
-        self.path = path
-
-    def __missing__(self, key):
-        raise MissingMetadataError(f"{self.path}: missing key {key!r}")
-
-
-def _read_json(path):
-    """A bundle JSON file; any object in it names the file and key it lacks."""
+def _read_json(path) -> dict:
+    """The JSON object a bundle JSON file holds."""
     try:
-        return json.loads(path.read_text(), object_hook=lambda d: _Metadata(path, d))
+        doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise MissingMetadataError(f"bundle metadata file missing: {path}") from None
     except ValueError as exc:  # invalid JSON or text
         raise MalformedMetadataError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MalformedMetadataError(f"{path}: must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 @contextlib.contextmanager
@@ -387,6 +379,8 @@ def _parsing(path):
         yield
     except (BundleError, RasterError):
         raise
+    except KeyError as exc:  # a key the file's JSON lacks
+        raise MissingMetadataError(f"{path}: missing key {exc.args[0]!r}") from None
     except OSError as exc:  # a bundle file is missing, a directory or unreadable
         raise MissingMetadataError(f"{exc.filename}: {exc.strerror}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # a string for a number, a NaN pose
@@ -472,11 +466,8 @@ def surface_distances(spec: SceneSpec, pts: np.ndarray, labels: np.ndarray) -> n
     parts = {LABEL_BACKGROUND: [spec.table], LABEL_OBJECT: spec.primitives, LABEL_ROBOT: spec.capsules}
     for label, prims in parts.items():
         sel = labels == label
-        if np.any(sel):
-            d = np.full(sel.sum(), np.inf)
-            for prim in prims:
-                d = np.minimum(d, prim.distance(pts[sel]))
-            out[sel] = d
+        part = pts[sel]  # gathered once for all of the part's primitives
+        out[sel] = np.min([prim.distance(part) for prim in prims], axis=0, initial=np.inf)
     return out
 
 

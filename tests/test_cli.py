@@ -490,6 +490,8 @@ class TestInputChecks:
         "missing_raster": "view_1_labels.r3rb: No such file or directory",
         "width": "view_0_depth.r3rb: shape (72, 96), expected (72, 100)",
         "mask_range": "view_0_labels.r3rb: part label 4 outside [0, 3]",
+        "meta_list": "meta.json: must hold a JSON object, got list",
+        "chain_null": "chain.json: must hold a JSON object, got NoneType",
     }
 
     @staticmethod
@@ -500,6 +502,10 @@ class TestInputChecks:
         shutil.copytree(bundle_tree / "scene_00000", scene)
         if damage == "missing_raster":
             (scene / "view_1_labels.r3rb").unlink()
+        elif damage == "meta_list":  # valid JSON that is not an object
+            (scene / "meta.json").write_text("[]")
+        elif damage == "chain_null":
+            (scene / "chain.json").write_text("null")
         elif damage == "width":
             meta = json.loads((scene / "meta.json").read_text())
             meta["views"][0]["intrinsics"]["width"] = 100
@@ -513,8 +519,10 @@ class TestInputChecks:
     @pytest.mark.parametrize(
         "command,damage",
         [("solve-pnp", "missing"), ("solve-pnp", "missing_raster"), ("solve-pnp", "width"),
+         ("solve-pnp", "meta_list"), ("solve-pnp", "chain_null"),
          ("compose-points", "missing"), ("compose-points", "missing_raster"),
-         ("compose-points", "width"), ("compose-points", "mask_range")],
+         ("compose-points", "width"), ("compose-points", "mask_range"),
+         ("compose-points", "meta_list"), ("compose-points", "chain_null")],
     )
     def test_bad_bundle(self, bundle_tree, tmp_path, capsys, command, damage):
         scene = self.damaged_bundle(bundle_tree, tmp_path, damage)
@@ -524,19 +532,21 @@ class TestInputChecks:
         assert self.BUNDLE_DAMAGE[damage] in self.assert_flag_error(capsys, command, "--bundle")
         assert not out.exists()
 
-    def test_missing_raster_is_failure_row(self, bundle_tree, tmp_path):
+    @pytest.mark.parametrize("damage,error", [("missing_raster", "MissingMetadataError"),
+                                              ("meta_list", "MalformedMetadataError")])
+    def test_bad_bundle_is_failure_row(self, bundle_tree, tmp_path, damage, error):
         tree = tmp_path / "tree"
         tree.mkdir()
         for scene in ("scene_00000", "scene_00002"):
             (tree / scene).symlink_to(bundle_tree / scene)
-        self.damaged_bundle(bundle_tree, tree, "missing_raster").rename(tree / "scene_00001")
+        self.damaged_bundle(bundle_tree, tree, damage).rename(tree / "scene_00001")
         out = tmp_path / "report.json"
         rc = main(["eval-pose", "--bundles", str(tree), "--workers", "1", "--out", str(out)])
         assert rc == 1
         [failure] = json.loads(out.read_text())["failures"]
         assert failure["scene"] == "scene_00001"
-        assert failure["error"].startswith("MissingMetadataError: ")
-        assert self.BUNDLE_DAMAGE["missing_raster"] in failure["error"]
+        assert failure["error"].startswith(f"{error}: ")
+        assert self.BUNDLE_DAMAGE[damage] in failure["error"]
 
     @pytest.mark.parametrize(
         "manifest,message",
@@ -1177,8 +1187,10 @@ class TestConfigPrecedence:
         keys = self.CONFIG_KEYS[command]
         cfg = tmp_path / "cfg.json"
         argv = [command, *self.TARGETS.get(command, []), "--config", str(cfg)]
-        # an integer suits int and float flags; main checks every value's range before any handler
-        values = {key: {"threshold": 0.5, "views": 2, "noise_mask_flip": 0.5}.get(key, 7) for key in keys}
+        # an integer suits int and float flags; main checks every value's range before any handler, and only a
+        # real-valued flag's value must fit a finite float
+        values = {key: {"threshold": 0.5, "views": 2, "noise_mask_flip": 0.5, "seed": 10**400}.get(key, 7)
+                  for key in keys}
         cfg.write_text(json.dumps(values))
         assert main(argv) == 0
         assert {key: seen[key] for key in keys} == values
@@ -1223,6 +1235,11 @@ class TestConfigPrecedence:
             ("eval-pointmap", {"threshold_abs": [0.01]}, "threshold_abs: expected a number, got [0.01]"),
             ("compose-points", {"seed": None}, "seed: expected an integer, got None"),
             ("eval-pose", {"threshold_rel": float("nan")}, "threshold_rel must be finite, got nan"),
+            # integers that no finite float holds
+            pytest.param("eval-pose", {"threshold_rel": 10**400}, f"threshold_rel must be finite, got {10**400}",
+                         id="threshold_rel-past-float-range"),
+            pytest.param("eval-pointmap", {"noise_depth": 10**400}, f"noise_depth must be finite, got {10**400}",
+                         id="noise_depth-past-float-range"),
         ],
     )
     def test_config_value_types_checked(self, bundle_tree, tmp_path, capsys, monkeypatch,
@@ -1251,11 +1268,15 @@ class TestConfigPrecedence:
         assert cli.build_parser() is cli.build_parser()
 
     def test_config_ints_accepted_for_floats(self, bundle_tree, tmp_path):
+        """An integer for a float flag is read as its flag's type: the report is the flags' byte for byte."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"threshold_rel": 1, "seed": 3}))
-        out = tmp_path / "r.json"
+        out, flags_out = tmp_path / "r.json", tmp_path / "flags.json"
         rc = main(["eval-pose", "--bundles", str(bundle_tree), "--config", str(cfg),
                    "--workers", "1", "--out", str(out)])
         assert rc == 0
         config = json.loads(out.read_text())["config"]
         assert (config["t_threshold_rel"], config["seed"]) == (1, 3)
+        assert main(["eval-pose", "--bundles", str(bundle_tree), "--threshold-rel", "1", "--seed", "3",
+                     "--workers", "1", "--out", str(flags_out)]) == 0
+        assert out.read_bytes() == flags_out.read_bytes()

@@ -1008,6 +1008,13 @@ class TestBundleJSONErrors:
         with pytest.raises(MalformedMetadataError, match=rf"{name}: not valid JSON"):
             load_edited(tiny_saved, name, "{")
 
+    @pytest.mark.parametrize("content,kind", [("[]", "list"), ("3", "int"), ('"x"', "str"), ("null", "NoneType")])
+    @pytest.mark.parametrize("name", ["meta.json", "chain.json"])
+    def test_non_object_file_named(self, tiny_saved, name, content, kind):
+        """Valid JSON that is not an object fails at load, naming the file, as the --config check words it."""
+        with pytest.raises(MalformedMetadataError, match=rf"{name}: must hold a JSON object, got {kind}$"):
+            load_edited(tiny_saved, name, content)
+
     def test_missing_chain_file(self, small_bundle, tmp_path):
         save_bundle(tmp_path / "s", small_bundle)
         (tmp_path / "s" / "chain.json").unlink()
@@ -1082,6 +1089,9 @@ class TestBundleJSONErrors:
         "height_bool": ("meta.json", ("views", 1, "intrinsics", "height"), True, "image height: expected an integer, got True"),
         "fx_inf": ("meta.json", ("views", 0, "intrinsics", "fx"), float("inf"), "fx must be finite and positive, got inf"),
         "fy_inf": ("meta.json", ("views", 1, "intrinsics", "fy"), float("inf"), "fy must be finite and positive, got inf"),
+        # an integer that no finite float holds, which a float conversion would overflow
+        "fx_past_float_range": ("meta.json", ("views", 0, "intrinsics", "fx"), 10**400,
+                                f"fx must be finite and positive, got {10**400}"),
         # a third view, a copy of view 1: the scene's view count is the number of views
         "scene_views": ("meta.json", ("views",), lambda views: views + views[1:], "views must be 1 or 2, got 3"),
         "link_float": ("chain.json", ("keypoints", 0, "link"), 1.7, "keypoint link: expected an integer, got 1.7"),
