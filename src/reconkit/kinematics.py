@@ -11,7 +11,8 @@ so at the zero state the link poses are the running products of the origin
 transforms alone.  Revolute joints rotate about the axis, prismatic joints
 translate along it.
 
-Chains and keypoint specs load from a JSON file:
+Chains and keypoint specs load from a JSON file, each joint its Joint's
+fields (transforms.to_json):
 
     {
       "name": "arm",
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import check_array, check_number
-from .transforms import RigidTransform, rotation_about_axis
+from .transforms import RigidTransform, from_json, rotation_about_axis, to_json
 
 JOINT_TYPES = ("revolute", "prismatic")
 
@@ -146,17 +147,7 @@ def chain_from_dict(data: dict, default_name: str) -> tuple[KinematicChain, Keyp
     `joints` and `keypoints` are required; the chain's `name` (default
     `default_name`) and a joint's `limits` (default none) are optional.
     """
-    joints = []
-    for j in data["joints"]:
-        joints.append(
-            Joint(
-                type=j["type"],
-                axis=j["axis"],
-                origin=RigidTransform.from_matrix(j["origin"], "joint origin"),
-                limits=tuple(j["limits"]) if j.get("limits") is not None else None,
-            )
-        )
-    chain = KinematicChain(joints=tuple(joints), name=data.get("name", default_name))
+    chain = KinematicChain(joints=[from_json(Joint, j) for j in data["joints"]], name=data.get("name", default_name))
     kps = data["keypoints"]
     spec = KeypointSpec(
         links=[kp["link"] for kp in kps],
@@ -169,18 +160,7 @@ def chain_from_dict(data: dict, default_name: str) -> tuple[KinematicChain, Keyp
 def save_chain(path, chain: KinematicChain, spec: KeypointSpec):
     data = {
         "name": chain.name,
-        "joints": [
-            {
-                "type": j.type,
-                "axis": j.axis.tolist(),
-                "origin": j.origin.matrix().tolist(),
-                "limits": list(j.limits) if j.limits is not None else None,
-            }
-            for j in chain.joints
-        ],
-        "keypoints": [
-            {"link": int(l), "offset": o.tolist()}
-            for l, o in zip(spec.links, spec.offsets)
-        ],
+        "joints": [to_json(j) for j in chain.joints],
+        "keypoints": [{"link": int(l), "offset": o.tolist()} for l, o in zip(spec.links, spec.offsets)],
     }
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))

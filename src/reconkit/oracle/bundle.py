@@ -14,8 +14,10 @@ image size from the views, each of which must share view 0's size.
 ViewRecord derives validity (depth > 0), coords (from the intrinsics) and
 mask planes (one-hot labels), and SceneBundle the keypoints (forward
 kinematics of the chain at the joint state, and their projections) and the
-similarity, on one path for generated and loaded bundles.  save/load is a
-lossless bit-exact round trip.
+similarity, on one path for generated and loaded bundles.  Each JSON object
+of a dataclass (intrinsics, table, primitive, camera ranges, joint) is its
+fields, written by transforms.to_json and read by from_json, a pose as its
+4x4 row-major matrix.  save/load is a lossless bit-exact round trip.
 load_bundle checks both JSON files and every raster's header, size, shape
 and (labels: uint8) dtype up front, so a missing or malformed file or key,
 a value of the wrong type or form, or a wrong shape or dtype fails at load
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -47,7 +49,7 @@ from ..kinematics import (
     save_chain,
 )
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT, MaskSet
-from ..transforms import RigidTransform, Similarity, relative_pose
+from ..transforms import RigidTransform, Similarity, from_json, relative_pose, to_json
 from .raster import RasterError, raster_header, read_raster, write_raster
 from .scene import (
     PRIMITIVE_TYPES,
@@ -302,30 +304,23 @@ def generate_scene(spec: SceneSpec, seed: int) -> SceneBundle:
 
 def _spec_to_dict(spec: SceneSpec) -> dict:
     return {
-        "table": spec.table.to_dict(),
-        "primitives": [p.to_dict() for p in spec.primitives],
+        "table": to_json(spec.table),
+        "primitives": [{"type": type(p).__name__.lower(), **to_json(p)} for p in spec.primitives],
         "capsule_radius": spec.capsule_radius,
         "workspace_center": spec.workspace_center.tolist(),
-        "camera": asdict(spec.camera),
+        "camera": to_json(spec.camera),
     }
-
-
-def _from_fields(cls, d: dict):
-    """cls built from the bundle JSON object d, one key per dataclass field, lists as tuples."""
-    values = {f.name: d[f.name] for f in fields(cls)}  # a missing key is a KeyError, which _parsing names
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_state, views, grid) -> SceneSpec:
     for p in d["primitives"]:
+        if not isinstance(p, dict):  # before its tag is looked up
+            raise TypeError(f"primitive: must be a JSON object, got {type(p).__name__}")
         if p["type"] not in PRIMITIVE_TYPES:
             raise ValueError(f"unknown primitive type {p['type']!r}")
     return SceneSpec(
-        table=Table(
-            pose=RigidTransform.from_matrix(d["table"]["pose"], "table pose"),
-            half_extents=d["table"]["half_extents"],
-        ),
-        primitives=[PRIMITIVE_TYPES[p["type"]](p) for p in d["primitives"]],
+        table=from_json(Table, d["table"]),
+        primitives=[from_json(PRIMITIVE_TYPES[p["type"]], p) for p in d["primitives"]],
         chain=chain,
         keypoints=kp,
         joint_state=joint_state,
@@ -333,7 +328,7 @@ def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_stat
         width=grid[1],
         height=grid[0],
         capsule_radius=d["capsule_radius"],
-        camera=_from_fields(CameraRanges, d["camera"]),
+        camera=from_json(CameraRanges, d["camera"]),
         workspace_center=d["workspace_center"],
     )
 
@@ -347,7 +342,7 @@ def save_bundle(path, bundle: SceneBundle):
     for i, view in enumerate(bundle.views):
         for key in RASTER_KEYS:
             write_raster(path / RASTER_NAME.format(i=i, key=key), view.rasters[key])
-        view_entries.append({"intrinsics": asdict(view.intrinsics), "pose_world": view.pose_world.matrix().tolist()})
+        view_entries.append({"intrinsics": to_json(view.intrinsics), "pose_world": view.pose_world.matrix().tolist()})
 
     meta = {
         "format_version": FORMAT_VERSION,
@@ -436,7 +431,7 @@ def load_bundle(path) -> SceneBundle:
 
         if not meta["views"]:
             raise ValueError("no views")
-        intrinsics = [_from_fields(Intrinsics, entry["intrinsics"]) for entry in meta["views"]]
+        intrinsics = [from_json(Intrinsics, entry["intrinsics"]) for entry in meta["views"]]
         grid = (intrinsics[0].height, intrinsics[0].width)  # every view's, the scene's image size
         try:
             spec = _spec_from_dict(meta["scene"], chain, kp_spec, meta["joint_state"], len(intrinsics), grid)

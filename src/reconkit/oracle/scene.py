@@ -54,6 +54,7 @@ def _local_rays(pose: RigidTransform, view: RigidTransform, x, y):
 # y a column of rows.  The primitive moves into the camera frame in Python floats, then each depth is
 # fixed-order IEEE +, *, / and sqrt with no BLAS product; a NaN (a miss's sqrt, a ray along a face) fails
 # every test.  distance(pts) gives each world point's distance to the surface, bound() a sphere around it.
+# In meta.json a primitive is {"type": its PRIMITIVE_TYPES tag, **transforms.to_json(primitive)}.
 @dataclass(frozen=True, eq=False)
 class Sphere:
     center: np.ndarray
@@ -62,9 +63,6 @@ class Sphere:
     def __post_init__(self):
         object.__setattr__(self, "center", check_array("sphere center", self.center, (3,)))
         check_number("sphere radius", self.radius, *POSITIVE)
-
-    def to_dict(self) -> dict:
-        return {"type": "sphere", "center": self.center.tolist(), "radius": self.radius}
 
     def bound(self) -> tuple[np.ndarray, float]:
         return self.center, self.radius
@@ -89,9 +87,6 @@ class Box:
 
     def __post_init__(self):
         object.__setattr__(self, "half_extents", check_array("box half extents", self.half_extents, (3,), *POSITIVE))
-
-    def to_dict(self) -> dict:
-        return {"type": "box", "pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
 
     def bound(self) -> tuple[np.ndarray, float]:
         return self.pose.translation, float(np.linalg.norm(self.half_extents))
@@ -119,11 +114,8 @@ class Box:
         return np.abs(np.max(local, axis=1))
 
 
-# meta.json primitive "type" -> the primitive built from its JSON object
-PRIMITIVE_TYPES = {
-    "sphere": lambda d: Sphere(center=d["center"], radius=d["radius"]),
-    "box": lambda d: Box(pose=RigidTransform.from_matrix(d["pose"], "box pose"), half_extents=d["half_extents"]),
-}
+# the object types: a meta.json "type" tag, the lowercased class name -> the class
+PRIMITIVE_TYPES = {cls.__name__.lower(): cls for cls in (Sphere, Box)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +180,6 @@ class Table:
     def __post_init__(self):
         object.__setattr__(self, "half_extents", check_array("table half extents", self.half_extents, (2,), *POSITIVE))
 
-    def to_dict(self) -> dict:
-        return {"pose": self.pose.matrix().tolist(), "half_extents": self.half_extents.tolist()}
-
     def cast(self, view, x, y) -> np.ndarray:
         o, (dx, dy, dz) = _local_rays(self.pose, view, x, y)
         with np.errstate(divide="ignore", invalid="ignore"):  # a ray parallel to the plane is no hit
@@ -249,7 +238,7 @@ class SceneSpec:
         check_number("capsule_radius", self.capsule_radius, *POSITIVE)
         object.__setattr__(self, "primitives", tuple(self.primitives))
         for p in self.primitives:
-            if not isinstance(p, (Sphere, Box)):
+            if not isinstance(p, tuple(PRIMITIVE_TYPES.values())):
                 raise TypeError(f"unknown primitive {type(p).__name__}")
         q = check_array("joint state", self.joint_state, (self.chain.dof,))
         object.__setattr__(self, "joint_state", self.chain.check_state(q))

@@ -13,7 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -161,6 +161,31 @@ class RigidTransform:
         if m[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
             raise ValueError(f"{name}: bottom row must be (0, 0, 0, 1), got {m[3].tolist()}")
         return RigidTransform(m[:3, :3], m[:3, 3])
+
+
+def to_json(obj) -> dict:
+    """The JSON object of dataclass obj: one key per field, a RigidTransform as its 4x4 row-major matrix and an
+    array or tuple as a list."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        v = v.matrix() if isinstance(v, RigidTransform) else v
+        out[f.name] = v.tolist() if isinstance(v, np.ndarray) else list(v) if isinstance(v, tuple) else v
+    return out
+
+
+def from_json(cls, d):
+    """Dataclass cls from its JSON object d, as to_json writes it; keys that are not fields are ignored.  A pose is
+    read by from_matrix as "<class> <field>", a list as a tuple.  Only a field whose default is None may be absent."""
+    if not isinstance(d, dict):
+        raise TypeError(f"{cls.__name__}: must be a JSON object, got {type(d).__name__}")
+    values = {}
+    for f in fields(cls):
+        v = d.get(f.name) if f.default is None else d[f.name]  # any other missing field is a KeyError
+        if f.type in (RigidTransform, "RigidTransform"):  # the class, or its name under postponed annotations
+            v = RigidTransform.from_matrix(v, f"{cls.__name__.lower()} {f.name}")
+        values[f.name] = tuple(v) if isinstance(v, list) else v
+    return cls(**values)
 
 
 @dataclass(frozen=True, eq=False)

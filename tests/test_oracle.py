@@ -795,20 +795,24 @@ class TestBundleIO:
 
     @pytest.mark.parametrize(
         "keys",
-        [("seed",), ("scene", "table", "pose"), ("views", 0, "intrinsics", "fx"), ("scene", "camera", "roll_deg")],
+        [("seed",), ("scene", "table", "pose"), ("views", 0, "intrinsics", "fx"), ("scene", "camera", "roll_deg"),
+         "every"],
     )
     def test_missing_metadata_key_named(self, small_bundle, tmp_path, keys):
-        import json
-
+        """A dropped meta.json key fails at load, naming it; "every" drops each key the saved bundle holds in turn
+        but format_version (a VersionMismatchError), so no key is optional, CameraRanges' defaulted fields included."""
         save_bundle(tmp_path / "s", small_bundle)
-        meta = json.loads((tmp_path / "s" / "meta.json").read_text())
-        parent = meta
-        for key in keys[:-1]:
-            parent = parent[key]
-        del parent[keys[-1]]
-        (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(MissingMetadataError, match=rf"meta\.json: missing key '{keys[-1]}'"):
-            load_bundle(tmp_path / "s")
+        text = (tmp_path / "s" / "meta.json").read_text()
+        every = [path for path in key_paths(json.loads(text)) if path != ("format_version",)]
+        for path in every if keys == "every" else [keys]:
+            meta = json.loads(text)
+            parent = meta
+            for key in path[:-1]:
+                parent = parent[key]
+            del parent[path[-1]]
+            (tmp_path / "s" / "meta.json").write_text(json.dumps(meta))
+            with pytest.raises(MissingMetadataError, match=rf"meta\.json: missing key '{path[-1]}'"):
+                load_bundle(tmp_path / "s")
 
     def test_version_mismatch(self, small_bundle, tmp_path):
         import json
@@ -1096,6 +1100,24 @@ class TestBundleJSONErrors:
         "scene_views": ("meta.json", ("views",), lambda views: views + views[1:], "views must be 1 or 2, got 3"),
         "link_float": ("chain.json", ("keypoints", 0, "link"), 1.7, "keypoint link: expected an integer, got 1.7"),
     }
+
+    @pytest.mark.parametrize(
+        "name,path,value,expected",
+        [
+            ("meta.json", ("scene", "table"), [], "Table"),
+            ("meta.json", ("scene", "camera"), "x", "CameraRanges"),
+            ("meta.json", ("views", 1, "intrinsics"), 3, "Intrinsics"),
+            ("meta.json", ("scene", "primitives", 0), [], "primitive"),  # refused before its "type" is read
+            ("chain.json", ("joints", 2), None, "Joint"),
+        ],
+        ids=["table", "camera", "intrinsics", "primitive", "joint"],
+    )
+    def test_nested_non_object_named(self, tiny_saved, name, path, value, expected):
+        """A nested value that is not a JSON object fails naming the file and the object it should be."""
+        doc = replaced(json.loads((tiny_saved / name).read_text()), path, value)
+        message = f"{name}: {expected}: must be a JSON object, got {type(value).__name__}"
+        with pytest.raises(MalformedMetadataError, match=re.escape(message) + "$"):
+            load_edited(tiny_saved, name, json.dumps(doc))
 
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
     def test_wrong_value_named(self, tiny_saved, case):

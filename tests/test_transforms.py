@@ -1,6 +1,8 @@
 """Rotation projection, pose algebra, registration and canonicalization."""
 
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -8,17 +10,21 @@ import scipy.linalg
 
 from conftest import random_rigid, random_rotation
 
-from reconkit.camera import PointMap
+from reconkit.camera import Intrinsics, PointMap
+from reconkit.kinematics import Joint
+from reconkit.oracle.scene import Box, CameraRanges, Sphere, Table
 from reconkit.transforms import (
     RankDeficientError,
     RigidTransform,
     Similarity,
+    from_json,
     orthogonalize_9d,
     register_views,
     relative_pose,
     rotation_about_axis,
     rotation_angle,
     to_canonical,
+    to_json,
 )
 
 
@@ -235,3 +241,62 @@ class TestComposeInvert:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             Similarity(-1.0, RigidTransform.identity())
+
+
+_POSE = RigidTransform(rotation_about_axis([1.0, 2.0, 3.0], 0.7), [0.1, -1 / 3, 2 / 7])
+
+# one object of each class the bundle JSON files hold, with floats that print to 17 digits
+JSON_OBJECTS = {
+    "intrinsics": Intrinsics(fx=525 / 3, fy=526 / 3, cx=160 + 1 / 3, cy=120 - 1 / 7, width=320, height=240),
+    "camera": CameraRanges(radius=(0.7, 5 / 3), roll_deg=(-1 / 3, 2 / 3), target_jitter=0.1 / 3),
+    "table": Table(_POSE, [0.6, 0.4 / 3]),
+    "sphere": Sphere([0.3, -0.1 / 3, 0.05], 1 / 17),
+    "box": Box(_POSE, [0.05, 0.07, 0.1 / 3]),
+    "joint": Joint("revolute", [1 / 3, 2 / 3, 2 / 3], _POSE, (-2.9, 2.9 / 3)),
+    "joint_no_limits": Joint("prismatic", [0.0, 0.0, 1.0], _POSE),
+}
+
+
+def _bits(value):
+    """A field's value, bit for bit: the float64 bytes of an array, a pose's matrix, a tuple or a float."""
+    value = value.matrix() if isinstance(value, RigidTransform) else value
+    return np.asarray(value, dtype=float).tobytes() if isinstance(value, (np.ndarray, tuple, float)) else value
+
+
+class TestJSONForm:
+    """to_json and from_json: every bundle dataclass's JSON object, one key per field."""
+
+    @pytest.mark.parametrize("name", sorted(JSON_OBJECTS))
+    def test_round_trip_bit_exact(self, name):
+        obj = JSON_OBJECTS[name]
+        back = from_json(type(obj), json.loads(json.dumps(to_json(obj))))
+        for f in dataclasses.fields(obj):
+            a, b = getattr(obj, f.name), getattr(back, f.name)
+            assert type(b) is type(a), f.name  # a pose comes back as a RigidTransform, a pair as a tuple
+            assert _bits(b) == _bits(a), f.name
+
+    @pytest.mark.parametrize("name,field", [("table", "pose"), ("box", "pose"), ("joint", "origin")])
+    def test_nan_pose_entry_named(self, name, field):
+        obj = JSON_OBJECTS[name]
+        d = to_json(obj)
+        d[field][1][3] = float("nan")
+        with pytest.raises(ValueError, match=f"^{name} {field} must be finite, got nan$"):
+            from_json(type(obj), json.loads(json.dumps(d)))
+
+    @pytest.mark.parametrize("annotation", [RigidTransform, "RigidTransform"], ids=["class", "postponed"])
+    def test_pose_field_found_with_or_without_postponed_annotations(self, annotation):
+        mount = dataclasses.make_dataclass("Mount", [("pose", annotation)], frozen=True)
+        back = from_json(mount, json.loads(json.dumps(to_json(mount(_POSE)))))
+        assert isinstance(back.pose, RigidTransform)
+        assert _bits(back.pose) == _bits(_POSE)
+        with pytest.raises(ValueError, match=r"^mount pose: bottom row must be \(0, 0, 0, 1\)"):
+            from_json(mount, {"pose": np.ones((4, 4)).tolist()})
+
+    def test_only_a_none_default_may_be_absent(self):
+        joint = to_json(JSON_OBJECTS["joint"])
+        del joint["limits"]
+        assert from_json(Joint, {"unused": 1, **joint}).limits is None  # a key that is no field is ignored
+        camera = to_json(CameraRanges())
+        del camera["center_jitter"]
+        with pytest.raises(KeyError, match="center_jitter"):
+            from_json(CameraRanges, camera)
