@@ -120,25 +120,59 @@ class CoordMap:
 
 
 @dataclass(frozen=True, eq=False)
-class PointMap:
-    """H x W x 3 points in meters plus a validity grid."""
+class PixelVectors:
+    """3-vectors held per valid pixel of an H x W grid.
 
-    values: np.ndarray
-    valid: np.ndarray
+    `index` is the sorted flat (row-major) index of the valid pixels and
+    `components` their x, y and z as three 1-D arrays.  The dense `values`
+    (zero at invalid pixels) and `valid` grids are built on access.
+    """
+
+    shape: tuple
+    index: np.ndarray
+    components: tuple
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 3 or v.shape[2] != 3:
-            raise ValueError(f"point values must be HxWx3, got shape {v.shape}")
-        m = np.asarray(self.valid, dtype=bool)
-        if m.shape != v.shape[:2]:
-            raise ValueError(f"valid grid shape {m.shape} != point grid {v.shape[:2]}")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "valid", m)
+        h, w = shape = tuple(int(n) for n in self.shape)
+        idx = np.asarray(self.index, dtype=np.intp)
+        comps = tuple(np.asarray(c, dtype=float) for c in self.components)
+        if idx.ndim != 1 or [c.shape for c in comps] != [idx.shape] * 3:
+            raise ValueError(f"{type(self).__name__} needs a 1-D index and 3 components as long")
+        if idx.size and not (0 <= idx[0] and idx[-1] < h * w and np.all(idx[1:] > idx[:-1])):
+            raise ValueError(f"{type(self).__name__} index must be increasing and inside the grid")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "index", idx)
+        object.__setattr__(self, "components", comps)
+
+    @classmethod
+    def from_dense(cls, values, valid):
+        """The vectors of an HxWx3 array at the pixels an HxW grid marks valid."""
+        v = np.asarray(values, dtype=float)
+        m = np.asarray(valid, dtype=bool)
+        if v.ndim != 3 or v.shape[2] != 3 or m.shape != v.shape[:2]:
+            raise ValueError(f"{cls.__name__} needs HxWx3 values and an HxW valid grid, got {v.shape}, {m.shape}")
+        idx = np.flatnonzero(m)
+        return cls(m.shape, idx, tuple(np.take(v.reshape(-1, 3), idx, axis=0).T))
 
     @property
-    def shape(self):
-        return self.values.shape[:2]
+    def valid(self) -> np.ndarray:
+        grid = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
+        grid[self.index] = True
+        return grid.reshape(self.shape)
+
+    @property
+    def values(self) -> np.ndarray:
+        grid = np.zeros((self.shape[0] * self.shape[1], 3))
+        grid[self.index] = self.stacked()
+        return grid.reshape(self.shape + (3,))
+
+    def stacked(self) -> np.ndarray:
+        """The valid pixels' vectors as one (N, 3) array, in pixel order."""
+        return np.column_stack(self.components)
+
+
+class PointMap(PixelVectors):
+    """Camera- or world-frame points in meters, held per valid pixel (see PixelVectors)."""
 
 
 def coords_from_intrinsics(k: Intrinsics) -> CoordMap:
@@ -149,22 +183,22 @@ def coords_from_intrinsics(k: Intrinsics) -> CoordMap:
     return CoordMap(out)
 
 
-def unproject(coords: CoordMap, depth: DepthMap) -> PointMap:
+def unproject(coords: CoordMap, depth: DepthMap, valid: np.ndarray | None = None) -> PointMap:
     """Lift (x, y) coords with depth d to camera-frame points (x d, y d, d).
 
-    Invalid pixels are (0, 0, 0).  The products are formed only where the
-    depth is valid, masked into a zeroed buffer; each is the same single
-    multiplication as over the full frame, so the values are bit-identical.
+    Only the valid pixels are lifted: those of the HxW grid `valid`, which
+    must lie within depth.valid, or else of depth.valid.  Each product is
+    the same single multiplication as over the full frame, so the values
+    are bit-identical; no HxWx3 buffer is built.
     """
     if coords.shape != depth.shape:
         raise ValueError(
             f"coord map shape {coords.shape} != depth map shape {depth.shape}"
         )
-    pts = np.zeros(depth.shape + (3,))
-    for k in range(2):
-        np.multiply(coords.values[..., k], depth.values, out=pts[..., k], where=depth.valid)
-    np.copyto(pts[..., 2], depth.values, where=depth.valid)
-    return PointMap(pts, depth.valid.copy())
+    idx = np.flatnonzero(depth.valid if valid is None else valid)
+    d = np.take(depth.values, idx)
+    xy = np.take(coords.values.reshape(-1, 2), idx, axis=0)
+    return PointMap(depth.shape, idx, (xy[:, 0] * d, xy[:, 1] * d, d))
 
 
 def project(point, k: Intrinsics) -> np.ndarray:

@@ -280,7 +280,7 @@ def cmd_compose_points(args) -> int:
     report = {
         "command": "compose-points",
         "config": config,
-        "points": int(labeled.points.valid.sum()),
+        "points": labeled.points.index.size,
         "per_part": counts,
         "failures": [],
     }

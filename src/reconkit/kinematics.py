@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .camera import check_array, check_number
-from .transforms import RigidTransform, from_json, rotation_about_axis, to_json
+from .transforms import RigidTransform, from_json, json_kind, rotation_about_axis, to_json
 
 JOINT_TYPES = ("revolute", "prismatic")
 
@@ -147,8 +147,9 @@ def chain_from_dict(data: dict, default_name: str) -> tuple[KinematicChain, Keyp
     `joints` and `keypoints` are required; the chain's `name` (default
     `default_name`) and a joint's `limits` (default none) are optional.
     """
-    chain = KinematicChain(joints=[from_json(Joint, j) for j in data["joints"]], name=data.get("name", default_name))
-    kps = data["keypoints"]
+    joints = json_kind("joints", data["joints"], list)
+    chain = KinematicChain(joints=[from_json(Joint, j) for j in joints], name=data.get("name", default_name))
+    kps = [json_kind("keypoint", kp) for kp in json_kind("keypoints", data["keypoints"], list)]
     spec = KeypointSpec(
         links=[kp["link"] for kp in kps],
         offsets=[kp["offset"] for kp in kps],

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import POSITIVE, PointMap, check_number
+from .camera import POSITIVE, PixelVectors, PointMap, check_number
 from .masks import MaskSet
 from .transforms import (
     RigidTransform,
@@ -30,6 +30,7 @@ HUBER_DELTA = 1.0
 LOSS_TERMS = ("point", "normal", "mask", "relative_pose", "similarity", "keypoint")
 # the point check's residuals keep this far from 0, more than a finite-difference step of up to 1e-4 moves them
 POINT_CHECK_MARGIN = 1e-3
+STENCIL_CHUNK = 1 << 13  # pixels per pass of the normal stencil
 
 
 class NonDifferentiableError(ValueError):
@@ -56,55 +57,14 @@ class LossWeights:
             check_number(f"loss weight {name}", value, *POSITIVE)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalMap:
-    """Unit normals held per valid pixel of an H x W grid.
-
-    `index` is the sorted flat (row-major) index of the valid pixels and
-    `components` their x, y and z as three 1-D arrays; each normal must be
-    within 1e-9 of unit length, so a NaN normal is rejected.  The dense
-    `values` (zero at invalid pixels) and `valid` grids are built on access.
-    """
-
-    shape: tuple
-    index: np.ndarray
-    components: tuple
+class NormalMap(PixelVectors):
+    """Unit normals held per valid pixel of an H x W grid (see PixelVectors);
+    each must be within 1e-9 of unit length, so a NaN normal is rejected."""
 
     def __post_init__(self):
-        h, w = shape = tuple(int(n) for n in self.shape)
-        idx = np.asarray(self.index, dtype=np.intp)
-        comps = tuple(np.asarray(c, dtype=float) for c in self.components)
-        if idx.ndim != 1 or [c.shape for c in comps] != [idx.shape] * 3:
-            raise ValueError("normal map needs a 1-D index and 3 components as long")
-        if idx.size and not (0 <= idx[0] and idx[-1] < h * w and np.all(idx[1:] > idx[:-1])):
-            raise ValueError("normal map index must be increasing and inside the grid")
-        if not np.all(np.abs(_lengths(*comps) - 1.0) <= 1e-9):
+        super().__post_init__()
+        if not np.all(np.abs(_lengths(*self.components) - 1.0) <= 1e-9):
             raise ValueError("valid normals must have unit norm")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "index", idx)
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_dense(cls, values, valid) -> "NormalMap":
-        """The normals of an HxWx3 array at the pixels an HxW grid marks valid."""
-        v = np.asarray(values, dtype=float)
-        m = np.asarray(valid, dtype=bool)
-        if v.ndim != 3 or v.shape[2] != 3 or m.shape != v.shape[:2]:
-            raise ValueError("normal map must be HxWx3 with an HxW valid grid")
-        idx = np.flatnonzero(m)
-        return cls(m.shape, idx, tuple(np.take(v.reshape(-1, 3), idx, axis=0).T))
-
-    @property
-    def valid(self) -> np.ndarray:
-        grid = np.zeros(self.shape[0] * self.shape[1], dtype=bool)
-        grid[self.index] = True
-        return grid.reshape(self.shape)
-
-    @property
-    def values(self) -> np.ndarray:
-        grid = np.zeros((self.shape[0] * self.shape[1], 3))
-        grid[self.index] = np.column_stack(self.components)
-        return grid.reshape(self.shape + (3,))
 
 
 def huber(residual) -> float:
@@ -122,8 +82,16 @@ def joint_points(pred: PointMap, gt: PointMap) -> tuple[np.ndarray, np.ndarray]:
     """The (N, 3) points of both maps at their jointly valid pixels, in pixel order."""
     if pred.shape != gt.shape:
         raise ValueError(f"point map shapes differ: {pred.shape} vs {gt.shape}")
-    joint = np.flatnonzero(pred.valid & gt.valid)
-    return tuple(np.take(m.values.reshape(-1, 3), joint, axis=0) for m in (pred, gt))
+    return tuple(np.column_stack(comps) for comps in _joint_components(pred, gt))
+
+
+def _joint_components(a: PixelVectors, b: PixelVectors) -> tuple:
+    """The components of a and of b at their jointly valid pixels, in pixel order."""
+    if np.array_equal(a.index, b.index):
+        return a.components, b.components
+    in_b = np.isin(a.index, b.index, assume_unique=True, kind="table")
+    in_a = np.isin(b.index, a.index, assume_unique=True, kind="table")
+    return [c[in_b] for c in a.components], [c[in_a] for c in b.components]
 
 
 def align_scale(pred: PointMap, gt: PointMap) -> float:
@@ -136,8 +104,9 @@ def align_scale_flat(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
     gt_pts = np.asarray(gt_pts, dtype=float).reshape(-1, 3)
     if pred_pts.shape[0] == 0:
         raise ValueError("no jointly valid pixels to align")
-    num = float(np.sum(pred_pts * gt_pts))
-    den = float(np.sum(pred_pts * pred_pts))
+    products = pred_pts * gt_pts  # one buffer for both products
+    num = float(np.sum(products))
+    den = float(np.sum(np.multiply(pred_pts, pred_pts, out=products)))
     if den == 0.0:
         raise ValueError("cannot align scale: predicted points are all zero")
     return num / den
@@ -152,7 +121,9 @@ def point_loss_flat(pred_pts: np.ndarray, gt_pts: np.ndarray) -> float:
     pred_pts = np.asarray(pred_pts, dtype=float).reshape(-1, 3)
     gt_pts = np.asarray(gt_pts, dtype=float).reshape(-1, 3)
     s = align_scale_flat(pred_pts, gt_pts)
-    return float(np.abs(s * pred_pts - gt_pts).mean())
+    residual = s * pred_pts  # |s * pred - gt|, formed in place
+    np.subtract(residual, gt_pts, out=residual)
+    return float(np.abs(residual, out=residual).mean())
 
 
 def _cross(a0, a1, a2, b0, b1, b2):
@@ -170,11 +141,10 @@ def normals_from_pointmap(points: PointMap) -> NormalMap:
 
     Boundary pixels, pixels with any invalid 4-neighbor and pixels whose
     cross product has zero (or NaN) length are invalid.  The stencil is
-    evaluated only at pixels whose five points are all valid, on each x/y/z
-    component separately; the cross product, its length and the division
-    are formed in the order np.cross and np.linalg.norm use, so every value
-    is bit-identical to the full-frame evaluation.  Only the valid normals
-    are stored: no HxWx3 buffer is built.
+    evaluated only at pixels whose five points are all valid (see
+    _stencil_cross); the cross product, its length and the division are
+    formed in the order np.cross and np.linalg.norm use, so every value is
+    bit-identical to the full-frame evaluation.  No HxWx3 buffer is built.
     """
     h, w = points.shape
     if h < 3 or w < 3:
@@ -183,14 +153,30 @@ def normals_from_pointmap(points: PointMap) -> NormalMap:
     ok = np.zeros((h, w), dtype=bool)
     ok[1:-1, 1:-1] = m[1:-1, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2] & m[2:, 1:-1] & m[:-2, 1:-1]
     idx = np.flatnonzero(ok)
-    inner, xyz = ok[1:-1, 1:-1], points.values.transpose(2, 0, 1)
-    n = _cross(*(c[1:-1, 2:][inner] - c[1:-1, :-2][inner] for c in xyz),  # right - left
-               *(c[2:, 1:-1][inner] - c[:-2, 1:-1][inner] for c in xyz))  # down - up
+    n = _stencil_cross(points, idx)
     lengths = _lengths(*n)
     keep = lengths > 0
     if not keep.all():
-        idx, lengths, n = idx[keep], lengths[keep], [c[keep] for c in n]
-    return NormalMap((h, w), idx, tuple(c / lengths for c in n))
+        idx, lengths, n = idx[keep], lengths[keep], n[:, keep]
+    return NormalMap((h, w), idx, tuple(np.divide(n, lengths, out=n)))
+
+
+def _stencil_cross(points: PointMap, idx: np.ndarray) -> np.ndarray:
+    """The (3, N) components of (right - left) x (down - up) at the N pixels idx, whose 4-neighbours are valid.
+
+    Each neighbour's point is read at its place among the valid pixels.  Chunks of STENCIL_CHUNK pixels bound the
+    temporaries; each step is elementwise, so the chunking moves no bit.
+    """
+    w = points.shape[1]
+    place = np.empty(points.shape[0] * w, dtype=np.intp)  # read at valid pixels only
+    place[points.index] = np.arange(points.index.size)
+    offsets = np.array([[1], [-1], [w], [-w]])  # right, left, down, up
+    n = np.empty((3, idx.size))
+    for start in range(0, idx.size, STENCIL_CHUNK):
+        right, left, down, up = place[idx[start:start + STENCIL_CHUNK] + offsets]
+        n[:, start:start + STENCIL_CHUNK] = _cross(*(c[right] - c[left] for c in points.components),
+                                                   *(c[down] - c[up] for c in points.components))
+    return n
 
 
 def normal_angles(pred: NormalMap, gt: NormalMap) -> np.ndarray:
@@ -204,11 +190,7 @@ def normal_angles(pred: NormalMap, gt: NormalMap) -> np.ndarray:
     """
     if pred.shape != gt.shape:
         raise ValueError("normal map shapes differ")
-    p, g = pred.components, gt.components
-    if not np.array_equal(pred.index, gt.index):
-        in_gt = np.isin(pred.index, gt.index, assume_unique=True, kind="table")
-        in_pred = np.isin(gt.index, pred.index, assume_unique=True, kind="table")
-        p, g = [c[in_gt] for c in p], [c[in_pred] for c in g]
+    p, g = _joint_components(pred, gt)
     cross = _lengths(*_cross(*p, *g))
     dot = (p[0] * g[0] + p[1] * g[1]) + p[2] * g[2]
     return np.arctan2(cross, dot)
@@ -296,7 +278,7 @@ def _mask_check(rng):
 def _point_check(rng):
     h = w = 4
     gt = rng.uniform(0.5, 1.5, size=(h, w, 3))
-    gt_map = PointMap(gt, np.ones((h, w), dtype=bool))
+    gt_map = PointMap.from_dense(gt, np.ones((h, w), dtype=bool))
     # resample until every residual after alignment is POINT_CHECK_MARGIN clear of the L1 kink
     for _ in range(100):
         pred0 = 0.8 * gt + rng.uniform(0.05, 0.15, size=gt.shape)
@@ -309,7 +291,7 @@ def _point_check(rng):
         raise ValueError(f"point: no draw of 100 keeps every residual {POINT_CHECK_MARGIN:g} clear of the L1 kink")
 
     def f(x):
-        return point_loss(PointMap(x.reshape(h, w, 3), np.ones((h, w), bool)), gt_map)
+        return point_loss(PointMap.from_dense(x.reshape(h, w, 3), np.ones((h, w), bool)), gt_map)
 
     def grad(x):
         p = x.reshape(-1, 3)

@@ -104,13 +104,12 @@ def compose_masked_points(
 ) -> LabeledPointMap:
     """Unproject and keep only pixels with a valid part label.
 
-    Masking never alters geometry: the surviving points equal plain
-    unprojection restricted to the labeled pixels, as they are the
-    unprojection of the depth kept there.  Dropped pixels hold (0, 0, 0)
-    and label LABEL_INVALID.
+    Masking never alters geometry: the labeled pixels, which all have valid
+    depth, are the unprojection's valid pixels, so the surviving points equal
+    plain unprojection restricted to them.  Dropped pixels are absent from
+    the point map (0, 0, 0 in its dense values) and hold label LABEL_INVALID.
     """
     if masks.shape != depth.shape:
         raise ValueError(f"mask shape {masks.shape} != depth shape {depth.shape}")
     labels = np.where(depth.valid, binarize(masks, threshold), LABEL_INVALID)
-    keep = labels != LABEL_INVALID
-    return LabeledPointMap(unproject(coords, DepthMap(np.where(keep, depth.values, 0.0))), labels)
+    return LabeledPointMap(unproject(coords, depth, labels != LABEL_INVALID), labels)

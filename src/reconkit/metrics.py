@@ -61,22 +61,24 @@ class AbsolutePoseReport(_PoseReportBase):
     r_threshold: float
 
 
-def point_map_metrics_views(
-    pred_views, gt_views, pred_scale: float, gt_scale: float
-) -> PointMapReport:
+def point_map_metrics_views(pairs, pred_scale: float, gt_scale: float) -> PointMapReport:
     """Scale-aligned point error, normal angle error and relative scale error.
 
-    One alignment scale is fit jointly over the valid pixels of all views;
-    only the jointly valid pixels of each view are gathered.
+    `pairs` yields one (pred, gt) pair of point maps per view.  Each pair is
+    read and let go before the next is drawn, so a generator holds one
+    view's maps at a time.  One alignment scale is fit jointly over the
+    jointly valid pixels of all views, gathered into one (N, 3) array each.
     """
-    if len(pred_views) != len(gt_views) or not pred_views:
-        raise ValueError("need equal, non-empty lists of predicted and gt maps")
     check_number("ground-truth scale", gt_scale, *POSITIVE)
     joint, angles = [], []
-    for p, g in zip(pred_views, gt_views):
-        joint.append(joint_points(p, g))
+    for p, g in pairs:
         angles.append(normal_angles(normals_from_pointmap(p), normals_from_pointmap(g)))
+        joint.append(joint_points(p, g))  # after the normals, so that no copy of the points waits for them
+        del p, g
+    if not joint:
+        raise ValueError("need at least one (pred, gt) pair of point maps")
     pred_flat, gt_flat = (np.concatenate(pts) for pts in zip(*joint))
+    del joint  # each view's copy goes before the point loss forms its products
     if pred_flat.shape[0] == 0:
         raise ValueError("no jointly valid pixels across views")
     all_angles = np.concatenate(angles)

@@ -49,7 +49,7 @@ from ..kinematics import (
     save_chain,
 )
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT, MaskSet
-from ..transforms import RigidTransform, Similarity, from_json, relative_pose, to_json
+from ..transforms import RigidTransform, Similarity, from_json, json_kind, relative_pose, to_json
 from .raster import RasterError, raster_header, read_raster, write_raster
 from .scene import (
     PRIMITIVE_TYPES,
@@ -313,14 +313,13 @@ def _spec_to_dict(spec: SceneSpec) -> dict:
 
 
 def _spec_from_dict(d: dict, chain: KinematicChain, kp: KeypointSpec, joint_state, views, grid) -> SceneSpec:
-    for p in d["primitives"]:
-        if not isinstance(p, dict):  # before its tag is looked up
-            raise TypeError(f"primitive: must be a JSON object, got {type(p).__name__}")
-        if p["type"] not in PRIMITIVE_TYPES:
+    primitives = json_kind("primitives", d["primitives"], list)
+    for p in primitives:
+        if json_kind("primitive", p)["type"] not in PRIMITIVE_TYPES:  # its kind checked before its tag is read
             raise ValueError(f"unknown primitive type {p['type']!r}")
     return SceneSpec(
         table=from_json(Table, d["table"]),
-        primitives=[from_json(PRIMITIVE_TYPES[p["type"]], p) for p in d["primitives"]],
+        primitives=[from_json(PRIMITIVE_TYPES[p["type"]], p) for p in primitives],
         chain=chain,
         keypoints=kp,
         joint_state=joint_state,
@@ -429,17 +428,19 @@ def load_bundle(path) -> SceneBundle:
         with _parsing(chain_path):
             chain, kp_spec = chain_from_dict(_read_json(chain_path), chain_path.stem)
 
-        if not meta["views"]:
+        entries = [json_kind("view", entry) for entry in json_kind("views", meta["views"], list)]
+        if not entries:
             raise ValueError("no views")
-        intrinsics = [from_json(Intrinsics, entry["intrinsics"]) for entry in meta["views"]]
+        intrinsics = [from_json(Intrinsics, entry["intrinsics"]) for entry in entries]
         grid = (intrinsics[0].height, intrinsics[0].width)  # every view's, the scene's image size
         try:
-            spec = _spec_from_dict(meta["scene"], chain, kp_spec, meta["joint_state"], len(intrinsics), grid)
+            spec = _spec_from_dict(json_kind("scene", meta["scene"]), chain, kp_spec, meta["joint_state"],
+                                   len(intrinsics), grid)
         except JointLimitError as exc:  # the joint state, or the limits chain.json gives
             raise MalformedMetadataError(f"{meta_path}: {exc} of {chain_path}") from None
 
         views = []
-        for i, (entry, intr) in enumerate(zip(meta["views"], intrinsics)):
+        for i, (entry, intr) in enumerate(zip(entries, intrinsics)):
             _check_shape(f"{meta_path}: view {i} image (height, width)", (intr.height, intr.width), grid)
             for key in RASTER_KEYS:
                 raster = path / RASTER_NAME.format(i=i, key=key)
@@ -477,8 +478,8 @@ def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
     worst = 0.0
     for i, view in enumerate(bundle.views):
         pm = unproject(view.coords, view.depth)
-        world = view.pose_world.apply(pm.values[pm.valid])
-        d = surface_distances(bundle.spec, world, view.labels[pm.valid])
+        world = view.pose_world.apply(pm.stacked())
+        d = surface_distances(bundle.spec, world, np.take(view.labels, pm.index))
         deviation = float(d.max(initial=0.0))  # a NaN, which Python's max would drop, stays
         if not np.isfinite(deviation):
             raise BundleError(f"view {i}: deviation {deviation} from the analytic scene is not finite")

@@ -178,10 +178,9 @@ def list_bundles(bundle_root) -> list[Path]:
 
 
 def _pointmap_report(bundle: SceneBundle, pred) -> PointMapReport:
-    """Point-map metrics of a prediction against the bundle's own point maps."""
+    """Point-map metrics of a prediction against the bundle's own point maps, one view at a time."""
     return point_map_metrics_views(
-        [unproject(c, d) for c, d in zip(pred.coords, pred.depths)],
-        [unproject(v.coords, v.depth) for v in bundle.views],
+        ((unproject(c, d), unproject(v.coords, v.depth)) for c, d, v in zip(pred.coords, pred.depths, bundle.views)),
         pred.similarity.scale,
         bundle.similarity.scale,
     )

@@ -174,11 +174,18 @@ def to_json(obj) -> dict:
     return out
 
 
+def json_kind(name: str, value, kind: type = dict):
+    """value, if it is a JSON object (kind dict) or array (kind list) as json.loads gives it; else a TypeError that
+    names `name`."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name}: must be a JSON {'object' if kind is dict else 'array'}, got {type(value).__name__}")
+    return value
+
+
 def from_json(cls, d):
     """Dataclass cls from its JSON object d, as to_json writes it; keys that are not fields are ignored.  A pose is
     read by from_matrix as "<class> <field>", a list as a tuple.  Only a field whose default is None may be absent."""
-    if not isinstance(d, dict):
-        raise TypeError(f"{cls.__name__}: must be a JSON object, got {type(d).__name__}")
+    json_kind(cls.__name__, d)
     values = {}
     for f in fields(cls):
         v = d.get(f.name) if f.default is None else d[f.name]  # any other missing field is a KeyError
@@ -231,10 +238,8 @@ def relative_pose(pose_i: RigidTransform, pose_j: RigidTransform) -> RigidTransf
 
 
 def _map_valid(pm: PointMap, transform) -> PointMap:
-    """pm with its valid points mapped by transform.apply; invalid pixels stay (0, 0, 0)."""
-    values = np.zeros_like(pm.values)
-    values[pm.valid] = transform.apply(pm.values[pm.valid])
-    return PointMap(values, pm.valid.copy())
+    """pm with its valid points mapped by transform.apply, at the same pixels."""
+    return PointMap(pm.shape, pm.index, tuple(transform.apply(pm.stacked()).T))
 
 
 def register_views(locals_, rels):

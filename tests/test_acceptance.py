@@ -153,7 +153,7 @@ def test_criterion_4_scale_alignment_oracle():
         true_scale = rng.uniform(0.3, 3.0)
         pred = gt / true_scale + rng.uniform(-1e-8, 1e-8, gt.shape)
         ones = np.ones((5, 5), dtype=bool)
-        s_closed = align_scale(PointMap(pred, ones), PointMap(gt, ones))
+        s_closed = align_scale(PointMap.from_dense(pred, ones), PointMap.from_dense(gt, ones))
 
         a, b = pred.ravel(), gt.ravel()
 
@@ -167,9 +167,9 @@ def test_criterion_4_scale_alignment_oracle():
         worst = max(worst, abs(s_closed - s_grid))
 
     lam_ok = True
-    gt_map = PointMap(rng.uniform(0.5, 2.0, (6, 6, 3)), np.ones((6, 6), dtype=bool))
+    gt_map = PointMap.from_dense(rng.uniform(0.5, 2.0, (6, 6, 3)), np.ones((6, 6), dtype=bool))
     for lam in (0.1, 1.0, 7.3):
-        scaled = PointMap(lam * gt_map.values, np.ones((6, 6), dtype=bool))
+        scaled = PointMap.from_dense(lam * gt_map.values, np.ones((6, 6), dtype=bool))
         lam_ok = lam_ok and point_loss(scaled, gt_map) < 1e-12
     report(
         "criterion 4: scale alignment vs grid-search oracle",

@@ -13,24 +13,26 @@ that recomputation bit for bit.
 
 import math
 import os
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from reconkit.camera import CoordMap, DepthMap, PointMap, coords_from_intrinsics, unproject
 from reconkit.losses import NormalMap, normal_angles, normals_from_pointmap
 from reconkit.masks import (LABEL_BACKGROUND, LABEL_INVALID, LABEL_OBJECT, LABEL_ROBOT, MaskSet, binarize,
                             compose_masked_points)
 from reconkit.oracle import raster
-from reconkit.oracle.bundle import random_scene_spec
+from reconkit.oracle.bundle import generate_scene, random_scene_spec
 from reconkit.oracle.mock import NoiseModel
 from reconkit.oracle.scene import (RAY_EPS, Box, CameraRanges, Capsule, Sphere, Table, chain_capsules, render,
                                    sample_camera)
 from reconkit.oracle.raster import DTYPE_TAGS, HEADER, MAGIC, TruncatedRasterError, read_raster, write_raster
-from reconkit.pipeline import evaluate_pointmap_scene
+from reconkit.pipeline import evaluate_pointmap_scene, scene_seed
 from reconkit.transforms import RigidTransform, rotation_about_axis
 
 # ---------------------------------------------------------------------------
@@ -71,7 +73,7 @@ def full_frame_unproject(coords: CoordMap, depth: DepthMap) -> PointMap:
     pts[:, :, 1] = coords.values[:, :, 1] * d
     pts[:, :, 2] = d
     pts[~depth.valid] = 0.0
-    return PointMap(pts, depth.valid.copy())
+    return PointMap.from_dense(pts, depth.valid.copy())
 
 
 def full_frame_binarize(masks: MaskSet, threshold: float) -> np.ndarray:
@@ -257,7 +259,7 @@ def drawn_points(rng, h, w, p_valid, kind, fortran=False) -> PointMap:
         values[hit] = rng.choice([np.nan, np.inf, -np.inf], size=hit.sum())
     if fortran:
         values = np.asfortranarray(values)
-    return PointMap(values, rng.random((h, w)) < p_valid)
+    return PointMap.from_dense(values, rng.random((h, w)) < p_valid)
 
 
 def drawn_normals(rng, h, w, p_valid, kind) -> tuple[NormalMap, np.ndarray]:
@@ -293,7 +295,7 @@ class TestNormals:
     def test_duplicate_neighbours_are_invalid(self):
         values = np.zeros((3, 3, 3))
         values[:, :, 0] = np.arange(3)[None, :]  # every row identical: dy = 0
-        normals = normals_from_pointmap(PointMap(values, np.ones((3, 3), bool)))
+        normals = normals_from_pointmap(PointMap.from_dense(values, np.ones((3, 3), bool)))
         assert not normals.valid.any() and not normals.values.any()
 
 
@@ -317,7 +319,7 @@ class TestNormalAngles:
 
     def test_angles_of_computed_normals(self, small_bundle):
         maps = [unproject(v.coords, v.depth) for v in small_bundle.views]
-        pred = normals_from_pointmap(PointMap(maps[0].values * 1.01, maps[0].valid))
+        pred = normals_from_pointmap(PointMap.from_dense(maps[0].values * 1.01, maps[0].valid))
         gt = normals_from_pointmap(maps[0])
         assert same_bits(normal_angles(pred, gt), full_frame_angles(pred, gt))
 
@@ -382,6 +384,48 @@ class TestCompactNormals:
         monkeypatch.setattr(NormalMap, "values", property(dense))
         monkeypatch.setattr(NormalMap, "valid", property(dense))
         assert evaluate_pointmap_scene(small_bundle, noise, 5) == want
+
+
+# any float: finite, infinite and NaN, with signed zeros and subnormals drawn often
+EDGE_FLOATS = st.floats(allow_subnormal=True) | st.sampled_from([np.nan, -0.0, 0.0, 5e-324, -5e-324, 1e-310])
+# one eval-qvga scene's traced evaluation peak: 16.1 MB with compact point maps read one view pair at a time,
+# 26.5 MB with dense HxWx3 maps held for every view; the bound leaves 1.4 MB of margin over the first
+EVAL_PEAK_BOUND = 17.5e6
+
+
+class TestCompactPoints:
+    """A PointMap holds its valid pixels only; the dense grids are built when read."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), h=st.integers(1, 9), w=st.integers(1, 9))
+    def test_from_dense_keeps_every_valid_bit(self, data, h, w):
+        values = data.draw(hnp.arrays(np.float64, (h, w, 3), elements=EDGE_FLOATS))
+        valid = data.draw(hnp.arrays(np.bool_, (h, w)))
+        points = PointMap.from_dense(values, valid)
+        assert same_bits(points.valid, valid)
+        assert same_bits(points.values, np.where(valid[:, :, None], values, 0.0))
+
+    def test_eval_path_builds_no_dense_grid(self, small_bundle, monkeypatch):
+        noise = NoiseModel(depth_sigma=0.01, coord_sigma=0.001)
+        want = evaluate_pointmap_scene(small_bundle, noise, 5)
+
+        def dense(self):
+            raise AssertionError("a dense point grid was built on the eval path")
+
+        monkeypatch.setattr(PointMap, "values", property(dense))
+        assert evaluate_pointmap_scene(small_bundle, noise, 5) == want
+
+    def test_eval_scene_peak_bounded(self):
+        seed = scene_seed(1, 2)  # scene 2 of an eval-qvga tree at seed 1, the largest of its 8
+        bundle = generate_scene(random_scene_spec(seed, views=2, width=320, height=240), seed)
+        noise = NoiseModel(depth_sigma=0.002, coord_sigma=0.0002, heatmap_blur=0.5, mask_flip_rate=0.01)
+        tracemalloc.start()
+        try:
+            evaluate_pointmap_scene(bundle, noise, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= EVAL_PEAK_BOUND, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def drawn_depth_coords(rng, h, w, p_valid, huge):

@@ -32,7 +32,7 @@ from reconkit.transforms import RigidTransform, Similarity, rotation_about_axis
 
 def full_map(values):
     values = np.asarray(values, dtype=float)
-    return PointMap(values, np.ones(values.shape[:2], dtype=bool))
+    return PointMap.from_dense(values, np.ones(values.shape[:2], dtype=bool))
 
 
 def grid_search_scale_l1(pred, gt, lo=0.1, hi=10.0, step=1e-5):
@@ -86,7 +86,7 @@ class TestAlignScale:
             assert abs(s_closed - s_grid) <= 1e-4
 
     def test_empty_overlap_errors(self, rng):
-        a = PointMap(np.ones((2, 2, 3)), np.zeros((2, 2), dtype=bool))
+        a = PointMap.from_dense(np.ones((2, 2, 3)), np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError, match="jointly valid"):
             align_scale(a, a)
 
@@ -156,7 +156,7 @@ class TestNormals:
         pm = self.plane_map()
         valid = pm.valid.copy()
         valid[4, 4] = False
-        nm = normals_from_pointmap(PointMap(pm.values, valid))
+        nm = normals_from_pointmap(PointMap.from_dense(pm.values, valid))
         assert not nm.valid[4, 4]
         assert not nm.valid[4, 3] and not nm.valid[4, 5]
         assert not nm.valid[3, 4] and not nm.valid[5, 4]
@@ -208,7 +208,7 @@ class TestNormalLoss:
         assert 0.0 <= fwd <= np.pi
 
     def test_k_zero_errors(self):
-        pm = PointMap(np.ones((4, 4, 3)), np.zeros((4, 4), dtype=bool))
+        pm = PointMap.from_dense(np.ones((4, 4, 3)), np.zeros((4, 4), dtype=bool))
         with pytest.raises(ValueError, match="normal pairs"):
             normal_loss(pm, pm)
 

@@ -21,13 +21,13 @@ from reconkit.transforms import RigidTransform, relative_pose, rotation_about_ax
 
 def full_map(values):
     values = np.asarray(values, dtype=float)
-    return PointMap(values, np.ones(values.shape[:2], dtype=bool))
+    return PointMap.from_dense(values, np.ones(values.shape[:2], dtype=bool))
 
 
 class TestPointMapMetrics:
     def test_perfect(self, rng):
         pm = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
-        report = point_map_metrics_views([pm], [pm], pred_scale=1.3, gt_scale=1.3)
+        report = point_map_metrics_views([(pm, pm)], pred_scale=1.3, gt_scale=1.3)
         assert report.point_err == 0.0
         assert report.normal_err == 0.0
         assert report.scale_err == 0.0
@@ -35,14 +35,14 @@ class TestPointMapMetrics:
     def test_spatial_scaling_absorbed(self, rng):
         gt = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
         pred = full_map(2.0 * gt.values)
-        report = point_map_metrics_views([pred], [gt], pred_scale=1.0, gt_scale=1.0)
+        report = point_map_metrics_views([(pred, gt)], pred_scale=1.0, gt_scale=1.0)
         assert report.point_err < 1e-12  # alignment absorbs the doubling
         assert report.normal_err < 1e-9  # directions preserved
         assert report.scale_err == 0.0
 
     def test_scale_error_definition(self, rng):
         pm = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
-        report = point_map_metrics_views([pm], [pm], pred_scale=1.1, gt_scale=1.0)
+        report = point_map_metrics_views([(pm, pm)], pred_scale=1.1, gt_scale=1.0)
         assert abs(report.scale_err - 0.1) < 1e-12
 
     def test_negative_fields_rejected(self):

@@ -1119,6 +1119,27 @@ class TestBundleJSONErrors:
         with pytest.raises(MalformedMetadataError, match=re.escape(message) + "$"):
             load_edited(tiny_saved, name, json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "name,path,value,expected",
+        [
+            ("meta.json", ("scene", "primitives"), {}, "primitives: must be a JSON array, got dict"),
+            ("chain.json", ("keypoints",), {}, "keypoints: must be a JSON array, got dict"),
+            ("meta.json", ("scene",), [], "scene: must be a JSON object, got list"),
+            ("meta.json", ("views", 0), "x", "view: must be a JSON object, got str"),
+            ("chain.json", ("keypoints", 0), [], "keypoint: must be a JSON object, got list"),
+            ("meta.json", ("views",), {}, "views: must be a JSON array, got dict"),
+            ("chain.json", ("joints",), {}, "joints: must be a JSON array, got dict"),
+        ],
+        ids=["primitives_object", "keypoints_object", "scene_array", "view_string", "keypoint_array",
+             "views_object", "joints_object"],
+    )
+    def test_container_kind_named(self, boxed_saved, name, path, value, expected):
+        """A JSON object where an array belongs, or the reverse, fails naming the file and the key; an empty object
+        is not read as no primitives or no keypoints."""
+        doc = replaced(json.loads((boxed_saved / name).read_text()), path, value)
+        with pytest.raises(MalformedMetadataError, match=re.escape(f"{name}: {expected}") + "$"):
+            load_edited(boxed_saved, name, json.dumps(doc))
+
     @pytest.mark.parametrize("case", sorted(WRONG_VALUES))
     def test_wrong_value_named(self, tiny_saved, case):
         name, path, value, message = self.WRONG_VALUES[case]

@@ -117,7 +117,7 @@ class TestRegisterAndCanonicalize:
         h, w, _ = pts3.shape
         if valid is None:
             valid = np.ones((h, w), dtype=bool)
-        return PointMap(pts3, valid)
+        return PointMap.from_dense(pts3, valid)
 
     def test_identity_registration(self, rng):
         pm = self._grid(rng.standard_normal((4, 5, 3)))
