@@ -187,14 +187,19 @@ def unproject(coords: CoordMap, depth: DepthMap, valid: np.ndarray | None = None
     """Lift (x, y) coords with depth d to camera-frame points (x d, y d, d).
 
     Only the valid pixels are lifted: those of the HxW grid `valid`, which
-    must lie within depth.valid, or else of depth.valid.  Each product is
-    the same single multiplication as over the full frame, so the values
-    are bit-identical; no HxWx3 buffer is built.
+    must lie within depth.valid (else a ValueError), or else of
+    depth.valid.  Each product is the same single multiplication as over
+    the full frame, so the values are bit-identical; no HxWx3 buffer is
+    built.
     """
     if coords.shape != depth.shape:
         raise ValueError(
             f"coord map shape {coords.shape} != depth map shape {depth.shape}"
         )
+    if valid is not None and np.shape(valid) != depth.shape:
+        raise ValueError(f"valid grid shape {np.shape(valid)} != depth map shape {depth.shape}")
+    if valid is not None and np.any(np.asarray(valid, dtype=bool) & ~depth.valid):
+        raise ValueError("valid marks pixels whose depth is not finite and > 0")
     idx = np.flatnonzero(depth.valid if valid is None else valid)
     d = np.take(depth.values, idx)
     xy = np.take(coords.values.reshape(-1, 2), idx, axis=0)

@@ -191,7 +191,7 @@ def cmd_eval(args) -> int:
         report = run_eval(args.command, config, args.bundles, args.workers or default_workers())
     except BundleTreeError as exc:
         raise FlagError(f"--bundles: {exc}") from None
-    lines = EVALUATIONS[args.command][2] if "summary" in report else ()
+    lines = EVALUATIONS[args.command][1] if "summary" in report else ()
     return _finish(report, args.out, [line.format(scenes=len(report["scenes"]), **report["summary"]) for line in lines])
 
 

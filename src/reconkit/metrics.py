@@ -8,7 +8,7 @@ indicators that aggregate to dataset fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -59,6 +59,14 @@ class AbsolutePoseReport(_PoseReportBase):
     ara: float
     t_threshold: float
     r_threshold: float
+
+
+@dataclass(frozen=True)
+class PoseReports:
+    """A binocular scene's pose errors: view 1 relative to view 0, and view 0 in the robot base frame."""
+
+    relative: PoseReport
+    absolute: AbsolutePoseReport
 
 
 def point_map_metrics_views(pairs, pred_scale: float, gt_scale: float) -> PointMapReport:
@@ -122,23 +130,23 @@ def absolute_pose_metrics(
 def aggregate(reports):
     """Arithmetic mean of every error field; accuracies become fractions.
 
-    Accepts a non-empty list of PointMapReport, PoseReport or
-    AbsolutePoseReport and returns a summary of the same type whose
-    thresholds are copied from the first report; anything that is no
-    dataclass fails in `fields` with a TypeError.
+    Accepts a non-empty list of reports of one type and returns a summary of
+    that type: thresholds are copied from the first report, and a field that
+    holds a report (as PoseReports' do) is the aggregate of those reports.
+    Mixed types are a ValueError; anything that is no dataclass fails in
+    `fields` with a TypeError.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("cannot aggregate an empty report list")
-    first = reports[0]
-    kind = type(first)
+    kind = type(reports[0])
     if any(type(r) is not kind for r in reports):
         raise ValueError("cannot aggregate mixed report types")
-    return kind(
-        **{
-            f.name: getattr(first, f.name)
-            if f.name.endswith("_threshold")
-            else float(np.mean([getattr(r, f.name) for r in reports]))
-            for f in fields(kind)
-        }
-    )
+
+    def summary(name):
+        values = [getattr(r, name) for r in reports]
+        if name.endswith("_threshold"):
+            return values[0]
+        return aggregate(values) if is_dataclass(values[0]) else float(np.mean(values))
+
+    return kind(**{f.name: summary(f.name) for f in fields(kind)})

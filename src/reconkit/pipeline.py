@@ -34,6 +34,7 @@ from .metrics import (
     AbsolutePoseReport,
     PointMapReport,
     PoseReport,
+    PoseReports,
     absolute_pose_metrics,
     aggregate,
     point_map_metrics_views,
@@ -250,34 +251,16 @@ def evaluate_losses_scene(
 # ---------------------------------------------------------------------------
 
 
-def _pointmap_scene(bundle, seed, config):
-    report = evaluate_pointmap_scene(bundle, config.noise, seed)
-    return asdict(report), report
-
-
-def _pose_scene(bundle, seed, config):
-    rel, absolute = evaluate_pose_scene(bundle, config.noise, seed, config)
-    return {"relative": asdict(rel), "absolute": asdict(absolute)}, (rel, absolute)
-
-
-def _pose_summary(results) -> dict:
-    return {
-        "relative": asdict(aggregate([r for r, _ in results])),
-        "absolute": asdict(aggregate([a for _, a in results])),
-    }
-
-
-# command -> (scene evaluation giving (report row, result), summary over the results,
-# its console lines, formatted from the summary and the count of `scenes`)
+# command -> (scene evaluation giving the scene's report, its console lines); a report's fields are
+# the scene's row, `aggregate` of the reports is the summary, and each line is formatted from the
+# summary and the count of `scenes`
 EVALUATIONS = {
     "eval-pointmap": (
-        _pointmap_scene,
-        lambda results: asdict(aggregate(results)),
+        lambda bundle, seed, config: evaluate_pointmap_scene(bundle, config.noise, seed),
         ("point_err {point_err:.6g}  normal_err {normal_err:.6g}  scale_err {scale_err:.6g}  ({scenes} scenes)",),
     ),
     "eval-pose": (
-        _pose_scene,
-        _pose_summary,
+        lambda bundle, seed, config: PoseReports(*evaluate_pose_scene(bundle, config.noise, seed, config)),
         ("RTE {relative[rte]:.6g}  RRE {relative[rre]:.6g}  RTA@{relative[t_threshold]:g} {relative[rta]:.3f}  "
          "RRA@{relative[r_threshold]:g} {relative[rra]:.3f}",
          "ATE {absolute[ate]:.6g}  ARE {absolute[are]:.6g}  ATA@{absolute[t_threshold]:g} {absolute[ata]:.3f}  "
@@ -291,8 +274,7 @@ def _eval_one(payload) -> dict:
     scene = Path(bundle_dir).name
     try:
         bundle = load_bundle(bundle_dir)
-        row, result = EVALUATIONS[command][0](bundle, scene_seed(config.seed, index), config)
-        return {"scene": scene, "row": row, "result": result}
+        return {"scene": scene, "report": EVALUATIONS[command][0](bundle, scene_seed(config.seed, index), config)}
     except Exception as exc:  # per-scene failures surface in the run report
         return {"scene": scene, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -300,10 +282,10 @@ def _eval_one(payload) -> dict:
 def run_eval(command: str, config: RunConfig, bundle_root, workers: int = 1) -> dict:
     """Report of `command` ("eval-pointmap" or "eval-pose") over a bundle tree.
 
-    Raises BundleTreeError, before any scene runs, if `bundle_root` is not a
-    directory holding bundles.
+    Raises, before any scene runs, a KeyError for any other command and a
+    BundleTreeError if `bundle_root` is not a directory holding bundles.
     """
-    summarize = EVALUATIONS[command][1]
+    EVALUATIONS[command]  # the KeyError, here and not in every scene's failure row
     dirs = list_bundles(bundle_root)
     payloads = [(command, str(d), i, config) for i, d in enumerate(dirs)]
     outcomes = _run_parallel(_eval_one, payloads, workers)
@@ -311,11 +293,11 @@ def run_eval(command: str, config: RunConfig, bundle_root, workers: int = 1) -> 
     report = {
         "command": command,
         "config": config.echo(generation=False),
-        "scenes": [{"scene": o["scene"], **o["row"]} for o in done],
+        "scenes": [{"scene": o["scene"], **asdict(o["report"])} for o in done],
         "failures": [o for o in outcomes if "error" in o],
     }
     if done:
-        report["summary"] = summarize([o["result"] for o in done])
+        report["summary"] = asdict(aggregate(o["report"] for o in done))
     return report
 
 

@@ -159,16 +159,19 @@ def _fallback_inits(pts: np.ndarray):
 
 def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
     def residuals(p: RigidTransform):
+        """Residuals, camera-frame points and their sum of squares: inf behind the camera or past the float range."""
         cam = p.apply(pts)
         if np.any(cam[:, 2] <= 1e-12):
-            return None, None
-        proj = project(cam, k)
-        return (proj - px).ravel(), cam
+            return None, None, np.inf
+        with np.errstate(over="ignore"):  # pixels far enough out overflow the residuals or their squares
+            res = (project(cam, k) - px).ravel()
+            return res, cam, res @ res
 
-    res, cam = residuals(pose)
+    res, cam, sse = residuals(pose)
     if res is None:
         raise NonConvergenceError("initialization places points behind the camera")
-    sse = res @ res
+    if not np.isfinite(sse):
+        raise NonConvergenceError("initialization's squared reprojection error is not finite")
     if trace is not None:
         trace.append(float(sse))
 
@@ -191,6 +194,8 @@ def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
             step = np.linalg.solve(jac.T @ jac, -jac.T @ res)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        if not np.all(np.isfinite(step)):
+            raise NonConvergenceError("Gauss-Newton step is not finite")
         step_norm = np.linalg.norm(step)
         if step_norm < STEP_TOLERANCE:
             break
@@ -204,15 +209,13 @@ def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
             candidate = RigidTransform(
                 d_rot @ pose.rotation, d_rot @ pose.translation + dt
             )
-            cres, ccam = residuals(candidate)
-            if cres is not None:
-                csse = cres @ cres
-                if csse <= sse:
-                    pose, res, cam, sse = candidate, cres, ccam, csse
-                    if trace is not None:
-                        trace.append(float(sse))
-                    accepted = True
-                    break
+            cres, ccam, csse = residuals(candidate)
+            if csse <= sse:
+                pose, res, cam, sse = candidate, cres, ccam, csse
+                if trace is not None:
+                    trace.append(float(sse))
+                accepted = True
+                break
             scale *= 0.5
         if not accepted or scale * step_norm < STEP_TOLERANCE:
             break
@@ -238,7 +241,7 @@ def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:
     n = pts.shape[0]
     if n < 4:
         raise DegenerateConfigurationError(f"PnP needs at least 4 points, got {n}")
-    if np.linalg.norm(px - px.mean(axis=0), axis=1).max() < MIN_PIXEL_SPREAD:
+    if np.hypot(*(px - px.mean(axis=0)).T).max() < MIN_PIXEL_SPREAD:  # hypot: no overflow on huge pixels
         raise DegenerateConfigurationError(f"pixels lie within {MIN_PIXEL_SPREAD} px of their centroid")
 
     sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)

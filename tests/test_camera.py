@@ -50,6 +50,24 @@ def test_unproject_dimension_mismatch(vga_intrinsics):
         unproject(coords, DepthMap(np.ones((10, 10))))
 
 
+@pytest.mark.parametrize(
+    "valid, message",
+    [
+        ([[True, True, True]], "valid marks pixels whose depth is not finite and > 0"),
+        ([[False, False, True]], "valid marks pixels whose depth is not finite and > 0"),
+        ([[True], [True], [True]], "valid grid shape (3, 1) != depth map shape (1, 3)"),
+        ([True, True, True], "valid grid shape (3,) != depth map shape (1, 3)"),
+    ],
+    ids=["zero-and-nan-depth", "nan-depth", "transposed", "flat"],
+)
+def test_unproject_refuses_untrusted_valid(valid, message):
+    """A valid grid of another shape, or one marking a zero or NaN depth, is refused, not lifted."""
+    coords, depth = CoordMap(np.zeros((1, 3, 2))), DepthMap(np.array([[0.0, 1.0, np.nan]]))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        unproject(coords, depth, np.array(valid))
+    assert unproject(coords, depth, np.array([[False, True, False]])).index.tolist() == [1]
+
+
 def test_invalid_depth_marks_pixels_invalid():
     values = np.array([[1.0, 0.0], [-2.0, np.nan]])
     depth = DepthMap(values)

@@ -875,6 +875,24 @@ class TestSolvePnP:
         error = "DegenerateConfigurationError: pixels lie within 0.001 px of their centroid"
         self.assert_failure_row(capsys, out, scene, error)
 
+    @pytest.mark.parametrize("far", ["all", "one"])
+    def test_overflowing_pixels_are_a_failure_row(self, bundle_tree, tmp_path, capsys, far):
+        """Pixels near 1e300, or one at 1e308, overflow the squared reprojection errors: exit 1, not a traceback."""
+        from reconkit.oracle.bundle import load_bundle
+
+        scene = bundle_tree / "scene_00000"
+        rows = load_bundle(scene).keypoints_2d[0].tolist()
+        if far == "all":
+            rows = [[1e300 + i * 1e298, 1e300 - i * 1e297] for i in range(len(rows))]
+        else:
+            rows[0] = [1e308, 1e308]
+        (tmp_path / "kp.json").write_text(json.dumps(rows))
+        out = tmp_path / "pnp.json"
+        assert main(["solve-pnp", "--bundle", str(scene), "--keypoints", str(tmp_path / "kp.json"),
+                     "--out", str(out)]) == 1
+        error = "NonConvergenceError: no initialization led to a converged solution"
+        self.assert_failure_row(capsys, out, scene, error)
+
     @pytest.mark.parametrize("error", [DegenerateConfigurationError, NonConvergenceError, RankDeficientError])
     def test_pnp_failure_is_a_failure_row(self, bundle_tree, tmp_path, capsys, monkeypatch, error):
         def solve_pnp(*args):

@@ -1,5 +1,7 @@
 """Point-map and pose metric definitions plus dataset aggregation."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from reconkit.metrics import (
     AbsolutePoseReport,
     PointMapReport,
     PoseReport,
+    PoseReports,
     absolute_pose_metrics,
     aggregate,
     point_map_metrics_views,
@@ -174,3 +177,28 @@ class TestAggregate:
     def test_mixed_types_error(self):
         with pytest.raises(ValueError, match="mixed"):
             aggregate([PointMapReport(0, 0, 0), PoseReport(0, 0, 1, 1, 0.03, 0.03)])
+
+    def test_mixed_nested_types_error(self):
+        rel, absolute = PoseReport(0, 0, 1, 1, 0.03, 0.03), AbsolutePoseReport(0, 0, 1, 1, 0.01, 0.01)
+        with pytest.raises(ValueError, match="mixed"):
+            aggregate([PoseReports(rel, absolute), PointMapReport(0, 0, 0)])
+        with pytest.raises(ValueError, match="mixed"):
+            aggregate([PoseReports(rel, absolute), PoseReports(rel, rel)])
+
+    def test_nested_reports_aggregate_field_wise(self, rng):
+        def draw(kind, threshold):
+            errors, hits = rng.uniform(0, 0.1, 2).tolist(), rng.integers(0, 2, 2).astype(float).tolist()
+            return kind(*errors, *hits, threshold, threshold)
+
+        reports = [PoseReports(draw(PoseReport, 0.03 * (i + 1)), draw(AbsolutePoseReport, 0.01 * (i + 1)))
+                   for i in range(7)]
+        s = aggregate(reports)
+        assert s == PoseReports(aggregate([r.relative for r in reports]), aggregate([r.absolute for r in reports]))
+        assert (s.relative.t_threshold, s.absolute.r_threshold) == (0.03, 0.01)
+
+    def test_pose_reports_fields_are_the_eval_pose_row(self):
+        rel, absolute = PoseReport(0.1, 0.2, 1, 0, 0.03, 0.03), AbsolutePoseReport(0.3, 0.4, 0, 1, 0.01, 0.01)
+        assert asdict(PoseReports(rel, absolute)) == {
+            "relative": {"rte": 0.1, "rre": 0.2, "rta": 1, "rra": 0, "t_threshold": 0.03, "r_threshold": 0.03},
+            "absolute": {"ate": 0.3, "are": 0.4, "ata": 0, "ara": 1, "t_threshold": 0.01, "r_threshold": 0.01},
+        }

@@ -552,6 +552,16 @@ class TestMockPredict:
         report = evaluate_pointmap_scene(small_bundle, NoiseModel(), seed=0)
         assert (report.point_err, report.normal_err, report.scale_err) == (0.0, 0.0, 0.0)
 
+    def test_scale_err_reads_the_ground_truth_scale(self):
+        """scale_err is relative to the bundle's own scale, so a ground-truth scale of 2 is not read as 1."""
+        from reconkit.pipeline import evaluate_pointmap_scene
+
+        bundle = generate_scene(random_scene_spec(seed=1, views=2, width=64, height=48), seed=1)
+        bundle.__dict__["similarity"] = Similarity(2.0, bundle.views[0].pose_world)  # the cached property's value
+        noise = NoiseModel(scale_sigma=0.1)
+        want = abs(mock_predict(bundle, noise, 3).similarity.scale - 2.0) / 2.0
+        assert evaluate_pointmap_scene(bundle, noise, 3).scale_err == want
+
     # every sigma nonzero, heatmap_blur included, so each head is perturbed
     ALL_NOISE = NoiseModel(
         depth_sigma=0.002, coord_sigma=0.0005, translation_sigma=0.01, rotation_sigma=0.005,

@@ -12,6 +12,7 @@ from reconkit.camera import Intrinsics, project
 from reconkit.pnp import (
     _CUBE_ROTATIONS,
     DegenerateConfigurationError,
+    NonConvergenceError,
     soft_argmax,
     solve_pnp,
 )
@@ -171,6 +172,25 @@ class TestSolvePnP:
         pts[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             solve_pnp(pts, px, k)
+
+    @pytest.mark.parametrize("far", ["all", "one"])
+    def test_overflowing_pixels_do_not_converge(self, rng, far):
+        """Finite pixels whose squared reprojection errors overflow are a NonConvergenceError, without a warning."""
+        k, pts, pose, px = synth_problem(rng)
+        if far == "all":
+            px = 1e300 + 1e298 * rng.standard_normal(px.shape)
+        else:
+            px[0] = 1e308
+        with pytest.raises(NonConvergenceError, match="no initialization led to a converged solution"):
+            solve_pnp(pts, px, k)
+
+    def test_nonfinite_step_does_not_converge(self, rng, monkeypatch):
+        from reconkit.pnp import _gauss_newton
+
+        k, pts, pose, px = synth_problem(rng)
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(6, np.nan))
+        with pytest.raises(NonConvergenceError, match="step is not finite"):
+            _gauss_newton(pts, px + 1.0, k, pose)
 
 
 class TestGaussNewtonContract:
