@@ -35,6 +35,8 @@ class _PoseReportBase:
     """Field layout: t_err, r_err, t_acc, r_acc, t_threshold, r_threshold."""
 
     def __post_init__(self):
+        for f in fields(self)[:2]:
+            check_number(f.name, getattr(self, f.name), lambda v: v >= 0, "finite and non-negative")
         if not all(0 <= getattr(self, f.name) <= 1 for f in fields(self)[2:4]):
             raise ValueError("accuracies must lie in [0, 1]")
         for f in fields(self)[4:]:
@@ -100,7 +102,8 @@ def point_map_metrics_views(pairs, pred_scale: float, gt_scale: float) -> PointM
 
 
 def _pose_metrics(report, pred: RigidTransform, gt: RigidTransform, t_threshold, r_threshold):
-    t_err = float(np.linalg.norm(pred.translation - gt.translation))
+    with np.errstate(over="ignore"):  # past about 1.3e154 m the norm is inf, which the report refuses by name
+        t_err = float(np.linalg.norm(pred.translation - gt.translation))
     r_err = rotation_angle(pred.rotation, gt.rotation)
     return report(
         t_err, r_err, float(t_err < t_threshold), float(r_err < r_threshold), t_threshold, r_threshold

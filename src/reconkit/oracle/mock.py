@@ -5,8 +5,11 @@ perturbed per NoiseModel.  Each head draws from its own generator, the child
 of SeedSequence([0x30C4, seed, bundle.seed]) at a fixed spawn key: (i, 0),
 (i, 1) and (i, 2) for view i's depth, coords and mask flips, (n_views,) for
 the relative poses and the similarity.  A head's standard draws do not depend
-on the sigmas, so for a fixed seed its error is monotone in each sigma; a
-view head whose sigma is 0 draws nothing and is bit-exact ground truth.
+on the sigmas, so for a fixed seed its error is monotone in each sigma.  One
+rule, _head, makes each view head: at sigma 0 the bundle's own map, drawing
+nothing, else that map perturbed from its generator.  The scale is the
+bundle's times exp(scale_sigma * eps) at every sigma (exactly 1 at 0).  Draws
+past the float range are inf, unwarned, for the prediction's checks to judge.
 
 A Prediction pays only for what its caller reads.  The pose block is drawn up
 front; each per-view head is one LazyViews(n, build), entry i made as build(i)
@@ -122,55 +125,50 @@ def _generator(entropy, key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=key))
 
 
-def _noisy_depth(view, sigma, entropy, key) -> DepthMap:
+def _head(truth, sigma, entropy, key, perturb):
+    """A view head: `truth` itself at sigma 0, drawing nothing; otherwise perturb(truth, sigma, generator at `key`)."""
     if sigma == 0:
-        return view.depth
-    eps = _generator(entropy, key).standard_normal(view.depth.values.shape)
-    dv = view.depth.values + sigma * eps
-    return DepthMap(np.where(view.depth.valid, dv, 0.0))
+        return truth
+    with np.errstate(over="ignore"):  # a draw past the float range is inf, for the map's own checks to judge
+        return perturb(truth, sigma, _generator(entropy, key))
 
 
-def _noisy_coords(view, sigma, entropy, key) -> CoordMap:
-    if sigma == 0:
-        return view.coords
-    eps = _generator(entropy, key).standard_normal(view.coords.values.shape)
-    return CoordMap(view.coords.values + sigma * eps)
+def _noisy_depth(depth, sigma, rng) -> DepthMap:
+    return DepthMap(np.where(depth.valid, depth.values + sigma * rng.standard_normal(depth.values.shape), 0.0))
 
 
-def _flipped_masks(view, rate, entropy, key) -> MaskSet:
-    """view.masks with each part plane flipped where its uniform draw is < rate."""
-    if rate == 0:
-        return view.masks
-    flip = _generator(entropy, key).random(view.masks.shape + (3,)) < rate
-    planes = (getattr(view.masks, part) for part in PART_NAMES)
+def _noisy_coords(coords, sigma, rng) -> CoordMap:
+    return CoordMap(coords.values + sigma * rng.standard_normal(coords.values.shape))
+
+
+def _flipped_masks(masks, rate, rng) -> MaskSet:
+    """masks with each part plane flipped where its uniform draw is < rate."""
+    flip = rng.random(masks.shape + (3,)) < rate
+    planes = (getattr(masks, part) for part in PART_NAMES)
     return MaskSet(*(np.where(flip[:, :, i], 1.0 - m, m) for i, m in enumerate(planes)))
 
 
 def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Prediction:
     """Deterministic prediction set for a bundle: pure in (bundle, noise, seed)."""
     entropy = [0x30C4, int(seed), bundle.seed]
-    n = len(bundle.views)
+    views = bundle.views
+    n = len(views)
     rng = _generator(entropy, (n,))
     rel_poses = [RigidTransform.identity()]
-    for rel in bundle.rel_poses[1:]:
-        rel_poses.append(_perturb_pose(rel, noise.translation_sigma, noise.rotation_sigma, rng))
-
-    sim_rigid = _perturb_pose(
-        bundle.similarity.rigid, noise.translation_sigma, noise.rotation_sigma, rng
-    )
-    scale_eps = rng.standard_normal()
-    scale = bundle.similarity.scale
-    if noise.scale_sigma > 0:
-        scale = scale * float(np.exp(noise.scale_sigma * scale_eps))
+    with np.errstate(over="ignore"):  # as in _head: a pose or scale past the float range is inf, and refused
+        for rel in bundle.rel_poses[1:]:
+            rel_poses.append(_perturb_pose(rel, noise.translation_sigma, noise.rotation_sigma, rng))
+        sim_rigid = _perturb_pose(bundle.similarity.rigid, noise.translation_sigma, noise.rotation_sigma, rng)
+        scale = bundle.similarity.scale * float(np.exp(noise.scale_sigma * rng.standard_normal()))  # exp(±0.0) is 1.0
     similarity = Similarity(scale, sim_rigid)
 
     sigma = HEATMAP_SIGMA + noise.heatmap_blur  # predicted bump width in px
     # each head's builder looks its helpers up in this module when it runs, so a patched name is seen
     heatmaps = LazyViews(n, lambda i: _heatmap(bundle, i, sigma))
     return Prediction(
-        depths=LazyViews(n, lambda i: _noisy_depth(bundle.views[i], noise.depth_sigma, entropy, (i, 0))),
-        coords=LazyViews(n, lambda i: _noisy_coords(bundle.views[i], noise.coord_sigma, entropy, (i, 1))),
-        masks=LazyViews(n, lambda i: _flipped_masks(bundle.views[i], noise.mask_flip_rate, entropy, (i, 2))),
+        depths=LazyViews(n, lambda i: _head(views[i].depth, noise.depth_sigma, entropy, (i, 0), _noisy_depth)),
+        coords=LazyViews(n, lambda i: _head(views[i].coords, noise.coord_sigma, entropy, (i, 1), _noisy_coords)),
+        masks=LazyViews(n, lambda i: _head(views[i].masks, noise.mask_flip_rate, entropy, (i, 2), _flipped_masks)),
         heatmaps=heatmaps,
         keypoints_2d=LazyViews(n, lambda i: soft_argmax(heatmaps[i])),
         rel_poses=tuple(rel_poses),

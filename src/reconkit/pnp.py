@@ -241,8 +241,9 @@ def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:
     n = pts.shape[0]
     if n < 4:
         raise DegenerateConfigurationError(f"PnP needs at least 4 points, got {n}")
-    if np.hypot(*(px - px.mean(axis=0)).T).max() < MIN_PIXEL_SPREAD:  # hypot: no overflow on huge pixels
-        raise DegenerateConfigurationError(f"pixels lie within {MIN_PIXEL_SPREAD} px of their centroid")
+    with np.errstate(over="ignore"):  # an overflowed centroid is an infinite spread; hypot itself never overflows
+        if np.hypot(*(px - px.mean(axis=0)).T).max() < MIN_PIXEL_SPREAD:
+            raise DegenerateConfigurationError(f"pixels lie within {MIN_PIXEL_SPREAD} px of their centroid")
 
     sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     if sv[1] <= sv[0] * 1e-8:

@@ -225,6 +225,24 @@ class TestEvalPose:
         report = json.loads(out.read_text())
         assert report["summary"]["relative"]["rta"] < 1.0
 
+    def test_overflowing_error_is_a_failure(self, tmp_path):
+        """Translation errors past the float range fail their scenes; the report holds no Infinity."""
+        tree, out = tmp_path / "tree", tmp_path / "report.json"
+        main(["gen-scenes", "--scenes", "2", "--seed", "1", "--width", "64", "--height", "48",
+              "--workers", "1", "--out", str(tree)])
+        rc = main(["eval-pose", "--bundles", str(tree), "--workers", "1", "--noise-trans", "1e200", "--out", str(out)])
+        assert rc == 1
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["scenes"] == []
+        assert report["failures"] == [
+            {"error": "ValueError: rte must be finite and non-negative, got inf", "scene": f"scene_0000{i}"}
+            for i in range(2)
+        ]
+
     def test_monocular_scene_fails_cleanly(self, tmp_path):
         mono = tmp_path / "mono"
         main(["gen-scenes", "--scenes", "1", "--views", "1", "--seed", "2",
@@ -1046,6 +1064,20 @@ class TestComposePoints:
             assert main(["compose-points", "--bundle", str(scene), flag, "1e308", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"FAILED {scene}: {error}\n"
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "flag,rc,error",
+        [("--noise-coord", 1, "FAILED {}: ValueError: coord map contains non-finite entries\n"),
+         ("--noise-scale", 1, "FAILED {}: ValueError: similarity scale must be finite and positive, got inf\n"),
+         ("--noise-depth", 0, "")],
+        ids=["coord", "scale", "depth"],
+    )
+    def test_overflowing_draw_does_not_warn(self, bundle_tree, tmp_path, capsys, flag, rc, error):
+        """A mock draw past the float range is inf, judged by the map's own checks, with no RuntimeWarning."""
+        scene = bundle_tree / "scene_00000"
+        assert main(["compose-points", "--bundle", str(scene), flag, "1e308", "--out", str(tmp_path / "out")]) == rc
+        assert capsys.readouterr().err == error.format(scene)
 
 
 class TestComposePointsBytes:

@@ -1,6 +1,6 @@
 """Point-map and pose metric definitions plus dataset aggregation."""
 
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -114,6 +114,25 @@ class TestRelativePoseMetrics:
             # swapping the views consistently inverts both relative poses
             rev = relative_pose_metrics(relative_pose(b, a), relative_pose(b2, a2))
             assert abs(fwd.rre - rev.rre) < 1e-9
+
+
+@pytest.mark.parametrize("report", [PoseReport, AbsolutePoseReport])
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("error", [float("inf"), float("nan"), -0.1])
+def test_pose_report_refuses_a_bad_error(report, index, error):
+    """A non-finite or negative translation or rotation error is refused, as a point error is."""
+    values = [0.0, 0.0, 1.0, 1.0, 0.03, 0.03]
+    values[index] = error
+    name = [f.name for f in fields(report)][index]
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative, got {error}"):
+        report(*values)
+
+
+def test_overflowing_translation_error_is_refused():
+    """A translation error past the float range is refused by name, without an overflow warning."""
+    far = RigidTransform(np.eye(3), np.array([1e200, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="rte must be finite and non-negative, got inf"):
+        relative_pose_metrics(far, RigidTransform(np.eye(3), np.array([0.0, 1e200, 0.0])))
 
 
 class TestAbsolutePoseMetrics:

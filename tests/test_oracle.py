@@ -562,6 +562,22 @@ class TestMockPredict:
         want = abs(mock_predict(bundle, noise, 3).similarity.scale - 2.0) / 2.0
         assert evaluate_pointmap_scene(bundle, noise, 3).scale_err == want
 
+    @pytest.mark.parametrize(
+        "head,field,sigma",
+        [("depths", "depth", "depth_sigma"), ("coords", "coords", "coord_sigma"), ("masks", "masks", "mask_flip_rate")],
+    )
+    def test_zero_sigma_head_is_the_bundle_map(self, small_bundle, head, field, sigma):
+        """At sigma 0 a view head is the bundle's own map object, whatever the other sigmas are."""
+        pred = mock_predict(small_bundle, replace(self.ALL_NOISE, **{sigma: 0.0}), seed=3)
+        for i, view in enumerate(small_bundle.views):
+            assert getattr(pred, head)[i] is getattr(view, field)
+
+    def test_zero_scale_sigma_keeps_the_bundle_scale(self):
+        """At scale_sigma 0 the predicted scale is the bundle's own, exactly, whatever the other sigmas are."""
+        bundle = generate_scene(random_scene_spec(seed=1, views=2, width=64, height=48), seed=1)
+        bundle.__dict__["similarity"] = Similarity(2.0, bundle.views[0].pose_world)  # the cached property's value
+        assert mock_predict(bundle, replace(self.ALL_NOISE, scale_sigma=0.0), 3).similarity.scale == 2.0
+
     # every sigma nonzero, heatmap_blur included, so each head is perturbed
     ALL_NOISE = NoiseModel(
         depth_sigma=0.002, coord_sigma=0.0005, translation_sigma=0.01, rotation_sigma=0.005,

@@ -184,6 +184,14 @@ class TestSolvePnP:
         with pytest.raises(NonConvergenceError, match="no initialization led to a converged solution"):
             solve_pnp(pts, px, k)
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_overflowing_centroid_does_not_converge(self, rng, count):
+        """Pixels whose centroid overflows have an infinite spread: a NonConvergenceError, without a warning."""
+        k, pts, pose, px = synth_problem(rng)
+        px[:count] = 1e308
+        with pytest.raises(NonConvergenceError, match="no initialization led to a converged solution"):
+            solve_pnp(pts, px, k)
+
     def test_nonfinite_step_does_not_converge(self, rng, monkeypatch):
         from reconkit.pnp import _gauss_newton
 
