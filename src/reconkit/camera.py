@@ -175,12 +175,15 @@ class PointMap(PixelVectors):
     """Camera- or world-frame points in meters, held per valid pixel (see PixelVectors)."""
 
 
+def normalize(k: Intrinsics, u, v) -> tuple:
+    """The normalized image coordinates ((u - cx) / fx, (v - cy) / fy) of pixel positions u and v."""
+    return (u - k.cx) / k.fx, (v - k.cy) / k.fy
+
+
 def coords_from_intrinsics(k: Intrinsics) -> CoordMap:
     """Normalized coordinate map of every pixel center of a pinhole camera."""
-    out = np.empty((k.height, k.width, 2))
-    out[:, :, 0] = ((np.arange(k.width, dtype=float) - k.cx) / k.fx)[None, :]
-    out[:, :, 1] = ((np.arange(k.height, dtype=float) - k.cy) / k.fy)[:, None]
-    return CoordMap(out)
+    x, y = normalize(k, np.arange(k.width, dtype=float), np.arange(k.height, dtype=float)[:, None])
+    return CoordMap(np.stack(np.broadcast_arrays(x, y), axis=-1))
 
 
 def unproject(coords: CoordMap, depth: DepthMap, valid: np.ndarray | None = None) -> PointMap:

@@ -28,6 +28,7 @@ from .metrics import absolute_pose_metrics
 from .oracle.bundle import BundleError, load_bundle
 from .oracle.mock import NoiseModel, mock_predict
 from .oracle.raster import RasterError, read_raster, write_raster
+from .oracle.scene import VIEW_COUNTS
 from .pipeline import (EVALUATIONS, BundleTreeError, RunConfig, default_workers, retain_freed_memory, run_eval,
                        run_gen_scenes, write_report)
 from .pnp import DEFAULT_TEMPERATURE, DegenerateConfigurationError, NonConvergenceError, soft_argmax, solve_pnp
@@ -65,7 +66,7 @@ FLAGS = {
     "workers": Flag(int, 0, "parallel workers (default %(default)s: all cores)",
                     _within(lambda v: v >= 0, ">= 0 (0: all cores)")),
     **{key: Flag(int, getattr(RunConfig, key), f"{text} (default %(default)s)", _sets(RunConfig, key))
-       for key, text in (("scenes", "number of scenes"), ("views", "cameras per scene, 1 or 2"),
+       for key, text in (("scenes", "number of scenes"), ("views", f"cameras per scene, {VIEW_COUNTS[1]}"),
                          ("width", "image width"), ("height", "image height"))},
     **{flag: Flag(float, getattr(NoiseModel, field), text, _sets(NoiseModel, field))
        for (flag, field), text in zip(NOISE_FLAGS.items(), (

@@ -153,12 +153,14 @@ def normals_from_pointmap(points: PointMap) -> NormalMap:
     ok = np.zeros((h, w), dtype=bool)
     ok[1:-1, 1:-1] = m[1:-1, 1:-1] & m[1:-1, 2:] & m[1:-1, :-2] & m[2:, 1:-1] & m[:-2, 1:-1]
     idx = np.flatnonzero(ok)
-    n = _stencil_cross(points, idx)
-    lengths = _lengths(*n)
-    keep = lengths > 0
-    if not keep.all():
-        idx, lengths, n = idx[keep], lengths[keep], n[:, keep]
-    return NormalMap((h, w), idx, tuple(np.divide(n, lengths, out=n)))
+    # silent past the float range: a NaN length is dropped, and an inf one gives a NaN normal that NormalMap refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = _stencil_cross(points, idx)
+        lengths = _lengths(*n)
+        keep = lengths > 0
+        if not keep.all():
+            idx, lengths, n = idx[keep], lengths[keep], n[:, keep]
+        return NormalMap((h, w), idx, tuple(np.divide(n, lengths, out=n)))
 
 
 def _stencil_cross(points: PointMap, idx: np.ndarray) -> np.ndarray:

@@ -20,12 +20,14 @@ from functools import cached_property
 
 import numpy as np
 
-from ..camera import POSITIVE, Intrinsics, check_array, check_number, project
+from ..camera import POSITIVE, Intrinsics, check_array, check_number, normalize, project
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
 
 RAY_EPS = 1e-9
+# check_number's (ok, must) for the number of cameras a scene has
+VIEW_COUNTS = (lambda v: v in (1, 2), "1 or 2")
 
 
 def _sum3(a, b):
@@ -232,7 +234,7 @@ class SceneSpec:
     workspace_center: np.ndarray = field(default_factory=lambda: np.array([0.25, 0.0, 0.15]))
 
     def __post_init__(self):
-        check_number("views", self.views, lambda v: v in (1, 2), "1 or 2", integer=True)
+        check_number("views", self.views, *VIEW_COUNTS, integer=True)
         for name in ("width", "height"):
             check_number(name, getattr(self, name), integer=True)
         check_number("capsule_radius", self.capsule_radius, *POSITIVE)
@@ -355,25 +357,23 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     the table the box around its projected corners, an object its bounding
     sphere's window, and a capsule three casts, each end sphere in its own
     window and the cylinder, which projects inside their hull, in the box
-    around those two.  The bits are those of casting over the whole frame:
-    rays (x, y, 1) leave the camera centre, x = (u - cx) / fx and y = (v - cy) / fy
-    as in `coords_from_intrinsics`, and a kernel call takes a row of x and a column of y.
+    around those two (in its bounding sphere's window when an end is wholly
+    off-screen).  The bits are those of casting over the whole frame: rays
+    (x, y, 1) leave the camera centre, (x, y) = `camera.normalize` of pixel
+    (u, v), and a kernel call takes a row of x and a column of y.
     """
     k = intrinsics
-    xs = (np.arange(k.width, dtype=float) - k.cx) / k.fx
-    ys = ((np.arange(k.height, dtype=float) - k.cy) / k.fy)[:, None]
+    xs, ys = normalize(k, np.arange(k.width, dtype=float), np.arange(k.height, dtype=float)[:, None])
 
     casts = [(spec.table.cast, _table_window(spec.table, k, pose), LABEL_BACKGROUND)]
     casts += [(p.cast, _screen_window(*p.bound(), k, pose), LABEL_OBJECT) for p in spec.primitives]
     for capsule in spec.capsules:
         ends = capsule.ends()
         windows = [_screen_window(*end.bound(), k, pose) for end in ends]
-        body = _screen_window(*capsule.bound(), k, pose)
-        if body is not None and None not in windows:
-            body = tuple(
-                slice(max(b.start, min(e0.start, e1.start)), min(b.stop, max(e0.stop, e1.stop)))
-                for b, e0, e1 in zip(body, *windows)
-            )
+        if None in windows:
+            body = _screen_window(*capsule.bound(), k, pose)
+        else:
+            body = tuple(slice(min(e0.start, e1.start), max(e0.stop, e1.stop)) for e0, e1 in zip(*windows))
         casts.append((capsule.cast_body, body, LABEL_ROBOT))
         casts += [(end.cast, window, LABEL_ROBOT) for end, window in zip(ends, windows)]
 

@@ -42,7 +42,7 @@ from .metrics import (
 )
 from .oracle.bundle import SceneBundle, generate_scene, load_bundle, random_scene_spec, save_bundle
 from .oracle.mock import NoiseModel, ground_truth_heatmaps, mock_predict
-from .oracle.scene import SceneSpec
+from .oracle.scene import VIEW_COUNTS, SceneSpec
 from .pnp import soft_argmax
 
 
@@ -61,7 +61,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_number("seed", self.seed, lambda v: v >= 0, ">= 0", integer=True)
-        check_number("views", self.views, lambda v: v in (1, 2), "1 or 2", integer=True)
+        check_number("views", self.views, *VIEW_COUNTS, integer=True)
         for name in ("scenes", "width", "height"):
             check_number(name, getattr(self, name), lambda v: v >= 1, "at least 1", integer=True)
         for name in ("t_threshold_rel", "r_threshold_rel", "t_threshold_abs", "r_threshold_abs"):

@@ -5,7 +5,8 @@ correspondences: a linear initialization (12-parameter DLT for >= 6 points,
 best-fit-plane homography otherwise or when the points are coplanar)
 followed by Gauss-Newton on an SE(3) parameterization with step-halving.
 The Gauss-Newton objective is the sum of squared reprojection errors; an
-accepted step never increases it.
+accepted step never increases it.  The linear initializations observe each
+pixel at its `camera.normalize` coordinates, as coordinate maps and rays do.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .camera import POSITIVE, Intrinsics, check_number, project
+from .camera import POSITIVE, Intrinsics, check_number, normalize, project
 from .transforms import (
     RigidTransform,
     orthogonalize_9d,
@@ -75,14 +76,6 @@ class PnPResult:
     extrinsic: RigidTransform
     reprojection_error: float
     iterations: int
-
-
-def _normalized_obs(pixels, k: Intrinsics) -> np.ndarray:
-    px = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    m = np.empty_like(px)
-    m[:, 0] = (px[:, 0] - k.cx) / k.fx
-    m[:, 1] = (px[:, 1] - k.cy) / k.fy
-    return m
 
 
 def _dlt_null_vector(points: np.ndarray, obs: np.ndarray) -> np.ndarray:
@@ -250,7 +243,7 @@ def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:
         raise DegenerateConfigurationError("points are collinear")
     coplanar = sv[2] <= sv[0] * 1e-6
 
-    obs = _normalized_obs(px, k)
+    obs = np.column_stack(normalize(k, *px.T))
     inits = []
     try:
         if coplanar or n < 6:

@@ -15,9 +15,11 @@ from reconkit.camera import (
     CoordMap,
     DepthMap,
     Intrinsics,
+    PixelVectors,
     check_array,
     check_number,
     coords_from_intrinsics,
+    normalize,
     project,
     unproject,
 )
@@ -94,6 +96,29 @@ def test_coords_substitution():
     k = Intrinsics(fx=600.0, fy=400.0, cx=1e-9, cy=1e-9, width=100, height=100)
     coords = coords_from_intrinsics(k)
     np.testing.assert_allclose(coords.values[40, 60], [0.1, 0.1], atol=1e-12)
+
+
+def test_coords_are_the_normalized_pixel_positions(rng):
+    """The coord map holds `normalize` of each pixel (u, v), bit for bit, over drawn intrinsics."""
+    for _ in range(25):
+        w, h = (int(n) for n in rng.integers(1, 50, 2))
+        k = Intrinsics(fx=rng.uniform(1.0, 900.0), fy=rng.uniform(1.0, 900.0), cx=rng.uniform(0.01, 0.99) * w,
+                       cy=rng.uniform(0.01, 0.99) * h, width=w, height=h)
+        u, v = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+        assert coords_from_intrinsics(k).values.tobytes() == np.stack(normalize(k, u, v), axis=-1).tobytes()
+        assert tuple(coords_from_intrinsics(k).values[h - 1, 0]) == normalize(k, 0.0, float(h - 1))
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [(lambda: DepthMap(np.ones((2, 2, 1))), "depth values must be HxW, got shape (2, 2, 1)"),
+     (lambda: CoordMap(np.zeros((2, 2, 3))), "coord values must be HxWx2, got shape (2, 2, 3)"),
+     (lambda: PixelVectors.from_dense(np.zeros((2, 3, 3)), np.ones((3, 2), dtype=bool)),
+      "PixelVectors needs HxWx3 values and an HxW valid grid, got (2, 3, 3), (3, 2)")],
+)
+def test_raster_shapes_checked(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_project_on_axis(vga_intrinsics):

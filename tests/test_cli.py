@@ -191,6 +191,21 @@ class TestEvalPointmap:
         assert capsys.readouterr().err.count(error) == 2
 
 
+    @pytest.mark.parametrize("sigma,error", [("1e100", "ValueError: valid normals must have unit norm"),
+                                             ("1e308", "ValueError: no jointly valid normal pairs across views")])
+    def test_overflowing_normals_are_failures(self, tmp_path, capsys, sigma, error):
+        """Depths whose normals leave the float range fail their scenes, with no RuntimeWarning."""
+        tree, out = tmp_path / "tree", tmp_path / "report.json"
+        main(["gen-scenes", "--scenes", "2", "--seed", "1", "--width", "64", "--height", "48",
+              "--workers", "1", "--out", str(tree)])
+        rc = main(["eval-pointmap", "--bundles", str(tree), "--workers", "1", "--noise-depth", sigma,
+                   "--out", str(out)])
+        assert rc == 1
+        report = json.loads(out.read_text())
+        assert report["failures"] == [{"error": error, "scene": f"scene_0000{i}"} for i in range(2)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 class TestEvalPose:
     def test_zero_noise(self, bundle_tree, tmp_path):
         out = tmp_path / "pose.json"

@@ -6,6 +6,7 @@ with unit links has its end-link frame at the arm tip.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,11 @@ class TestForwardKinematics:
         chain = planar_arm(limits=(-1.0, 1.0))
         with pytest.raises(JointLimitError):
             forward_kinematics(chain, [0.0, 2.0])
+
+    @pytest.mark.parametrize("limits", [(1.0, 1.0), (1.0, -1.0)])
+    def test_limits_must_be_increasing(self, limits):
+        with pytest.raises(ValueError, match=re.escape(f"joint limits must satisfy lo < hi, got {limits}")):
+            planar_arm(limits=limits)
 
     def test_revolute_preserves_distance_to_axis(self, rng):
         chain, _ = default_chain()

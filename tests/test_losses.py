@@ -1,5 +1,7 @@
 """Training objectives against independent oracles and hand-computed values."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,15 @@ from reconkit.losses import (
     LOSS_TERMS,
     LossWeights,
     NonDifferentiableError,
+    NormalMap,
     align_scale,
     check_gradient,
     compare_gradient,
     huber,
+    joint_points,
     keypoint_loss,
     mask_loss,
+    normal_angles,
     normal_loss,
     normals_from_pointmap,
     point_loss,
@@ -200,6 +205,13 @@ class TestNormalLoss:
             with pytest.raises(ValueError, match="valid normals must have unit norm"):
                 normal_loss(pm, pm)
 
+    def test_overflowing_normals_refused_without_a_warning(self):
+        # the map above with no errstate: the suite raises any RuntimeWarning as an error
+        gx, gy = np.meshgrid(np.arange(3.0), np.arange(3.0))
+        pm = full_map(np.stack([gx * 1e200, gy * 1e200, np.ones((3, 3))], axis=-1))
+        with pytest.raises(ValueError, match="valid normals must have unit norm"):
+            normals_from_pointmap(pm)
+
     def test_symmetric_and_in_range(self, rng):
         a = full_map(rng.uniform(0.5, 2.0, (7, 7, 3)))
         b = full_map(rng.uniform(0.5, 2.0, (7, 7, 3)))
@@ -211,6 +223,28 @@ class TestNormalLoss:
         pm = PointMap.from_dense(np.ones((4, 4, 3)), np.zeros((4, 4), dtype=bool))
         with pytest.raises(ValueError, match="normal pairs"):
             normal_loss(pm, pm)
+
+
+def _no_normals(shape):
+    return NormalMap(shape, [], ([], [], []))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [(lambda: joint_points(full_map(np.ones((3, 3, 3))), full_map(np.ones((3, 4, 3)))),
+      "point map shapes differ: (3, 3) vs (3, 4)"),
+     (lambda: normal_angles(_no_normals((3, 3)), _no_normals((4, 3))), "normal map shapes differ"),
+     (lambda: mask_loss(MaskSet.from_stacked(np.ones((2, 2, 3))), MaskSet.from_stacked(np.ones((2, 3, 3)))),
+      "mask shapes differ: (2, 2) vs (2, 3)"),
+     (lambda: keypoint_loss(np.zeros((4, 4, 2)), np.zeros((4, 4, 3)), np.zeros((2, 2)), np.zeros((2, 2))),
+      "heatmap shapes differ: (4, 4, 2) vs (4, 4, 3)"),
+     (lambda: keypoint_loss(np.zeros((4, 4, 2)), np.zeros((4, 4, 2)), np.zeros((2, 2)), np.zeros((3, 2))),
+      "keypoint shapes differ: (2, 2) vs (3, 2)"),
+     (lambda: normals_from_pointmap(full_map(np.ones((2, 3, 3)))), "need at least 3x3 points for normals, got 2x3")],
+)
+def test_input_errors(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestMaskLoss:

@@ -1,5 +1,7 @@
 """Mask binarization and masked point-map composition."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from reconkit.masks import (
     LABEL_INVALID,
     LABEL_OBJECT,
     LABEL_ROBOT,
+    LabeledPointMap,
     MaskSet,
     binarize,
     compose_masked_points,
@@ -51,6 +54,19 @@ def test_binarize_threshold_range():
 def test_mask_entries_validated():
     with pytest.raises(ValueError, match="outside"):
         MaskSet(robot=np.full((1, 1), 1.5), object=np.zeros((1, 1)), background=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [(lambda: MaskSet(np.zeros((2, 2, 1)), np.zeros((2, 2)), np.zeros((2, 2))),
+      "robot mask must be HxW, got shape (2, 2, 1)"),
+     (lambda: MaskSet(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3))), "background mask shape (2, 3) != (2, 2)"),
+     (lambda: LabeledPointMap(unproject(CoordMap(np.zeros((2, 2, 2))), DepthMap(np.ones((2, 2)))), np.zeros((2, 3))),
+      "label grid shape (2, 3) != point grid (2, 2)")],
+)
+def test_shapes_checked(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_compose_all_masks_zero(rng):

@@ -48,6 +48,16 @@ class TestPointMapMetrics:
         report = point_map_metrics_views([(pm, pm)], pred_scale=1.1, gt_scale=1.0)
         assert abs(report.scale_err - 0.1) < 1e-12
 
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one \\(pred, gt\\) pair of point maps$"):
+            point_map_metrics_views(iter(()), pred_scale=1.0, gt_scale=1.0)
+
+    def test_no_jointly_valid_pixel_rejected(self, rng):
+        pred = full_map(rng.uniform(0.5, 2.0, (6, 6, 3)))
+        gt = PointMap.from_dense(pred.values, np.zeros((6, 6), dtype=bool))
+        with pytest.raises(ValueError, match="^no jointly valid pixels across views$"):
+            point_map_metrics_views([(pred, gt), (gt, pred)], pred_scale=1.0, gt_scale=1.0)
+
     def test_negative_fields_rejected(self):
         with pytest.raises(ValueError):
             PointMapReport(point_err=-1.0, normal_err=0.0, scale_err=0.0)

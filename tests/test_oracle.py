@@ -119,6 +119,19 @@ class TestSampleCamera:
         np.testing.assert_array_equal(p1.matrix(), p2.matrix())
         assert k1.fx == k2.fx and k1.cy == k2.cy
 
+    def test_straight_down_takes_the_fallback_right_axis(self):
+        # forward x (0, 0, 1) is ~1e-16 long here, so `right` comes from forward x (0, 1, 0)
+        ranges = replace(CameraRanges(), elevation_deg=(90.0, 90.0), target_jitter=0.0)
+        center = np.array([0.25, 0.0, 0.15])
+        _, pose = sample_camera(center, np.random.default_rng(3), ranges, 64, 48)
+        assert abs(np.linalg.det(pose.rotation) - 1.0) < 1e-12
+        np.testing.assert_allclose(pose.rotation.T @ pose.rotation, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(pose.rotation[:, 2], [0.0, 0.0, -1.0], atol=1e-12)
+
+    def test_range_must_be_a_pair(self):
+        with pytest.raises(TypeError, match=re.escape("camera radius must be a (low, high) pair, got 0.5")):
+            CameraRanges(radius=0.5)
+
 
 def minimal_spec(primitives, camera, width=64, height=48, views=1):
     chain, kp = default_chain()
@@ -460,6 +473,16 @@ class TestCulledRender:
         assert len(end_pixels) == len(end_windows) > 0
         for n, window in zip(end_pixels, end_windows):
             assert n <= window_area(window)
+        # a cylinder whose end windows are both on screen is cast in exactly the box around them
+        body_pixels = {id(s): n for s, n in received if isinstance(s, Capsule)}
+        both_on_screen = 0
+        for cap in spec.capsules:
+            w0, w1 = (_screen_window(*e.bound(), k, pose) for e in cap.ends())
+            if w0 is not None and w1 is not None:
+                box = [slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(w0, w1)]
+                assert body_pixels[id(cap)] == window_area(box)
+                both_on_screen += 1
+        assert both_on_screen > 0
         [table_pixels] = [n for s, n in received if isinstance(s, Table)]
         assert 0 < table_pixels < k.width * k.height
 
@@ -948,6 +971,11 @@ class TestBundleIO:
     def test_unknown_dtype_rejected(self, tmp_path):
         with pytest.raises(UnknownDtypeError):
             write_raster(tmp_path / "x.r3rb", np.ones((2, 2), dtype=np.int64))
+
+    def test_one_dimensional_raster_rejected(self, tmp_path):
+        with pytest.raises(RasterError, match=re.escape("raster must be HxW or HxWxC, got shape (3,)")):
+            write_raster(tmp_path / "x.r3rb", np.zeros(3))
+        assert not (tmp_path / "x.r3rb").exists()
 
 
 @pytest.fixture(scope="module")

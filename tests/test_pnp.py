@@ -1,6 +1,7 @@
 """Soft-argmax decoding and PnP extrinsic estimation."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,10 @@ class TestSoftArgmax:
             soft_argmax(np.ones((4, 4)), temperature=0.0)
         with pytest.raises(ValueError, match="finite"):
             soft_argmax(-np.ones((4, 4)))
+
+    def test_heatmap_must_be_three_dimensional(self):
+        with pytest.raises(ValueError, match=re.escape("heatmap must be HxWxN, got shape (2, 2, 2, 2)")):
+            soft_argmax(np.ones((2, 2, 2, 2)))
 
 
 def test_cube_rotations_pinned():
@@ -191,6 +196,29 @@ class TestSolvePnP:
         px[:count] = 1e308
         with pytest.raises(NonConvergenceError, match="no initialization led to a converged solution"):
             solve_pnp(pts, px, k)
+
+    def test_point_and_pixel_counts_must_match(self, rng):
+        k, pts, pose, px = synth_problem(rng, n=8)
+        with pytest.raises(ValueError, match="^8 points vs 7 pixels$"):
+            solve_pnp(pts, px[:7], k)
+
+    def test_singular_normal_equations_take_least_squares(self, rng, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        k, pts, pose, px = synth_problem(rng)
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        res = solve_pnp(pts, px, k)
+        assert np.linalg.norm(res.extrinsic.translation - pose.translation) < 1e-6
+        assert rotation_angle(res.extrinsic.rotation, pose.rotation) < 1e-6
+
+    def test_iteration_cap(self, rng, monkeypatch):
+        from reconkit import pnp
+
+        k, pts, pose, px = synth_problem(rng)
+        monkeypatch.setattr(pnp, "MAX_ITERATIONS", 1)
+        with pytest.raises(NonConvergenceError, match="^no convergence after 1 iterations$"):
+            pnp._gauss_newton(pts, px + rng.standard_normal(px.shape), k, pose)
 
     def test_nonfinite_step_does_not_converge(self, rng, monkeypatch):
         from reconkit.pnp import _gauss_newton

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from reconkit.transforms import (
     relative_pose,
     rotation_about_axis,
     rotation_angle,
+    rotation_axis,
     to_canonical,
     to_json,
 )
@@ -40,6 +42,21 @@ def so3_projection_oracle(m: np.ndarray) -> np.ndarray:
         if dist < best_dist:
             best, best_dist = cand, dist
     return best
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [(lambda: RigidTransform(np.eye(2), np.zeros(3)), "expected 3x3 matrix, got shape (2, 2)"),
+     (lambda: RigidTransform(np.full((3, 3), np.nan), np.zeros(3)), "rotation contains non-finite entries"),
+     (lambda: RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3)), "matrix determinant -1.000000000000 != +1"),
+     (lambda: RigidTransform(np.eye(3), [0.0, np.inf, 0.0]), "translation contains non-finite entries"),
+     (lambda: rotation_about_axis(np.zeros(3), 0.5), "rotation axis must be nonzero"),
+     (lambda: orthogonalize_9d([1.0] * 8 + [np.inf]), "9D rotation input contains non-finite entries"),
+     (lambda: rotation_axis(np.eye(3)), "rotation axis undefined at angle 0 or pi")],
+)
+def test_input_errors(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestOrthogonalize9D:
