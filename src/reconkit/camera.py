@@ -163,7 +163,8 @@ class PixelVectors:
     @property
     def values(self) -> np.ndarray:
         grid = np.zeros((self.shape[0] * self.shape[1], 3))
-        grid[self.index] = self.stacked()
+        for axis, component in enumerate(self.components):  # into its column: no (N, 3) copy
+            grid[self.index, axis] = component
         return grid.reshape(self.shape + (3,))
 
     def stacked(self) -> np.ndarray:

@@ -274,7 +274,10 @@ def cmd_compose_points(args) -> int:
             bundle = load_bundle(args.bundle)
             i = _check_view(args, bundle)
             pred = mock_predict(bundle, noise, args.seed)
-            labeled = compose_masked_points(pred.depths[i], pred.coords[i], pred.masks[i], args.threshold)
+            masks = pred.masks[i]
+            bundle.views[i].pop("masks")  # the true planes, which only the mask head reads
+            labeled = compose_masked_points(pred.depths[i], pred.coords[i], masks, args.threshold)
+            del pred, bundle, masks  # what is written is built from `labeled` alone
     except ValueError as exc:  # noise so large that no finite prediction exists; no --out is made
         return _run_failure("compose-points", config, exc, None)
     counts = {part: int(np.sum(labeled.labels == label)) for label, part in enumerate(PART_NAMES, LABEL_ROBOT)}

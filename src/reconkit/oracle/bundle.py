@@ -22,10 +22,11 @@ load_bundle checks both JSON files and every raster's header, size, shape
 and (labels: uint8) dtype up front, so a missing or malformed file or key,
 a value of the wrong type or form, or a wrong shape or dtype fails at load
 as a named BundleError or RasterError.  A view's depth and labels are read
-on first access only; a label above LABEL_BACKGROUND then fails as a
-PayloadValueError naming the file.  The robot base frame is the world frame,
-so pose_world is also the base-frame pose and the similarity (camera 0 ->
-robot base, unit scale) canonicalizes registered camera-frame geometry.
+on first access only, and kept until ViewRecord.pop hands them over; a label
+above LABEL_BACKGROUND then fails as a PayloadValueError naming the file.
+The robot base frame is the world frame, so pose_world is also the
+base-frame pose and the similarity (camera 0 -> robot base, unit scale)
+canonicalizes registered camera-frame geometry.
 """
 
 from __future__ import annotations
@@ -103,8 +104,8 @@ class ViewRecord:
 
     `rasters[key]` gives the stored depth or labels array: from a dict for a
     generated scene, read from the view's file for a loaded one.  Every
-    property is built on first access; validity, coords and mask planes are
-    derived here, the same way for both.
+    property is built on first access and kept until `pop` hands it over;
+    validity, coords and mask planes are derived here, the same way for both.
     """
 
     intrinsics: Intrinsics
@@ -126,6 +127,11 @@ class ViewRecord:
     @cached_property
     def masks(self) -> MaskSet:
         return MaskSet.from_labels(self.labels)
+
+    def pop(self, name: str):
+        """Property `name`, built now if not yet, handed over and forgotten: a later read builds it again."""
+        getattr(self, name)
+        return vars(self).pop(name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,6 +473,12 @@ def surface_distances(spec: SceneSpec, pts: np.ndarray, labels: np.ndarray) -> n
     return out
 
 
+def _world_points(view: ViewRecord) -> tuple:
+    """A view's valid pixels in the world frame and their part labels; its depth and coords are handed over."""
+    pm = unproject(view.pop("coords"), view.pop("depth"))
+    return view.pose_world.apply(pm.stacked()), np.take(view.labels, pm.index)
+
+
 def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
     """Max distance of unprojected + pose-transformed pixels to the scene surfaces.
 
@@ -477,10 +489,7 @@ def validate_bundle(bundle: SceneBundle, tol: float = 1e-9) -> float:
     bundle.keypoints_2d  # derived on first read, where a keypoint behind a camera fails
     worst = 0.0
     for i, view in enumerate(bundle.views):
-        pm = unproject(view.coords, view.depth)
-        world = view.pose_world.apply(pm.stacked())
-        d = surface_distances(bundle.spec, world, np.take(view.labels, pm.index))
-        deviation = float(d.max(initial=0.0))  # a NaN, which Python's max would drop, stays
+        deviation = float(surface_distances(bundle.spec, *_world_points(view)).max(initial=0.0))  # NaN stays
         if not np.isfinite(deviation):
             raise BundleError(f"view {i}: deviation {deviation} from the analytic scene is not finite")
         worst = max(worst, deviation)

@@ -13,15 +13,16 @@ past the float range are inf, unwarned, for the prediction's checks to judge.
 
 A Prediction pays only for what its caller reads.  The pose block is drawn up
 front; each per-view head is one LazyViews(n, build), entry i made as build(i)
-on first access: view i's depth, coords and masks are drawn, perturbed and
-validated, each reading only its own bundle rasters, and its heatmaps and
-keypoints are synthesized and decoded.  So `eval-pose` makes no pixel-sized
-draw, `eval-pointmap` draws each view's depth and coords, and
-`compose-points --view i` draws view i's heads only.
+on first access and kept until pop(i) hands it over: view i's depth, coords
+and masks are drawn, perturbed and validated, each reading only its own
+bundle rasters, and its heatmaps and keypoints synthesized and decoded.  So
+`eval-pose` makes no pixel-sized draw, `eval-pointmap` draws each view's
+depth and coords once, and `compose-points --view i` view i's heads only.
 
-Heatmaps are synthesized as Gaussian bumps of HEATMAP_SIGMA pixels at the
-true 2D keypoints (the predicted bumps widen by the blur sigma).  Predicted
-and ground-truth keypoint coordinates are both decoded from their heatmaps
+Heatmaps are synthesized, each in one buffer, as Gaussian bumps of
+HEATMAP_SIGMA px at the true 2D keypoints (the predicted bumps widen by the
+blur sigma; the ground truth's, also a LazyViews, are made per view read).
+Predicted and ground-truth keypoints are both decoded from their heatmaps
 with the same soft-argmax at its default temperature, so at zero noise the
 coordinate loss is exactly zero while the decoding path stays exercised
 under noise.  The heatmap/keypoint head draws no random numbers; view i's
@@ -33,7 +34,6 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -64,16 +64,24 @@ class NoiseModel:
 
 
 class LazyViews(Sequence):
-    """n per-view entries, entry i made as build(i) on first access and kept."""
+    """n per-view entries, entry i made as build(i) on first access and kept until `pop(i)` hands it over."""
 
     def __init__(self, n: int, build):
-        self._n, self._build = n, cache(build)
+        self._n, self._build, self._made = n, build, {}
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, i):
-        return self._build(range(self._n)[operator.index(i)])  # an integer, not a slice; -1 is entry n - 1
+        i = range(self._n)[operator.index(i)]  # an integer, not a slice; -1 is entry n - 1
+        if i not in self._made:
+            self._made[i] = self._build(i)
+        return self._made[i]
+
+    def pop(self, i):
+        """Entry i, made now if not yet, handed over and forgotten: a later [i] makes it again."""
+        self[i]
+        return self._made.pop(range(self._n)[i])
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +104,8 @@ def synthesize_heatmaps(keypoints_2d, width, height, sigma) -> np.ndarray:
     vs = np.arange(height, dtype=float)
     du2 = (us[None, :] - kp[:, 0][:, None]) ** 2  # (N, W)
     dv2 = (vs[None, :] - kp[:, 1][:, None]) ** 2  # (N, H)
-    hm = np.exp(-(dv2[:, :, None] + du2[:, None, :]) / (2.0 * sigma * sigma))
+    hm = np.add(dv2[:, :, None], du2[:, None, :])  # (N, H, W); then negated, divided by 2 sigma^2 and exp'd in place
+    np.exp(np.divide(np.negative(hm, out=hm), 2.0 * sigma * sigma, out=hm), out=hm)
     return np.moveaxis(hm, 0, -1)
 
 
@@ -176,5 +185,5 @@ def mock_predict(bundle: SceneBundle, noise: NoiseModel, seed: int) -> Predictio
     )
 
 
-def ground_truth_heatmaps(bundle: SceneBundle) -> list[np.ndarray]:
-    return [_heatmap(bundle, i, HEATMAP_SIGMA) for i in range(len(bundle.views))]
+def ground_truth_heatmaps(bundle: SceneBundle) -> LazyViews:
+    return LazyViews(len(bundle.views), lambda i: _heatmap(bundle, i, HEATMAP_SIGMA))

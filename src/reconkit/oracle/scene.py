@@ -319,12 +319,19 @@ def _pixel_window(k: Intrinsics, rows, cols):
     return tuple(window)
 
 
+def _behind(center, radius, pose: RigidTransform) -> bool:
+    """Whether a world sphere lies wholly at camera z <= RAY_EPS, where no ray meets it: a hit's t is its z."""
+    return (pose.rotation.T @ (center - pose.translation))[2] + radius <= RAY_EPS
+
+
 def _screen_window(center, radius, k: Intrinsics, pose: RigidTransform):
     """Conservative (rows, cols) slices of the pixels whose rays can meet a world sphere.
 
-    None when the sphere is wholly off-screen; the whole frame when it reaches
-    the camera plane.
+    None when the sphere is wholly off-screen or `_behind` the camera; the
+    whole frame when it reaches the camera plane.
     """
+    if _behind(center, radius, pose):
+        return None
     c = pose.rotation.T @ (center - pose.translation)
     if c[2] - radius <= RAY_EPS:
         return slice(0, k.height), slice(0, k.width)
@@ -357,10 +364,10 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     the table the box around its projected corners, an object its bounding
     sphere's window, and a capsule three casts, each end sphere in its own
     window and the cylinder, which projects inside their hull, in the box
-    around those two (in its bounding sphere's window when an end is wholly
-    off-screen).  The bits are those of casting over the whole frame: rays
-    (x, y, 1) leave the camera centre, (x, y) = `camera.normalize` of pixel
-    (u, v), and a kernel call takes a row of x and a column of y.
+    around those two (its bounding sphere's window when an end is off-screen,
+    none when both are behind the camera).  The bits are those of casting over
+    the whole frame: rays (x, y, 1) leave the camera centre, (x, y) =
+    `camera.normalize` of pixel (u, v), and a kernel takes a row of x and a column of y.
     """
     k = intrinsics
     xs, ys = normalize(k, np.arange(k.width, dtype=float), np.arange(k.height, dtype=float)[:, None])
@@ -370,8 +377,8 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     for capsule in spec.capsules:
         ends = capsule.ends()
         windows = [_screen_window(*end.bound(), k, pose) for end in ends]
-        if None in windows:
-            body = _screen_window(*capsule.bound(), k, pose)
+        if None in windows:  # no body when both ends are `_behind` the camera: z is linear along it
+            body = None if all(_behind(*e.bound(), pose) for e in ends) else _screen_window(*capsule.bound(), k, pose)
         else:
             body = tuple(slice(min(e0.start, e1.start), max(e0.stop, e1.stop)) for e0, e1 in zip(*windows))
         casts.append((capsule.cast_body, body, LABEL_ROBOT))

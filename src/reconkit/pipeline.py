@@ -179,9 +179,10 @@ def list_bundles(bundle_root) -> list[Path]:
 
 
 def _pointmap_report(bundle: SceneBundle, pred) -> PointMapReport:
-    """Point-map metrics of a prediction against the bundle's own point maps, one view at a time."""
+    """Point-map metrics of a prediction against the bundle's, one view at a time, each view's inputs handed over."""
     return point_map_metrics_views(
-        ((unproject(c, d), unproject(v.coords, v.depth)) for c, d, v in zip(pred.coords, pred.depths, bundle.views)),
+        ((unproject(pred.coords.pop(i), pred.depths.pop(i)), unproject(v.pop("coords"), v.pop("depth")))
+         for i, v in enumerate(bundle.views)),
         pred.similarity.scale,
         bundle.similarity.scale,
     )

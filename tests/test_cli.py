@@ -7,6 +7,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 from reconkit import cli, pipeline
 from reconkit.cli import main
 from reconkit.losses import NonDifferentiableError
-from reconkit.oracle.bundle import random_scene_spec
+from reconkit.oracle.bundle import load_bundle, random_scene_spec, validate_bundle
+from reconkit.oracle.mock import NoiseModel, ground_truth_heatmaps
 from reconkit.oracle.raster import read_raster, write_raster
 from reconkit.pipeline import RunConfig
 from reconkit.pnp import DegenerateConfigurationError, NonConvergenceError
@@ -1042,6 +1044,46 @@ class TestRetainFreedMemory:
         monkeypatch.setattr(pipeline.ctypes, "CDLL", cdll)
         assert pipeline.retain_freed_memory() is None
         assert capsys.readouterr() == ("", "")
+
+
+class TestDefaultSizeCeilings:
+    """At the default 630x476 size each scene step's traced peak stays below the freed heap a process keeps
+    (pipeline.TRIM_THRESHOLD_BYTES), so a run's next scene reuses its pages instead of faulting them in again.
+    The peaks are fixed for a given numpy."""
+
+    NOISE = NoiseModel(depth_sigma=0.002, coord_sigma=0.0002, heatmap_blur=0.5, mask_flip_rate=0.01)
+
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("default_size") / "tree"
+        assert main(["gen-scenes", "--scenes", "1", "--seed", "1", "--workers", "1", "--out", str(out)]) == 0
+        assert load_bundle(out / "scene_00000").views[0].intrinsics.width == 630
+        return out / "scene_00000"
+
+    @staticmethod
+    def assert_peak_retained(step):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < pipeline.TRIM_THRESHOLD_BYTES, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_pointmap_scene(self, scene):
+        self.assert_peak_retained(lambda: pipeline.evaluate_pointmap_scene(load_bundle(scene), self.NOISE, 1))
+
+    def test_validate_bundle(self, scene):
+        self.assert_peak_retained(lambda: validate_bundle(load_bundle(scene)))
+
+    def test_ground_truth_heatmaps_of_one_view(self, scene):
+        self.assert_peak_retained(lambda: ground_truth_heatmaps(load_bundle(scene))[0])
+
+    def test_zero_noise_compose_points(self, scene, tmp_path, capsys):
+        codes = []
+        self.assert_peak_retained(lambda: codes.append(main(["compose-points", "--bundle", str(scene),
+                                                             "--out", str(tmp_path / "out")])))
+        assert codes == [0]
 
 
 class TestComposePoints:

@@ -6,6 +6,7 @@ import math
 import re
 import shutil
 import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,6 +56,7 @@ from reconkit.oracle.raster import (
 )
 from reconkit.masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from reconkit.oracle.scene import (
+    RAY_EPS,
     Box,
     CameraRanges,
     Capsule,
@@ -362,6 +364,24 @@ class TestCulledRender:
         labels = assert_matches_full_frame(spec, WIDE, pose)
         assert np.any(labels == LABEL_ROBOT)
 
+    @pytest.mark.parametrize("seed,behind_capsules", [(2, 0), (3, 1), (111, 1)])
+    def test_spheres_behind_the_camera_skipped(self, monkeypatch, seed, behind_capsules):
+        # near cameras of these seeds have capsule end spheres wholly behind them, and for 3 and 111 both
+        # ends of one capsule; such a sphere has no window, and such a capsule's cylinder is not cast
+        spec = random_scene_spec(seed, views=1, width=64, height=48)
+        k, pose = sample_camera(spec.workspace_center, np.random.default_rng(seed), CameraRanges(radius=(0.25, 0.6)),
+                                64, 48)
+        ends = [end for cap in spec.capsules for end in cap.ends()]
+        behind = [end for end in ends if pose.inverse().apply(end.center)[2] + end.radius <= RAY_EPS]
+        assert behind and all(_screen_window(*end.bound(), k, pose) is None for end in behind)
+        cast = []
+        cast_body = Capsule.cast_body
+        monkeypatch.setattr(Capsule, "cast_body", lambda self, *args: cast.append(self) or cast_body(self, *args))
+        render(spec, k, pose)
+        assert len(cast) == len(spec.capsules) - behind_capsules
+        monkeypatch.undo()
+        assert_matches_full_frame(spec, k, pose)
+
     def test_sphere_straddling_camera_plane(self):
         sphere = Sphere(HORIZONTAL.apply(np.array([0.4, 0.0, 0.1])), 0.35)
         spec = minimal_spec([sphere], fixed_camera_ranges())
@@ -665,6 +685,16 @@ class TestMockPredict:
             )
         assert errs[0] < errs[1] < errs[2]
 
+    def test_handed_over_head_is_made_again_bit_for_bit(self, small_bundle):
+        raw = {"depths": lambda d: d.values.tobytes(), "coords": lambda c: c.values.tobytes(),
+               "masks": lambda m: m.stacked().tobytes(), "heatmaps": np.ndarray.tobytes,
+               "keypoints_2d": np.ndarray.tobytes}
+        pred = mock_predict(small_bundle, self.ALL_NOISE, seed=3)
+        for head, bits in raw.items():
+            views = getattr(pred, head)
+            first = views.pop(1)
+            assert views[1] is not first and bits(views[1]) == bits(first)
+
     def test_heatmaps_peak_at_keypoints(self, small_bundle):
         gt_hm = ground_truth_heatmaps(small_bundle)
         gt_kp = [soft_argmax(hm) for hm in gt_hm]
@@ -676,6 +706,53 @@ class TestMockPredict:
                 & (stored[:, 1] < small_bundle.spec.height - 8)
             )
             assert np.abs(kp[in_image] - stored[in_image]).max() < 0.05
+
+
+def assert_heatmaps_are_the_one_expression(keypoints, width, height, sigma):
+    """synthesize_heatmaps equals its formula spelled out as one expression, bit for bit and stride for stride."""
+    kp = np.asarray(keypoints, dtype=float)
+    du2 = (np.arange(width, dtype=float)[None, :] - kp[:, 0][:, None]) ** 2
+    dv2 = (np.arange(height, dtype=float)[None, :] - kp[:, 1][:, None]) ** 2
+    want = np.moveaxis(np.exp(-(dv2[:, :, None] + du2[:, None, :]) / (2.0 * sigma * sigma)), 0, -1)
+    got = synthesize_heatmaps(keypoints, width, height, sigma)
+    assert (got.shape, got.strides, got.dtype) == (want.shape, want.strides, want.dtype)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestHeatmapSynthesis:
+    """Heatmaps are formed in one buffer with the expression's bits; ground truth is made per view."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        keypoints=st.lists(st.tuples(st.floats(-40.0, 120.0), st.floats(-40.0, 100.0)), min_size=1, max_size=9),
+        width=st.integers(1, 90),
+        height=st.integers(1, 70),
+        sigma=st.floats(0.25, 12.0),
+    )
+    @example(keypoints=[(-5.0, 3.5), (700.0, -80.0), (314.25, 237.5)], width=630, height=476, sigma=3.0)
+    @example(keypoints=[(0.0, 0.0)], width=1, height=1, sigma=3.5)
+    def test_is_the_one_expression(self, keypoints, width, height, sigma):
+        assert_heatmaps_are_the_one_expression(keypoints, width, height, sigma)
+
+    def test_drawn_keypoints(self, small_bundles):
+        for bundle in small_bundles:
+            for kp, blur in zip(bundle.keypoints_2d, (0.0, 0.5)):  # the ground-truth and a blurred predicted width
+                assert_heatmaps_are_the_one_expression(kp, bundle.spec.width, bundle.spec.height,
+                                                       mock_module.HEATMAP_SIGMA + blur)
+
+    def test_ground_truth_view_made_alone(self, small_bundle, monkeypatch):
+        calls = []
+        synthesize = mock_module.synthesize_heatmaps
+        monkeypatch.setattr(mock_module, "synthesize_heatmaps", lambda *args: calls.append(args) or synthesize(*args))
+        gt = ground_truth_heatmaps(small_bundle)
+        assert calls == [] and len(gt) == 2
+        hm = gt[1]
+        assert len(calls) == 1 and gt[-1] is hm
+        spec = small_bundle.spec
+        want = synthesize(small_bundle.keypoints_2d[1], spec.width, spec.height, mock_module.HEATMAP_SIGMA)
+        assert hm.tobytes() == want.tobytes()
+        first, second = gt
+        assert second is hm and gt[0] is first and len(calls) == 2
 
 
 class TestLazyViewsIndex:
@@ -706,6 +783,21 @@ class TestLazyViewsIndex:
     def test_non_integer_index(self, views, built, i):
         with pytest.raises(TypeError):
             views[i]
+        assert built == []
+
+    def test_pop_hands_an_entry_over(self, views, built):
+        first = views[1]
+        assert views.pop(1) is first and views.pop(-3) == [0]  # a kept entry, then one made for the hand-over
+        assert built == [1, 0]
+        again = views[1]
+        assert again == first and again is not first and views[1] is again
+        assert views.pop(np.int64(1)) is again and built == [1, 0, 1]
+        assert list(views) == [[0], [1], [2]] and built == [1, 0, 1, 0, 1, 2]
+
+    @pytest.mark.parametrize("i", [3, -4, slice(0, 2)])
+    def test_pop_takes_an_index_of_an_entry(self, views, built, i):
+        with pytest.raises((IndexError, TypeError)):
+            views.pop(i)
         assert built == []
 
 
@@ -1342,6 +1434,55 @@ class TestLazyPayloads:
         evaluate_pointmap_scene(load_bundle(saved), self.NOISE, 1)
         assert sorted(counts["reads"]) == ["view_0_depth.r3rb", "view_1_depth.r3rb"]
         assert (counts["MaskSet"], counts["flips"]) == (0, 0)
+
+    def test_pointmap_scene_makes_each_input_once(self, saved, counts, monkeypatch):
+        """Each view's noisy depth and coords are drawn, its depth raster read and its coords made, once."""
+        from reconkit.pipeline import evaluate_pointmap_scene
+
+        calls = []
+        for module, name in ((mock_module, "_noisy_depth"), (mock_module, "_noisy_coords"),
+                             (bundle_module, "coords_from_intrinsics")):
+            def counted(*args, _name=name, _original=getattr(module, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        evaluate_pointmap_scene(load_bundle(saved), self.NOISE, 1)
+        assert sorted(calls) == sorted(["_noisy_depth", "_noisy_coords", "coords_from_intrinsics"] * 2)
+        assert sorted(counts["reads"]) == ["view_0_depth.r3rb", "view_1_depth.r3rb"]
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NOISE], ids=["zero", "noisy"])
+    def test_scene_steps_keep_no_depth_or_coords(self, saved, monkeypatch, noise):
+        """Once the point-map scene and validate_bundle return, neither the bundles nor the prediction
+        hold any view's depth or coords: every map unprojected is gone while they are still alive."""
+        from reconkit import pipeline
+
+        unprojected, predictions = [], []
+        unproject_, predict = pipeline.unproject, pipeline.mock_predict
+
+        def unproject_tracked(coords, depth, *rest):
+            unprojected.extend((weakref.ref(coords), weakref.ref(depth)))
+            return unproject_(coords, depth, *rest)
+
+        monkeypatch.setattr(pipeline, "unproject", unproject_tracked)
+        monkeypatch.setattr(bundle_module, "unproject", unproject_tracked)
+        monkeypatch.setattr(pipeline, "mock_predict", lambda *args: predictions.append(predict(*args)) or predictions[-1])
+        scored, validated = load_bundle(saved), load_bundle(saved)
+        pipeline.evaluate_pointmap_scene(scored, noise, 1)
+        validate_bundle(validated)
+        assert len(predictions) == 1 and len(unprojected) == 12  # 2 views: prediction and truth, then validation
+        assert [ref() for ref in unprojected] == [None] * 12
+        for view in scored.views + validated.views:
+            assert not {"depth", "coords"} & vars(view).keys()
+
+    def test_view_hands_over_a_property(self, saved, counts):
+        view = load_bundle(saved).views[0]
+        depth = view.depth
+        assert view.pop("depth") is depth and "depth" not in vars(view)
+        assert view.depth is not depth and view.depth.values.tobytes() == depth.values.tobytes()
+        coords = view.pop("coords")  # made for the hand-over, and not kept
+        assert "coords" not in vars(view) and view.coords.values.tobytes() == coords.values.tobytes()
+        assert counts["reads"] == ["view_0_depth.r3rb"] * 2 and counts["CoordMap"] == 2
 
     @pytest.mark.parametrize("view", [0, 1])
     def test_compose_points_reads_its_view_only(self, saved, tmp_path, counts, view):
