@@ -226,14 +226,13 @@ def evaluate_losses_scene(
     st = st_loss(pred.similarity, bundle.similarity, weights.beta1, weights.beta2)
 
     gt_heatmaps = ground_truth_heatmaps(bundle)
-    kp = float(
-        np.mean(
-            [
-                keypoint_loss(hm, gt_hm, kp2d, soft_argmax(gt_hm), weights.gamma)
-                for hm, kp2d, gt_hm in zip(pred.heatmaps, pred.keypoints_2d, gt_heatmaps)
-            ]
-        )
-    )
+
+    def keypoint_term(i):
+        """View i's term; its keypoints first, since decoding caches its heatmap, then each grid handed over."""
+        kp2d, hm, gt_hm = pred.keypoints_2d.pop(i), pred.heatmaps.pop(i), gt_heatmaps.pop(i)
+        return keypoint_loss(hm, gt_hm, kp2d, soft_argmax(gt_hm), weights.gamma)
+
+    kp = float(np.mean([keypoint_term(i) for i in range(len(bundle.views))]))
 
     terms = {
         "point": geometry.point_err,

@@ -1,12 +1,11 @@
 """Keypoint decoding and Perspective-n-Point camera extrinsic estimation.
 
-solve_pnp recovers the robot-base -> camera transform from >= 4 keypoint
-correspondences: a linear initialization (12-parameter DLT for >= 6 points,
-best-fit-plane homography otherwise or when the points are coplanar)
-followed by Gauss-Newton on an SE(3) parameterization with step-halving.
-The Gauss-Newton objective is the sum of squared reprojection errors; an
-accepted step never increases it.  The linear initializations observe each
-pixel at its `camera.normalize` coordinates, as coordinate maps and rays do.
+solve_pnp recovers the robot-base -> camera transform from >= 4 keypoint correspondences by
+Gauss-Newton on an SE(3) parameterization with step-halving, run from a linear initialization
+(12-parameter DLT for >= 6 non-coplanar points, best-fit-plane homography otherwise) and, when
+that fails or only approximates, from 24 look-at seeds.  The Gauss-Newton objective is the sum of
+squared reprojection errors; an accepted step never increases it.  The linear initializations
+observe each pixel at its `camera.normalize` coordinates, as coordinate maps and rays do.
 """
 
 from __future__ import annotations
@@ -222,8 +221,9 @@ def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
 def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:
     """Estimate the robot-base -> camera extrinsic from 2D-3D correspondences.
 
-    Minimizes the sum of squared reprojection errors via DLT (or homography)
-    initialization plus Gauss-Newton refinement.
+    Gauss-Newton runs from each candidate in turn: the linear pose, if one forms, then the look-at seeds.  A
+    candidate that fails is skipped and the lowest mean reprojection error wins.  The search stops at an exact fit,
+    or once the linear pose converges, unless that pose is the homography of a non-coplanar set.
     """
     pts = np.asarray(points3d, dtype=float).reshape(-1, 3)
     px = np.asarray(pixels, dtype=float).reshape(-1, 2)
@@ -244,28 +244,21 @@ def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:
     coplanar = sv[2] <= sv[0] * 1e-6
 
     obs = np.column_stack(normalize(k, *px.T))
-    inits = []
     try:
-        if coplanar or n < 6:
-            inits.append(_init_homography(pts, obs))
-        else:
-            inits.append(_init_dlt(pts, obs))
+        linear = [(_init_homography if coplanar or n < 6 else _init_dlt)(pts, obs)]
     except (DegenerateConfigurationError, np.linalg.LinAlgError):
-        pass
-    # the plane homography only approximates non-coplanar point sets, so back
-    # it up with deterministic look-at seeds; same when the linear init failed
-    if not inits or (n < 6 and not coplanar):
-        inits.extend(_fallback_inits(pts))
-
+        linear = []
+    # a converged linear pose is final, unless it is the plane homography of a non-coplanar set, which only approximates
+    final = linear[0] if linear and (coplanar or n >= 6) else None
     best = None
-    for init in inits:
+    for init in itertools.chain(linear, _fallback_inits(pts)):
         try:
             pose, err, iterations = _gauss_newton(pts, px, k, init)
         except NonConvergenceError:
             continue
         if best is None or err < best.reprojection_error:
             best = PnPResult(extrinsic=pose, reprojection_error=err, iterations=iterations)
-        if best.reprojection_error < 1e-8:
+        if best.reprojection_error < 1e-8 or init is final:
             break
     if best is None:
         raise NonConvergenceError("no initialization led to a converged solution")

@@ -1,4 +1,4 @@
-"""Rotation, rigid-transform and similarity-transform algebra.
+"""Rotation and rigid-transform algebra, and the similarity map that scales a rigid one.
 
 Conventions used throughout the package:
 
@@ -7,8 +7,8 @@ Conventions used throughout the package:
   camera-to-world (the pose of the camera expressed in the outer frame),
   so ``pose.apply(p_cam)`` lands in that outer frame.
 - A Similarity maps points as x' = s * (R @ x + t); the scale multiplies
-  the full rigid result.
-- compose(a, b) applies b first: compose(a, b).apply(x) == a.apply(b.apply(x)).
+  the full rigid result.  It only maps points: it has no compose or inverse.
+- a.compose(b) applies b first: a.compose(b).apply(x) == a.apply(b.apply(x)).
 """
 
 from __future__ import annotations
@@ -205,27 +205,8 @@ class Similarity:
     def __post_init__(self):
         object.__setattr__(self, "scale", float(check_number("similarity scale", self.scale, *POSITIVE)))
 
-    @staticmethod
-    def identity() -> "Similarity":
-        return Similarity(1.0, RigidTransform.identity())
-
     def apply(self, points) -> np.ndarray:
         return self.scale * self.rigid.apply(points)
-
-    def compose(self, other: "Similarity") -> "Similarity":
-        r = self.rigid.rotation @ other.rigid.rotation
-        t = (
-            self.rigid.rotation @ other.rigid.translation
-            + self.rigid.translation / other.scale
-        )
-        return Similarity(self.scale * other.scale, RigidTransform(r, t))
-
-    def inverse(self) -> "Similarity":
-        rt = self.rigid.rotation.T
-        return Similarity(
-            1.0 / self.scale,
-            RigidTransform(rt, -self.scale * (rt @ self.rigid.translation)),
-        )
 
 
 def relative_pose(pose_i: RigidTransform, pose_j: RigidTransform) -> RigidTransform:

@@ -1475,6 +1475,22 @@ class TestLazyPayloads:
         for view in scored.views + validated.views:
             assert not {"depth", "coords"} & vars(view).keys()
 
+    def test_losses_scene_hands_over_every_heatmap(self, saved, monkeypatch):
+        """Once the losses scene returns, neither heatmap LazyViews nor the decoded keypoints hold an entry, and
+        each view's predicted and ground-truth grids were synthesized once each."""
+        from reconkit import pipeline
+
+        made, calls = [], []
+        predict, truth = pipeline.mock_predict, pipeline.ground_truth_heatmaps
+        synthesize = mock_module.synthesize_heatmaps
+        monkeypatch.setattr(pipeline, "mock_predict", lambda *args: made.append(predict(*args)) or made[-1])
+        monkeypatch.setattr(pipeline, "ground_truth_heatmaps", lambda b: made.append(truth(b)) or made[-1])
+        monkeypatch.setattr(mock_module, "synthesize_heatmaps", lambda *args: calls.append(args) or synthesize(*args))
+        pipeline.evaluate_losses_scene(load_bundle(saved), self.NOISE, 1)
+        pred, gt = made
+        assert [views._made for views in (pred.heatmaps, pred.keypoints_2d, gt)] == [{}, {}, {}]
+        assert len(calls) == 4  # 2 views: the predicted and the ground-truth grid of each
+
     def test_view_hands_over_a_property(self, saved, counts):
         view = load_bundle(saved).views[0]
         depth = view.depth

@@ -9,7 +9,9 @@ import scipy.special
 
 from conftest import random_rotation
 
+from reconkit import pnp
 from reconkit.camera import Intrinsics, project
+from reconkit.oracle.bundle import generate_scene, random_scene_spec
 from reconkit.pnp import (
     _CUBE_ROTATIONS,
     DegenerateConfigurationError,
@@ -227,6 +229,76 @@ class TestSolvePnP:
         monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(6, np.nan))
         with pytest.raises(NonConvergenceError, match="step is not finite"):
             _gauss_newton(pts, px + 1.0, k, pose)
+
+
+@pytest.fixture(scope="module")
+def sweep_scenes():
+    """The fixed sweep: binocular 320x240 oracle scenes of seeds 0-39."""
+    return [generate_scene(random_scene_spec(seed, views=2, width=320, height=240), seed) for seed in range(40)]
+
+
+def sweep_pixels(bundle, seed, view, outlier):
+    """A view's keypoints with 0.5 px Gaussian noise, then keypoint 0 moved `outlier` px in a drawn direction, both
+    drawn from default_rng([seed, view])."""
+    rng = np.random.default_rng([seed, view])
+    kp = bundle.keypoints_2d[view]
+    px = kp + 0.5 * rng.standard_normal(kp.shape)
+    direction = rng.standard_normal(2)
+    px[0] += outlier * direction / np.linalg.norm(direction)
+    return px
+
+
+class TestCandidateRule:
+    """Gauss-Newton runs from the linear pose, if one forms, then from the 24 look-at seeds; the best fit wins."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """Every _gauss_newton run of a solve, in order: its initial pose and mean error, None if it failed."""
+        runs = []
+        gauss_newton = pnp._gauss_newton
+
+        def recorded(pts, px, k, init, trace=None):
+            try:
+                result = gauss_newton(pts, px, k, init, trace)
+            except NonConvergenceError:
+                runs.append((init, None))
+                raise
+            runs.append((init, result[1]))
+            return result
+
+        monkeypatch.setattr(pnp, "_gauss_newton", recorded)
+        return runs
+
+    @pytest.mark.parametrize("outlier", [0.0, 20.0])
+    def test_sweep_solves_every_view(self, sweep_scenes, runs, outlier):
+        """No view fails.  A linear pose that converges is the one run; otherwise every seed runs and the best wins."""
+        rescued, first_not_best = 0, 0
+        for seed, bundle in enumerate(sweep_scenes):
+            for view in range(2):
+                runs.clear()
+                pts = bundle.keypoints_3d
+                res = solve_pnp(pts, sweep_pixels(bundle, seed, view, outlier), bundle.views[view].intrinsics)
+                if len(runs) == 1:
+                    assert res.reprojection_error == runs[0][1]
+                    continue
+                rescued += 1
+                assert len(runs) <= 25 and all(err is None for _, err in runs[:-24])
+                seeds = runs[-24:]
+                assert [init.matrix().tobytes() for init, _ in seeds] == [
+                    init.matrix().tobytes() for init in pnp._fallback_inits(pts)
+                ]
+                errors = [err for _, err in seeds if err is not None]
+                assert res.reprojection_error == min(errors)
+                first_not_best += errors[0] > min(errors)
+        # the outlier puts a point behind the camera of many views' DLT poses; the first seed to converge is
+        # often not the best one
+        assert (rescued > 0, first_not_best > 0) == (outlier > 0, outlier > 0)
+
+    def test_linear_pose_that_converges_is_the_one_run(self, small_bundle, runs):
+        for view in range(2):
+            runs.clear()
+            solve_pnp(small_bundle.keypoints_3d, small_bundle.keypoints_2d[view], small_bundle.views[view].intrinsics)
+            assert len(runs) == 1 and runs[0][1] is not None
 
 
 class TestGaussNewtonContract:
