@@ -18,6 +18,8 @@ HEADER = struct.Struct("<4sIIII")
 
 DTYPE_TAGS = {1: np.dtype("<f4"), 2: np.dtype("<f8"), 3: np.dtype("u1")}
 TAG_FOR_KIND = {f"{dtype.kind}{dtype.itemsize}": tag for tag, dtype in DTYPE_TAGS.items()}
+# write_raster copies a payload that is not already in its on-disk layout this many bytes of rows at a time
+WRITE_BAND_BYTES = 1 << 20
 
 
 class RasterError(ValueError):
@@ -39,8 +41,9 @@ class UnknownDtypeError(RasterError):
 def write_raster(path, array: np.ndarray):
     """Write an HxW or HxWxC array; dtype must be float32, float64 or uint8.
 
-    The header is written, then the array's own buffer (copied only when it
-    is not C-contiguous in the tag's little-endian dtype).
+    The header is written, then the array's own buffer, in bands of rows.  A
+    band is copied only when the array is not C-contiguous in the tag's
+    little-endian dtype, so a copy holds at most about WRITE_BAND_BYTES.
     """
     arr = np.asarray(array)
     if arr.ndim == 2:
@@ -52,10 +55,12 @@ def write_raster(path, array: np.ndarray):
         raise UnknownDtypeError(f"unsupported raster dtype {arr.dtype}")
     tag = TAG_FOR_KIND[key]
     h, w, c = arr.shape
-    payload = np.ascontiguousarray(arr, dtype=DTYPE_TAGS[tag])
+    dtype = DTYPE_TAGS[tag]
+    rows = max(1, WRITE_BAND_BYTES // max(1, w * c * dtype.itemsize))
     with open(path, "wb") as f:
         f.write(HEADER.pack(MAGIC, h, w, c, tag))
-        f.write(payload.data)
+        for start in range(0, h, rows):
+            f.write(np.ascontiguousarray(arr[start:start + rows], dtype=dtype).data)
 
 
 def _check_header(f, path) -> tuple[tuple, np.dtype]:

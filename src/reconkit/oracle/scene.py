@@ -26,6 +26,8 @@ from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
 
 RAY_EPS = 1e-9
+# rows per cast call in `render`: a view's temporaries are a band of its window, not the whole frame
+RENDER_BAND = 48
 # check_number's (ok, must) for the number of cameras a scene has
 VIEW_COUNTS = (lambda v: v in (1, 2), "1 or 2")
 
@@ -365,9 +367,10 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     sphere's window, and a capsule three casts, each end sphere in its own
     window and the cylinder, which projects inside their hull, in the box
     around those two (its bounding sphere's window when an end is off-screen,
-    none when both are behind the camera).  The bits are those of casting over
-    the whole frame: rays (x, y, 1) leave the camera centre, (x, y) =
-    `camera.normalize` of pixel (u, v), and a kernel takes a row of x and a column of y.
+    none when both are behind the camera), in bands of at most RENDER_BAND
+    rows.  The bits are those of casting over the whole frame: rays (x, y, 1)
+    leave the camera centre, (x, y) = `camera.normalize` of pixel (u, v), and
+    a kernel takes a row of x and a column of y.
     """
     k = intrinsics
     xs, ys = normalize(k, np.arange(k.width, dtype=float), np.arange(k.height, dtype=float)[:, None])
@@ -388,10 +391,13 @@ def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     best_t = np.full((k.height, k.width), np.inf)
     labels = np.zeros((k.height, k.width), dtype=np.uint8)
     for cast, (rows, cols), label in (c for c in casts if c[1] is not None):
-        t = cast(pose, xs[cols], ys[rows])
-        near = best_t[rows, cols]
-        closer = t < near
-        np.copyto(near, t, where=closer)
-        np.copyto(labels[rows, cols], label, where=closer)
+        for start in range(rows.start, rows.stop, RENDER_BAND):
+            band = slice(start, min(start + RENDER_BAND, rows.stop))
+            t = cast(pose, xs[cols], ys[band])
+            near = best_t[band, cols]
+            closer = t < near
+            np.copyto(near, t, where=closer)
+            np.copyto(labels[band, cols], label, where=closer)
 
-    return np.where(np.isfinite(best_t), best_t, 0.0), labels
+    best_t[~np.isfinite(best_t)] = 0.0
+    return best_t, labels

@@ -10,6 +10,7 @@ count is therefore an argument of each run, not a RunConfig field.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import os
@@ -105,10 +106,15 @@ def retain_freed_memory() -> None:
 
 
 def _run_parallel(worker, payloads, workers: int):
-    """Ordered map over payloads, inline for one worker; never more workers than payloads."""
+    """Ordered map over payloads, inline for one worker; never more workers than payloads.
+
+    A pool forks only after glibc's malloc_trim(0) hands the freed heap this process keeps back to the OS
+    (nothing elsewhere), so its workers neither copy those pages on their first writes nor count them in RSS."""
     workers = min(workers, len(payloads))
     if workers <= 1:
         return [worker(p) for p in payloads]
+    with contextlib.suppress(TypeError, AttributeError):  # Windows: CDLL(None) is a TypeError; macOS: no malloc_trim
+        ctypes.CDLL(None).malloc_trim(0)
     with ProcessPoolExecutor(max_workers=workers, initializer=retain_freed_memory) as pool:
         return list(pool.map(worker, payloads))
 

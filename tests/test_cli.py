@@ -17,7 +17,7 @@ import pytest
 from reconkit import cli, pipeline
 from reconkit.cli import main
 from reconkit.losses import NonDifferentiableError
-from reconkit.oracle.bundle import load_bundle, random_scene_spec, validate_bundle
+from reconkit.oracle.bundle import generate_scene, load_bundle, random_scene_spec, save_bundle, validate_bundle
 from reconkit.oracle.mock import NoiseModel, ground_truth_heatmaps
 from reconkit.oracle.raster import read_raster, write_raster
 from reconkit.pipeline import RunConfig
@@ -1045,6 +1045,45 @@ class TestRetainFreedMemory:
         assert pipeline.retain_freed_memory() is None
         assert capsys.readouterr() == ("", "")
 
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """What _run_parallel calls, in order: ("malloc_trim", pad) from a stub C library, ("pool", n) from a
+        stub ProcessPoolExecutor that starts nothing and maps inline."""
+        events = []
+
+        class Pool(TestWorkerPool.Pool):
+            def __init__(self, max_workers, initializer=None):
+                events.append(("pool", max_workers))
+
+        def malloc_trim(pad):
+            events.append(("malloc_trim", pad))
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", lambda name: types.SimpleNamespace(malloc_trim=malloc_trim))
+        return events
+
+    @pytest.mark.parametrize("workers,expected", [
+        (1, []),
+        (2, [("malloc_trim", 0), ("pool", 2)]),
+        (3, [("malloc_trim", 0), ("pool", 3)]),
+        (8, [("malloc_trim", 0), ("pool", 3)]),
+    ])
+    def test_heap_handed_back_before_the_pool(self, events, workers, expected):
+        assert pipeline._run_parallel(abs, [-1, 2, -3], workers) == [1, 2, 3]
+        assert events == expected
+
+    @pytest.mark.parametrize("libc", ["no malloc_trim", "no CDLL(None)"])
+    def test_no_trim_without_malloc_trim(self, monkeypatch, capsys, events, libc):
+        def cdll(name):
+            if libc == "no CDLL(None)":  # Windows
+                raise TypeError("expected str, bytes or os.PathLike object, not NoneType")
+            return types.SimpleNamespace()  # a C library without malloc_trim, as on macOS
+
+        monkeypatch.setattr(pipeline.ctypes, "CDLL", cdll)
+        assert pipeline._run_parallel(abs, [-1, 2, -3], 2) == [1, 2, 3]
+        assert events == [("pool", 2)]
+        assert capsys.readouterr() == ("", "")
+
 
 class TestDefaultSizeCeilings:
     """At the default 630x476 size each scene step's traced peak stays below the freed heap a process keeps
@@ -1061,14 +1100,22 @@ class TestDefaultSizeCeilings:
         return out / "scene_00000"
 
     @staticmethod
-    def assert_peak_retained(step):
+    def assert_peak_retained(step, ceiling=pipeline.TRIM_THRESHOLD_BYTES):
         tracemalloc.start()
         try:
             step()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < pipeline.TRIM_THRESHOLD_BYTES, f"traced peak {peak / 2**20:.1f} MiB"
+        assert peak < ceiling, f"traced peak {peak / 2**20:.1f} MiB"
+
+    def test_gen_scene_step(self, tmp_path):
+        def step():  # pipeline._gen_one's steps for the scene the fixture's gen-scenes call writes
+            seed = pipeline.scene_seed(1, 0)
+            save_bundle(tmp_path / "scene", generate_scene(random_scene_spec(seed), seed))
+
+        # a view is cast in bands of rows: about the bundle's own 5.4 MB, not a frame of temporaries per cast
+        self.assert_peak_retained(step, ceiling=8 << 20)
 
     def test_pointmap_scene(self, scene):
         self.assert_peak_retained(lambda: pipeline.evaluate_pointmap_scene(load_bundle(scene), self.NOISE, 1))

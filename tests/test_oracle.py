@@ -6,6 +6,7 @@ import math
 import re
 import shutil
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -57,6 +58,7 @@ from reconkit.oracle.raster import (
 from reconkit.masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from reconkit.oracle.scene import (
     RAY_EPS,
+    RENDER_BAND,
     Box,
     CameraRanges,
     Capsule,
@@ -475,18 +477,21 @@ class TestCulledRender:
     def test_casts_stay_in_their_windows(self, monkeypatch):
         spec = random_scene_spec(1, views=1, width=160, height=120)
         k, pose = sample_camera(spec.workspace_center, np.random.default_rng(1), spec.camera, 160, 120)
-        received = []  # (surface, pixels its cast was given)
+        received = {}  # surface -> pixels its cast was given, summed over its bands, in order of first cast
+        band_rows = []
         for cls, name in ((Sphere, "cast"), (Table, "cast"), (Capsule, "cast_body")):
             def record(self, view, x, y, cast=getattr(cls, name)):
-                received.append((self, x.size * y.size))
+                received[self] = received.get(self, 0) + x.size * y.size
+                band_rows.append(y.shape[0])
                 return cast(self, view, x, y)
 
             monkeypatch.setattr(cls, name, record)
         render(spec, k, pose)
+        assert max(band_rows) <= RENDER_BAND
         capsules = chain_capsules(spec)
         ends = [end for cap in capsules for end in cap.ends()]
         end_pixels = [
-            n for s, n in received
+            n for s, n in received.items()
             if isinstance(s, Sphere) and any(np.array_equal(s.center, e.center) for e in ends)
         ]
         end_windows = [w for w in (_screen_window(*e.bound(), k, pose) for e in ends) if w is not None]
@@ -494,7 +499,7 @@ class TestCulledRender:
         for n, window in zip(end_pixels, end_windows):
             assert n <= window_area(window)
         # a cylinder whose end windows are both on screen is cast in exactly the box around them
-        body_pixels = {id(s): n for s, n in received if isinstance(s, Capsule)}
+        body_pixels = {id(s): n for s, n in received.items() if isinstance(s, Capsule)}
         both_on_screen = 0
         for cap in spec.capsules:
             w0, w1 = (_screen_window(*e.bound(), k, pose) for e in cap.ends())
@@ -503,7 +508,7 @@ class TestCulledRender:
                 assert body_pixels[id(cap)] == window_area(box)
                 both_on_screen += 1
         assert both_on_screen > 0
-        [table_pixels] = [n for s, n in received if isinstance(s, Table)]
+        [table_pixels] = [n for s, n in received.items() if isinstance(s, Table)]
         assert 0 < table_pixels < k.width * k.height
 
 
@@ -1059,6 +1064,19 @@ class TestBundleIO:
         back = read_raster(tmp_path / "x.r3rb")
         assert back.dtype == np.float32
         np.testing.assert_array_equal(back, arr)
+
+    def test_strided_raster_written_in_bands(self, tmp_path):
+        hm = synthesize_heatmaps([[40.5 * i, 30.25 * i] for i in range(8)], 320, 240, 2.0)  # an (H, W, N) view
+        assert not hm.flags.c_contiguous
+        write_raster(tmp_path / "copy.r3rb", np.ascontiguousarray(hm))
+        tracemalloc.start()
+        try:
+            write_raster(tmp_path / "view.r3rb", hm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "view.r3rb").read_bytes() == (tmp_path / "copy.r3rb").read_bytes()
+        assert peak < hm.nbytes / 2, (peak, hm.nbytes)
 
     def test_unknown_dtype_rejected(self, tmp_path):
         with pytest.raises(UnknownDtypeError):
