@@ -4,8 +4,10 @@ solve_pnp recovers the robot-base -> camera transform from >= 4 keypoint corresp
 Gauss-Newton on an SE(3) parameterization with step-halving, run from a linear initialization
 (12-parameter DLT for >= 6 non-coplanar points, best-fit-plane homography otherwise) and, when
 that fails or only approximates, from 24 look-at seeds.  The Gauss-Newton objective is the sum of
-squared reprojection errors; an accepted step never increases it.  The linear initializations
-observe each pixel at its `camera.normalize` coordinates, as coordinate maps and rays do.
+squared reprojection errors; an accepted step never increases it.  A run iterates on the rotation and
+translation arrays, forms its Jacobian in one batched product, and checks one RigidTransform, the pose
+it returns.  The linear initializations observe each pixel at its `camera.normalize` coordinates, as
+coordinate maps and rays do.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import POSITIVE, Intrinsics, check_number, normalize, project
-from .transforms import (
-    RigidTransform,
-    orthogonalize_9d,
-    rotation_from_vector,
-    skew,
-)
+from .transforms import RigidTransform, orthogonalize_9d, rotation_from_vector
 
 # Sharp enough that an oracle heatmap decodes to its bump centre (sub-0.01 px).
 DEFAULT_TEMPERATURE = 0.05
@@ -150,16 +147,19 @@ def _fallback_inits(pts: np.ndarray):
 
 
 def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
-    def residuals(p: RigidTransform):
+    """Gauss-Newton from `pose`, iterating on its rotation and translation arrays; the pose it returns is the run's
+    one RigidTransform, so its one check_rotation."""
+    def residuals(rot, t):
         """Residuals, camera-frame points and their sum of squares: inf behind the camera or past the float range."""
-        cam = p.apply(pts)
+        cam = pts @ rot.T + t  # as RigidTransform.apply maps them
         if np.any(cam[:, 2] <= 1e-12):
             return None, None, np.inf
         with np.errstate(over="ignore"):  # pixels far enough out overflow the residuals or their squares
             res = (project(cam, k) - px).ravel()
             return res, cam, res @ res
 
-    res, cam, sse = residuals(pose)
+    rot, t = pose.rotation, pose.translation
+    res, cam, sse = residuals(rot, t)
     if res is None:
         raise NonConvergenceError("initialization places points behind the camera")
     if not np.isfinite(sse):
@@ -167,21 +167,16 @@ def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
     if trace is not None:
         trace.append(float(sse))
 
+    n = pts.shape[0]
+    zero = np.zeros(n)
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        n = pts.shape[0]
-        jac = np.zeros((2 * n, 6))
-        x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
-        # d(u,v)/d(p_cam) rows, chained with left perturbation
-        # p_cam' = p_cam + dt + omega x p_cam
-        du = np.stack([k.fx / z, np.zeros(n), -k.fx * x / z**2], axis=1)
-        dv = np.stack([np.zeros(n), k.fy / z, -k.fy * y / z**2], axis=1)
-        for i in range(n):
-            cross = -skew(cam[i])
-            jac[2 * i, 0:3] = du[i]
-            jac[2 * i, 3:6] = du[i] @ cross
-            jac[2 * i + 1, 0:3] = dv[i]
-            jac[2 * i + 1, 3:6] = dv[i] @ cross
+        x, y, z = cam.T
+        # d(u,v)/d(p_cam) rows, chained with left perturbation p_cam' = p_cam + dt + omega x p_cam: one batched
+        # product takes each point's two rows, (n, 2, 1, 3), times its -skew(p_cam), (n, 1, 3, 3)
+        duv = np.stack([k.fx / z, zero, -k.fx * x / z**2, zero, k.fy / z, -k.fy * y / z**2], axis=1).reshape(n, 2, 3)
+        cross = -np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=1).reshape(n, 1, 3, 3)
+        jac = np.concatenate([duv, np.matmul(duv[:, :, None], cross)[:, :, 0]], axis=2).reshape(2 * n, 6)
         try:
             step = np.linalg.solve(jac.T @ jac, -jac.T @ res)
         except np.linalg.LinAlgError:
@@ -193,29 +188,24 @@ def _gauss_newton(pts, px, k: Intrinsics, pose: RigidTransform, trace=None):
             break
 
         # step-halving line search: never accept an increase of the objective
-        accepted = False
-        scale = 1.0
-        for _ in range(30):
-            dt = scale * step[0:3]
+        for scale in (0.5**i for i in range(30)):
             d_rot = rotation_from_vector(scale * step[3:6])
-            candidate = RigidTransform(
-                d_rot @ pose.rotation, d_rot @ pose.translation + dt
-            )
-            cres, ccam, csse = residuals(candidate)
+            crot, ct = d_rot @ rot, d_rot @ t + scale * step[0:3]
+            cres, ccam, csse = residuals(crot, ct)
             if csse <= sse:
-                pose, res, cam, sse = candidate, cres, ccam, csse
+                rot, t, res, cam, sse = crot, ct, cres, ccam, csse
                 if trace is not None:
                     trace.append(float(sse))
-                accepted = True
                 break
-            scale *= 0.5
-        if not accepted or scale * step_norm < STEP_TOLERANCE:
+        else:
+            break
+        if scale * step_norm < STEP_TOLERANCE:
             break
     else:
         raise NonConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
 
     mean_err = float(np.mean(np.linalg.norm(res.reshape(-1, 2), axis=1)))
-    return pose, mean_err, iterations
+    return RigidTransform(rot, t), mean_err, iterations
 
 
 def solve_pnp(points3d, pixels, k: Intrinsics) -> PnPResult:

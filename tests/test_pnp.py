@@ -19,7 +19,7 @@ from reconkit.pnp import (
     soft_argmax,
     solve_pnp,
 )
-from reconkit.transforms import RigidTransform, rotation_angle
+from reconkit.transforms import RigidTransform, rotation_angle, rotation_from_vector
 
 
 def gaussian_bump(h, w, cx, cy, sigma):
@@ -269,15 +269,25 @@ class TestCandidateRule:
         monkeypatch.setattr(pnp, "_gauss_newton", recorded)
         return runs
 
+    # sha256 over each view's returned extrinsic matrix bytes, reprojection error and iteration count, in sweep order
+    SWEEP_SHA256 = {
+        0.0: "b03a8c369643344ce25a3f870ecd594010f086a4aa125b97b2819fef61602d27",
+        20.0: "12cf3af2f428c746854f62dee195fc6dc8100f6003819ab3d1f3db01d338427b",
+    }
+
     @pytest.mark.parametrize("outlier", [0.0, 20.0])
     def test_sweep_solves_every_view(self, sweep_scenes, runs, outlier):
         """No view fails.  A linear pose that converges is the one run; otherwise every seed runs and the best wins."""
         rescued, first_not_best = 0, 0
+        digest = hashlib.sha256()
         for seed, bundle in enumerate(sweep_scenes):
             for view in range(2):
                 runs.clear()
                 pts = bundle.keypoints_3d
                 res = solve_pnp(pts, sweep_pixels(bundle, seed, view, outlier), bundle.views[view].intrinsics)
+                digest.update(res.extrinsic.matrix().tobytes())
+                digest.update(np.float64(res.reprojection_error).tobytes())
+                digest.update(np.int64(res.iterations).tobytes())
                 if len(runs) == 1:
                     assert res.reprojection_error == runs[0][1]
                     continue
@@ -293,6 +303,7 @@ class TestCandidateRule:
         # the outlier puts a point behind the camera of many views' DLT poses; the first seed to converge is
         # often not the best one
         assert (rescued > 0, first_not_best > 0) == (outlier > 0, outlier > 0)
+        assert digest.hexdigest() == self.SWEEP_SHA256[outlier]
 
     def test_linear_pose_that_converges_is_the_one_run(self, small_bundle, runs):
         for view in range(2):
@@ -316,3 +327,25 @@ class TestGaussNewtonContract:
                 continue
             assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
+    def test_one_pose_built_per_run(self, rng, monkeypatch):
+        """A run checks one RigidTransform, the pose it returns, however many steps it takes or halves."""
+        k, pts, pose, px = synth_problem(rng)
+        init = next(iter(pnp._fallback_inits(pts)))
+        built, candidates = [], []
+
+        class Counted(RigidTransform):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        def counted_rotation(omega):
+            candidates.append(omega)
+            return rotation_from_vector(omega)
+
+        monkeypatch.setattr(pnp, "RigidTransform", Counted)
+        monkeypatch.setattr(pnp, "rotation_from_vector", counted_rotation)
+        trace = []
+        result, _, iterations = pnp._gauss_newton(pts, px + 1.0 * rng.standard_normal(px.shape), k, init, trace=trace)
+        # each line-search candidate takes one rotation_from_vector; one that is not accepted halves the step
+        assert iterations >= 2 and len(candidates) > len(trace) - 1
+        assert len(built) == 1 and built[0] is result
