@@ -60,10 +60,10 @@ class Joint:
             raise ValueError(f"joint axis must be unit length, |axis| = {n}")
         object.__setattr__(self, "axis", a)
         if self.limits is not None:
-            lo, hi = (check_number("joint limits", v) for v in self.limits)
+            lo, hi = check_array("joint limits", self.limits, (2,)).tolist()
             if not lo < hi:
                 raise ValueError(f"joint limits must satisfy lo < hi, got {self.limits}")
-            object.__setattr__(self, "limits", (float(lo), float(hi)))
+            object.__setattr__(self, "limits", (lo, hi))
 
     def motion(self, q: float) -> RigidTransform:
         if self.type == "revolute":

@@ -393,10 +393,11 @@ def _check_shape(name, shape, expected):
 
 
 def _check_raster(path, key, shape, dtype, grid):
-    """A view raster's header: the intrinsics' HxW, and uint8 for the labels."""
+    """A view raster's header: the intrinsics' HxW, uint8 for the labels and a float dtype for the depth."""
     _check_shape(path, shape, grid)
-    if key == "labels" and dtype != np.uint8:
-        raise DtypeMismatchError(f"{path}: dtype {dtype}, expected uint8 part labels")
+    if (dtype == np.uint8) != (key == "labels"):
+        expected = "uint8 part labels" if key == "labels" else "float depths"
+        raise DtypeMismatchError(f"{path}: dtype {dtype}, expected {expected}")
 
 
 class _RasterFiles:

@@ -10,6 +10,8 @@ Cameras are sampled on a spherical shell around the workspace center
 toward a jittered target with an extra random roll, and carry intrinsics
 perturbed around defaults.  Rays are cast through pixel centers with
 camera-frame direction (x, y, 1), so the hit parameter equals the z-depth.
+Each surface is cast only inside its screen window, the box around the
+screen ranges of the spheres its `hull()` gives.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..camera import POSITIVE, Intrinsics, check_array, check_number, normalize, project
+from ..camera import POSITIVE, Intrinsics, check_array, check_number, normalize
 from ..kinematics import KinematicChain, KeypointSpec, forward_kinematics
 from ..masks import LABEL_BACKGROUND, LABEL_OBJECT, LABEL_ROBOT
 from ..transforms import RigidTransform, rotation_about_axis
@@ -57,7 +59,8 @@ def _local_rays(pose: RigidTransform, view: RigidTransform, x, y):
 # (camera-to-world) to its first hit beyond RAY_EPS, inf on a miss; x is a row of normalized pixel columns,
 # y a column of rows.  The primitive moves into the camera frame in Python floats, then each depth is
 # fixed-order IEEE +, *, / and sqrt with no BLAS product; a NaN (a miss's sqrt, a ray along a face) fails
-# every test.  distance(pts) gives each world point's distance to the surface, bound() a sphere around it.
+# every test.  distance(pts) gives each world point's distance to the surface, hull() world spheres
+# ((centre, radius) pairs) whose convex hull contains it.
 # In meta.json a primitive is {"type": its PRIMITIVE_TYPES tag, **transforms.to_json(primitive)}.
 @dataclass(frozen=True, eq=False)
 class Sphere:
@@ -68,8 +71,8 @@ class Sphere:
         object.__setattr__(self, "center", check_array("sphere center", self.center, (3,)))
         check_number("sphere radius", self.radius, *POSITIVE)
 
-    def bound(self) -> tuple[np.ndarray, float]:
-        return self.center, self.radius
+    def hull(self) -> tuple:
+        return ((self.center, self.radius),)
 
     def cast(self, view, x, y) -> np.ndarray:
         c = _frame(view, self.center)
@@ -92,8 +95,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "half_extents", check_array("box half extents", self.half_extents, (3,), *POSITIVE))
 
-    def bound(self) -> tuple[np.ndarray, float]:
-        return self.pose.translation, float(np.linalg.norm(self.half_extents))
+    def hull(self) -> tuple:
+        return ((self.pose.translation, float(np.linalg.norm(self.half_extents))),)
 
     def cast(self, view, x, y) -> np.ndarray:
         o, d = _local_rays(self.pose, view, x, y)
@@ -133,8 +136,9 @@ class Capsule:
         object.__setattr__(self, "p1", check_array("capsule end", self.p1, (3,)))
         check_number("capsule radius", self.radius, *POSITIVE)
 
-    def bound(self) -> tuple[np.ndarray, float]:
-        return 0.5 * (self.p0 + self.p1), 0.5 * float(np.linalg.norm(self.p1 - self.p0)) + self.radius
+    def hull(self) -> tuple:
+        """The cylinder's: its two end spheres."""
+        return (self.p0, self.radius), (self.p1, self.radius)
 
     def ends(self) -> tuple[Sphere, Sphere]:
         return Sphere(self.p0, self.radius), Sphere(self.p1, self.radius)
@@ -183,6 +187,10 @@ class Table:
 
     def __post_init__(self):
         object.__setattr__(self, "half_extents", check_array("table half extents", self.half_extents, (2,), *POSITIVE))
+
+    def hull(self) -> tuple:
+        ex, ey = self.half_extents
+        return tuple((c, 0.0) for c in self.pose.apply([[sx * ex, sy * ey, 0.0] for sx in (-1, 1) for sy in (-1, 1)]))
 
     def cast(self, view, x, y) -> np.ndarray:
         o, (dx, dy, dz) = _local_rays(self.pose, view, x, y)
@@ -307,90 +315,61 @@ def chain_capsules(spec: SceneSpec) -> list[Capsule]:
     return [Capsule(a.translation, b.translation, spec.capsule_radius) for a, b in zip(poses[:-1], poses[1:])]
 
 
-def _pixel_window(k: Intrinsics, rows, cols):
-    """(rows, cols) slices of the pixels within one pixel of float (lo, hi) ranges; None off-frame.
+def _window(hull, k: Intrinsics, pose: RigidTransform):
+    """Conservative (rows, cols) slices of the pixels whose rays can meet a surface inside the convex hull
+    of `hull`'s world spheres; None when no ray can.
 
-    A window may be one row or column wide: a cast's bits do not depend on its window's shape.
+    A hit's t is its camera z.  So none lies where every sphere is wholly at z <= RAY_EPS, and a sphere
+    that reaches that plane may project anywhere: the whole frame.  Otherwise the hull projects inside
+    the box around the spheres' exact tangent ranges, widened by a pixel and clipped to the frame (None
+    off-frame).  A window may be one row or column wide: a cast's bits do not depend on its shape.
     """
+    spheres = [(_frame(pose, c), r) for c, r in hull]
+    if all(c[2] + r <= RAY_EPS for c, r in spheres):
+        return None
+    if any(c[2] - r <= RAY_EPS for c, r in spheres):
+        return slice(0, k.height), slice(0, k.width)
     window = []
-    for (lo, hi), n in ((rows, k.height), (cols, k.width)):
-        lo, hi = max(math.floor(lo) - 1, 0), min(math.ceil(hi) + 1, n - 1)
+    for axis, f, p, n in ((1, k.fy, k.cy, k.height), (0, k.fx, k.cx, k.width)):
+        # exact tangent directions of each sphere's disk in the (axis, z) plane
+        ends = [f * math.tan(math.atan2(c[axis], c[2]) + side * math.asin(r / math.hypot(c[axis], c[2]))) + p
+                for c, r in spheres for side in (-1, 1)]
+        lo, hi = max(math.floor(min(ends)) - 1, 0), min(math.ceil(max(ends)) + 1, n - 1)
         if lo > hi:
             return None
         window.append(slice(lo, hi + 1))
     return tuple(window)
 
 
-def _behind(center, radius, pose: RigidTransform) -> bool:
-    """Whether a world sphere lies wholly at camera z <= RAY_EPS, where no ray meets it: a hit's t is its z."""
-    return (pose.rotation.T @ (center - pose.translation))[2] + radius <= RAY_EPS
-
-
-def _screen_window(center, radius, k: Intrinsics, pose: RigidTransform):
-    """Conservative (rows, cols) slices of the pixels whose rays can meet a world sphere.
-
-    None when the sphere is wholly off-screen or `_behind` the camera; the
-    whole frame when it reaches the camera plane.
-    """
-    if _behind(center, radius, pose):
-        return None
-    c = pose.rotation.T @ (center - pose.translation)
-    if c[2] - radius <= RAY_EPS:
-        return slice(0, k.height), slice(0, k.width)
-    ranges = []
-    for axis, f, p in ((1, k.fy, k.cy), (0, k.fx, k.cx)):
-        # exact tangent directions of the sphere's disk in the (axis, z) plane
-        theta = math.atan2(c[axis], c[2])
-        alpha = math.asin(radius / math.hypot(c[axis], c[2]))
-        ranges.append((f * math.tan(theta - alpha) + p, f * math.tan(theta + alpha) + p))
-    return _pixel_window(k, *ranges)
-
-
-def _table_window(table: Table, k: Intrinsics, pose: RigidTransform):
-    """`_screen_window` for the table: the box around its projected corners (a rectangle in front of
-    the camera projects inside their hull), or the whole frame when one is not in front of it."""
-    ex, ey = table.half_extents
-    corners = table.pose.apply([[sx * ex, sy * ey, 0.0] for sx in (-1, 1) for sy in (-1, 1)])
-    c = (corners - pose.translation) @ pose.rotation
-    if np.any(c[:, 2] <= RAY_EPS):
-        return slice(0, k.height), slice(0, k.width)
-    u, v = project(c, k).T
-    return _pixel_window(k, (v.min(), v.max()), (u.min(), u.max()))
-
-
 def render(spec: SceneSpec, intrinsics: Intrinsics, pose: RigidTransform):
     """Ray-cast one view.
 
     Returns what a bundle view stores: (depth: HxW float64, labels: HxW
-    uint8), both 0 at a miss pixel.  Each cast covers only its screen window:
-    the table the box around its projected corners, an object its bounding
-    sphere's window, and a capsule three casts, each end sphere in its own
-    window and the cylinder, which projects inside their hull, in the box
-    around those two (its bounding sphere's window when an end is off-screen,
-    none when both are behind the camera), in bands of at most RENDER_BAND
-    rows.  The bits are those of casting over the whole frame: rays (x, y, 1)
-    leave the camera centre, (x, y) = `camera.normalize` of pixel (u, v), and
-    a kernel takes a row of x and a column of y.
+    uint8), both 0 at a miss pixel.  Each cast covers only its `_window`,
+    the box around the screen ranges of its surface's `hull()` spheres (a
+    capsule is three casts: its cylinder, hulled by the two end spheres, and
+    each end), in bands of at most RENDER_BAND rows.  The bits are those of
+    casting over the whole frame: rays (x, y, 1) leave the camera centre,
+    (x, y) = `camera.normalize` of pixel (u, v), and a kernel takes a row of x
+    and a column of y.
     """
     k = intrinsics
     xs, ys = normalize(k, np.arange(k.width, dtype=float), np.arange(k.height, dtype=float)[:, None])
 
-    casts = [(spec.table.cast, _table_window(spec.table, k, pose), LABEL_BACKGROUND)]
-    casts += [(p.cast, _screen_window(*p.bound(), k, pose), LABEL_OBJECT) for p in spec.primitives]
+    casts = [(spec.table.cast, spec.table.hull(), LABEL_BACKGROUND)]
+    casts += [(p.cast, p.hull(), LABEL_OBJECT) for p in spec.primitives]
     for capsule in spec.capsules:
-        ends = capsule.ends()
-        windows = [_screen_window(*end.bound(), k, pose) for end in ends]
-        if None in windows:  # no body when both ends are `_behind` the camera: z is linear along it
-            body = None if all(_behind(*e.bound(), pose) for e in ends) else _screen_window(*capsule.bound(), k, pose)
-        else:
-            body = tuple(slice(min(e0.start, e1.start), max(e0.stop, e1.stop)) for e0, e1 in zip(*windows))
-        casts.append((capsule.cast_body, body, LABEL_ROBOT))
-        casts += [(end.cast, window, LABEL_ROBOT) for end, window in zip(ends, windows)]
+        casts.append((capsule.cast_body, capsule.hull(), LABEL_ROBOT))
+        casts += [(end.cast, end.hull(), LABEL_ROBOT) for end in capsule.ends()]
 
     # a strict < keeps the earlier cast on a tie; every robot part has one label
     best_t = np.full((k.height, k.width), np.inf)
     labels = np.zeros((k.height, k.width), dtype=np.uint8)
-    for cast, (rows, cols), label in (c for c in casts if c[1] is not None):
+    for cast, hull, label in casts:
+        window = _window(hull, k, pose)
+        if window is None:
+            continue
+        rows, cols = window
         for start in range(rows.start, rows.stop, RENDER_BAND):
             band = slice(start, min(start + RENDER_BAND, rows.stop))
             t = cast(pose, xs[cols], ys[band])

@@ -65,8 +65,7 @@ from reconkit.oracle.scene import (
     SceneSpec,
     Sphere,
     Table,
-    _screen_window,
-    _table_window,
+    _window,
     chain_capsules,
     render,
     sample_camera,
@@ -356,45 +355,48 @@ class TestCulledRender:
     def test_camera_inside_capsule_bound_uses_whole_frame(self):
         spec = minimal_spec([], fixed_camera_ranges(), width=64, height=48)
         cap = max(chain_capsules(spec), key=lambda c: np.linalg.norm(c.p1 - c.p0))
-        center, radius = cap.bound()
+        # its bounding sphere, which holds both ends
+        center, radius = 0.5 * (cap.p0 + cap.p1), 0.5 * np.linalg.norm(cap.p1 - cap.p0) + cap.radius
         axis = (cap.p1 - cap.p0) / np.linalg.norm(cap.p1 - cap.p0)
         side = np.cross(axis, [1.0, 0.0, 0.0])
         eye = center + 2.0 * cap.radius * side / np.linalg.norm(side)
         assert cap.radius < np.linalg.norm(eye - center) < radius
         pose = look_at(eye, cap.p1)
-        assert _screen_window(center, radius, WIDE, pose) == FULL_FRAME
+        assert _window(((center, radius),), WIDE, pose) == FULL_FRAME
+        assert _window(cap.hull(), WIDE, pose) == FULL_FRAME
         labels = assert_matches_full_frame(spec, WIDE, pose)
         assert np.any(labels == LABEL_ROBOT)
 
-    @pytest.mark.parametrize("seed,behind_capsules", [(2, 0), (3, 1), (111, 1)])
-    def test_spheres_behind_the_camera_skipped(self, monkeypatch, seed, behind_capsules):
+    @pytest.mark.parametrize("seed,cylinders", [(2, 4), (3, 3), (111, 2)])
+    def test_spheres_behind_the_camera_skipped(self, monkeypatch, seed, cylinders):
         # near cameras of these seeds have capsule end spheres wholly behind them, and for 3 and 111 both
-        # ends of one capsule; such a sphere has no window, and such a capsule's cylinder is not cast
+        # ends of one capsule; such a sphere has no window, and a cylinder is cast only where its hull has
+        # one (at 111 another capsule's hull is off-frame too)
         spec = random_scene_spec(seed, views=1, width=64, height=48)
         k, pose = sample_camera(spec.workspace_center, np.random.default_rng(seed), CameraRanges(radius=(0.25, 0.6)),
                                 64, 48)
         ends = [end for cap in spec.capsules for end in cap.ends()]
         behind = [end for end in ends if pose.inverse().apply(end.center)[2] + end.radius <= RAY_EPS]
-        assert behind and all(_screen_window(*end.bound(), k, pose) is None for end in behind)
+        assert behind and all(_window(end.hull(), k, pose) is None for end in behind)
         cast = []
         cast_body = Capsule.cast_body
         monkeypatch.setattr(Capsule, "cast_body", lambda self, *args: cast.append(self) or cast_body(self, *args))
         render(spec, k, pose)
-        assert len(cast) == len(spec.capsules) - behind_capsules
+        assert len(cast) == cylinders == sum(_window(cap.hull(), k, pose) is not None for cap in spec.capsules)
         monkeypatch.undo()
         assert_matches_full_frame(spec, k, pose)
 
     def test_sphere_straddling_camera_plane(self):
         sphere = Sphere(HORIZONTAL.apply(np.array([0.4, 0.0, 0.1])), 0.35)
         spec = minimal_spec([sphere], fixed_camera_ranges())
-        assert _screen_window(sphere.center, sphere.radius, WIDE, HORIZONTAL) == FULL_FRAME
+        assert _window(sphere.hull(), WIDE, HORIZONTAL) == FULL_FRAME
         labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
         assert np.any(labels == LABEL_OBJECT)
 
     def test_offscreen_primitive_skipped(self):
         sphere = Sphere(HORIZONTAL.apply(np.array([3.0, 0.0, 1.0])), 0.1)
         spec = minimal_spec([sphere], fixed_camera_ranges())
-        assert _screen_window(sphere.center, sphere.radius, WIDE, HORIZONTAL) is None
+        assert _window(sphere.hull(), WIDE, HORIZONTAL) is None
         labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
         assert not np.any(labels == LABEL_OBJECT)
 
@@ -412,7 +414,7 @@ class TestCulledRender:
         radius = 0.2
         sphere = Sphere(HORIZONTAL.apply(tangent_at_column(u, side, 2.0, radius)), radius)
         spec = minimal_spec([sphere], fixed_camera_ranges())
-        rows, window_cols = _screen_window(sphere.center, sphere.radius, WIDE, HORIZONTAL)
+        rows, window_cols = _window(sphere.hull(), WIDE, HORIZONTAL)
         labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
         if cols is not None:
             assert window_cols == cols
@@ -425,7 +427,7 @@ class TestCulledRender:
     def test_table_corner_behind_camera_uses_whole_frame(self):
         spec = minimal_spec([], fixed_camera_ranges())
         assert HORIZONTAL.inverse().apply([-5.0, 5.0, 0.0])[2] < 0  # a corner of the 10 x 10 m table
-        assert _table_window(spec.table, WIDE, HORIZONTAL) == FULL_FRAME
+        assert _window(spec.table.hull(), WIDE, HORIZONTAL) == FULL_FRAME
         labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
         assert np.any(labels == LABEL_BACKGROUND)
 
@@ -433,7 +435,7 @@ class TestCulledRender:
         # looking up and away from a 1 x 1 m table that lies wholly in front of the camera plane
         spec = replace(minimal_spec([], fixed_camera_ranges()), table=Table(RigidTransform.identity(), [0.5, 0.5]))
         pose = look_at([-1.5, 0.0, 0.3], [0.0, 0.0, 1.5])
-        assert _table_window(spec.table, WIDE, pose) is None
+        assert _window(spec.table.hull(), WIDE, pose) is None
         labels = assert_matches_full_frame(spec, WIDE, pose)
         assert not np.any(labels == LABEL_BACKGROUND)
 
@@ -443,8 +445,8 @@ class TestCulledRender:
         cap = chain_capsules(spec)[0]
         pose = camera_seeing(np.array([0.0, 0.0, 0.3]), cap.p1)
         foot, top = cap.ends()
-        assert _screen_window(*foot.bound(), NARROW, pose) is None
-        assert _screen_window(*top.bound(), NARROW, pose) is not None
+        assert _window(foot.hull(), NARROW, pose) is None
+        assert _window(top.hull(), NARROW, pose) is not None
         labels = assert_matches_full_frame(spec, NARROW, pose)
         assert np.any(labels[-1] == LABEL_ROBOT)  # the body runs off the bottom of the frame
 
@@ -461,7 +463,7 @@ class TestCulledRender:
         spec = minimal_spec([], fixed_camera_ranges())
         end = chain_capsules(spec)[-1].ends()[1]
         pose = camera_seeing(tangent_at_column(u, side, 1.0, end.radius), end.center)
-        assert _screen_window(*end.bound(), WIDE, pose)[1] == cols
+        assert _window(end.hull(), WIDE, pose)[1] == cols
         assert_matches_full_frame(spec, WIDE, pose)
 
     @pytest.mark.parametrize("u,cols", [(-1.5, slice(0, 1)), (64.5, slice(63, 64))])
@@ -470,16 +472,17 @@ class TestCulledRender:
         edge_y = -(u - WIDE.cx) / WIDE.fx * 3.5
         table = Table(RigidTransform(np.eye(3), [0.0, edge_y + math.copysign(0.5, edge_y), 0.0]), [0.5, 0.5])
         spec = replace(minimal_spec([], fixed_camera_ranges()), table=table)
-        assert _table_window(table, WIDE, HORIZONTAL)[1] == cols
+        assert _window(table.hull(), WIDE, HORIZONTAL)[1] == cols
         labels = assert_matches_full_frame(spec, WIDE, HORIZONTAL)
         assert not np.any(labels == LABEL_BACKGROUND)
 
     def test_casts_stay_in_their_windows(self, monkeypatch):
-        spec = random_scene_spec(1, views=1, width=160, height=120)
-        k, pose = sample_camera(spec.workspace_center, np.random.default_rng(1), spec.camera, 160, 120)
-        received = {}  # surface -> pixels its cast was given, summed over its bands, in order of first cast
+        # seed 2 has a sphere, a box and a capsule with one end off-frame
+        spec = random_scene_spec(2, views=1, width=160, height=120)
+        k, pose = sample_camera(spec.workspace_center, np.random.default_rng(2), spec.camera, 160, 120)
+        received = {}  # surface -> pixels its cast was given, summed over its bands
         band_rows = []
-        for cls, name in ((Sphere, "cast"), (Table, "cast"), (Capsule, "cast_body")):
+        for cls, name in ((Sphere, "cast"), (Box, "cast"), (Table, "cast"), (Capsule, "cast_body")):
             def record(self, view, x, y, cast=getattr(cls, name)):
                 received[self] = received.get(self, 0) + x.size * y.size
                 band_rows.append(y.shape[0])
@@ -488,26 +491,20 @@ class TestCulledRender:
             monkeypatch.setattr(cls, name, record)
         render(spec, k, pose)
         assert max(band_rows) <= RENDER_BAND
-        capsules = chain_capsules(spec)
-        ends = [end for cap in capsules for end in cap.ends()]
-        end_pixels = [
-            n for s, n in received.items()
-            if isinstance(s, Sphere) and any(np.array_equal(s.center, e.center) for e in ends)
-        ]
-        end_windows = [w for w in (_screen_window(*e.bound(), k, pose) for e in ends) if w is not None]
-        assert len(end_pixels) == len(end_windows) > 0
-        for n, window in zip(end_pixels, end_windows):
-            assert n <= window_area(window)
-        # a cylinder whose end windows are both on screen is cast in exactly the box around them
-        body_pixels = {id(s): n for s, n in received.items() if isinstance(s, Capsule)}
-        both_on_screen = 0
+        # each cast covers exactly its surface's window, and every surface that has one is cast
+        for surface, n in received.items():
+            assert n == window_area(_window(surface.hull(), k, pose))
+        surfaces = [spec.table, *spec.primitives, *(s for cap in spec.capsules for s in (cap, *cap.ends()))]
+        assert len(received) == sum(_window(s.hull(), k, pose) is not None for s in surfaces)
+        # a cylinder's window lies inside its capsule's bounding-sphere window, also with one end off-frame
+        one_end_off = 0
         for cap in spec.capsules:
-            w0, w1 = (_screen_window(*e.bound(), k, pose) for e in cap.ends())
-            if w0 is not None and w1 is not None:
-                box = [slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(w0, w1)]
-                assert body_pixels[id(cap)] == window_area(box)
-                both_on_screen += 1
-        assert both_on_screen > 0
+            body = _window(cap.hull(), k, pose)
+            bound = ((0.5 * (cap.p0 + cap.p1), 0.5 * np.linalg.norm(cap.p1 - cap.p0) + cap.radius),)
+            assert body is not None
+            assert all(o.start <= b.start and b.stop <= o.stop for b, o in zip(body, _window(bound, k, pose)))
+            one_end_off += any(_window(end.hull(), k, pose) is None for end in cap.ends())
+        assert one_end_off > 0
         [table_pixels] = [n for s, n in received.items() if isinstance(s, Table)]
         assert 0 < table_pixels < k.width * k.height
 
@@ -1041,6 +1038,13 @@ class TestBundleIO:
         with pytest.raises(ShapeMismatchError, match=re.escape(f"{named}: shape {got}, expected {want}")):
             load_bundle(tmp_path / "s")
 
+    def test_depth_dtype_named(self, small_bundle, tmp_path):
+        # whole-metre depths in a uint8 raster would load as a point map rounded to the metre
+        save_bundle(tmp_path / "s", small_bundle)
+        write_raster(tmp_path / "s" / "view_0_depth.r3rb", np.round(small_bundle.views[0].depth.values).astype(np.uint8))
+        with pytest.raises(DtypeMismatchError, match=r"view_0_depth\.r3rb: dtype uint8, expected float depths"):
+            load_bundle(tmp_path / "s")
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_labels_dtype_named(self, small_bundle, tmp_path, dtype):
         save_bundle(tmp_path / "s", small_bundle)
@@ -1263,6 +1267,10 @@ class TestBundleJSONErrors:
         # a third view, a copy of view 1: the scene's view count is the number of views
         "scene_views": ("meta.json", ("views",), lambda views: views + views[1:], "views must be 1 or 2, got 3"),
         "link_float": ("chain.json", ("keypoints", 0, "link"), 1.7, "keypoint link: expected an integer, got 1.7"),
+        "limits_triple": ("chain.json", ("joints", 1, "limits"), [1, 2, 3],
+                          "joint limits: expected shape (2,), got (1, 2, 3)"),
+        "limits_number": ("chain.json", ("joints", 1, "limits"), 5, "joint limits: expected shape (2,), got 5"),
+        "limits_string": ("chain.json", ("joints", 1, "limits"), "ab", "joint limits: expected shape (2,), got 'ab'"),
     }
 
     @pytest.mark.parametrize(
